@@ -6,6 +6,11 @@ family is simultaneously a depolarizing channel decomposition: conjugating
 any probe by all elements and summing yields d tr(probe) I.  Both facts are
 checked numerically here, never assumed.
 
+Every check is a product of one matrix: stack the elements as the d^2 x d^2
+matrix A with rows vec(U_x).  Orthonormality is A A* = d I, the depolarizer
+identity over all matrix units is A* A = d I, and the normal equations of
+weight recovery factor through A.T A-bar; each is O(d^6).
+
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
 grid is a Latin square and each H_j is a complex Hadamard matrix.  Flat
@@ -34,7 +39,7 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import matrix_units, max_abs
+from .tensor import _adjoint, max_abs
 
 __all__ = [
     "UnitaryBasis",
@@ -104,12 +109,8 @@ def _raw_shift_multiply(grid: np.ndarray, phase_mats: list[np.ndarray]) -> np.nd
     """
     d = grid.shape[0]
     elems = np.zeros((d * d, d, d), dtype=complex)
-    cols = np.arange(d)
-    for i in range(d):
-        for j in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            u[grid[j], cols] = phase_mats[j][i]
-            elems[i * d + j] = u
+    i, j, k = np.indices((d, d, d))
+    elems[i * d + j, grid[j, k], k] = np.asarray(phase_mats)[j, i, k]
     return elems
 
 
@@ -152,6 +153,11 @@ def weyl_basis(d: int) -> UnitaryBasis:
     return shift_multiply_basis(latin_from_cyclic(d), [fourier_hadamard(d)] * d)
 
 
+def _stacked(basis: UnitaryBasis) -> np.ndarray:
+    """The d^2 x d^2 matrix A with rows vec(U_x)."""
+    return basis.elements.reshape(basis.d * basis.d, -1)
+
+
 def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> GramReport:
     """Gram matrix of trace inner products, checked against the identity.
 
@@ -161,10 +167,10 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> GramRep
     """
     elems = basis.elements
     d = basis.d
-    gram = np.einsum("xij,yij->xy", elems.conj(), elems) / d
+    a = _stacked(basis)
+    gram = a.conj() @ a.T / d
     gram_dev = max_abs(gram - np.eye(d * d))
-    products = np.einsum("xki,xkj->xij", elems.conj(), elems)
-    unit_dev = max_abs(products - np.eye(d))
+    unit_dev = max_abs(_adjoint(elems) @ elems - np.eye(d))
     return GramReport(gram, gram_dev, unit_dev, gram_dev <= tol and unit_dev <= tol)
 
 
@@ -174,27 +180,33 @@ def verify_depolarizer(
     """Check that conjugating probes by all elements sums to d tr(probe) I.
 
     With no probes given, all d^2 matrix units are used; they span, so by
-    linearity the check is then complete rather than probabilistic.
+    linearity the check is then complete rather than probabilistic.  For the
+    matrix unit E[a, b] the sum is block (a, b) of A* A, so the complete
+    check is A* A = d I; other probes are contracted against the same
+    product.
     """
     d = basis.d
-    elems = basis.elements
+    a = _stacked(basis)
+    # conj_sum[a, b, i, j] = (sum_x U_x* E[a,b] U_x)[i, j]
+    conj_sum = (a.conj().T @ a).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     probes = None if probes is None else [np.asarray(p, dtype=complex) for p in probes]
     if not probes:
-        probes = matrix_units(d)
+        eye = np.eye(d * d).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        totals = (conj_sum - d * eye).reshape(d * d, d, d)
         names = [f"matrix unit E[{x // d},{x % d}]" for x in range(d * d)]
     else:
+        for i, probe in enumerate(probes):
+            if probe.shape != (d, d):
+                raise DimensionMismatch(f"probe {i} has shape {probe.shape}, expected ({d}, {d})")
+        stack = np.asarray(probes)
+        totals = (stack.reshape(len(stack), -1) @ conj_sum.reshape(d * d, -1)).reshape(-1, d, d)
+        totals -= d * np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(d)
         names = [f"probe {i}" for i in range(len(probes))]
-    worst = 0.0
-    worst_name = None
-    eye = np.eye(d)
-    for name, probe in zip(names, probes):
-        if probe.shape != (d, d):
-            raise DimensionMismatch(f"{name} has shape {probe.shape}, expected ({d}, {d})")
-        total = np.einsum("xki,kl,xlj->ij", elems.conj(), probe, elems)
-        deviation = max_abs(total - d * np.trace(probe) * eye)
-        if deviation > worst:
-            worst, worst_name = deviation, name
-    return CheckResult(worst <= tol, worst, worst_name if worst > tol else None)
+    gaps = np.abs(totals).max(axis=(1, 2))
+    worst = int(np.argmax(gaps))  # the first NaN, else the first largest gap
+    deviation = float(gaps[worst])
+    passed = deviation <= tol
+    return CheckResult(passed, deviation, None if passed else names[worst])
 
 
 def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> GramReport:
@@ -214,33 +226,14 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> GramRe
     d = ops.shape[-1]
     if w.shape != (d, d):
         raise DimensionMismatch(f"weight shape {w.shape} does not match operators ({d}, {d})")
-    if max_abs(w - w.conj().T) > 1e-12:
+    if not max_abs(w - w.conj().T) <= 1e-12:
         raise WeightNotPositive("weight is not Hermitian")
-    if float(np.linalg.eigvalsh(w).min()) <= 1e-12:
+    if not float(np.linalg.eigvalsh(w).min()) > 1e-12:
         raise WeightNotPositive("weight has an eigenvalue at or below 1e-12")
-    weighted = np.einsum("ab,xbc->xac", w, ops)
-    gram = np.einsum("xij,yij->xy", ops.conj(), weighted)
-    deviation = max_abs(gram - np.eye(ops.shape[0]))
+    n = ops.shape[0]
+    gram = ops.conj().reshape(n, -1) @ (w @ ops).reshape(n, -1).T
+    deviation = max_abs(gram - np.eye(n))
     return GramReport(gram, deviation, 0.0, deviation <= tol)
-
-
-def _hermitian_basis(d: int) -> np.ndarray:
-    """A real-spanning basis of the Hermitian d x d matrices."""
-    mats = []
-    for k in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[k, k] = 1.0
-        mats.append(m)
-    for k in range(d):
-        for l in range(k + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[k, l] = m[l, k] = 1.0
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[k, l] = -1j
-            m[l, k] = 1j
-            mats.append(m)
-    return np.asarray(mats)
 
 
 def recover_weight_from_unitary_gram(
@@ -248,37 +241,39 @@ def recover_weight_from_unitary_gram(
 ) -> np.ndarray:
     """Solve for the density operator rho with tr(U_x* rho U_y) = delta_{xy}.
 
-    The d^4 equations overdetermine the d^2 real parameters of a Hermitian
-    rho but are consistent exactly when the family is a genuine basis, in
-    which case the unique solution is I/d.  Least squares recovers it; a
+    The d^4 equations overdetermine the d^2 parameters of rho but are
+    consistent exactly when the family is a genuine basis, in which case the
+    unique solution is I/d.  Least squares recovers it through its normal
+    equations, whose d^2 x d^2 matrix factors through G = A.T A-bar; a
     residual beyond ``tol`` (or a solution away from I/d) raises
     ``NoSolution``, signalling that the input was not a basis.
     """
     d = basis.d
     elems = basis.elements
-    herm = _hermitian_basis(d)
-    # Column m holds tr(U_x* G_m U_y) flattened over (x, y).
-    coeffs = np.einsum("xki,mkl,yli->mxy", elems.conj(), herm, elems)
-    design = coeffs.reshape(d * d, -1).T
-    target = np.eye(d * d, dtype=complex).reshape(-1)
-    design_real = np.vstack([design.real, design.imag])
-    target_real = np.concatenate([target.real, target.imag])
-    solution, *_ = np.linalg.lstsq(design_real, target_real, rcond=None)
-    rho = np.einsum("m,mkl->kl", solution, herm)
+    if not np.isfinite(elems).all():
+        raise NoSolution("the family has non-finite entries")
+    a = _stacked(basis)
+    # g[k, k', i, i'] = sum_x U_x[k, i] conj(U_x[k', i'])
+    g = (a.T @ a.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+    # normal[(k, l), (k', l')] = sum_{i, i'} g[k, k', i, i'] conj(g[l, l', i, i'])
+    normal = (g @ g.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+    rhs = (elems @ _adjoint(elems)).sum(axis=0).reshape(-1)
+    solution, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
+    rho = solution.reshape(d, d)
     rho = (rho + rho.conj().T) / 2
     trace = complex(np.trace(rho))
     if abs(trace) < 1e-12:
         raise NoSolution("recovered operator has vanishing trace")
     rho = rho / trace.real
-    gram = np.einsum("xki,kl,yli->xy", elems.conj(), rho, elems)
+    gram = a.conj() @ (rho @ elems).reshape(d * d, -1).T
     residual = max_abs(gram - np.eye(d * d))
-    if residual > tol:
+    if not residual <= tol:
         raise NoSolution(
             f"weighted Gram residual {residual:.3e} exceeds {tol}; "
             f"the family is not an orthonormal basis"
         )
     witness_dev = max_abs(rho - np.eye(d) / d)
-    if witness_dev > tol:
+    if not witness_dev <= tol:
         raise NoSolution(
             f"recovered weight deviates from I/d by {witness_dev:.3e} "
             f"despite a small residual"
@@ -288,15 +283,10 @@ def recover_weight_from_unitary_gram(
 
 def tensor_bases(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     """Elementwise Kronecker products, a basis on the product space."""
-    n2 = b2.d * b2.d
-    elems = np.asarray(
-        [
-            np.kron(b1.elements[x], b2.elements[y])
-            for x in range(b1.d * b1.d)
-            for y in range(n2)
-        ]
-    )
-    return UnitaryBasis(b1.d * b2.d, elems)
+    d = b1.d * b2.d
+    # product[x, y, a, b, i, j] = U_x[a, i] V_y[b, j]
+    product = b1.elements[:, None, :, None, :, None] * b2.elements[None, :, None, :, None, :]
+    return UnitaryBasis(d, product.reshape(d * d, d, d))
 
 
 def apply_equivalence(
@@ -308,19 +298,12 @@ def apply_equivalence(
     which is what makes it an equivalence of bases.
     """
     d = basis.d
+    v1, v2 = np.asarray(v1, dtype=complex), np.asarray(v2, dtype=complex)
     for name, v in (("V1", v1), ("V2", v2)):
-        v = np.asarray(v, dtype=complex)
         if v.shape != (d, d):
             raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({d}, {d})")
         dev = max_abs(v.conj().T @ v - np.eye(d))
-        if dev > DEFAULT_TOL:
+        if not dev <= DEFAULT_TOL:
             raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e}")
-    order = (
-        np.arange(d * d)
-        if relabel is None
-        else as_permutation(relabel, d * d)
-    )
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
-    elems = np.einsum("ab,xbc,cd->xad", v1, basis.elements[order], v2)
-    return UnitaryBasis(d, elems)
+    order = np.arange(d * d) if relabel is None else as_permutation(relabel, d * d)
+    return UnitaryBasis(d, v1 @ basis.elements[order] @ v2)

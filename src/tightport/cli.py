@@ -153,7 +153,7 @@ def _verify_document(doc: DesignDocument, tol: float):
         return result.passed, result.deviation, result.witness
     if doc.kind == "unitary_basis":
         report = verify_orthonormal(UnitaryBasis(doc.d, doc.payload["elements"]), tol)
-        deviation = max(report.max_deviation, report.unitarity_deviation)
+        deviation = float(np.max([report.max_deviation, report.unitarity_deviation]))
         return report.passed, deviation, "Gram matrix or unitarity off identity"
     if doc.kind == "entangled_basis":
         result = verify_entangled_basis(
@@ -210,14 +210,17 @@ def _input_state(spec: str, d: int, args) -> list[np.ndarray]:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        return _err(f"--trials must be at least 1, got {args.trials}")
     scheme = _load_as(args.scheme, "scheme")
     states = _input_state(args.state, scheme.d, args)
-    worst = 0.0
+    deviations = []
     histogram = np.zeros(scheme.d**2)
     for rho in states:
         output, probabilities = teleport_state(scheme, rho)
-        worst = max(worst, float(np.abs(output - rho).max()))
+        deviations.append(np.abs(output - rho).max())
         histogram += probabilities / len(states)
+    worst = float(np.max(deviations))  # NaN if any trial produced NaN
     print(f"max output deviation over {len(states)} trial(s): {worst:.3e}")
     print("outcome histogram [" + ", ".join(f"{p:.6f}" for p in histogram) + "]")
     if worst <= args.tol:

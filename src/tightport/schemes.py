@@ -12,10 +12,17 @@ with exactly d^2 signals.  Its components are always the same triple:
 Built from a unitary basis, the triple satisfies the teleportation identity
 (averaging the measure-and-correct protocol over outcomes reproduces every
 input state exactly) and the dense-coding identity (the receiver's outcome
-matrix is exactly the identity).  The verifiers here evaluate both
-identities on spanning probe sets, so a pass is complete by linearity, and
-the converse direction is exercised by feeding them deliberately damaged
-resources.
+matrix is exactly the identity).  The verifiers evaluate both identities
+completely, not on samples, and the converse direction is exercised by
+feeding them deliberately damaged resources.
+
+Both identities are products of stacked arrays.  With the resource vector
+reshaped to a d x d matrix W, outcome x acts on the input by the Kraus
+operator K_x = W^T phi_x* and the corrected protocol by T_x = U_x K_x.
+Teleportation holds when the Choi matrix sum_x vec(T_x) vec(T_x)* is the
+identity channel's, and the dense-coding table is |Phi* M|^2 with the
+columns of M equal to vec(U_x W).  A density-matrix resource is split by
+``eigh`` into such terms.
 
 Phase convention: operators extracted from entangled vectors keep the phase
 the correspondence delivers; round-trip equality assertions are therefore
@@ -38,11 +45,11 @@ from .errors import (
     SchemeInvalid,
 )
 from .tensor import (
-    is_maximally_entangled,
+    _adjoint,
     check_projector_completeness,
+    is_maximally_entangled,
     max_abs,
     omega_vector,
-    partial_trace,
     vector_to_operator,
 )
 
@@ -162,9 +169,55 @@ class SchemeVerdict:
         return self.passed
 
 
-def _act_on_first(op: np.ndarray, vec: np.ndarray, d: int) -> np.ndarray:
-    """(op (x) I) applied to a vector on the d x d space."""
-    return (op @ vec.reshape(d, d)).reshape(-1)
+def _resource_terms(scheme: TightScheme) -> tuple[float, list]:
+    """A shift c and pairs (w_r, W_r) of weights and d x d matrices with
+    resource = c I + sum_r w_r vec(W_r) vec(W_r)*.
+
+    A vector is one term of weight 1.  A matrix is split by ``eigh`` of its
+    Hermitian and anti-Hermitian parts, which is exact for any matrix, less
+    eigenvalues at rounding level.  The shift is the median eigenvalue, so a
+    degenerate level, such as the white noise of a depolarized resource,
+    costs one identity term instead of one term per eigenvector.  A
+    non-finite matrix gives a NaN shift.
+    """
+    d = scheme.d
+    omega = scheme.omega
+    if omega.ndim == 1:
+        return 0.0, [(1.0, omega.reshape(d, d))]
+    if not np.isfinite(omega).all():
+        return np.nan, []
+    adjoint = omega.conj().T
+    values, vectors = np.linalg.eigh((omega + adjoint) / 2)
+    shift = float(np.median(values))
+    terms = [(values - shift, vectors)]
+    anti = (omega - adjoint) / 2j
+    if anti.any():
+        anti_values, anti_vectors = np.linalg.eigh(anti)
+        terms.append((1j * anti_values, anti_vectors))
+    cutoff = d * d * np.finfo(float).eps * max(np.abs(w).max() for w, _ in terms)
+    return shift, [
+        (w, v.reshape(d, d).copy()) for ws, vs in terms for w, v in zip(ws, vs.T) if abs(w) > cutoff
+    ]
+
+
+def _identity_parts(scheme: TightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Rows vec(U_x U_x*) and vec(conj(phi_x) phi_x^T): an identity resource
+    enters every identity through these two stacks only."""
+    n = scheme.d**2
+    u = scheme.channel_unitaries
+    phis = scheme.effects.vectors.reshape(u.shape)
+    return (u @ _adjoint(u)).reshape(n, n), (phis.conj() @ np.swapaxes(phis, 1, 2)).reshape(n, n)
+
+
+def _reference(omega, d: int, tol: float) -> np.ndarray:
+    """The reference vector, ``omega_vector(d)`` by default, checked."""
+    ref = omega_vector(d) if omega is None else np.asarray(omega, dtype=complex)
+    check = is_maximally_entangled(ref, d, tol)
+    if not check:
+        raise NotMaximallyEntangled(
+            f"reference vector deviates from maximal entanglement by {check.deviation:.3e}"
+        )
+    return ref
 
 
 def basis_to_entangled(
@@ -177,13 +230,8 @@ def basis_to_entangled(
     defaults to ``omega_vector(d)``.
     """
     d = basis.d
-    ref = omega_vector(d) if omega is None else np.asarray(omega, dtype=complex)
-    check = is_maximally_entangled(ref, d, tol)
-    if not check:
-        raise NotMaximallyEntangled(
-            f"reference vector deviates from maximal entanglement by {check.deviation:.3e}"
-        )
-    vecs = np.asarray([_act_on_first(u, ref, d) for u in basis.elements])
+    ref = _reference(omega, d, tol)
+    vecs = (basis.elements @ ref.reshape(d, d)).reshape(d * d, -1)
     return MaxEntangledBasis(d, vecs)
 
 
@@ -199,24 +247,16 @@ def entangled_to_basis(
     product vector) raises ``NotUnitaryExtraction``.
     """
     d = entangled.d
-    ref = omega_vector(d) if omega is None else np.asarray(omega, dtype=complex)
-    check = is_maximally_entangled(ref, d, tol)
-    if not check:
-        raise NotMaximallyEntangled(
-            f"reference vector deviates from maximal entanglement by {check.deviation:.3e}"
-        )
+    ref = _reference(omega, d, tol)
     ref_op = vector_to_operator(ref, d)
-    eye = np.eye(d)
-    ops = []
-    for x, vec in enumerate(entangled.vectors):
-        op = vector_to_operator(vec, d) @ ref_op.conj().T
-        dev = max_abs(op.conj().T @ op - eye)
-        if dev > tol:
-            raise NotUnitaryExtraction(
-                f"vector {x} yields an operator {dev:.3e} away from unitarity"
-            )
-        ops.append(op)
-    return UnitaryBasis(d, np.asarray(ops))
+    ops = entangled.vectors.reshape(d * d, d, d) * np.sqrt(d) @ ref_op.conj().T
+    devs = np.abs(_adjoint(ops) @ ops - np.eye(d)).max(axis=(1, 2))
+    x = int(np.argmax(~(devs <= tol)))  # the first vector out of tolerance, NaN included
+    if not devs[x] <= tol:
+        raise NotUnitaryExtraction(
+            f"vector {x} yields an operator {devs[x]:.3e} away from unitarity"
+        )
+    return UnitaryBasis(d, ops)
 
 
 def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
@@ -243,30 +283,29 @@ def verify_teleportation(
     probability of measuring x on (input, resource-left) and then finding A
     on the corrected right half must reproduce tr(rho A) exactly.  Matrix
     units span, so checking all d^4 (rho, A) pairs settles the identity for
-    every state and observable.
+    every state and observable.  Those d^4 numbers are the entries of the
+    protocol's Choi matrix sum_x vec(T_x) vec(T_x)*, one matrix product on
+    the stacked T_x, checked against the identity channel's.
     """
     if require_mode and scheme.mode != TELEPORTATION:
         raise SchemeInvalid(
             f"scheme mode is {scheme.mode!r}; use swap_roles() or require_mode=False"
         )
     d = scheme.d
-    omega4 = scheme.resource_density().reshape(d, d, d, d)
-    lhs = np.zeros((d, d, d, d), dtype=complex)
-    for x in range(d * d):
-        phi = scheme.effects.vectors[x].reshape(d, d)
-        u = scheme.channel_unitaries[x]
-        lhs += np.einsum(
-            "jkmn,bm,aj,cn,dk->abcd",
-            omega4,
-            phi,
-            phi.conj(),
-            u.conj(),
-            u,
-            optimize=True,
-        )
-    eye = np.eye(d)
-    target = np.einsum("bc,ad->abcd", eye, eye)
-    gap = np.abs(lhs - target)
+    n = d * d
+    shift, terms = _resource_terms(scheme)
+    choi = np.zeros((n, n), dtype=complex)
+    if shift:
+        p, q = _identity_parts(scheme)
+        choi += shift * (p.T @ q).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    phis = scheme.effects.vectors.reshape(n, d, d)
+    for weight, w in terms:
+        # rows vec(T_x), T_x = U_x K_x with the Kraus operator K_x = W^T phi_x*
+        t = (scheme.channel_unitaries @ (w.T @ _adjoint(phis))).reshape(n, n)
+        choi += weight * (t.T @ t.conj())
+    identity = np.eye(d).reshape(-1)
+    # gap[a, b, c, e] is at choi[(e, a), (c, b)]: state unit E[a,b], observable unit E[c,e]
+    gap = np.abs(choi - np.outer(identity, identity)).reshape(d, d, d, d).transpose(1, 3, 2, 0)
     deviation = float(gap.max())
     a, b, c, dd = np.unravel_index(int(gap.argmax()), gap.shape)
     worst = f"state unit E[{a},{b}], observable unit E[{c},{dd}]"
@@ -282,14 +321,17 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Scheme
     regardless of validity; validity means the matrix is exactly I.
     """
     d = scheme.d
-    rho = scheme.resource_density()
-    eye = np.eye(d, dtype=complex)
-    vecs = scheme.effects.vectors
-    table = np.zeros((d * d, d * d))
-    for x in range(d * d):
-        big = np.kron(scheme.channel_unitaries[x], eye)
-        moved = big @ rho @ big.conj().T
-        table[x] = np.real(np.einsum("yi,ij,yj->y", vecs.conj(), moved, vecs))
+    n = d * d
+    effects_adjoint = scheme.effects.vectors.conj().T
+    shift, terms = _resource_terms(scheme)
+    table = np.zeros((n, n))
+    if shift:
+        p, q = _identity_parts(scheme)
+        table += shift * (p @ q.T).real
+    for weight, w in terms:
+        # amplitude[x, y] = <phi_y | vec(U_x W)>
+        amplitude = (scheme.channel_unitaries @ w).reshape(n, n) @ effects_adjoint
+        table += (weight * np.abs(amplitude) ** 2).real
     gap = np.abs(table - np.eye(d * d))
     deviation = float(gap.max())
     x, y = np.unravel_index(int(gap.argmax()), gap.shape)
@@ -308,16 +350,16 @@ def verify_entangled_basis(
     """
     d = entangled.d
     completeness = check_projector_completeness(entangled.vectors, tol)
-    worst = completeness.deviation
-    witness = completeness.witness
-    target = np.eye(d) / d
-    for x, vec in enumerate(entangled.vectors):
-        reduced = partial_trace(np.outer(vec, vec.conj()), (d, d), "second")
-        dev = max_abs(reduced - target)
-        if dev > worst:
-            worst = dev
-            witness = f"vector {x} is not maximally entangled"
-    return CheckResult(worst <= tol, worst, witness if worst > tol else None)
+    ops = entangled.vectors.reshape(d * d, d, d)
+    gaps = np.abs(ops @ _adjoint(ops) - np.eye(d) / d).max(axis=(1, 2))
+    x = int(np.argmax(gaps))  # NaN counts as the largest gap, here and below
+    devs = [completeness.deviation, float(gaps[x])]
+    worse = int(np.argmax(devs))
+    deviation = devs[worse]
+    if deviation <= tol:
+        return CheckResult(True, deviation)
+    witness = (completeness.witness, f"vector {x} is not maximally entangled")[worse]
+    return CheckResult(False, deviation, witness)
 
 
 def swap_roles(scheme: TightScheme) -> TightScheme:
@@ -333,11 +375,11 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
 def _check_density(rho: np.ndarray, d: int, tol: float) -> None:
     if rho.shape != (d, d):
         raise NotDensityOperator(f"state shape {rho.shape} is not ({d}, {d})")
-    if max_abs(rho - rho.conj().T) > tol:
+    if not max_abs(rho - rho.conj().T) <= tol:
         raise NotDensityOperator("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if not abs(np.trace(rho).real - 1.0) <= tol:
         raise NotDensityOperator(f"state trace {np.trace(rho):.6f} is not 1")
-    if float(np.linalg.eigvalsh(rho).min()) < -tol:
+    if not float(np.linalg.eigvalsh(rho).min()) >= -tol:
         raise NotDensityOperator("state has a negative eigenvalue")
 
 
@@ -355,21 +397,16 @@ def teleport_state(
     d = scheme.d
     rho = np.asarray(rho, dtype=complex)
     _check_density(rho, d, tol)
-    resource = scheme.resource_density()
-    joint = np.kron(rho, resource)
-    eye = np.eye(d, dtype=complex)
-    output = np.zeros((d, d), dtype=complex)
-    probabilities = np.zeros(d * d)
-    for x in range(d * d):
-        phi = scheme.effects.vectors[x]
-        effect = np.kron(np.outer(phi, phi.conj()), eye)
-        conditional = partial_trace(joint @ effect, (d * d, d), "first")
-        p = float(np.trace(conditional).real)
-        probabilities[x] = p
-        if p < 1e-14:
-            continue
-        u = scheme.channel_unitaries[x]
-        output += u @ conditional @ u.conj().T
+    phis = scheme.effects.vectors.reshape(d * d, d, d)
+    # conditional[x, k, n] = sum_{j, m} (phi_x* rho phi_x)[j, m] resource[(j, k), (m, n)],
+    # which is K_x rho K_x* for a vector resource and needs no eigh for a matrix
+    resource = scheme.resource_density().reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    reduced = (_adjoint(phis) @ rho @ phis).reshape(d * d, -1)
+    conditionals = (reduced @ resource.reshape(d * d, -1)).reshape(-1, d, d)
+    probabilities = np.trace(conditionals, axis1=1, axis2=2).real
+    kept = ~(probabilities < 1e-14)  # a NaN probability is kept and spoils the output
+    u = scheme.channel_unitaries[kept]
+    output = (u @ conditionals[kept] @ _adjoint(u)).sum(axis=0)
     return output, probabilities
 
 
@@ -395,7 +432,7 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
     else:
         # A verified scheme has a pure resource; peel the vector off.
         values, vectors = np.linalg.eigh(scheme.omega)
-        if abs(values[-1] - 1.0) > tol:
+        if not abs(values[-1] - 1.0) <= tol:
             raise SchemeInvalid("resource of a verified scheme should be pure")
         ref = vectors[:, -1]
     basis = entangled_to_basis(scheme.effects, ref, tol)

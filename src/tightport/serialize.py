@@ -170,6 +170,8 @@ def _expect_keys(mapping, keys: set, location: str) -> None:
 def _decode_int(value, location: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(location, f"expected an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        _fail(location, "integer out of range")
     return value
 
 
@@ -180,21 +182,35 @@ def _decode_complex(value, location: str) -> complex:
         or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
     ):
         _fail(location, f"expected [re, im], got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        _fail(location, "number out of range")
 
 
-def _decode_complex_array(value, shape: tuple[int, ...], location: str) -> np.ndarray:
+def _decode_nested(value, shape: tuple[int, ...], location: str) -> np.ndarray:
     if not shape:
         return _decode_complex(value, location)
     if not isinstance(value, list) or len(value) != shape[0]:
         _fail(location, f"expected a list of length {shape[0]}")
     return np.asarray(
         [
-            _decode_complex_array(item, shape[1:], f"{location}[{index}]")
+            _decode_nested(item, shape[1:], f"{location}[{index}]")
             for index, item in enumerate(value)
         ],
         dtype=complex,
     )
+
+
+def _decode_complex_array(value, shape: tuple[int, ...], location: str) -> np.ndarray:
+    array = _decode_nested(value, shape, location)
+    # A finite sum, one pass with no temporary, rules out inf and NaN entries;
+    # only a non-finite sum (possibly an overflow of finite ones) pays for the search.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = [] if np.isfinite(array.sum()) else np.argwhere(~np.isfinite(array))
+    if len(bad):
+        _fail(location + "".join(f"[{i}]" for i in bad[0]), "non-finite number is not allowed")
+    return array
 
 
 def _decode_int_grid(value, d: int, location: str) -> np.ndarray:

@@ -42,6 +42,11 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack (..., m, n)."""
+    return np.swapaxes(stack, -1, -2).conj()
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -145,10 +150,10 @@ def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult
     if v.shape != (d * d,):
         raise DimensionMismatch(f"vector length {v.shape[0]} is not {d * d}")
     norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > tol:
+    if abs(norm_sq - 1.0) > tol:  # a NaN norm is failed below, by its deviation
         raise NotNormalized(f"squared norm {norm_sq} deviates from 1 beyond {tol}")
-    reduced = partial_trace(np.outer(v, v.conj()), (d, d), "second")
-    deviation = max_abs(reduced - np.eye(d) / d)
+    op = v.reshape(d, d)
+    deviation = max_abs(op @ op.conj().T - np.eye(d) / d)
     witness = None if deviation <= tol else "reduced operator deviates from I/d"
     return CheckResult(deviation <= tol, deviation, witness)
 
@@ -168,17 +173,15 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     completeness_dev = max_abs(projector_sum - np.eye(dim))
     gram = vs.conj() @ vs.T
     gram_dev = max_abs(gram - np.eye(dim))
-    deviation = max(completeness_dev, gram_dev)
+    devs = [completeness_dev, gram_dev]
+    worse = int(np.argmax(devs))  # a NaN deviation counts as the worse side
+    deviation = devs[worse]
     if deviation <= tol:
         return CheckResult(True, deviation)
-    side = "projector sum" if completeness_dev >= gram_dev else "Gram matrix"
+    side = ("projector sum", "Gram matrix")[worse]
     return CheckResult(False, deviation, f"{side} deviates from identity")
 
 
 def matrix_units(d: int) -> np.ndarray:
     """All d^2 matrix units E[a, b], stacked at flat index a*d + b."""
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            units[a * d + b, a, b] = 1.0
-    return units
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)

@@ -163,6 +163,21 @@ class TestVerifyDepolarizer:
         with pytest.raises(DimensionMismatch):
             verify_depolarizer(weyl_basis(2), [np.eye(3)])
 
+    def test_nan_entry_fails(self):
+        # a NaN gap must not lose every "worse than" comparison and pass
+        elems = weyl_basis(3).elements.copy()
+        elems[4, 2, 1] = np.nan
+        result = verify_depolarizer(UnitaryBasis(3, elems))
+        assert not result.passed
+        assert np.isnan(result.deviation)
+        assert result.witness.startswith("matrix unit")
+
+    def test_nan_probe_fails(self):
+        probe = np.eye(2, dtype=complex)
+        probe[0, 1] = np.nan
+        result = verify_depolarizer(weyl_basis(2), [SIGMA_X, probe])
+        assert not result.passed and result.witness == "probe 1"
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_equivalent_to_orthonormality(self, d):
         good = weyl_basis(d)
@@ -210,6 +225,11 @@ class TestWeightedGram:
         with pytest.raises(WeightNotPositive):
             weighted_gram(weyl_basis(2).elements, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_nan_weight_rejected(self):
+        weight = np.array([[0.5, np.nan], [np.nan, 0.5]])
+        with pytest.raises(WeightNotPositive):
+            weighted_gram(weyl_basis(2).elements, weight)
+
 
 class TestRecoverWeight:
     @pytest.mark.parametrize("d", [2, 3])
@@ -230,12 +250,27 @@ class TestRecoverWeight:
         with pytest.raises(NoSolution):
             recover_weight_from_unitary_gram(UnitaryBasis(2, elems))
 
+    def test_nan_entry_is_no_solution(self):
+        elems = weyl_basis(3).elements.copy()
+        elems[4, 2, 1] = np.nan
+        with pytest.raises(NoSolution):
+            recover_weight_from_unitary_gram(UnitaryBasis(3, elems))
+
 
 class TestTensorBases:
     def test_product_is_a_basis(self):
         product = tensor_bases(weyl_basis(2), weyl_basis(2))
         assert product.d == 4
         assert verify_orthonormal(product).passed
+
+    def test_elements_are_kronecker_products(self):
+        b1, b2 = weyl_basis(2), weyl_basis(3)
+        product = tensor_bases(b1, b2)
+        for x in range(4):
+            for y in range(9):
+                np.testing.assert_array_equal(
+                    product.elements[x * 9 + y], np.kron(b1.elements[x], b2.elements[y])
+                )
 
     def test_unit_factor_leaves_elements_unchanged(self):
         basis = weyl_basis(3)

@@ -131,6 +131,18 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert run("verify", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize(
+        "number", ["1e400", "-1e400", "9" * 400], ids=["1e400", "-1e400", "400-digit"]
+    )
+    def test_out_of_range_number_exits_2(self, tmp_path, weyl2_file, capsys, number):
+        data = json.loads(weyl2_file.read_text())
+        data["payload"]["elements"][2][1][0] = [0.5, "HUGE"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"HUGE"', number))
+        assert run("verify", bad) == 2
+        err = capsys.readouterr().err
+        assert "payload.elements[2][1][0]" in err and "Traceback" not in err
+
     def test_corrupted_scheme_fails(self, tmp_path, scheme_file, capsys):
         data = json.loads(scheme_file.read_text())
         data["payload"]["omega"][0][0] = 0.9
@@ -167,6 +179,31 @@ class TestSimulate:
         bad.write_text(json.dumps(data))
         assert run("simulate", bad, "--state", "pure:0") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_output_fails(self, tmp_path, scheme_file, capsys):
+        # a finite resource entry of 1e300 squares to inf, and the output to NaN
+        data = json.loads(scheme_file.read_text())
+        data["payload"]["omega"][0] = data["payload"]["omega"][3] = [1e300, 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run("simulate", bad, "--state", "maximally-mixed") == 1
+        out = capsys.readouterr().out
+        assert "nan" in out and "FAIL" in out and "PASS" not in out
+
+    def test_overflowing_channel_entry_rejected(self, tmp_path, scheme_file, capsys):
+        data = json.loads(scheme_file.read_text())
+        data["payload"]["channel_unitaries"][1][0][0] = ["HUGE", 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+        assert run("simulate", bad, "--state", "pure:0") == 2
+        assert "payload.channel_unitaries[1][0][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, scheme_file, capsys, trials):
+        assert run("simulate", scheme_file, "--state", "maximally-mixed", "--trials", trials) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "--trials" in captured.err
 
     def test_wrong_kind(self, weyl2_file):
         assert run("simulate", weyl2_file, "--state", "pure:0") == 2

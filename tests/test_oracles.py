@@ -1,0 +1,264 @@
+"""Cross-checks of the stacked-matrix verifiers against the literal oracles.
+
+Every case is run through the package and through ``oracles``: deviations
+must agree to 1e-12 (NaN matching NaN), verdicts must be equal, and on a
+failing input the witness must name an entry whose oracle gap equals the
+maximum to within 1e-12.  Ties are allowed, so a witness may name any of
+several entries at the maximum.
+"""
+
+import re
+import zlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import random_complex, random_density, random_unitary
+from tightport import (
+    NoSolution,
+    UnitaryBasis,
+    apply_equivalence,
+    build_scheme,
+    fourier_hadamard,
+    hadamard_d4_family,
+    is_maximally_entangled,
+    latin_from_cyclic,
+    recover_weight_from_unitary_gram,
+    shift_multiply_basis,
+    teleport_state,
+    verify_dense_coding,
+    verify_depolarizer,
+    verify_entangled_basis,
+    verify_orthonormal,
+    verify_teleportation,
+    weyl_basis,
+)
+from tightport.bases import _raw_shift_multiply
+
+TOL = 1e-10
+AGREE = 1e-12
+
+
+def _perturbed(d, rng):
+    elems = weyl_basis(d).elements.copy()
+    elems[1] += 1e-3 * random_complex(rng, d, d)
+    return elems
+
+
+def _duplicated(d, rng):
+    elems = weyl_basis(d).elements.copy()
+    elems[d + 1] = elems[0]
+    return elems
+
+
+def _nan_entry(d, rng):
+    elems = weyl_basis(d).elements.copy()
+    elems[d, 1, 0] = np.nan
+    return elems
+
+
+def _non_latin(d, rng):
+    grid = latin_from_cyclic(d).grid.copy()
+    grid[1] = grid[0]
+    return _raw_shift_multiply(grid, [fourier_hadamard(d).matrix] * d)
+
+
+def _non_hadamard(d, rng):
+    phases = [fourier_hadamard(d).matrix] * d
+    phases[1] = np.exp(1j * rng.uniform(0, 2 * np.pi, (d, d)))
+    return _raw_shift_multiply(latin_from_cyclic(d).grid, phases)
+
+
+def _random_unitaries(d, rng):
+    return np.asarray([random_unitary(rng, d) for _ in range(d * d)])
+
+
+def _equivalent(d, rng):
+    basis = apply_equivalence(
+        weyl_basis(d), random_unitary(rng, d), random_unitary(rng, d), rng.permutation(d * d)
+    )
+    return basis.elements
+
+
+def _d4_family(d, rng):
+    hadamards = [hadamard_d4_family(np.exp(0.7j))] * 4
+    return shift_multiply_basis(latin_from_cyclic(4), hadamards).elements
+
+
+BASES = {
+    "weyl": lambda d, rng: weyl_basis(d).elements,
+    "equivalent": _equivalent,
+    "perturbed": _perturbed,
+    "duplicated": _duplicated,
+    "nan_entry": _nan_entry,
+    "non_latin": _non_latin,
+    "non_hadamard": _non_hadamard,
+    "random_unitaries": _random_unitaries,
+}
+VALID_BASES = {"weyl", "equivalent"}
+BASIS_CASES = [(name, d) for name in BASES for d in (2, 3)] + [("d4_family", 4)]
+
+
+def make_basis(name, d):
+    rng = np.random.default_rng(zlib.crc32(f"{name} {d}".encode()))
+    maker = _d4_family if name == "d4_family" else BASES[name]
+    return UnitaryBasis(d, maker(d, rng))
+
+
+def _mixed(scheme, rng):
+    n = scheme.d**2
+    pure = np.outer(scheme.omega, scheme.omega.conj())
+    return replace(scheme, omega=0.8 * pure + 0.2 * np.eye(n) / n)
+
+
+def _random_mixed(scheme, rng):
+    return replace(scheme, omega=random_density(rng, scheme.d**2))
+
+
+def _perturbed_channel(scheme, rng):
+    channels = scheme.channel_unitaries.copy()
+    channels[2] += 1e-3 * random_complex(rng, scheme.d, scheme.d)
+    return replace(scheme, channel_unitaries=channels)
+
+
+def _random_channels(scheme, rng):
+    channels = np.asarray([random_unitary(rng, scheme.d) for _ in range(scheme.d**2)])
+    return replace(scheme, channel_unitaries=channels)
+
+
+def _non_hermitian_resource(scheme, rng):
+    n = scheme.d**2
+    pure = np.outer(scheme.omega, scheme.omega.conj())
+    return replace(scheme, omega=pure + 0.05 * random_complex(rng, n, n))
+
+
+SCHEME_DAMAGES = {
+    "valid": lambda scheme, rng: scheme,
+    "mixed": _mixed,
+    "random_mixed": _random_mixed,
+    "pure_density": lambda scheme, rng: replace(
+        scheme, omega=np.outer(scheme.omega, scheme.omega.conj())
+    ),
+    "non_hermitian_resource": _non_hermitian_resource,
+    "perturbed_channel": _perturbed_channel,
+    "random_channels": _random_channels,
+}
+SCHEME_CASES = [(damage, "weyl", d) for damage in SCHEME_DAMAGES for d in (2, 3)] + [
+    ("valid", name, d) for name in BASES if name not in VALID_BASES for d in (2, 3)
+]
+
+
+def make_scheme(damage, basis_name, d):
+    rng = np.random.default_rng(zlib.crc32(f"{damage} {basis_name} {d}".encode()))
+    scheme = build_scheme(make_basis(basis_name, d))
+    return SCHEME_DAMAGES[damage](scheme, rng)
+
+
+def assert_agree(new, old):
+    np.testing.assert_allclose(new, old, rtol=0, atol=AGREE, equal_nan=True)
+
+
+def assert_witness_at_max(gaps, index):
+    """The named entry's gap is the maximum gap (NaN when any gap is NaN)."""
+    worst = np.max(gaps)
+    if np.isnan(worst):
+        assert np.isnan(gaps[index])
+    else:
+        assert abs(gaps[index] - worst) <= AGREE
+
+
+def indices(witness):
+    return tuple(int(k) for k in re.findall(r"\d+", witness))
+
+
+@pytest.mark.parametrize("name,d", BASIS_CASES)
+def test_orthonormal_matches_oracle(name, d):
+    basis = make_basis(name, d)
+    report = verify_orthonormal(basis, TOL)
+    gram_dev, unit_dev = oracles.orthonormal(basis.elements)
+    assert_agree([report.max_deviation, report.unitarity_deviation], [gram_dev, unit_dev])
+    assert report.passed == (gram_dev <= TOL and unit_dev <= TOL)
+    assert report.passed == (name in VALID_BASES or name == "d4_family")
+
+
+@pytest.mark.parametrize("name,d", BASIS_CASES)
+@pytest.mark.parametrize("probes", ["matrix_units", "custom"])
+def test_depolarizer_matches_oracle(name, d, probes):
+    basis = make_basis(name, d)
+    rng = np.random.default_rng(d)
+    probe_set = None if probes == "matrix_units" else [random_complex(rng, d, d) for _ in range(5)]
+    result = verify_depolarizer(basis, probe_set, TOL)
+    gaps = oracles.depolarizer(basis.elements, probe_set)
+    assert_agree(result.deviation, gaps.max())
+    assert result.passed == (gaps.max() <= TOL)
+    if not result.passed:
+        if probe_set is None:
+            a, b = indices(result.witness)
+            assert_witness_at_max(gaps, a * d + b)
+        else:
+            assert_witness_at_max(gaps, indices(result.witness)[0])
+
+
+@pytest.mark.parametrize("name,d", BASIS_CASES)
+def test_recover_weight_matches_oracle(name, d):
+    basis = make_basis(name, d)
+    try:
+        expected = oracles.recover_weight(basis.elements, TOL)
+    except (NoSolution, np.linalg.LinAlgError):
+        # the oracle fails on NaN input with LinAlgError; both mean "no weight"
+        with pytest.raises(NoSolution):
+            recover_weight_from_unitary_gram(basis, TOL)
+        assert name not in VALID_BASES
+    else:
+        assert_agree(recover_weight_from_unitary_gram(basis, TOL), expected)
+
+
+@pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)
+def test_teleportation_matches_oracle(damage, basis_name, d):
+    scheme = make_scheme(damage, basis_name, d)
+    verdict = verify_teleportation(scheme, TOL)
+    gap = oracles.teleportation(scheme)
+    assert_agree(verdict.max_deviation, gap.max())
+    assert verdict.passed == (gap.max() <= TOL)
+    assert_witness_at_max(gap, indices(verdict.worst_case))
+
+
+@pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)
+def test_dense_coding_matches_oracle(damage, basis_name, d):
+    scheme = make_scheme(damage, basis_name, d)
+    verdict = verify_dense_coding(scheme, TOL)
+    table = oracles.dense_coding_table(scheme)
+    gap = np.abs(table - np.eye(d * d))
+    assert_agree(verdict.table, table)
+    assert_agree(verdict.max_deviation, gap.max())
+    assert verdict.passed == (gap.max() <= TOL)
+    assert_witness_at_max(gap, indices(verdict.worst_case))
+
+
+@pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)
+def test_teleport_state_matches_oracle(damage, basis_name, d):
+    scheme = make_scheme(damage, basis_name, d)
+    rng = np.random.default_rng(d)
+    for rho in (random_density(rng, d), np.eye(d) / d):
+        output, probabilities = teleport_state(scheme, rho)
+        expected_output, expected_probabilities = oracles.teleport_state(scheme, rho)
+        assert_agree(probabilities, expected_probabilities)
+        assert_agree(output, expected_output)
+
+
+@pytest.mark.parametrize("name,d", BASIS_CASES)
+def test_entangled_basis_matches_oracle(name, d):
+    effects = build_scheme(make_basis(name, d)).effects
+    result = verify_entangled_basis(effects, TOL)
+    completeness, gaps = oracles.entangled_basis(effects.vectors, d)
+    expected = np.max([completeness, gaps.max()])
+    assert_agree(result.deviation, expected)
+    assert result.passed == (expected <= TOL)
+    if result.witness and result.witness.startswith("vector"):
+        assert_witness_at_max(gaps, indices(result.witness)[0])
+        assert not completeness > gaps.max()
+    for x, vec in enumerate(effects.vectors):
+        if np.isfinite(vec).all():
+            assert_agree(is_maximally_entangled(vec, d, 1.0).deviation, gaps[x])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -308,6 +310,52 @@ class TestTeleportState:
         # the dropped outcome's quarter of the weight is simply missing
         assert np.trace(output).real == pytest.approx(0.75)
 
+    def test_rejects_nan_state(self):
+        scheme = build_scheme(weyl_basis(2))
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 0] = np.nan
+        with pytest.raises(NotDensityOperator):
+            teleport_state(scheme, rho)
+
+    def test_nan_outcome_spoils_output(self):
+        scheme = build_scheme(weyl_basis(2))
+        vectors = scheme.effects.vectors.copy()
+        vectors[1, 0] = np.nan
+        crippled = replace(scheme, effects=MaxEntangledBasis(2, vectors))
+        output, probs = teleport_state(crippled, np.eye(2, dtype=complex) / 2)
+        assert np.isnan(probs[1]) and np.isnan(output).any()
+
+    def test_memory_stays_within_kraus_stack(self):
+        # The d^3 x d^3 joint state of the literal protocol took 12 MiB at d=8.
+        scheme = build_scheme(weyl_basis(8))
+        rho = random_density(np.random.default_rng(33), 8)
+        tracemalloc.start()
+        try:
+            teleport_state(scheme, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestNonFiniteResource:
+    def test_nan_density_resource_fails_every_identity(self):
+        scheme = build_scheme(weyl_basis(2))
+        omega = np.outer(scheme.omega, scheme.omega.conj())
+        omega[1, 2] = np.nan
+        broken = replace(scheme, omega=omega)
+        assert not verify_teleportation(broken).passed
+        assert not verify_dense_coding(broken).passed
+        output, _ = teleport_state(broken, np.eye(2, dtype=complex) / 2)
+        assert np.isnan(output).any()
+
+    def test_nan_vector_is_not_extracted(self):
+        entangled = basis_to_entangled(weyl_basis(2))
+        vectors = entangled.vectors.copy()
+        vectors[2, 1] = np.nan
+        with pytest.raises(NotUnitaryExtraction, match="vector 2"):
+            entangled_to_basis(MaxEntangledBasis(2, vectors))
+
 
 class TestExtractBasis:
     def test_round_trip_weyl_d4(self):
@@ -382,6 +430,13 @@ class TestVerifyEntangledBasis:
         result = verify_entangled_basis(MaxEntangledBasis(2, vectors))
         assert not result.passed
         assert result.deviation > 1e-3
+
+    def test_nan_vector_fails(self):
+        entangled = basis_to_entangled(weyl_basis(2))
+        vectors = entangled.vectors.copy()
+        vectors[3, 0] = np.nan
+        result = verify_entangled_basis(MaxEntangledBasis(2, vectors))
+        assert not result.passed and np.isnan(result.deviation)
 
     def test_product_vector_fails_entanglement_side(self):
         entangled = basis_to_entangled(weyl_basis(2))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,33 @@ def test_non_finite_rejected():
     broken = data.replace("1.0", "Infinity", 1)
     with pytest.raises(ParseError):
         loads(broken)
+
+
+@pytest.mark.parametrize(
+    "number",
+    ["1e400", "-1e400", "9" * 400, "-" + "9" * 400],
+    ids=["1e400", "-1e400", "400-digit", "-400-digit"],
+)
+def test_out_of_range_number_rejected_at_its_entry(number):
+    data = json.loads(dumps(make_document(build_scheme(weyl_basis(2)))))
+    data["payload"]["effect_vectors"][3][1] = ["HUGE", 0.0]
+    text = json.dumps(data).replace('"HUGE"', number)
+    with pytest.raises(ParseError, match=re.escape("payload.effect_vectors[3][1]")):
+        loads(text)
+
+
+def test_huge_finite_entries_still_load():
+    # their sum overflows, which must not be mistaken for a non-finite entry
+    data = json.loads(dumps(make_document(fourier_hadamard(2))))
+    data["payload"]["matrix"][0] = [[1e308, 0.0], [1e308, 0.0]]
+    assert loads(json.dumps(data)).payload["matrix"][0, 1] == 1e308
+
+
+def test_out_of_range_integer_rejected_in_grid():
+    data = json.loads(dumps(make_document(latin_from_cyclic(3))))
+    data["payload"]["grid"][2][1] = 10**400
+    with pytest.raises(ParseError, match=re.escape("payload.grid[2][1]")):
+        loads(json.dumps(data))
 
 
 def test_unknown_kind_rejected():
