@@ -25,6 +25,8 @@ import numpy as np
 
 from .common import DEFAULT_TOL, CheckResult, as_permutation
 from .designs import (
+    HadamardMatrix,
+    LatinSquare,
     fourier_hadamard,
     latin_from_cyclic,
     validate_hadamard,
@@ -124,15 +126,20 @@ def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
     """
     grid = _as_grid(square)
     d = grid.shape[0]
-    latin_check = validate_latin(grid)
-    if not latin_check:
-        raise DesignInvalid(f"grid is not a Latin square: {latin_check.witness}")
+    # LatinSquare and HadamardMatrix instances were validated when built.
+    if not isinstance(square, LatinSquare):
+        latin_check = validate_latin(grid)
+        if not latin_check:
+            raise DesignInvalid(f"grid is not a Latin square: {latin_check.witness}")
+    hadamards = list(hadamards)
     mats = [_as_phase_matrix(h) for h in hadamards]
     if len(mats) != d:
         raise DesignInvalid(f"need exactly {d} Hadamard matrices, got {len(mats)}")
-    for j, m in enumerate(mats):
+    for j, (h, m) in enumerate(zip(hadamards, mats)):
         if m.shape != (d, d):
             raise DesignInvalid(f"Hadamard {j} has shape {m.shape}, expected ({d}, {d})")
+        if isinstance(h, HadamardMatrix):
+            continue
         check = validate_hadamard(m)
         if not check:
             raise DesignInvalid(

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPermutation
+from .errors import BadPermutation, DimensionMismatch
 
-__all__ = ["DEFAULT_TOL", "CheckResult", "as_permutation"]
+__all__ = ["DEFAULT_TOL", "CheckResult", "as_permutation", "require_positive"]
 
 # Absolute max-entry tolerance.  Far above accumulated rounding at the
 # dimensions this package targets (d <= 32), far below any structural
@@ -31,6 +31,12 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def require_positive(n: int, name: str = "dimension") -> None:
+    """Reject a size below 1; no object in this package is defined for one."""
+    if n < 1:
+        raise DimensionMismatch(f"{name} must be positive, got {n}")
 
 
 def as_permutation(perm, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, as_permutation
+from .common import DEFAULT_TOL, CheckResult, as_permutation, require_positive
 from .errors import (
     DesignInvalid,
     DimensionTooLarge,
@@ -116,6 +116,7 @@ class HadamardMatrix:
 
 def latin_from_cyclic(d: int) -> LatinSquare:
     """Addition table of the cyclic group: grid[j, k] = (j + k) mod d."""
+    require_positive(d)
     j, k = np.indices((d, d))
     return LatinSquare((j + k) % d)
 
@@ -170,8 +171,7 @@ def count_normalized_latin(d: int) -> int:
             f"normalized Latin squares are only enumerated up to d={MAX_ENUMERATION_D}; "
             f"counts grow astronomically beyond that"
         )
-    if d <= 1:
-        return 1
+    require_positive(d)
 
     full = (1 << d) - 1
     # Row 0 is 0..d-1; column k has already consumed symbol k.
@@ -207,6 +207,7 @@ def count_normalized_latin(d: int) -> int:
 
 def fourier_hadamard(d: int) -> HadamardMatrix:
     """Discrete Fourier phases: entry (k, l) is exp(2 pi i k l / d)."""
+    require_positive(d)
     k, l = np.indices((d, d))
     return HadamardMatrix(np.exp(2j * np.pi * k * l / d))
 
@@ -219,7 +220,7 @@ def hadamard_d4_family(u: complex) -> HadamardMatrix:
     up to equivalence.
     """
     u = complex(u)
-    if abs(abs(u) - 1.0) > 1e-12:
+    if not abs(abs(u) - 1.0) <= 1e-12:  # fails closed on NaN
         raise NotUnimodular(f"|u| = {abs(u)} is not 1")
     return HadamardMatrix(
         np.array(
@@ -242,18 +243,20 @@ def periodic_phase_hadamard(p: int, q: int, phase_matrix) -> HadamardMatrix:
     direction (mod p*q).  Entry (k, l) of the result is
     ``phase_matrix[k, l] * exp(2 pi i k l / (p*q))``.
     """
+    require_positive(p, "period p")
+    require_positive(q, "period q")
     d = p * q
     v = np.asarray(phase_matrix, dtype=complex)
     if v.shape != (d, d):
         raise PeriodicityViolated(f"phase matrix shape {v.shape} is not ({d}, {d})")
-    bad = np.abs(np.abs(v) - 1.0) > 1e-12
+    bad = ~(np.abs(np.abs(v) - 1.0) <= 1e-12)  # fails closed on NaN
     if bad.any():
         k, l = np.argwhere(bad)[0]
         raise NotUnimodular(f"phase matrix entry ({k}, {l}) has modulus {abs(v[k, l])}")
     row_shift = np.roll(v, -p, axis=0)
     col_shift = np.roll(v, -q, axis=1)
     for shifted, direction in ((row_shift, "row"), (col_shift, "column")):
-        bad = np.abs(v - shifted) > 1e-12
+        bad = ~(np.abs(v - shifted) <= 1e-12)
         if bad.any():
             k, l = np.argwhere(bad)[0]
             raise PeriodicityViolated(

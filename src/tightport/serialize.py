@@ -7,6 +7,14 @@ row-major nested arrays, Latin squares as nested integers.
 
 Loading is purely structural; it never runs the numerical validators, so a
 corrupted-but-well-formed file loads fine and is then failed by ``verify``.
+
+Each complex payload is decoded as a whole: one numpy conversion of the
+parsed nested list, accepted when it yields finite numbers of the expected
+shape, and reinterpreted as complex without a copy.  Only when that fails
+does the per-entry walk run, to decode the rare valid inputs the whole-array
+path leaves to it or to name the first offending entry.  Payload numbers
+must be JSON numbers: strings, ``true``/``false`` and ``null`` are rejected
+at their location.
 """
 
 from __future__ import annotations
@@ -202,7 +210,35 @@ def _decode_nested(value, shape: tuple[int, ...], location: str) -> np.ndarray:
     )
 
 
-def _decode_complex_array(value, shape: tuple[int, ...], location: str) -> np.ndarray:
+def _number_pairs(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``value`` as a finite float array of shape ``shape + (2,)``, or None.
+
+    ``np.array`` discovers the dtype, so strings, ``None``, objects and
+    integers beyond 64 bits give a non-numeric dtype and ragged nesting
+    raises.  JSON booleans would still pass as numbers; callers rule them
+    out before calling.
+    """
+    try:
+        pairs = np.array(value)
+    except ValueError:  # ragged or too deeply nested
+        return None
+    if pairs.dtype.kind not in "fi" or pairs.shape != shape + (2,):
+        return None
+    pairs = pairs.astype(float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pairs if np.isfinite(pairs.sum()) else None
+
+
+def _decode_complex_array(
+    value, shape: tuple[int, ...], location: str, may_hold_bools: bool
+) -> np.ndarray:
+    pairs = None if may_hold_bools else _number_pairs(value, shape)
+    if pairs is not None:
+        return pairs.view(complex).reshape(shape)
+    # The walk is the reference decoder: it gives the fast path's bits wherever
+    # that succeeds, decodes the valid inputs the fast path leaves to it (any
+    # "true" in the text, integers beyond 64 bits, sums that overflow), and
+    # otherwise names the first offending entry.
     array = _decode_nested(value, shape, location)
     # A finite sum, one pass with no temporary, rules out inf and NaN entries;
     # only a non-finite sum (possibly an overflow of finite ones) pays for the search.
@@ -251,31 +287,30 @@ def loads(text: str) -> DesignDocument:
     _expect_keys(raw, _PAYLOAD_KEYS[kind], "payload")
 
     n = d * d
+    # No numpy conversion tells a JSON true from 1, so a document that may
+    # hold a boolean anywhere (a false positive costs only speed) takes the walk.
+    may_hold_bools = "true" in text or "false" in text
     payload: dict[str, Any] = {}
+
+    def decode(key: str, shape: tuple[int, ...]) -> None:
+        payload[key] = _decode_complex_array(raw[key], shape, f"payload.{key}", may_hold_bools)
+
     if kind == "latin":
         payload["grid"] = _decode_int_grid(raw["grid"], d, "payload.grid")
     elif kind == "hadamard":
-        payload["matrix"] = _decode_complex_array(raw["matrix"], (d, d), "payload.matrix")
+        decode("matrix", (d, d))
     elif kind == "unitary_basis":
-        payload["elements"] = _decode_complex_array(
-            raw["elements"], (n, d, d), "payload.elements"
-        )
+        decode("elements", (n, d, d))
     elif kind == "entangled_basis":
-        payload["vectors"] = _decode_complex_array(
-            raw["vectors"], (n, n), "payload.vectors"
-        )
+        decode("vectors", (n, n))
     else:
         mode = raw["mode"]
         if mode not in MODES:
             _fail("payload.mode", f"expected one of {MODES}, got {mode!r}")
         payload["mode"] = mode
-        payload["omega"] = _decode_complex_array(raw["omega"], (n,), "payload.omega")
-        payload["channel_unitaries"] = _decode_complex_array(
-            raw["channel_unitaries"], (n, d, d), "payload.channel_unitaries"
-        )
-        payload["effect_vectors"] = _decode_complex_array(
-            raw["effect_vectors"], (n, n), "payload.effect_vectors"
-        )
+        decode("omega", (n,))
+        decode("channel_unitaries", (n, d, d))
+        decode("effect_vectors", (n, n))
     return DesignDocument(kind, d, payload, meta)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult
+from .common import DEFAULT_TOL, CheckResult, require_positive
 from .errors import CountMismatch, DimensionMismatch, NotNormalized
 
 __all__ = [
@@ -109,6 +109,7 @@ def trace_inner(a, b) -> complex:
 
 def omega_vector(d: int) -> np.ndarray:
     """Unit-norm uniform sum of e_k (x) e_k on a d x d space."""
+    require_positive(d)
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
     return v

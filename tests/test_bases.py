@@ -7,6 +7,7 @@ from tightport import (
     DimensionMismatch,
     NoSolution,
     NotUnitary,
+    TightportError,
     UnitaryBasis,
     WeightNotPositive,
     apply_equivalence,
@@ -58,6 +59,11 @@ class TestShiftMultiply:
         basis = weyl_basis(3)
         assert basis.label_map[(1, 2)] == 5
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_weyl_rejects_non_positive_dimension(self, d):
+        with pytest.raises(TightportError, match=f"dimension must be positive, got {d}"):
+            weyl_basis(d)
+
     def test_rejects_non_latin_grid(self):
         with pytest.raises(DesignInvalid):
             shift_multiply_basis([[0, 1], [0, 1]], [fourier_hadamard(2)] * 2)
@@ -65,6 +71,43 @@ class TestShiftMultiply:
     def test_rejects_non_hadamard(self):
         with pytest.raises(DesignInvalid):
             shift_multiply_basis(latin_from_cyclic(2), [np.ones((2, 2))] * 2)
+
+    def test_raw_non_hadamard_message_names_the_matrix(self):
+        mats = [fourier_hadamard(3).matrix, fourier_hadamard(3).matrix, np.ones((3, 3))]
+        message = (
+            "matrix 2 is not Hadamard: rows are not orthogonal at norm sqrt(d) "
+            "(deviation 3.000e+00)"
+        )
+        with pytest.raises(DesignInvalid) as info:
+            shift_multiply_basis(latin_from_cyclic(3), mats)
+        assert str(info.value) == message
+
+    def test_raw_non_latin_message(self):
+        with pytest.raises(DesignInvalid) as info:
+            shift_multiply_basis([[0, 1], [0, 1]], [fourier_hadamard(2)] * 2)
+        assert str(info.value) == "grid is not a Latin square: column 0"
+
+    def test_validated_designs_are_not_checked_again(self, monkeypatch):
+        import tightport.bases as bases_module
+
+        calls = []
+        for name in ("validate_latin", "validate_hadamard"):
+            original = getattr(bases_module, name)
+            monkeypatch.setattr(
+                bases_module, name,
+                lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k),
+            )
+        h = fourier_hadamard(3)
+        shift_multiply_basis(latin_from_cyclic(3), [h] * 3)
+        assert calls == []
+        shift_multiply_basis(latin_from_cyclic(3).grid, [h.matrix] * 3)
+        assert calls == ["validate_latin"] + ["validate_hadamard"] * 3
+
+    def test_validated_hadamard_of_wrong_size_rejected(self):
+        with pytest.raises(DesignInvalid, match=r"Hadamard 1 has shape \(2, 2\)"):
+            shift_multiply_basis(
+                latin_from_cyclic(3), [fourier_hadamard(3), fourier_hadamard(2), fourier_hadamard(3)]
+            )
 
     def test_rejects_wrong_hadamard_count(self):
         with pytest.raises(DesignInvalid):

@@ -209,6 +209,30 @@ class TestSimulate:
         assert run("simulate", weyl2_file, "--state", "pure:0") == 2
 
 
+NON_POSITIVE_D_ARGV = [
+    ("latin", "--construction", "cyclic", "--d", "{d}"),
+    ("latin", "--construction", "random", "--d", "{d}", "--rng-seed", 1),
+    ("hadamard", "--construction", "fourier", "--d", "{d}"),
+    ("hadamard", "--construction", "periodic", "--p", "{d}", "--q", 2),
+    ("hadamard", "--construction", "periodic", "--p", 2, "--q", "{d}"),
+    ("unitary-basis", "--construction", "weyl", "--d", "{d}"),
+]
+
+
+@pytest.mark.parametrize("d", [-1, 0])
+@pytest.mark.parametrize(
+    "argv", NON_POSITIVE_D_ARGV,
+    ids=lambda a: "-".join(str(x).lstrip("-") for x in a if x != "--construction"),
+)
+def test_generate_rejects_non_positive_dimension(tmp_path, capsys, argv, d):
+    path = tmp_path / "x.json"
+    argv = [d if a == "{d}" else a for a in argv]
+    assert run("generate", *argv, "-o", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
+
+
 class TestCountLatin:
     def test_d5(self, capsys):
         assert run("count-latin", 5) == 0
@@ -221,6 +245,13 @@ class TestCountLatin:
     def test_d6_rejected(self, capsys):
         assert run("count-latin", 6) == 2
         assert "d=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [-1, 0])
+    def test_non_positive_rejected(self, capsys, d):
+        assert run("count-latin", d) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err and "Traceback" not in captured.err
 
 
 def test_no_command_shows_usage():

@@ -14,6 +14,7 @@ from tightport import (
     NotUnimodular,
     PeriodicityViolated,
     SymbolOutOfRange,
+    TightportError,
     count_normalized_latin,
     dephase_hadamard,
     fourier_hadamard,
@@ -55,6 +56,11 @@ class TestLatinConstruction:
     def test_constructor_rejects_bad_grid(self):
         with pytest.raises(DesignInvalid):
             LatinSquare([[0, 1], [0, 1]])
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_non_positive_dimension(self, d):
+        with pytest.raises(TightportError, match=f"dimension must be positive, got {d}"):
+            latin_from_cyclic(d)
 
 
 class TestValidateLatin:
@@ -129,6 +135,11 @@ class TestNormalizedCounts:
         with pytest.raises(DimensionTooLarge):
             count_normalized_latin(6)
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_rejects_non_positive_dimension(self, d):
+        with pytest.raises(TightportError, match=f"dimension must be positive, got {d}"):
+            count_normalized_latin(d)
+
 
 class TestFourierHadamard:
     def test_degenerate(self):
@@ -145,6 +156,11 @@ class TestFourierHadamard:
 
     def test_validates_at_prime_dimension(self):
         assert validate_hadamard(fourier_hadamard(7).matrix).passed
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_non_positive_dimension(self, d):
+        with pytest.raises(TightportError, match=f"dimension must be positive, got {d}"):
+            fourier_hadamard(d)
 
 
 class TestValidateHadamard:
@@ -203,6 +219,11 @@ class TestD4Family:
         with pytest.raises(NotUnimodular):
             hadamard_d4_family(1.1)
 
+    @pytest.mark.parametrize("u", [complex("nan"), complex(1, float("nan"))])
+    def test_rejects_nan_phase(self, u):
+        with pytest.raises(NotUnimodular, match=r"\|u\| = nan"):
+            hadamard_d4_family(u)
+
 
 class TestPeriodicPhase:
     def test_trivial_cell_reduces_to_fourier(self):
@@ -230,6 +251,17 @@ class TestPeriodicPhase:
         v *= 1.5
         with pytest.raises(NotUnimodular):
             periodic_phase_hadamard(2, 2, v)
+
+    def test_nan_cell_names_its_entry(self):
+        v = np.ones((6, 6), dtype=complex)
+        v[1::2, 1::3] = complex("nan")  # periodic, so only the modulus check can catch it
+        with pytest.raises(NotUnimodular, match=r"entry \(1, 1\) has modulus nan"):
+            periodic_phase_hadamard(2, 3, v)
+
+    @pytest.mark.parametrize("p,q", [(0, 2), (2, 0), (-1, -1)])
+    def test_rejects_non_positive_period(self, p, q):
+        with pytest.raises(TightportError, match="must be positive"):
+            periodic_phase_hadamard(p, q, np.ones((p * q, p * q)))
 
 
 class TestDephase:

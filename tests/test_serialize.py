@@ -1,8 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tightport import (
     ParseError,
@@ -20,6 +23,7 @@ from tightport import (
     weyl_basis,
 )
 from tightport.schemes import TightScheme
+from tightport.serialize import _decode_nested
 
 
 def all_kinds():
@@ -201,3 +205,198 @@ def test_mixed_resource_scheme_not_serializable():
     )
     with pytest.raises(ParseError):
         make_document(dense)
+
+
+# ---------------------------------------------------------------------------
+# whole-array decoding: every payload number must be a JSON number, and the
+# accepted array and every error message must be those of the per-entry walk
+
+D2_DOCS = {
+    "hadamard": make_document(fourier_hadamard(2)),
+    "unitary_basis": make_document(weyl_basis(2)),
+    "entangled_basis": make_document(basis_to_entangled(weyl_basis(2))),
+    "scheme": make_document(build_scheme(weyl_basis(2))),
+}
+
+# (document kind, payload field, index of the damaged [re, im] entry)
+TARGETS = [
+    ("hadamard", "matrix", (1, 0)),
+    ("unitary_basis", "elements", (2, 1, 0)),
+    ("entangled_basis", "vectors", (3, 1)),
+    ("scheme", "omega", (2,)),
+    ("scheme", "channel_unitaries", (1, 0, 1)),
+    ("scheme", "effect_vectors", (3, 2)),
+]
+SHAPES = {"matrix": (2, 2), "elements": (4, 2, 2), "vectors": (4, 4),
+          "omega": (4,), "channel_unitaries": (4, 2, 2), "effect_vectors": (4, 4)}
+
+
+def target_id(target):
+    return f"{target[1]}{list(target[2])}"
+
+
+def entry_location(target):
+    return f"payload.{target[1]}" + "".join(f"[{i}]" for i in target[2])
+
+
+def document_with(target, literal, *, part=None):
+    """A d=2 document text whose target entry (or one part of it) is ``literal``.
+
+    The target entry starts as [0.5, 0.25]; ``literal`` is raw JSON text, so
+    numbers JSON cannot round-trip through Python (1e400) go in verbatim.
+    """
+    kind, field, index = target
+    data = json.loads(dumps(D2_DOCS[kind]))
+    *outer, last = index
+    row = data["payload"][field]
+    for i in outer:
+        row = row[i]
+    row[last] = [0.5, 0.25]
+    if part is None:
+        row[last] = "SENTINEL"
+    else:
+        row[last][part] = "SENTINEL"
+    return json.dumps(data).replace('"SENTINEL"', literal)
+
+
+BIG = "9" * 400
+# (id, JSON literal, message when it replaces the whole pair,
+#  message when it replaces the imaginary part, or None when that loads)
+MALFORMED = [
+    ("numeric-string", '"1.5"', "expected [re, im], got '1.5'",
+     "expected [re, im], got [0.5, '1.5']"),
+    ("true", "true", "expected [re, im], got True", "expected [re, im], got [0.5, True]"),
+    ("false", "false", "expected [re, im], got False", "expected [re, im], got [0.5, False]"),
+    ("null", "null", "expected [re, im], got None", "expected [re, im], got [0.5, None]"),
+    ("object", "{}", "expected [re, im], got {}", "expected [re, im], got [0.5, {}]"),
+    ("empty-list", "[]", "expected [re, im], got []", "expected [re, im], got [0.5, []]"),
+    ("1-element", "[0.5]", "expected [re, im], got [0.5]",
+     "expected [re, im], got [0.5, [0.5]]"),
+    ("3-element", "[0.5, 0.25, 0.0]", "expected [re, im], got [0.5, 0.25, 0.0]",
+     "expected [re, im], got [0.5, [0.5, 0.25, 0.0]]"),
+    ("too-deep", "[[0.5, 0.25], [0.0, 0.0]]",
+     "expected [re, im], got [[0.5, 0.25], [0.0, 0.0]]",
+     "expected [re, im], got [0.5, [[0.5, 0.25], [0.0, 0.0]]]"),
+    ("2**63", str(2**63), f"expected [re, im], got {2**63}", None),
+    ("2**64", str(2**64), f"expected [re, im], got {2**64}", None),
+    ("400-digit", BIG, f"expected [re, im], got {BIG}", "number out of range"),
+    ("1e400", "1e400", "expected [re, im], got inf", "non-finite number is not allowed"),
+]
+
+
+def parse_error(text):
+    with pytest.raises(ParseError) as info:
+        loads(text)
+    return str(info.value)
+
+
+def assert_same_as_walk(doc, text):
+    """Each complex payload is bit-identical to the per-entry walk's."""
+    raw = json.loads(text)["payload"]
+    for field, shape in SHAPES.items():
+        if field in raw:
+            walked = _decode_nested(raw[field], shape, field)
+            got = doc.payload[field]
+            assert got.dtype == walked.dtype and got.shape == walked.shape
+            assert got.tobytes() == walked.tobytes(), field
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=lambda c: c[0])
+@pytest.mark.parametrize("target", TARGETS, ids=target_id)
+def test_malformed_pair_rejected_with_walk_message(target, case):
+    _, literal, pair_message, _ = case
+    text = document_with(target, literal)
+    assert parse_error(text) == f"{entry_location(target)}: {pair_message}"
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=lambda c: c[0])
+@pytest.mark.parametrize("target", TARGETS, ids=target_id)
+def test_malformed_part_rejected_with_walk_message(target, case):
+    _, literal, _, part_message = case
+    text = document_with(target, literal, part=1)
+    if part_message is not None:
+        assert parse_error(text) == f"{entry_location(target)}: {part_message}"
+        return
+    doc = loads(text)
+    assert doc.payload[target[1]][target[2]] == complex(0.5, int(literal))
+    assert_same_as_walk(doc, text)
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=target_id)
+def test_ragged_row_rejected_with_walk_message(target):
+    kind, field, index = target
+    data = json.loads(dumps(D2_DOCS[kind]))
+    row = data["payload"][field]
+    for i in index[:-1]:
+        row = row[i]
+    length = len(row)
+    del row[index[-1]]
+    row_location = f"payload.{field}" + "".join(f"[{i}]" for i in index[:-1])
+    message = parse_error(json.dumps(data))
+    assert message == f"{row_location}: expected a list of length {length}"
+
+
+def test_negative_zero_keeps_its_sign():
+    data = json.loads(dumps(D2_DOCS["hadamard"]))
+    data["payload"]["matrix"][0][1] = [-0.0, -0.0]
+    text = json.dumps(data)
+    doc = loads(text)
+    entry = doc.payload["matrix"][0, 1]
+    assert np.signbit(entry.real) and np.signbit(entry.imag)
+    assert_same_as_walk(doc, text)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["all-int", "int-and-float"])
+def test_integer_entries_accepted(mixed):
+    data = json.loads(dumps(D2_DOCS["hadamard"]))
+    data["payload"]["matrix"] = [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]
+    if mixed:
+        data["payload"]["matrix"][1][1] = [-1.0, 2**62 + 1]
+    text = json.dumps(data)
+    doc = loads(text)
+    assert doc.payload["matrix"][0, 0] == 1
+    assert_same_as_walk(doc, text)
+
+
+def test_meta_holding_true_still_loads():
+    doc = make_document(build_scheme(weyl_basis(2)), meta="true and false")
+    text = dumps(doc)
+    back = loads(text)
+    assert back.meta == "true and false"
+    assert_same_as_walk(back, text)
+    for field in ("omega", "channel_unitaries", "effect_vectors"):
+        assert back.payload[field].tobytes() == doc.payload[field].tobytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.sampled_from(TARGETS),
+    part=st.sampled_from([None, 0, 1]),
+    value=JSON_VALUES,
+)
+def test_fuzzed_entry_is_rejected_or_decoded_as_the_walk_does(target, part, value):
+    text = document_with(target, json.dumps(value), part=part)
+    try:
+        doc = loads(text)
+    except ParseError:
+        return
+    assert_same_as_walk(doc, text)
+
+
+def test_d16_basis_load_stays_under_16_mib():
+    text = dumps(make_document(weyl_basis(16)))
+    tracemalloc.start()
+    try:
+        loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -9,6 +9,7 @@ from tightport import (
     CountMismatch,
     DimensionMismatch,
     NotNormalized,
+    TightportError,
     check_projector_completeness,
     is_maximally_entangled,
     matrix_units,
@@ -179,6 +180,11 @@ class TestOmegaVector:
     def test_d2(self):
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
         np.testing.assert_allclose(omega_vector(2), expected, atol=0)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_non_positive_dimension(self, d):
+        with pytest.raises(TightportError, match=f"dimension must be positive, got {d}"):
+            omega_vector(d)
 
     def test_d3_support(self):
         omega = omega_vector(3)
