@@ -38,7 +38,6 @@ from .designs import (
     validate_latin,
 )
 from .bases import (
-    GramReport,
     UnitaryBasis,
     apply_equivalence,
     recover_weight_from_unitary_gram,
@@ -54,7 +53,6 @@ from .schemes import (
     MODES,
     TELEPORTATION,
     MaxEntangledBasis,
-    SchemeVerdict,
     TightScheme,
     basis_to_entangled,
     build_scheme,
@@ -62,6 +60,7 @@ from .schemes import (
     extract_basis_from_scheme,
     swap_roles,
     teleport_state,
+    verify,
     verify_dense_coding,
     verify_entangled_basis,
     verify_teleportation,

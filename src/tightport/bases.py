@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, as_permutation
+from .common import DEFAULT_TOL, CheckResult, as_permutation, require_positive
 from .designs import (
     HadamardMatrix,
     LatinSquare,
@@ -45,7 +45,6 @@ from .tensor import _adjoint, max_abs
 
 __all__ = [
     "UnitaryBasis",
-    "GramReport",
     "shift_multiply_basis",
     "weyl_basis",
     "verify_orthonormal",
@@ -73,6 +72,7 @@ class UnitaryBasis:
     label_map: dict[tuple[int, int], int] | None = None
 
     def __post_init__(self):
+        require_positive(self.d)
         elems = np.asarray(self.elements, dtype=complex)
         if elems.shape != (self.d * self.d, self.d, self.d):
             raise DimensionMismatch(
@@ -82,25 +82,6 @@ class UnitaryBasis:
         elems = elems.copy()
         elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
-
-
-@dataclass(frozen=True)
-class GramReport:
-    """Pairwise inner products of a family plus its distance from identity.
-
-    ``max_deviation`` measures the Gram matrix against I;
-    ``unitarity_deviation`` is the worst per-element distance of U*U from I
-    (zero when the check does not apply).  ``passed`` requires both within
-    the tolerance the caller supplied.
-    """
-
-    gram: np.ndarray
-    max_deviation: float
-    unitarity_deviation: float
-    passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _raw_shift_multiply(grid: np.ndarray, phase_mats: list[np.ndarray]) -> np.ndarray:
@@ -165,20 +146,25 @@ def _stacked(basis: UnitaryBasis) -> np.ndarray:
     return basis.elements.reshape(basis.d * basis.d, -1)
 
 
-def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> GramReport:
+def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckResult:
     """Gram matrix of trace inner products, checked against the identity.
 
     Also re-checks that every element is unitary; a family can have an
     identity Gram matrix while containing non-unitaries, and it is only a
-    basis in the intended sense when both hold.
+    basis in the intended sense when both hold.  The deviation is the worse
+    of the two; ``table`` is the Gram matrix.
     """
     elems = basis.elements
-    d = basis.d
+    n = basis.d**2
     a = _stacked(basis)
-    gram = a.conj() @ a.T / d
-    gram_dev = max_abs(gram - np.eye(d * d))
-    unit_dev = max_abs(_adjoint(elems) @ elems - np.eye(d))
-    return GramReport(gram, gram_dev, unit_dev, gram_dev <= tol and unit_dev <= tol)
+    gram = a.conj() @ a.T / basis.d
+    unit_gaps = np.abs(_adjoint(elems) @ elems - np.eye(basis.d)).max(axis=(1, 2))
+    gaps = np.concatenate([np.abs(gram - np.eye(n)).ravel(), unit_gaps])
+
+    def name(i: int) -> str:
+        return f"Gram entry {divmod(i, n)}" if i < n * n else f"element {i - n * n} is not unitary"
+
+    return CheckResult.worst(gaps, tol, name, gram)
 
 
 def verify_depolarizer(
@@ -199,8 +185,8 @@ def verify_depolarizer(
     probes = None if probes is None else [np.asarray(p, dtype=complex) for p in probes]
     if not probes:
         eye = np.eye(d * d).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        totals = (conj_sum - d * eye).reshape(d * d, d, d)
-        names = [f"matrix unit E[{x // d},{x % d}]" for x in range(d * d)]
+        totals = conj_sum - d * eye  # totals[a, b] belongs to the probe E[a, b]
+        name = "matrix unit E[{},{}]".format
     else:
         for i, probe in enumerate(probes):
             if probe.shape != (d, d):
@@ -208,26 +194,22 @@ def verify_depolarizer(
         stack = np.asarray(probes)
         totals = (stack.reshape(len(stack), -1) @ conj_sum.reshape(d * d, -1)).reshape(-1, d, d)
         totals -= d * np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-        names = [f"probe {i}" for i in range(len(probes))]
-    gaps = np.abs(totals).max(axis=(1, 2))
-    worst = int(np.argmax(gaps))  # the first NaN, else the first largest gap
-    deviation = float(gaps[worst])
-    passed = deviation <= tol
-    return CheckResult(passed, deviation, None if passed else names[worst])
+        name = "probe {}".format
+    return CheckResult.worst(np.abs(totals).max(axis=(-2, -1)), tol, name)
 
 
-def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> GramReport:
+def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckResult:
     """Gram matrix tr(K_x* W K_y), with W the supplied inverse weight.
 
     W must be positive definite.  Among all W, only the maximally mixed
     density I/d admits d^2 unitaries with an identity weighted Gram matrix,
-    so a deformed weight must push the report off identity for any unitary
-    family.
+    so a deformed weight must push the result off identity for any unitary
+    family.  ``table`` is the Gram matrix.
     """
     ops = np.asarray(operators, dtype=complex)
-    if ops.ndim != 3 or ops.shape[-2] != ops.shape[-1]:
+    if ops.ndim != 3 or ops.shape[-2] != ops.shape[-1] or not len(ops):
         raise DimensionMismatch(
-            f"operators must stack to (n, d, d), got shape {ops.shape}"
+            f"operators must stack to (n, d, d) with n >= 1, got shape {ops.shape}"
         )
     w = np.asarray(weight_inverse, dtype=complex)
     d = ops.shape[-1]
@@ -239,8 +221,7 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> GramRe
         raise WeightNotPositive("weight has an eigenvalue at or below 1e-12")
     n = ops.shape[0]
     gram = ops.conj().reshape(n, -1) @ (w @ ops).reshape(n, -1).T
-    deviation = max_abs(gram - np.eye(n))
-    return GramReport(gram, deviation, 0.0, deviation <= tol)
+    return CheckResult.worst(np.abs(gram - np.eye(n)), tol, "Gram entry ({}, {})".format, gram)
 
 
 def recover_weight_from_unitary_gram(

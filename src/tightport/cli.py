@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .bases import UnitaryBasis, shift_multiply_basis, verify_orthonormal, weyl_basis
-from .common import DEFAULT_TOL
+from .bases import shift_multiply_basis, weyl_basis
+from .common import DEFAULT_TOL, CheckResult, require_positive
 from .designs import (
     count_normalized_latin,
     fourier_hadamard,
@@ -28,13 +28,10 @@ from .errors import DimensionTooLarge, SymbolOutOfRange, TightportError
 from .schemes import (
     DENSE_CODING,
     TELEPORTATION,
-    MaxEntangledBasis,
     basis_to_entangled,
     build_scheme,
     teleport_state,
-    verify_dense_coding,
-    verify_entangled_basis,
-    verify_teleportation,
+    verify,
 )
 from .serialize import DesignDocument, document_to_object, load, make_document, save
 
@@ -81,6 +78,8 @@ def _generate_object(args):
             return hadamard_d4_family(u), f"d4-family u-phase={args.u_phase}"
         if construction == "periodic":
             p, q = _require(args, "p"), _require(args, "q")
+            require_positive(p, "period p")
+            require_positive(q, "period q")
             d = p * q
             if args.rng_seed is None:
                 cell = np.ones((d, d), dtype=complex)
@@ -143,43 +142,27 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_document(doc: DesignDocument, tol: float):
-    """Returns (passed, deviation, detail)."""
+def _verify_document(doc: DesignDocument, tol: float) -> CheckResult:
+    # The design constructors would reject a damaged design, which must print FAIL.
     if doc.kind == "latin":
-        result = validate_latin(doc.payload["grid"])
-        return result.passed, result.deviation, result.witness
+        return validate_latin(doc.payload["grid"])
     if doc.kind == "hadamard":
-        result = validate_hadamard(doc.payload["matrix"], tol)
-        return result.passed, result.deviation, result.witness
-    if doc.kind == "unitary_basis":
-        report = verify_orthonormal(UnitaryBasis(doc.d, doc.payload["elements"]), tol)
-        deviation = float(np.max([report.max_deviation, report.unitarity_deviation]))
-        return report.passed, deviation, "Gram matrix or unitarity off identity"
-    if doc.kind == "entangled_basis":
-        result = verify_entangled_basis(
-            MaxEntangledBasis(doc.d, doc.payload["vectors"]), tol
-        )
-        return result.passed, result.deviation, result.witness
-    scheme = document_to_object(doc)
-    if scheme.mode == TELEPORTATION:
-        verdict = verify_teleportation(scheme, tol)
-    else:
-        verdict = verify_dense_coding(scheme, tol)
-    return verdict.passed, verdict.max_deviation, verdict.worst_case
+        return validate_hadamard(doc.payload["matrix"], tol)
+    return verify(document_to_object(doc), tol)
 
 
 def cmd_verify(args) -> int:
     try:
         doc = load(args.file)
-        passed, deviation, detail = _verify_document(doc, args.tol)
+        result = _verify_document(doc, args.tol)
     except SymbolOutOfRange as exc:
         return _err(str(exc))
     label = f"{doc.kind} (d={doc.d})"
-    if passed:
-        print(f"PASS {label}: max deviation {deviation:.3e} within tol {args.tol:g}")
+    if result.passed:
+        print(f"PASS {label}: max deviation {result.deviation:.3e} within tol {args.tol:g}")
         return 0
-    worst = f"; worst: {detail}" if detail else ""
-    print(f"FAIL {label}: max deviation {deviation:.3e} exceeds tol {args.tol:g}{worst}")
+    worst = f"; worst: {result.witness}" if result.witness else ""
+    print(f"FAIL {label}: max deviation {result.deviation:.3e} exceeds tol {args.tol:g}{worst}")
     return 1
 
 
@@ -243,6 +226,15 @@ def cmd_count_latin(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def tolerance(text: str) -> float:
+    """Parse ``--tol``, a finite number >= 0: NaN or a negative value would fail
+    every check, and inf would pass every check."""
+    tol = float(text)
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tightport",
@@ -273,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a document against its defining identities")
     ver.add_argument("file")
-    ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ver.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     ver.set_defaults(func=cmd_verify)
 
     sim = sub.add_parser("simulate", help="teleport a state through a scheme file")
     sim.add_argument("scheme")
     sim.add_argument("--state", required=True)
     sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sim.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     sim.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 

@@ -271,17 +271,9 @@ def validate_hadamard(h, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check unimodular entries and H H* = d I, reporting the worse deviation."""
     m = _as_phase_matrix(h)
     d = m.shape[0]
-    modulus_dev = max_abs(np.abs(m) - 1.0)
-    product_dev = max_abs(m @ m.conj().T - d * np.eye(d))
-    deviation = max(modulus_dev, product_dev)
-    if deviation <= tol:
-        return CheckResult(True, deviation)
-    witness = (
-        "an entry is not unimodular"
-        if modulus_dev >= product_dev
-        else "rows are not orthogonal at norm sqrt(d)"
-    )
-    return CheckResult(False, deviation, witness)
+    sides = [max_abs(np.abs(m) - 1.0), max_abs(m @ m.conj().T - d * np.eye(d))]
+    names = ("an entry is not unimodular", "rows are not orthogonal at norm sqrt(d)")
+    return CheckResult.worst(sides, tol, lambda side: names[side])
 
 
 def _dephased(m: np.ndarray) -> np.ndarray:

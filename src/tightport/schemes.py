@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import DEFAULT_TOL, CheckResult
+from .common import DEFAULT_TOL, CheckResult, require_positive
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -59,13 +59,13 @@ __all__ = [
     "MODES",
     "MaxEntangledBasis",
     "TightScheme",
-    "SchemeVerdict",
     "basis_to_entangled",
     "entangled_to_basis",
     "build_scheme",
     "verify_teleportation",
     "verify_dense_coding",
     "verify_entangled_basis",
+    "verify",
     "swap_roles",
     "teleport_state",
     "extract_basis_from_scheme",
@@ -89,6 +89,7 @@ class MaxEntangledBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
+        require_positive(self.d)
         vecs = np.asarray(self.vectors, dtype=complex)
         if vecs.shape != (self.d * self.d, self.d * self.d):
             raise DimensionMismatch(
@@ -149,24 +150,6 @@ class TightScheme:
         if self.omega.ndim == 1:
             return np.outer(self.omega, self.omega.conj())
         return self.omega
-
-
-@dataclass(frozen=True)
-class SchemeVerdict:
-    """Result of checking one of the two defining identities.
-
-    ``table`` carries the full outcome matrix for dense coding (rows are
-    outcome distributions) and is None for teleportation.
-    """
-
-    mode: str
-    max_deviation: float
-    worst_case: str
-    passed: bool
-    table: np.ndarray | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _resource_terms(scheme: TightScheme) -> tuple[float, list]:
@@ -276,7 +259,7 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
 
 def verify_teleportation(
     scheme: TightScheme, tol: float = DEFAULT_TOL, require_mode: bool = True
-) -> SchemeVerdict:
+) -> CheckResult:
     """Evaluate the teleportation identity on all pairs of matrix units.
 
     For input state rho and observable A, summing over outcomes the joint
@@ -306,19 +289,17 @@ def verify_teleportation(
     identity = np.eye(d).reshape(-1)
     # gap[a, b, c, e] is at choi[(e, a), (c, b)]: state unit E[a,b], observable unit E[c,e]
     gap = np.abs(choi - np.outer(identity, identity)).reshape(d, d, d, d).transpose(1, 3, 2, 0)
-    deviation = float(gap.max())
-    a, b, c, dd = np.unravel_index(int(gap.argmax()), gap.shape)
-    worst = f"state unit E[{a},{b}], observable unit E[{c},{dd}]"
-    return SchemeVerdict(TELEPORTATION, deviation, worst, deviation <= tol)
+    return CheckResult.worst(gap, tol, "state unit E[{},{}], observable unit E[{},{}]".format)
 
 
-def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> SchemeVerdict:
+def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
     """Compute the full outcome matrix and check it against the identity.
 
     Entry (x, y) is the probability of decoding y when x was encoded:
     the sender conjugates the resource's left half by channel x, and the
     receiver projects onto effect y.  Each row is an outcome distribution
-    regardless of validity; validity means the matrix is exactly I.
+    regardless of validity; validity means the matrix is exactly I.  The
+    matrix is the result's ``table``.
     """
     d = scheme.d
     n = d * d
@@ -332,11 +313,7 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Scheme
         # amplitude[x, y] = <phi_y | vec(U_x W)>
         amplitude = (scheme.channel_unitaries @ w).reshape(n, n) @ effects_adjoint
         table += (weight * np.abs(amplitude) ** 2).real
-    gap = np.abs(table - np.eye(d * d))
-    deviation = float(gap.max())
-    x, y = np.unravel_index(int(gap.argmax()), gap.shape)
-    worst = f"encoded {x}, decoded {y}"
-    return SchemeVerdict(DENSE_CODING, deviation, worst, deviation <= tol, table)
+    return CheckResult.worst(np.abs(table - np.eye(n)), tol, "encoded {}, decoded {}".format, table)
 
 
 def verify_entangled_basis(
@@ -352,14 +329,27 @@ def verify_entangled_basis(
     completeness = check_projector_completeness(entangled.vectors, tol)
     ops = entangled.vectors.reshape(d * d, d, d)
     gaps = np.abs(ops @ _adjoint(ops) - np.eye(d) / d).max(axis=(1, 2))
-    x = int(np.argmax(gaps))  # NaN counts as the largest gap, here and below
-    devs = [completeness.deviation, float(gaps[x])]
-    worse = int(np.argmax(devs))
-    deviation = devs[worse]
-    if deviation <= tol:
-        return CheckResult(True, deviation)
-    witness = (completeness.witness, f"vector {x} is not maximally entangled")[worse]
-    return CheckResult(False, deviation, witness)
+    return CheckResult.worst(
+        np.append(completeness.deviation, gaps),
+        tol,
+        lambda i: f"vector {i - 1} is not maximally entangled" if i else completeness.witness,
+    )
+
+
+def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Check a unitary basis, an entangled basis or a scheme by its kind.
+
+    A scheme is checked against the identity of its own mode.
+    """
+    if isinstance(obj, UnitaryBasis):
+        return verify_orthonormal(obj, tol)
+    if isinstance(obj, MaxEntangledBasis):
+        return verify_entangled_basis(obj, tol)
+    if isinstance(obj, TightScheme):
+        if obj.mode == TELEPORTATION:
+            return verify_teleportation(obj, tol)
+        return verify_dense_coding(obj, tol)
+    raise TypeError(f"cannot verify an object of type {type(obj).__name__}")
 
 
 def swap_roles(scheme: TightScheme) -> TightScheme:
@@ -418,14 +408,11 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
     recovered elements may differ from the generating ones by global
     phases, which affect neither the channels nor the effects.
     """
-    if scheme.mode == TELEPORTATION:
-        verdict = verify_teleportation(scheme, tol)
-    else:
-        verdict = verify_dense_coding(scheme, tol)
+    verdict = verify(scheme, tol)
     if not verdict:
         raise SchemeInvalid(
-            f"{scheme.mode} identity fails by {verdict.max_deviation:.3e} "
-            f"at {verdict.worst_case}; cannot extract a basis"
+            f"{scheme.mode} identity fails by {verdict.deviation:.3e} "
+            f"at {verdict.witness}; cannot extract a basis"
         )
     if scheme.omega.ndim == 1:
         ref = scheme.omega
@@ -439,6 +426,6 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
     report = verify_orthonormal(basis, tol)
     if not report:
         raise SchemeInvalid(
-            f"extracted family fails orthonormality by {report.max_deviation:.3e}"
+            f"extracted family fails orthonormality by {report.deviation:.3e}"
         )
     return basis

@@ -154,9 +154,8 @@ def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult
     if abs(norm_sq - 1.0) > tol:  # a NaN norm is failed below, by its deviation
         raise NotNormalized(f"squared norm {norm_sq} deviates from 1 beyond {tol}")
     op = v.reshape(d, d)
-    deviation = max_abs(op @ op.conj().T - np.eye(d) / d)
-    witness = None if deviation <= tol else "reduced operator deviates from I/d"
-    return CheckResult(deviation <= tol, deviation, witness)
+    gap = np.abs(op @ op.conj().T - np.eye(d) / d)
+    return CheckResult.worst(gap, tol, lambda *_: "reduced operator deviates from I/d")
 
 
 def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -170,17 +169,9 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     dim = vs.shape[1]
     if vs.shape[0] != dim:
         raise CountMismatch(f"got {vs.shape[0]} vectors in dimension {dim}")
-    projector_sum = vs.T @ vs.conj()
-    completeness_dev = max_abs(projector_sum - np.eye(dim))
-    gram = vs.conj() @ vs.T
-    gram_dev = max_abs(gram - np.eye(dim))
-    devs = [completeness_dev, gram_dev]
-    worse = int(np.argmax(devs))  # a NaN deviation counts as the worse side
-    deviation = devs[worse]
-    if deviation <= tol:
-        return CheckResult(True, deviation)
-    side = ("projector sum", "Gram matrix")[worse]
-    return CheckResult(False, deviation, f"{side} deviates from identity")
+    sides = [max_abs(vs.T @ vs.conj() - np.eye(dim)), max_abs(vs.conj() @ vs.T - np.eye(dim))]
+    names = ("projector sum deviates from identity", "Gram matrix deviates from identity")
+    return CheckResult.worst(sides, tol, lambda side: names[side])
 
 
 def matrix_units(d: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_01_orthonormality():
     paths = build_construction_paths()
     for name, basis in paths:
         report = verify_orthonormal(basis, TOL)
-        deviation = max(report.max_deviation, report.unitarity_deviation)
+        deviation = report.deviation
         assert report.passed, f"{name}: deviation {deviation:.3e} exceeds {TOL}"
         worst = max(worst, deviation)
     elapsed = time.perf_counter() - start
@@ -118,8 +118,8 @@ def test_criterion_03_teleportation_identity(built_schemes):
     worst = 0.0
     for name, scheme in built_schemes:
         verdict = verify_teleportation(scheme, TOL)
-        assert verdict.passed, f"{name}: deviation {verdict.max_deviation:.3e}"
-        worst = max(worst, verdict.max_deviation)
+        assert verdict.passed, f"{name}: deviation {verdict.deviation:.3e}"
+        worst = max(worst, verdict.deviation)
     rng = np.random.default_rng(77)
     for d in (2, 3, 4, 5):
         scheme = build_scheme(weyl_basis(d))
@@ -140,10 +140,10 @@ def test_criterion_04_dense_coding_identity(built_schemes):
     worst = 0.0
     for name, scheme in built_schemes:
         verdict = verify_dense_coding(scheme, TOL)
-        assert verdict.passed, f"{name}: deviation {verdict.max_deviation:.3e}"
+        assert verdict.passed, f"{name}: deviation {verdict.deviation:.3e}"
         n = scheme.d ** 2
         assert np.abs(verdict.table - np.eye(n)).max() < TOL
-        worst = max(worst, verdict.max_deviation)
+        worst = max(worst, verdict.deviation)
     announce(4, "dense coding identity", f"outcome matrices == I, worst deviation {worst:.2e}")
 
 
@@ -210,8 +210,8 @@ def test_criterion_08_recovered_weight(construction_paths):
     perturbed = np.eye(2) / 2
     perturbed[0, 0] *= 1.1
     report = weighted_gram(basis.elements, perturbed)
-    assert not report.passed and report.max_deviation > 1e-3
-    announce(8, "recovered weight", f"{len(small)} bases give I/d, worst {worst:.2e}; deformed weight off by {report.max_deviation:.2e}")
+    assert not report.passed and report.deviation > 1e-3
+    announce(8, "recovered weight", f"{len(small)} bases give I/d, worst {worst:.2e}; deformed weight off by {report.deviation:.2e}")
 
 
 def test_criterion_09_round_trips():

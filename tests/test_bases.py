@@ -53,7 +53,7 @@ class TestShiftMultiply:
     def test_d3_orthonormal(self):
         basis = shift_multiply_basis(latin_from_cyclic(3), [fourier_hadamard(3)] * 3)
         report = verify_orthonormal(basis)
-        assert report.passed and report.max_deviation < 1e-12
+        assert report.passed and report.deviation < 1e-12
 
     def test_label_map(self):
         basis = weyl_basis(3)
@@ -120,14 +120,14 @@ class TestShiftMultiply:
         elems = _raw_shift_multiply(grid, [fourier_hadamard(2).matrix] * 2)
         report = verify_orthonormal(UnitaryBasis(2, elems))
         assert not report.passed
-        assert max(report.max_deviation, report.unitarity_deviation) > 1e-3
+        assert report.deviation > 1e-3
 
     def test_converse_non_hadamard_breaks_orthonormality(self):
         grid = latin_from_cyclic(2).grid
         elems = _raw_shift_multiply(grid, [np.ones((2, 2), dtype=complex)] * 2)
         report = verify_orthonormal(UnitaryBasis(2, elems))
         assert not report.passed
-        assert max(report.max_deviation, report.unitarity_deviation) > 1e-3
+        assert report.deviation > 1e-3
 
 
 class TestWeylBasis:
@@ -164,16 +164,16 @@ class TestWeylBasis:
 class TestVerifyOrthonormal:
     def test_weyl_d4(self):
         report = verify_orthonormal(weyl_basis(4))
-        assert report.passed and report.max_deviation < 1e-12
+        assert report.passed and report.deviation < 1e-12
 
     def test_gram_is_hermitian(self):
         report = verify_orthonormal(weyl_basis(3))
-        np.testing.assert_allclose(report.gram, report.gram.conj().T, atol=1e-12)
+        np.testing.assert_allclose(report.table, report.table.conj().T, atol=1e-12)
 
     def test_perturbed_element_fails(self):
         report = verify_orthonormal(hs_normalized_perturbation())
         assert not report.passed
-        assert report.unitarity_deviation > 1e-3
+        assert report.deviation > 1e-3 and report.witness == "element 0 is not unitary"
 
 
 class TestVerifyDepolarizer:
@@ -236,13 +236,13 @@ class TestWeightedGram:
         basis = weyl_basis(2)
         report = weighted_gram(basis.elements, np.eye(2) / 2)
         assert report.passed
-        np.testing.assert_allclose(report.gram, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(report.table, np.eye(4), atol=1e-12)
 
     def test_deformed_weight_breaks_orthonormality(self):
         basis = weyl_basis(2)
         report = weighted_gram(basis.elements, np.diag([1.0, 1 / 3]))
         assert not report.passed
-        assert report.max_deviation > 1e-3
+        assert report.deviation > 1e-3
 
     def test_completeness_cross_check(self):
         # identity weighted Gram forces the conjugation sum to tr(R C) I,
@@ -346,9 +346,9 @@ class TestApplyEquivalence:
     def test_gram_deviation_preserved(self):
         rng = np.random.default_rng(24)
         bad = hs_normalized_perturbation()
-        before = verify_orthonormal(bad).max_deviation
+        before = np.abs(verify_orthonormal(bad).table - np.eye(4)).max()
         moved = apply_equivalence(bad, random_unitary(rng, 2), random_unitary(rng, 2))
-        after = verify_orthonormal(moved).max_deviation
+        after = np.abs(verify_orthonormal(moved).table - np.eye(4)).max()
         assert abs(before - after) < 1e-13
 
     def test_rejects_non_unitary(self):

@@ -112,6 +112,7 @@ class TestVerify:
         assert run("verify", bad) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "deviation" in out
+        assert out.endswith("; worst: element 0 is not unitary\n")
 
     def test_corrupted_latin_fails(self, tmp_path, capsys):
         latin = tmp_path / "l.json"
@@ -230,7 +231,18 @@ def test_generate_rejects_non_positive_dimension(tmp_path, capsys, argv, d):
     assert run("generate", *argv, "-o", path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "must be positive" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_tol_must_be_finite_and_non_negative(scheme_file, capsys, command, tol):
+    extra = ("--state", "pure:0") if command == "simulate" else ()
+    assert run(command, scheme_file, *extra, "--tol", tol) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol: must be a finite number >= 0" in captured.err and "Traceback" not in captured.err
 
 
 class TestCountLatin:

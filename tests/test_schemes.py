@@ -156,7 +156,7 @@ def kron_teleportation_oracle(scheme, rho, a):
 class TestVerifyTeleportation:
     def test_weyl_d2_passes(self):
         verdict = verify_teleportation(build_scheme(weyl_basis(2)))
-        assert verdict.passed and verdict.max_deviation < 1e-12
+        assert verdict.passed and verdict.deviation < 1e-12
 
     def test_agrees_with_kron_oracle(self):
         rng = np.random.default_rng(31)
@@ -180,7 +180,7 @@ class TestVerifyTeleportation:
                 target = np.trace(units[a_idx] @ units[b_idx])
                 worst = max(worst, abs(lhs - target))
         verdict = verify_teleportation(broken)
-        assert verdict.max_deviation == pytest.approx(worst, abs=1e-13)
+        assert verdict.deviation == pytest.approx(worst, abs=1e-13)
 
     def test_product_resource_fails_badly(self):
         scheme = build_scheme(weyl_basis(2))
@@ -188,7 +188,7 @@ class TestVerifyTeleportation:
         product[0] = 1.0
         verdict = verify_teleportation(replace(scheme, omega=product))
         assert not verdict.passed
-        assert verdict.max_deviation >= 0.1
+        assert verdict.deviation >= 0.1
 
     def test_phase_on_channel_is_harmless(self):
         scheme = build_scheme(weyl_basis(2))
@@ -252,8 +252,8 @@ class TestRigidity:
         floor = rigidity_floor(p)
         tele = verify_teleportation(broken)
         dense = verify_dense_coding(broken)
-        assert not tele.passed and tele.max_deviation >= floor
-        assert not dense.passed and dense.max_deviation >= floor
+        assert not tele.passed and tele.deviation >= floor
+        assert not dense.passed and dense.deviation >= floor
 
     def test_mixed_resource_fails_both_verifiers(self):
         scheme = build_scheme(weyl_basis(2))
@@ -363,7 +363,7 @@ class TestExtractBasis:
         scheme = build_scheme(basis)
         extracted = extract_basis_from_scheme(scheme)
         report = verify_orthonormal(extracted)
-        assert report.passed and report.max_deviation < 1e-11
+        assert report.passed and report.deviation < 1e-11
         for x in range(16):
             assert abs(
                 abs(trace_inner(basis.elements[x], extracted.elements[x])) - 1.0
