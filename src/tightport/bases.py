@@ -41,7 +41,7 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import _adjoint, max_abs
+from .tensor import _adjoint, _identity_gap, max_abs
 
 __all__ = [
     "UnitaryBasis",
@@ -157,9 +157,10 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     elems = basis.elements
     n = basis.d**2
     a = _stacked(basis)
-    gram = a.conj() @ a.T / basis.d
-    unit_gaps = np.abs(_adjoint(elems) @ elems - np.eye(basis.d)).max(axis=(1, 2))
-    gaps = np.concatenate([np.abs(gram - np.eye(n)).ravel(), unit_gaps])
+    gram = a.conj() @ a.T
+    gram /= basis.d
+    unit_gaps = _identity_gap(_adjoint(elems) @ elems).max(axis=(1, 2))
+    gaps = np.concatenate([_identity_gap(gram).ravel(), unit_gaps])
 
     def name(i: int) -> str:
         return f"Gram entry {divmod(i, n)}" if i < n * n else f"element {i - n * n} is not unitary"
@@ -180,22 +181,24 @@ def verify_depolarizer(
     """
     d = basis.d
     a = _stacked(basis)
-    # conj_sum[a, b, i, j] = (sum_x U_x* E[a,b] U_x)[i, j]
-    conj_sum = (a.conj().T @ a).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    product = a.conj().T @ a
     probes = None if probes is None else [np.asarray(p, dtype=complex) for p in probes]
     if not probes:
-        eye = np.eye(d * d).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        totals = conj_sum - d * eye  # totals[a, b] belongs to the probe E[a, b]
+        # gaps[a, b] belongs to the probe E[a, b]
+        gaps = _identity_gap(product, d).reshape(d, d, d, d).transpose(0, 2, 1, 3)
         name = "matrix unit E[{},{}]".format
     else:
         for i, probe in enumerate(probes):
             if probe.shape != (d, d):
                 raise DimensionMismatch(f"probe {i} has shape {probe.shape}, expected ({d}, {d})")
+        # conj_sum[a, b, i, j] = (sum_x U_x* E[a,b] U_x)[i, j]
+        conj_sum = product.reshape(d, d, d, d).transpose(0, 2, 1, 3)
         stack = np.asarray(probes)
         totals = (stack.reshape(len(stack), -1) @ conj_sum.reshape(d * d, -1)).reshape(-1, d, d)
         totals -= d * np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(d)
+        gaps = np.abs(totals)
         name = "probe {}".format
-    return CheckResult.worst(np.abs(totals).max(axis=(-2, -1)), tol, name)
+    return CheckResult.worst(gaps.max(axis=(-2, -1)), tol, name)
 
 
 def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -221,7 +224,7 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckR
         raise WeightNotPositive("weight has an eigenvalue at or below 1e-12")
     n = ops.shape[0]
     gram = ops.conj().reshape(n, -1) @ (w @ ops).reshape(n, -1).T
-    return CheckResult.worst(np.abs(gram - np.eye(n)), tol, "Gram entry ({}, {})".format, gram)
+    return CheckResult.worst(_identity_gap(gram), tol, "Gram entry ({}, {})".format, gram)
 
 
 def recover_weight_from_unitary_gram(
@@ -254,13 +257,13 @@ def recover_weight_from_unitary_gram(
         raise NoSolution("recovered operator has vanishing trace")
     rho = rho / trace.real
     gram = a.conj() @ (rho @ elems).reshape(d * d, -1).T
-    residual = max_abs(gram - np.eye(d * d))
+    residual = float(_identity_gap(gram).max())
     if not residual <= tol:
         raise NoSolution(
             f"weighted Gram residual {residual:.3e} exceeds {tol}; "
             f"the family is not an orthonormal basis"
         )
-    witness_dev = max_abs(rho - np.eye(d) / d)
+    witness_dev = float(_identity_gap(rho, 1 / d).max())
     if not witness_dev <= tol:
         raise NoSolution(
             f"recovered weight deviates from I/d by {witness_dev:.3e} "
@@ -290,7 +293,7 @@ def apply_equivalence(
     for name, v in (("V1", v1), ("V2", v2)):
         if v.shape != (d, d):
             raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({d}, {d})")
-        dev = max_abs(v.conj().T @ v - np.eye(d))
+        dev = float(_identity_gap(v.conj().T @ v).max())
         if not dev <= DEFAULT_TOL:
             raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e}")
     order = np.arange(d * d) if relabel is None else as_permutation(relabel, d * d)

@@ -24,7 +24,7 @@ from .errors import (
     PeriodicityViolated,
     SymbolOutOfRange,
 )
-from .tensor import max_abs
+from .tensor import _identity_gap, max_abs
 
 __all__ = [
     "LatinSquare",
@@ -53,6 +53,7 @@ def _as_grid(square) -> np.ndarray:
     grid = np.asarray(square, dtype=int)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise DesignInvalid(f"grid must be square, got shape {grid.shape}")
+    require_positive(grid.shape[0])
     return grid
 
 
@@ -62,6 +63,7 @@ def _as_phase_matrix(h) -> np.ndarray:
     m = np.asarray(h, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DesignInvalid(f"matrix must be square, got shape {m.shape}")
+    require_positive(m.shape[0])
     return m
 
 
@@ -129,7 +131,7 @@ def validate_latin(grid) -> CheckResult:
     """
     g = _as_grid(grid)
     d = g.shape[0]
-    if g.size and (g.min() < 0 or g.max() >= d):
+    if g.min() < 0 or g.max() >= d:
         raise SymbolOutOfRange(f"entries must lie in 0..{d - 1}")
     violations = 0
     witness = None
@@ -271,7 +273,7 @@ def validate_hadamard(h, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check unimodular entries and H H* = d I, reporting the worse deviation."""
     m = _as_phase_matrix(h)
     d = m.shape[0]
-    sides = [max_abs(np.abs(m) - 1.0), max_abs(m @ m.conj().T - d * np.eye(d))]
+    sides = [max_abs(np.abs(m) - 1.0), _identity_gap(m @ m.conj().T, d).max()]
     names = ("an entry is not unimodular", "rows are not orthogonal at norm sqrt(d)")
     return CheckResult.worst(sides, tol, lambda side: names[side])
 

@@ -46,6 +46,7 @@ from .errors import (
 )
 from .tensor import (
     _adjoint,
+    _identity_gap,
     check_projector_completeness,
     is_maximally_entangled,
     max_abs,
@@ -233,7 +234,7 @@ def entangled_to_basis(
     ref = _reference(omega, d, tol)
     ref_op = vector_to_operator(ref, d)
     ops = entangled.vectors.reshape(d * d, d, d) * np.sqrt(d) @ ref_op.conj().T
-    devs = np.abs(_adjoint(ops) @ ops - np.eye(d)).max(axis=(1, 2))
+    devs = _identity_gap(_adjoint(ops) @ ops).max(axis=(1, 2))
     x = int(np.argmax(~(devs <= tol)))  # the first vector out of tolerance, NaN included
     if not devs[x] <= tol:
         raise NotUnitaryExtraction(
@@ -268,7 +269,9 @@ def verify_teleportation(
     units span, so checking all d^4 (rho, A) pairs settles the identity for
     every state and observable.  Those d^4 numbers are the entries of the
     protocol's Choi matrix sum_x vec(T_x) vec(T_x)*, one matrix product on
-    the stacked T_x, checked against the identity channel's.
+    the stacked T_x, checked against the identity channel's vec(I) vec(I)^T.
+    The sum starts from its first term's product, and the d^2 ones of the
+    identity channel's Choi matrix are subtracted from it in place.
     """
     if require_mode and scheme.mode != TELEPORTATION:
         raise SchemeInvalid(
@@ -277,18 +280,26 @@ def verify_teleportation(
     d = scheme.d
     n = d * d
     shift, terms = _resource_terms(scheme)
-    choi = np.zeros((n, n), dtype=complex)
+    choi = None  # the sum starts from its first term's product
     if shift:
         p, q = _identity_parts(scheme)
-        choi += shift * (p.T @ q).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+        choi = (p.T @ q).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+        choi *= shift
     phis = scheme.effects.vectors.reshape(n, d, d)
     for weight, w in terms:
         # rows vec(T_x), T_x = U_x K_x with the Kraus operator K_x = W^T phi_x*
         t = (scheme.channel_unitaries @ (w.T @ _adjoint(phis))).reshape(n, n)
-        choi += weight * (t.T @ t.conj())
-    identity = np.eye(d).reshape(-1)
+        term = t.T @ t.conj()
+        term *= weight
+        if choi is None:
+            choi = term
+        else:
+            choi += term
+    if choi is None:  # a zero resource has no terms
+        choi = np.zeros((n, n), dtype=complex)
+    choi[:: d + 1, :: d + 1] -= 1  # vec(I) vec(I)^T is 1 where both indices are (k, k)
     # gap[a, b, c, e] is at choi[(e, a), (c, b)]: state unit E[a,b], observable unit E[c,e]
-    gap = np.abs(choi - np.outer(identity, identity)).reshape(d, d, d, d).transpose(1, 3, 2, 0)
+    gap = np.abs(choi).reshape(d, d, d, d).transpose(1, 3, 2, 0)
     return CheckResult.worst(gap, tol, "state unit E[{},{}], observable unit E[{},{}]".format)
 
 
@@ -313,7 +324,7 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
         # amplitude[x, y] = <phi_y | vec(U_x W)>
         amplitude = (scheme.channel_unitaries @ w).reshape(n, n) @ effects_adjoint
         table += (weight * np.abs(amplitude) ** 2).real
-    return CheckResult.worst(np.abs(table - np.eye(n)), tol, "encoded {}, decoded {}".format, table)
+    return CheckResult.worst(_identity_gap(table), tol, "encoded {}, decoded {}".format, table)
 
 
 def verify_entangled_basis(
@@ -328,7 +339,7 @@ def verify_entangled_basis(
     d = entangled.d
     completeness = check_projector_completeness(entangled.vectors, tol)
     ops = entangled.vectors.reshape(d * d, d, d)
-    gaps = np.abs(ops @ _adjoint(ops) - np.eye(d) / d).max(axis=(1, 2))
+    gaps = _identity_gap(ops @ _adjoint(ops), 1 / d).max(axis=(1, 2))
     return CheckResult.worst(
         np.append(completeness.deviation, gaps),
         tol,
@@ -407,7 +418,18 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
     guaranteed for valid schemes, so failures raise ``SchemeInvalid``.  The
     recovered elements may differ from the generating ones by global
     phases, which affect neither the channels nor the effects.
+
+    A tight scheme forces a pure resource, so a density-matrix resource whose
+    squared Frobenius norm strays from 1 by more than ``tol`` is rejected
+    before the verifier runs.
     """
+    if scheme.omega.ndim == 2:
+        purity = float(np.vdot(scheme.omega, scheme.omega).real)
+        if not abs(purity - 1.0) <= tol:
+            raise SchemeInvalid(
+                f"resource has squared Frobenius norm {purity:.6f}, so it is not pure; "
+                f"cannot extract a basis"
+            )
     verdict = verify(scheme, tol)
     if not verdict:
         raise SchemeInvalid(

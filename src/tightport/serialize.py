@@ -15,11 +15,15 @@ does the per-entry walk run, to decode the rare valid inputs the whole-array
 path leaves to it or to name the first offending entry.  Payload numbers
 must be JSON numbers: strings, ``true``/``false`` and ``null`` are rejected
 at their location.
+
+``loads`` and ``dumps`` hold the cyclic garbage collector while they run.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,6 +66,24 @@ class DesignDocument:
     d: int
     payload: dict[str, Any]
     meta: str = ""
+
+
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector, restoring the state found on exit.
+
+    The nested lists of a document are acyclic, so reference counting frees
+    them; the collector would only re-walk them as they grow.  The switch is
+    process-wide: other threads also run without the collector meanwhile.
+    As a decorator it pauses the collector for each call.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +152,9 @@ def document_to_object(doc: DesignDocument):
     raise ParseError(f"unknown document kind {doc.kind!r}")
 
 
+@_collector_paused()
 def dumps(doc: DesignDocument) -> str:
+    """The document as JSON text; the cyclic GC is held meanwhile, process-wide."""
     if doc.kind not in KINDS:
         raise ParseError(f"unknown document kind {doc.kind!r}")
     payload: dict[str, Any] = {}
@@ -261,7 +285,12 @@ def _decode_int_grid(value, d: int, location: str) -> np.ndarray:
     return grid
 
 
+@_collector_paused()
 def loads(text: str) -> DesignDocument:
+    """Parse and shape-check a document; any defect raises ``ParseError``.
+
+    The cyclic GC is held while this runs, process-wide.
+    """
     def reject_constant(name: str):
         raise ParseError(f"non-finite number {name} is not allowed")
 

@@ -47,6 +47,21 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return np.swapaxes(stack, -1, -2).conj()
 
 
+def _identity_gap(product: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Entrywise |product - scale I| of a square matrix or of each in a stack.
+
+    Read in place from the product buffer: no identity or difference array is
+    built.  Off the diagonal the gap is |product|; only the n diagonal entries
+    of each matrix are rewritten, through a strided view of the result, which
+    is C-ordered so that the view is one whatever the layout of ``product``.
+    """
+    gap = np.abs(product, order="C")
+    n = gap.shape[-1]
+    diagonals = gap.reshape(-1, n * n)[:, :: n + 1]
+    diagonals[...] = np.abs(np.diagonal(product, axis1=-2, axis2=-1).reshape(-1, n) - scale)
+    return gap
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -154,22 +169,28 @@ def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult
     if abs(norm_sq - 1.0) > tol:  # a NaN norm is failed below, by its deviation
         raise NotNormalized(f"squared norm {norm_sq} deviates from 1 beyond {tol}")
     op = v.reshape(d, d)
-    gap = np.abs(op @ op.conj().T - np.eye(d) / d)
+    gap = _identity_gap(op @ op.conj().T, 1 / d)
     return CheckResult.worst(gap, tol, lambda *_: "reduced operator deviates from I/d")
 
 
 def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check that D vectors in a D-dimensional space resolve the identity.
 
-    Both sides of the equivalence are computed: the rank-one projectors must
-    sum to I, and the pairwise Gram matrix must be I.  The reported
-    deviation is the larger of the two.
+    ``vectors`` stacks to a (D, D) array, one vector per row; D must be at
+    least 1.  Both sides of the equivalence are computed: the rank-one
+    projectors must sum to I, and the pairwise Gram matrix must be I.  Each
+    side's gap is read from its product buffer.  The reported deviation is
+    the larger of the two.
     """
-    vs = np.asarray([_as_vector(v) for v in vectors], dtype=complex)
-    dim = vs.shape[1]
-    if vs.shape[0] != dim:
-        raise CountMismatch(f"got {vs.shape[0]} vectors in dimension {dim}")
-    sides = [max_abs(vs.T @ vs.conj() - np.eye(dim)), max_abs(vs.conj() @ vs.T - np.eye(dim))]
+    vs = np.asarray(vectors, dtype=complex)
+    if vs.ndim != 2 or not vs.size:
+        raise DimensionMismatch(
+            f"vectors must stack to a non-empty (count, dimension) array, got shape {vs.shape}"
+        )
+    count, dim = vs.shape
+    if count != dim:
+        raise CountMismatch(f"got {count} vectors in dimension {dim}")
+    sides = [_identity_gap(vs.T @ vs.conj()).max(), _identity_gap(vs.conj() @ vs.T).max()]
     names = ("projector sum deviates from identity", "Gram matrix deviates from identity")
     return CheckResult.worst(sides, tol, lambda side: names[side])
 

@@ -15,6 +15,7 @@ from tightport import (
     SchemeInvalid,
     basis_to_entangled,
     build_scheme,
+    check_projector_completeness,
     entangled_to_basis,
     extract_basis_from_scheme,
     hadamard_d4_family,
@@ -32,6 +33,7 @@ from tightport import (
     verify_teleportation,
     weyl_basis,
 )
+from tightport import schemes
 
 BELL = (
     np.array([1, 0, 0, 1]) / np.sqrt(2),
@@ -338,6 +340,29 @@ class TestTeleportState:
         assert peak < 2**20
 
 
+# Peak traced allocation of a check at d = 12, in d^2 x d^2 complex matrices.  Each
+# gap is read from its product buffer; an identity or a difference copy beside
+# the product would raise the peak by at least half a matrix.
+PRODUCT_BUFFER_PEAKS = {
+    "check_projector_completeness": (lambda s: check_projector_completeness(s.effects.vectors), 2.5),
+    "verify_entangled_basis": (lambda s: verify_entangled_basis(s.effects), 2.5),
+    "verify_teleportation": (verify_teleportation, 3.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_BUFFER_PEAKS))
+def test_identity_gap_reads_the_product_buffer(name):
+    check, limit = PRODUCT_BUFFER_PEAKS[name]
+    scheme = build_scheme(weyl_basis(12))
+    tracemalloc.start()
+    try:
+        assert check(scheme).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 144**2 * 16
+
+
 class TestNonFiniteResource:
     def test_nan_density_resource_fails_every_identity(self):
         scheme = build_scheme(weyl_basis(2))
@@ -383,6 +408,26 @@ class TestExtractBasis:
         broken = replace(scheme, omega=schmidt_pair_resource(0.75))
         with pytest.raises(SchemeInvalid):
             extract_basis_from_scheme(broken)
+
+    def test_mixed_resource_rejected_before_verifying(self, monkeypatch):
+        scheme = build_scheme(weyl_basis(4))
+        pure = np.outer(scheme.omega, scheme.omega.conj())
+        noisy = replace(scheme, omega=0.9 * pure + 0.1 * np.eye(16) / 16)
+
+        def no_verifier(*args):
+            raise AssertionError("the mode verifier ran on an impure resource")
+
+        monkeypatch.setattr(schemes, "verify", no_verifier)
+        with pytest.raises(SchemeInvalid, match="not pure"):
+            extract_basis_from_scheme(noisy)
+
+    def test_pure_density_resource_extracts(self):
+        basis = weyl_basis(3)
+        scheme = build_scheme(basis)
+        density = replace(scheme, omega=np.outer(scheme.omega, scheme.omega.conj()))
+        extracted = extract_basis_from_scheme(density)
+        overlaps = np.abs(np.einsum("xij,xij->x", extracted.elements.conj(), basis.elements)) / 3
+        np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
 
 
 class TestConversionRoundTrips:

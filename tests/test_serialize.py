@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import tracemalloc
@@ -56,6 +57,23 @@ def test_round_trip_objects_reconstruct(obj):
     doc = loads(dumps(make_document(obj)))
     rebuilt = document_to_object(doc)
     assert type(rebuilt) is type(obj)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored(enabled):
+    text = dumps(make_document(weyl_basis(2)))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        loads(text)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            loads(text.replace('"d": 2', '"d": 0'))
+        assert gc.isenabled() is enabled
+        dumps(make_document(weyl_basis(2)))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_dumps_is_deterministic():

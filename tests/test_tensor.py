@@ -21,6 +21,7 @@ from tightport import (
     transpose_in_basis,
     vector_to_operator,
 )
+from tightport.tensor import _identity_gap
 
 TOL = 1e-12
 
@@ -351,3 +352,18 @@ def test_weyl_entangled_vectors_complete():
 
     entangled = basis_to_entangled(weyl_basis(2))
     assert check_projector_completeness(entangled.vectors).passed
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed stack"])
+def test_identity_gap_matches_the_difference_in_any_layout(layout):
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    product = {
+        "C": stack[0],
+        "F": np.asfortranarray(stack[0]),
+        "transposed stack": stack.transpose(0, 2, 1),
+    }[layout]
+    for scale in (1.0, 0.25, 4):
+        np.testing.assert_array_equal(
+            _identity_gap(product, scale), np.abs(product - scale * np.eye(4))
+        )

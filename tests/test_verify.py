@@ -47,6 +47,19 @@ def test_empty_objects_are_rejected():
         tp.MaxEntangledBasis(0, np.zeros((0, 0)))
     with pytest.raises(tp.DimensionMismatch):
         tp.weighted_gram(np.zeros((0, 2, 2)), np.eye(2))
+    with pytest.raises(tp.DimensionMismatch):
+        tp.check_projector_completeness([])
+    with pytest.raises(tp.DimensionMismatch):
+        tp.check_projector_completeness(np.zeros((0, 0)))
+    # an empty design would otherwise pass its check vacuously
+    with pytest.raises(tp.DimensionMismatch):
+        tp.LatinSquare(np.zeros((0, 0), dtype=int))
+    with pytest.raises(tp.DimensionMismatch):
+        tp.validate_latin(np.zeros((0, 0), dtype=int))
+    with pytest.raises(tp.DimensionMismatch):
+        tp.HadamardMatrix(np.zeros((0, 0)))
+    with pytest.raises(tp.DimensionMismatch):
+        tp.validate_hadamard(np.zeros((0, 0)))
 
 
 def _with_entry(array, position, value):
