@@ -8,8 +8,9 @@ checked numerically here, never assumed.
 
 Every check is a product of one matrix: stack the elements as the d^2 x d^2
 matrix A with rows vec(U_x).  Orthonormality is A A* = d I, the depolarizer
-identity over all matrix units is A* A = d I, and the normal equations of
-weight recovery factor through A.T A-bar; each is O(d^6).
+identity over all matrix units is A* A = d I, and the weight recovered from
+the weighted Gram equations is the inverse of Tr_2 (A^T conj(A)) / d, in
+closed form; each is O(d^6).
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -234,9 +235,10 @@ def recover_weight_from_unitary_gram(
 
     The d^4 equations overdetermine the d^2 parameters of rho but are
     consistent exactly when the family is a genuine basis, in which case the
-    unique solution is I/d.  Least squares recovers it through its normal
-    equations, whose d^2 x d^2 matrix factors through G = A.T A-bar; a
-    residual beyond ``tol`` (or a solution away from I/d) raises
+    unique solution is I/d.  They say conj(A) (rho (x) I) A^T = I, so then
+    rho^{-1} (x) I = A^T conj(A), and rho is the inverse of its partial trace
+    over d, in closed form.  A weighted Gram residual beyond ``tol`` (NaN
+    included), a solution away from I/d or a singular partial trace raises
     ``NoSolution``, signalling that the input was not a basis.
     """
     d = basis.d
@@ -244,18 +246,12 @@ def recover_weight_from_unitary_gram(
     if not np.isfinite(elems).all():
         raise NoSolution("the family has non-finite entries")
     a = _stacked(basis)
-    # g[k, k', i, i'] = sum_x U_x[k, i] conj(U_x[k', i'])
-    g = (a.T @ a.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
-    # normal[(k, l), (k', l')] = sum_{i, i'} g[k, k', i, i'] conj(g[l, l', i, i'])
-    normal = (g @ g.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
-    rhs = (elems @ _adjoint(elems)).sum(axis=0).reshape(-1)
-    solution, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
-    rho = solution.reshape(d, d)
-    rho = (rho + rho.conj().T) / 2
-    trace = complex(np.trace(rho))
-    if abs(trace) < 1e-12:
-        raise NoSolution("recovered operator has vanishing trace")
-    rho = rho / trace.real
+    # inverse_rho[k, j] = sum_{x, i} U_x[k, i] conj(U_x[j, i]) / d
+    inverse_rho = np.einsum("kiji->kj", (a.T @ a.conj()).reshape(d, d, d, d)) / d
+    try:
+        rho = np.linalg.inv(inverse_rho)
+    except np.linalg.LinAlgError:
+        raise NoSolution("the family's partial Gram trace is singular") from None
     gram = a.conj() @ (rho @ elems).reshape(d * d, -1).T
     residual = float(_identity_gap(gram).max())
     if not residual <= tol:

@@ -1,8 +1,9 @@
 """Command-line front end: generate, verify, simulate, count-latin.
 
 Exit codes: 0 on success, 1 when a verification or simulation check fails,
-2 on malformed input or bad parameters.  All randomness requires an
-explicit ``--rng-seed``; default paths are fully deterministic.
+2 on malformed input or bad parameters, including a size too large to
+allocate.  All randomness requires an explicit ``--rng-seed``; default paths
+are fully deterministic.
 """
 
 from __future__ import annotations
@@ -293,6 +294,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TightportError, OSError, ValueError) as exc:
         return _err(str(exc))
+    except MemoryError as exc:  # a size too large to allocate is a bad parameter
+        return _err(f"not enough memory: {exc}" if str(exc) else "not enough memory")
 
 
 if __name__ == "__main__":

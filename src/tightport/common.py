@@ -56,8 +56,12 @@ def require_positive(n: int, name: str = "dimension") -> None:
 
 
 def as_permutation(perm, n: int) -> np.ndarray:
-    """Coerce ``perm`` to an index array and require it to permute 0..n-1."""
-    p = np.asarray(perm, dtype=int)
-    if p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
+    """Require ``perm`` to be integers that permute 0..n-1; return the index array.
+
+    Only an integer dtype is accepted: casting floats, booleans or objects to
+    int would truncate them into a permutation they are not.
+    """
+    p = np.asarray(perm)
+    if p.dtype.kind not in "iu" or p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
         raise BadPermutation(f"expected a permutation of 0..{n - 1}, got {perm!r}")
-    return p
+    return p.astype(int, copy=False)

@@ -272,6 +272,11 @@ def verify_teleportation(
     the stacked T_x, checked against the identity channel's vec(I) vec(I)^T.
     The sum starts from its first term's product, and the d^2 ones of the
     identity channel's Choi matrix are subtracted from it in place.
+
+    Only this identity is checked, not the rest of the scheme's definition:
+    channel unitarity, completeness of the effects and the resource's norm
+    are not.  The outcome average can hold without them; d^2 copies of I as
+    channels pass, for one.
     """
     if require_mode and scheme.mode != TELEPORTATION:
         raise SchemeInvalid(
@@ -311,6 +316,10 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     receiver projects onto effect y.  Each row is an outcome distribution
     regardless of validity; validity means the matrix is exactly I.  The
     matrix is the result's ``table``.
+
+    Only this identity is checked, not the rest of the scheme's definition:
+    channel unitarity, completeness of the effects and the resource's norm
+    are not, so an identity table from non-unitary channels also passes.
     """
     d = scheme.d
     n = d * d
@@ -332,14 +341,15 @@ def verify_entangled_basis(
 ) -> CheckResult:
     """Check both defining properties of an entangled basis.
 
-    The vectors must resolve the identity on the d^2-dimensional space
-    (equivalently, be pairwise orthonormal) and each must have reduced
-    operator I/d.  Reports the worse of the two deviations.
+    The vectors must be pairwise orthonormal (for d^2 of them, the same as
+    resolving the identity on the d^2-dimensional space) and each must have
+    reduced operator I/d.  Reports the worse of the two deviations.
     """
     d = entangled.d
-    completeness = check_projector_completeness(entangled.vectors, tol)
     ops = entangled.vectors.reshape(d * d, d, d)
     gaps = _identity_gap(ops @ _adjoint(ops), 1 / d).max(axis=(1, 2))
+    # second, so that the Gram matrix it keeps as its table is not held beside that product
+    completeness = check_projector_completeness(entangled.vectors, tol)
     return CheckResult.worst(
         np.append(completeness.deviation, gaps),
         tol,

@@ -176,11 +176,13 @@ def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult
 def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check that D vectors in a D-dimensional space resolve the identity.
 
-    ``vectors`` stacks to a (D, D) array, one vector per row; D must be at
-    least 1.  Both sides of the equivalence are computed: the rank-one
-    projectors must sum to I, and the pairwise Gram matrix must be I.  Each
-    side's gap is read from its product buffer.  The reported deviation is
-    the larger of the two.
+    ``vectors`` stacks to a (D, D) array V, one vector per row; D must be at
+    least 1.  The rank-one projectors sum to I exactly when the Gram matrix
+    conj(V) V^T is I: for square V the two gaps conj(V) V^T - I and
+    V^T conj(V) - I share their singular values, so one side settles both,
+    and the other side's largest entry is at most D times this one's.  Only
+    the Gram side is formed, and its gap is read from the product buffer.
+    ``table`` is the Gram matrix.
     """
     vs = np.asarray(vectors, dtype=complex)
     if vs.ndim != 2 or not vs.size:
@@ -190,9 +192,8 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     count, dim = vs.shape
     if count != dim:
         raise CountMismatch(f"got {count} vectors in dimension {dim}")
-    sides = [_identity_gap(vs.T @ vs.conj()).max(), _identity_gap(vs.conj() @ vs.T).max()]
-    names = ("projector sum deviates from identity", "Gram matrix deviates from identity")
-    return CheckResult.worst(sides, tol, lambda side: names[side])
+    gram = vs.conj() @ vs.T
+    return CheckResult.worst(_identity_gap(gram), tol, "Gram entry ({}, {})".format, gram)
 
 
 def matrix_units(d: int) -> np.ndarray:

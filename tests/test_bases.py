@@ -3,6 +3,7 @@ import pytest
 
 from conftest import PAULIS, SIGMA_X, random_complex, random_unitary
 from tightport import (
+    BadPermutation,
     DesignInvalid,
     DimensionMismatch,
     NoSolution,
@@ -299,6 +300,21 @@ class TestRecoverWeight:
         with pytest.raises(NoSolution):
             recover_weight_from_unitary_gram(UnitaryBasis(3, elems))
 
+    def test_closed_form_solves_the_equations(self):
+        # R U_x for a Weyl basis U_x and invertible R is solved exactly by
+        # rho = (R R*)^{-1} / d, which is not I/d: the residual check passes
+        # and the I/d check is the one that fails.
+        rng = np.random.default_rng(25)
+        r = random_complex(rng, 3, 3)
+        with pytest.raises(NoSolution, match="despite a small residual"):
+            recover_weight_from_unitary_gram(UnitaryBasis(3, r @ weyl_basis(3).elements))
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    def test_singular_family_is_no_solution(self, fill):
+        # Tr_2 of A^T conj(A) is 0 or of rank one: no inverse to take
+        with pytest.raises(NoSolution):
+            recover_weight_from_unitary_gram(UnitaryBasis(2, np.full((4, 2, 2), fill)))
+
 
 class TestTensorBases:
     def test_product_is_a_basis(self):
@@ -354,3 +370,8 @@ class TestApplyEquivalence:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             apply_equivalence(weyl_basis(2), np.eye(2) + 0.1 * SIGMA_X, np.eye(2))
+
+    def test_rejects_non_integer_relabelling(self):
+        # truncated to int this is the permutation [0, 1, 2, 3]
+        with pytest.raises(BadPermutation):
+            apply_equivalence(weyl_basis(2), np.eye(2), np.eye(2), relabel=[0.2, 1.9, 2.5, 3.1])

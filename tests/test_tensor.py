@@ -10,16 +10,24 @@ from tightport import (
     DimensionMismatch,
     NotNormalized,
     TightportError,
+    UnitaryBasis,
+    basis_to_entangled,
     check_projector_completeness,
+    hadamard_d4_family,
     is_maximally_entangled,
+    latin_from_cyclic,
     matrix_units,
     omega_vector,
     operator_to_vector,
     partial_trace,
+    shift_multiply_basis,
+    tensor_bases,
     tensor_product,
     trace_inner,
     transpose_in_basis,
     vector_to_operator,
+    verify_orthonormal,
+    weyl_basis,
 )
 from tightport.tensor import _identity_gap
 
@@ -319,6 +327,8 @@ class TestProjectorCompleteness:
         result = check_projector_completeness([e0, e0, e0])
         assert not result.passed
         assert result.deviation >= 1.0
+        assert result.witness == "Gram entry (0, 1)"
+        np.testing.assert_array_equal(result.table, np.ones((3, 3)))
 
     def test_random_orthonormal_passes(self):
         rng = np.random.default_rng(15)
@@ -348,10 +358,60 @@ def test_matrix_units_span_and_normalize():
 
 
 def test_weyl_entangled_vectors_complete():
-    from tightport import basis_to_entangled, weyl_basis
-
     entangled = basis_to_entangled(weyl_basis(2))
     assert check_projector_completeness(entangled.vectors).passed
+
+
+THEOREM_FAMILIES = {
+    "weyl": lambda: weyl_basis(3),
+    "shift_multiply": lambda: shift_multiply_basis(
+        latin_from_cyclic(4), [hadamard_d4_family(np.exp(0.3j))] * 4
+    ),
+    "tensor_bases": lambda: tensor_bases(weyl_basis(2), weyl_basis(3)),
+}
+
+
+def _theorem_damage(basis, damage):
+    elems = basis.elements.copy()
+    if damage == "perturbed":
+        elems[1] += 1e-6 * random_complex(np.random.default_rng(18), basis.d, basis.d)
+    elif damage == "duplicated":
+        elems[basis.d + 1] = elems[0]
+    elif damage == "nan":
+        elems[basis.d, 1, 0] = np.nan
+    return UnitaryBasis(basis.d, elems)
+
+
+@pytest.mark.parametrize("damage", [None, "perturbed", "duplicated", "nan"])
+@pytest.mark.parametrize("family", sorted(THEOREM_FAMILIES))
+def test_completeness_of_entangled_basis_is_orthonormality_of_unitary_basis(family, damage):
+    # The theorem's correspondence: the entangled basis built from a unitary
+    # basis has the same Gram matrix, so the two checks are one check.
+    basis = _theorem_damage(THEOREM_FAMILIES[family](), damage)
+    completeness = check_projector_completeness(basis_to_entangled(basis).vectors)
+    orthonormal = verify_orthonormal(basis)
+    np.testing.assert_allclose(
+        completeness.table, orthonormal.table, rtol=0, atol=1e-12, equal_nan=True
+    )
+    assert completeness.passed == orthonormal.passed == (damage is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    exponent=st.floats(-14, -2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_side_of_completeness_bounds_the_other(dim, exponent, seed):
+    # conj(V) V^T - I and V^T conj(V) - I share their singular values, so the
+    # largest entry of either is at most dim times the largest of the other
+    rng = np.random.default_rng(seed)
+    v = random_unitary(rng, dim) + 10.0**exponent * random_complex(rng, dim, dim)
+    eye = np.eye(dim)
+    two_sided = max(np.abs(v.conj() @ v.T - eye).max(), np.abs(v.T @ v.conj() - eye).max())
+    one_sided = check_projector_completeness(v).deviation
+    rounding = 2 * dim * dim * np.finfo(float).eps
+    assert two_sided <= dim * one_sided + rounding
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "transposed stack"])
