@@ -152,6 +152,12 @@ def _verify_document(doc: DesignDocument, tol: float) -> CheckResult:
     return verify(document_to_object(doc), tol)
 
 
+def _fail(label: str, result: CheckResult, tol: float) -> int:
+    worst = f"; worst: {result.witness}" if result.witness else ""
+    print(f"FAIL {label}: max deviation {result.deviation:.3e} exceeds tol {tol:g}{worst}")
+    return 1
+
+
 def cmd_verify(args) -> int:
     try:
         doc = load(args.file)
@@ -159,12 +165,10 @@ def cmd_verify(args) -> int:
     except SymbolOutOfRange as exc:
         return _err(str(exc))
     label = f"{doc.kind} (d={doc.d})"
-    if result.passed:
-        print(f"PASS {label}: max deviation {result.deviation:.3e} within tol {args.tol:g}")
-        return 0
-    worst = f"; worst: {result.witness}" if result.witness else ""
-    print(f"FAIL {label}: max deviation {result.deviation:.3e} exceeds tol {args.tol:g}{worst}")
-    return 1
+    if not result.passed:
+        return _fail(label, result, args.tol)
+    print(f"PASS {label}: max deviation {result.deviation:.3e} within tol {args.tol:g}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,9 @@ def cmd_simulate(args) -> int:
         return _err(f"--trials must be at least 1, got {args.trials}")
     scheme = _load_as(args.scheme, "scheme")
     states = _input_state(args.state, scheme.d, args)
+    verdict = verify(scheme, args.tol)  # the protocol is only defined for a valid scheme
+    if not verdict:
+        return _fail(f"scheme (d={scheme.d})", verdict, args.tol)
     deviations = []
     histogram = np.zeros(scheme.d**2)
     for rho in states:

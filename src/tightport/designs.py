@@ -50,10 +50,12 @@ MAX_ENUMERATION_D = 5
 def _as_grid(square) -> np.ndarray:
     if isinstance(square, LatinSquare):
         return square.grid
-    grid = np.asarray(square, dtype=int)
+    grid = np.asarray(square)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise DesignInvalid(f"grid must be square, got shape {grid.shape}")
     require_positive(grid.shape[0])
+    if grid.dtype.kind not in "iu":  # a cast to int would truncate 0.9 into the symbol 0
+        raise DesignInvalid(f"grid entries must be integers, got dtype {grid.dtype}")
     return grid
 
 
@@ -127,7 +129,8 @@ def validate_latin(grid) -> CheckResult:
     """Check row and column injectivity of a grid over symbols 0..d-1.
 
     Returns a failing result naming the first violating row or column.
-    Raises ``SymbolOutOfRange`` when an entry is not a valid symbol.
+    Raises ``DesignInvalid`` for a grid without an integer dtype and
+    ``SymbolOutOfRange`` for an entry that is not a valid symbol.
     """
     g = _as_grid(grid)
     d = g.shape[0]

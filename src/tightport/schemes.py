@@ -106,11 +106,13 @@ class MaxEntangledBasis:
 class TightScheme:
     """Shared components of a teleportation or dense-coding scheme.
 
-    ``omega`` is normally the resource vector (length d^2); a (d^2, d^2)
-    density matrix is also accepted so the verifiers can probe mixed
-    resources, which no valid scheme can actually have.  ``mode`` records
-    which identity the scheme is meant to satisfy; the components
-    themselves are direction-agnostic.
+    A tight scheme has a unit resource vector, d^2 unitary channels and d^2
+    effect vectors forming a complete von Neumann measurement, and satisfies
+    the identity of its ``mode``; :func:`verify` checks all four, and the
+    dataclass checks shapes only.  ``omega`` is normally the resource vector
+    (length d^2); a (d^2, d^2) density matrix is also accepted so the
+    verifiers can probe mixed resources, which no valid scheme can have.
+    The components themselves are direction-agnostic.
     """
 
     d: int
@@ -250,17 +252,13 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     conjugate by the basis elements, and the effects project onto the
     entangled basis obtained from the same elements.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     d = basis.d
     ref = omega_vector(d)
     effects = basis_to_entangled(basis, ref)
     return TightScheme(d, ref, basis.elements, effects, mode)
 
 
-def verify_teleportation(
-    scheme: TightScheme, tol: float = DEFAULT_TOL, require_mode: bool = True
-) -> CheckResult:
+def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
     """Evaluate the teleportation identity on all pairs of matrix units.
 
     For input state rho and observable A, summing over outcomes the joint
@@ -273,15 +271,11 @@ def verify_teleportation(
     The sum starts from its first term's product, and the d^2 ones of the
     identity channel's Choi matrix are subtracted from it in place.
 
-    Only this identity is checked, not the rest of the scheme's definition:
-    channel unitarity, completeness of the effects and the resource's norm
-    are not.  The outcome average can hold without them; d^2 copies of I as
-    channels pass, for one.
+    Only this identity is checked, whatever the scheme's mode, not the rest
+    of its definition: channel unitarity, completeness of the effects and the
+    resource's norm are not.  The outcome average can hold without them; d^2
+    copies of I as channels pass, for one.  :func:`verify` checks all of it.
     """
-    if require_mode and scheme.mode != TELEPORTATION:
-        raise SchemeInvalid(
-            f"scheme mode is {scheme.mode!r}; use swap_roles() or require_mode=False"
-        )
     d = scheme.d
     n = d * d
     shift, terms = _resource_terms(scheme)
@@ -320,6 +314,7 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     Only this identity is checked, not the rest of the scheme's definition:
     channel unitarity, completeness of the effects and the resource's norm
     are not, so an identity table from non-unitary channels also passes.
+    :func:`verify` checks all of it.
     """
     d = scheme.d
     n = d * d
@@ -360,17 +355,34 @@ def verify_entangled_basis(
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check a unitary basis, an entangled basis or a scheme by its kind.
 
-    A scheme is checked against the identity of its own mode.
+    A scheme is checked against its whole definition: |<omega, omega> - 1|
+    within ``tol`` (a vector's norm, a matrix's purity), unitary channels,
+    effect vectors forming a complete measurement, and the identity of its
+    mode.  An impure resource fails before any product is formed; the other
+    parts make one verdict whose witness names the part at fault and whose
+    ``table`` is the identity's.
     """
     if isinstance(obj, UnitaryBasis):
         return verify_orthonormal(obj, tol)
     if isinstance(obj, MaxEntangledBasis):
         return verify_entangled_basis(obj, tol)
-    if isinstance(obj, TightScheme):
-        if obj.mode == TELEPORTATION:
-            return verify_teleportation(obj, tol)
-        return verify_dense_coding(obj, tol)
-    raise TypeError(f"cannot verify an object of type {type(obj).__name__}")
+    if not isinstance(obj, TightScheme):
+        raise TypeError(f"cannot verify an object of type {type(obj).__name__}")
+    resource = float(abs(np.vdot(obj.omega, obj.omega) - 1))
+    if not resource <= tol:  # NaN included
+        return CheckResult(False, resource, "resource is not a unit vector or a pure state")
+    u = obj.channel_unitaries
+    channels = _identity_gap(_adjoint(u) @ u).max(axis=(1, 2))
+    check_identity = verify_teleportation if obj.mode == TELEPORTATION else verify_dense_coding
+    identity = check_identity(obj, tol)
+    completeness = check_projector_completeness(obj.effects.vectors, tol)
+    n = len(u)
+    parts = {n: f"effect vectors are not a complete measurement: {completeness.witness}",
+             n + 1: identity.witness}
+    return CheckResult.worst(
+        np.append(channels, [completeness.deviation, identity.deviation]), tol,
+        lambda i: parts.get(i, f"channel {i} is not unitary"), identity.table,
+    )
 
 
 def swap_roles(scheme: TightScheme) -> TightScheme:
@@ -379,8 +391,7 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
     The component triple is untouched: a valid teleportation scheme read in
     the other direction is a valid dense-coding scheme and conversely.
     """
-    other = DENSE_CODING if scheme.mode == TELEPORTATION else TELEPORTATION
-    return replace(scheme, mode=other)
+    return replace(scheme, mode=MODES[1 - MODES.index(scheme.mode)])
 
 
 def _check_density(rho: np.ndarray, d: int, tol: float) -> None:
@@ -424,40 +435,19 @@ def teleport_state(
 def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> UnitaryBasis:
     """Recover the unitary basis generating a verified scheme.
 
-    The scheme must pass the verifier of its own mode; extraction is only
-    guaranteed for valid schemes, so failures raise ``SchemeInvalid``.  The
-    recovered elements may differ from the generating ones by global
-    phases, which affect neither the channels nor the effects.
-
-    A tight scheme forces a pure resource, so a density-matrix resource whose
-    squared Frobenius norm strays from 1 by more than ``tol`` is rejected
-    before the verifier runs.
+    The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised.
+    With the resource vector (a pure density matrix's top eigenvector) as the
+    reference, which must be maximally entangled, :func:`entangled_to_basis`
+    reads each element off its effect vector and checks that it is unitary.
+    The family's Gram matrix is then the effects' Gram matrix, which the
+    verdict has checked, so orthonormality is not checked again.  Elements
+    may differ from the generating ones by global phases, which affect
+    neither the channels nor the effects.
     """
-    if scheme.omega.ndim == 2:
-        purity = float(np.vdot(scheme.omega, scheme.omega).real)
-        if not abs(purity - 1.0) <= tol:
-            raise SchemeInvalid(
-                f"resource has squared Frobenius norm {purity:.6f}, so it is not pure; "
-                f"cannot extract a basis"
-            )
     verdict = verify(scheme, tol)
     if not verdict:
         raise SchemeInvalid(
-            f"{scheme.mode} identity fails by {verdict.deviation:.3e} "
-            f"at {verdict.witness}; cannot extract a basis"
+            f"scheme fails by {verdict.deviation:.3e}: {verdict.witness}; cannot extract a basis"
         )
-    if scheme.omega.ndim == 1:
-        ref = scheme.omega
-    else:
-        # A verified scheme has a pure resource; peel the vector off.
-        values, vectors = np.linalg.eigh(scheme.omega)
-        if not abs(values[-1] - 1.0) <= tol:
-            raise SchemeInvalid("resource of a verified scheme should be pure")
-        ref = vectors[:, -1]
-    basis = entangled_to_basis(scheme.effects, ref, tol)
-    report = verify_orthonormal(basis, tol)
-    if not report:
-        raise SchemeInvalid(
-            f"extracted family fails orthonormality by {report.deviation:.3e}"
-        )
-    return basis
+    ref = scheme.omega if scheme.omega.ndim == 1 else np.linalg.eigh(scheme.omega)[1][:, -1]
+    return entangled_to_basis(scheme.effects, ref, tol)

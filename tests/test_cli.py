@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from test_verify import INCOMPLETE
+import tightport as tp
 from tightport.cli import main
 from tightport.serialize import load
 
@@ -183,14 +185,18 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_output_fails(self, tmp_path, scheme_file, capsys):
-        # a finite resource entry of 1e300 squares to inf, and the output to NaN
+        # a finite resource entry of 1e300 squares to inf, and the output would
+        # be NaN; the scheme's verdict rejects the resource before any trial
         data = json.loads(scheme_file.read_text())
         data["payload"]["omega"][0] = data["payload"]["omega"][3] = [1e300, 0.0]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert run("simulate", bad, "--state", "maximally-mixed") == 1
         out = capsys.readouterr().out
-        assert "nan" in out and "FAIL" in out and "PASS" not in out
+        assert out == (
+            "FAIL scheme (d=2): max deviation inf exceeds tol 1e-10; "
+            "worst: resource is not a unit vector or a pure state\n"
+        )
 
     def test_overflowing_channel_entry_rejected(self, tmp_path, scheme_file, capsys):
         data = json.loads(scheme_file.read_text())
@@ -258,6 +264,30 @@ def test_out_of_memory_is_a_bad_parameter(tmp_path, capsys, monkeypatch, message
     assert captured.out == "" and not path.exists()
     assert captured.err.startswith("error: not enough memory") and "Traceback" not in captured.err
     assert message in captured.err
+
+
+@pytest.mark.parametrize("family", sorted(INCOMPLETE))
+def test_scheme_with_incomplete_effects_fails_verify_and_simulate(tmp_path, capsys, family):
+    make, entry = INCOMPLETE[family]
+    basis, scheme = tmp_path / "basis.json", tmp_path / "scheme.json"
+    tp.save(tp.make_document(make()), basis)
+    assert run("generate", "scheme", "--from-basis", basis, "-o", scheme) == 0
+    capsys.readouterr()
+    line = (
+        "FAIL scheme (d=3): max deviation 1.000e+00 exceeds tol 1e-10; "
+        f"worst: effect vectors are not a complete measurement: {entry}\n"
+    )
+    assert run("verify", scheme) == 1
+    assert capsys.readouterr().out == line
+    assert run("simulate", scheme, "--state", "pure:0") == 1
+    assert capsys.readouterr().out == line
+
+
+def test_simulate_prints_only_the_trials_for_a_valid_scheme(scheme_file, capsys):
+    assert run("simulate", scheme_file, "--state", "pure:0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["max", "outcome", "PASS"]
+    assert lines[2] == "PASS within tol 1e-10"
 
 
 class TestCountLatin:

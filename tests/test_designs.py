@@ -23,6 +23,7 @@ from tightport import (
     latin_equivalence_apply,
     latin_from_cyclic,
     periodic_phase_hadamard,
+    shift_multiply_basis,
     validate_hadamard,
     validate_latin,
 )
@@ -61,6 +62,28 @@ class TestLatinConstruction:
     def test_rejects_non_positive_dimension(self, d):
         with pytest.raises(TightportError, match=f"dimension must be positive, got {d}"):
             latin_from_cyclic(d)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[[0.9, 1.2], [1.7, 0.1]], [[0.0, 1.0], [1.0, 0.0]], [[0, 1 + 0j], [1, 0]],
+         np.array([[0, 1], [1, 0]], dtype=object), [[True, False], [False, True]]],
+    )
+    def test_non_integer_grid_rejected(self, grid):
+        # a cast to int would truncate [[0.9, 1.2], [1.7, 0.1]] into the cyclic square
+        with pytest.raises(DesignInvalid, match="integers"):
+            LatinSquare(grid)
+        with pytest.raises(DesignInvalid, match="integers"):
+            validate_latin(grid)
+        with pytest.raises(DesignInvalid, match="integers"):
+            shift_multiply_basis(grid, [fourier_hadamard(2)] * 2)
+        with pytest.raises(DesignInvalid, match="integers"):
+            latin_equivalence_apply(grid, [0, 1], [0, 1], [0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_integer_grid_dtypes_accepted(self, dtype):
+        grid = np.array([[0, 1], [1, 0]], dtype=dtype)
+        assert validate_latin(grid).passed
+        np.testing.assert_array_equal(LatinSquare(grid).grid, grid)
 
 
 class TestValidateLatin:

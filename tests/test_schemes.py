@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import PAULIS, random_complex, random_density, random_unitary
+from test_oracles import SCHEME_CASES, make_scheme
 from tightport import (
     DENSE_CODING,
     TELEPORTATION,
@@ -24,9 +25,11 @@ from tightport import (
     omega_vector,
     shift_multiply_basis,
     swap_roles,
+    tensor_bases,
     tensor_product,
     teleport_state,
     trace_inner,
+    verify,
     verify_dense_coding,
     verify_entangled_basis,
     verify_orthonormal,
@@ -200,10 +203,11 @@ class TestVerifyTeleportation:
         assert verdict.passed
 
     def test_mode_gate(self):
+        # only tp.verify reads the mode; the identity itself ignores it
         scheme = build_scheme(weyl_basis(2), DENSE_CODING)
-        with pytest.raises(SchemeInvalid):
-            verify_teleportation(scheme)
-        assert verify_teleportation(scheme, require_mode=False).passed
+        assert verify_teleportation(scheme).passed
+        assert verify(scheme).table.shape == (4, 4)  # the dense-coding table
+        assert verify(swap_roles(scheme)).table is None
 
 
 class TestVerifyDenseCoding:
@@ -414,12 +418,15 @@ class TestExtractBasis:
         pure = np.outer(scheme.omega, scheme.omega.conj())
         noisy = replace(scheme, omega=0.9 * pure + 0.1 * np.eye(16) / 16)
 
-        def no_verifier(*args):
-            raise AssertionError("the mode verifier ran on an impure resource")
+        def no_product(*args):
+            raise AssertionError("a product was formed for an impure resource")
 
-        monkeypatch.setattr(schemes, "verify", no_verifier)
-        with pytest.raises(SchemeInvalid, match="not pure"):
+        for name in ("verify_teleportation", "verify_dense_coding", "check_projector_completeness"):
+            monkeypatch.setattr(schemes, name, no_product)
+        purity = np.vdot(noisy.omega, noisy.omega).real
+        with pytest.raises(SchemeInvalid, match="resource is not a unit vector or a pure state"):
             extract_basis_from_scheme(noisy)
+        assert verify(noisy).deviation == pytest.approx(1 - purity)
 
     def test_pure_density_resource_extracts(self):
         basis = weyl_basis(3)
@@ -428,6 +435,61 @@ class TestExtractBasis:
         extracted = extract_basis_from_scheme(density)
         overlaps = np.abs(np.einsum("xij,xij->x", extracted.elements.conj(), basis.elements)) / 3
         np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
+
+
+def assert_extracted_gram_is_effects_gram(effects, extracted):
+    # rounding only: orthonormality then follows from completeness within tol
+    gram = check_projector_completeness(effects.vectors).table
+    orthonormal = verify_orthonormal(extracted)
+    assert orthonormal.passed
+    assert np.abs(orthonormal.table - gram).max() <= effects.d**2 * np.finfo(float).eps
+
+
+GRAM_FAMILIES = {
+    **{f"weyl d={d}": (lambda d=d: weyl_basis(d)) for d in (2, 3, 5, 8, 16)},
+    "shift-multiply d=4": lambda: shift_multiply_basis(
+        latin_from_cyclic(4), [hadamard_d4_family(np.exp(0.3j))] * 4
+    ),
+    "tensor 2 x 3": lambda: tensor_bases(weyl_basis(2), weyl_basis(3)),
+    "tensor 2 x 8": lambda: tensor_bases(weyl_basis(2), weyl_basis(8)),
+}
+
+
+class TestExtractedGram:
+    """Extraction checks no orthonormality: the verdict's completeness covers it."""
+
+    @pytest.mark.parametrize("family", sorted(GRAM_FAMILIES))
+    def test_families(self, family):
+        scheme = build_scheme(GRAM_FAMILIES[family]())
+        assert_extracted_gram_is_effects_gram(scheme.effects, extract_basis_from_scheme(scheme))
+
+    @pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)
+    def test_oracle_schemes(self, damage, basis_name, d):
+        scheme = make_scheme(damage, basis_name, d)
+        verdict = verify(scheme)
+        if damage in ("mixed", "random_mixed", "non_hermitian_resource"):
+            assert verdict.witness == "resource is not a unit vector or a pure state"
+        assert verdict.passed == (damage in ("valid", "pure_density") and basis_name == "weyl")
+        if not verdict:
+            with pytest.raises(SchemeInvalid):
+                extract_basis_from_scheme(scheme)
+            return
+        assert_extracted_gram_is_effects_gram(scheme.effects, extract_basis_from_scheme(scheme))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_non_canonical_references(self, d):
+        rng = np.random.default_rng(d)
+        ref = random_unitary(rng, d).reshape(-1) / np.sqrt(d)
+        effects = basis_to_entangled(weyl_basis(d), ref)
+        assert_extracted_gram_is_effects_gram(effects, entangled_to_basis(effects, ref))
+        # a rephased resource with rephased effects is a valid scheme as well
+        scheme = build_scheme(weyl_basis(d))
+        phase = np.exp(0.8j)
+        rephased = replace(
+            scheme, omega=phase * scheme.omega,
+            effects=MaxEntangledBasis(d, phase * scheme.effects.vectors),
+        )
+        assert_extracted_gram_is_effects_gram(rephased.effects, extract_basis_from_scheme(rephased))
 
 
 class TestConversionRoundTrips:

@@ -15,20 +15,147 @@ NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)]
 def test_verify_dispatches_by_kind():
     basis = tp.weyl_basis(3)
     scheme = tp.build_scheme(basis)
-    pairs = [
-        (basis, tp.verify_orthonormal),
-        (scheme.effects, tp.verify_entangled_basis),
-        (scheme, tp.verify_teleportation),
-        (tp.swap_roles(scheme), tp.verify_dense_coding),
-    ]
-    for obj, verifier in pairs:
+    for obj, verifier in [
+        (basis, tp.verify_orthonormal), (scheme.effects, tp.verify_entangled_basis)
+    ]:
         got, expected = tp.verify(obj, 1e-12), verifier(obj, 1e-12)
         assert (got.passed, got.deviation, got.witness) == (
             expected.passed, expected.deviation, expected.witness
         )
         np.testing.assert_equal(got.table, expected.table)
+    # a scheme's verdict covers more than its mode's identity, whose table it keeps
+    for obj, identity in [
+        (scheme, tp.verify_teleportation), (tp.swap_roles(scheme), tp.verify_dense_coding)
+    ]:
+        got, expected = tp.verify(obj, 1e-12), identity(obj, 1e-12)
+        assert got.passed and expected.passed and got.deviation >= expected.deviation
+        np.testing.assert_equal(got.table, expected.table)
     with pytest.raises(TypeError):
         tp.verify(tp.fourier_hadamard(3))
+
+
+def _duplicated_weyl():
+    elements = tp.weyl_basis(3).elements.copy()
+    elements[4] = elements[0]
+    return tp.UnitaryBasis(3, elements)
+
+
+# Families whose schemes satisfy the outcome-averaged teleportation identity
+# (every T_x is a multiple of I) although their effects are no measurement.
+INCOMPLETE = {
+    "duplicated element": (_duplicated_weyl, "Gram entry (0, 4)"),
+    "nine identities": (lambda: tp.UnitaryBasis(3, np.stack([np.eye(3)] * 9)), "Gram entry (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(INCOMPLETE))
+def test_scheme_with_incomplete_effects_fails(family):
+    make, entry = INCOMPLETE[family]
+    scheme = tp.build_scheme(make())
+    assert tp.verify_teleportation(scheme).passed
+    result = tp.verify(scheme)
+    assert not result.passed and result.deviation == pytest.approx(1.0)
+    assert result.witness == f"effect vectors are not a complete measurement: {entry}"
+    # read as dense coding the identity fails too, by the same margin
+    assert tp.verify(tp.swap_roles(scheme)).deviation == pytest.approx(1.0)
+
+
+def test_dense_coding_with_non_unitary_channels_fails():
+    # sqrt(2) E[a, b] sends the canonical resource to the computational basis
+    # vector e_(a, b), so the outcome table is exactly I
+    scheme = tp.TightScheme(
+        2, tp.omega_vector(2), np.sqrt(2) * tp.matrix_units(2),
+        tp.MaxEntangledBasis(2, np.eye(4)), tp.DENSE_CODING,
+    )
+    assert tp.verify_dense_coding(scheme).passed
+    result = tp.verify(scheme)
+    assert not result.passed and result.witness == "channel 0 is not unitary"
+
+
+def _family(name, d, rng):
+    if name == "weyl":
+        return tp.weyl_basis(d)
+    if name == "shift_multiply":
+        perms = (rng.permutation(d) for _ in range(3))
+        square = tp.latin_equivalence_apply(tp.latin_from_cyclic(d), *perms)
+        # a phase per column keeps a Hadamard matrix Hadamard
+        phases = np.exp(2j * np.pi * rng.random((d, d)))
+        return tp.shift_multiply_basis(square, tp.fourier_hadamard(d).matrix * phases[:, None, :])
+    return tp.tensor_bases(tp.weyl_basis(2), tp.weyl_basis(d))
+
+
+def _two_labels(n, rng):
+    x, y = rng.choice(n, 2, replace=False)
+    return int(x), int(y)
+
+
+def _perturbed(elements, rng, size):
+    x = int(rng.integers(len(elements)))
+    shape = elements[x].shape
+    direction = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    elements[x] += size * direction / np.linalg.norm(direction)
+
+
+def _duplicated(elements, rng, size):
+    x, y = _two_labels(len(elements), rng)
+    elements[x] = elements[y]
+
+
+def _nan(elements, rng, size):
+    elements.flat[int(rng.integers(elements.size))] = np.nan
+
+
+def _swapped(scheme, rng, size):
+    x, y = _two_labels(scheme.d**2, rng)
+    channels = scheme.channel_unitaries.copy()
+    channels[[x, y]] = channels[[y, x]]
+    return replace(scheme, channel_unitaries=channels)
+
+
+def _non_unitary(scheme, rng, size):
+    channels = scheme.channel_unitaries.copy()
+    _perturbed(channels, rng, size)
+    return replace(scheme, channel_unitaries=channels)
+
+
+def _product_effects(scheme, rng, size):
+    return replace(scheme, effects=tp.MaxEntangledBasis(scheme.d, np.eye(scheme.d**2)))
+
+
+BASIS_DAMAGES = {"perturbed": _perturbed, "duplicated": _duplicated, "nan": _nan}
+SCHEME_DAMAGES = {"swapped channels": _swapped, "non-unitary channel": _non_unitary,
+                  "product effects": _product_effects}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(["weyl", "shift_multiply", "tensor_bases"]),
+    d=st.integers(2, 4),
+    damage=st.sampled_from([None, *sorted(BASIS_DAMAGES), *sorted(SCHEME_DAMAGES)]),
+    exponent=st.floats(-6, -1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equivalence_theorem(family, d, damage, exponent, seed):
+    # A unitary basis, its depolarizer, its entangled basis and the schemes it
+    # generates, in either mode and with roles swapped, are valid together or
+    # not at all; a scheme damaged on its own is invalid in every reading.
+    rng = np.random.default_rng(seed)
+    basis = _family(family, d, rng)
+    if damage in BASIS_DAMAGES:
+        elements = basis.elements.copy()
+        BASIS_DAMAGES[damage](elements, rng, 10.0**exponent)
+        basis = tp.UnitaryBasis(basis.d, elements)
+    basis_valid = damage not in BASIS_DAMAGES
+    assert tp.verify(basis).passed == basis_valid
+    assert tp.verify_depolarizer(basis).passed == basis_valid
+    assert tp.verify(tp.basis_to_entangled(basis)).passed == basis_valid
+    for mode in tp.MODES:
+        scheme = tp.build_scheme(basis, mode)
+        if damage in SCHEME_DAMAGES:
+            scheme = SCHEME_DAMAGES[damage](scheme, rng, 10.0**exponent)
+        assert tp.verify(scheme).passed == (damage is None), mode
+        assert tp.verify(tp.swap_roles(scheme)).passed == (damage is None), mode
 
 
 def test_worst_takes_the_first_nan_and_fails_closed():
