@@ -21,8 +21,7 @@ reshaped to a d x d matrix W, outcome x acts on the input by the Kraus
 operator K_x = W^T phi_x* and the corrected protocol by T_x = U_x K_x.
 Teleportation holds when the Choi matrix sum_x vec(T_x) vec(T_x)* is the
 identity channel's, and the dense-coding table is |Phi* M|^2 with the
-columns of M equal to vec(U_x W).  A density-matrix resource is split by
-``eigh`` into such terms.
+columns of M equal to vec(U_x W).
 
 Phase convention: operators extracted from entangled vectors keep the phase
 the correspondence delivers; round-trip equality assertions are therefore
@@ -110,9 +109,9 @@ class TightScheme:
     effect vectors forming a complete von Neumann measurement, and satisfies
     the identity of its ``mode``; :func:`verify` checks all four, and the
     dataclass checks shapes only.  ``omega`` is normally the resource vector
-    (length d^2); a (d^2, d^2) density matrix is also accepted so the
-    verifiers can probe mixed resources, which no valid scheme can have.
-    The components themselves are direction-agnostic.
+    (length d^2); a (d^2, d^2) matrix is also accepted so that damaged
+    schemes stay representable, and the verifiers fail it on its resource
+    unless it is psi psi*.  The components themselves are direction-agnostic.
     """
 
     d: int
@@ -141,12 +140,10 @@ class TightScheme:
             raise DimensionMismatch(
                 f"effect vectors live at d={self.effects.d}, scheme has d={d}"
             )
-        omega = omega.copy()
-        omega.setflags(write=False)
-        unitaries = unitaries.copy()
-        unitaries.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "channel_unitaries", unitaries)
+        for name, array in (("omega", omega), ("channel_unitaries", unitaries)):
+            array = array.copy()
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def resource_density(self) -> np.ndarray:
         """The resource as a density matrix on the d x d space."""
@@ -155,44 +152,26 @@ class TightScheme:
         return self.omega
 
 
-def _resource_terms(scheme: TightScheme) -> tuple[float, list]:
-    """A shift c and pairs (w_r, W_r) of weights and d x d matrices with
-    resource = c I + sum_r w_r vec(W_r) vec(W_r)*.
+def _resource_vector(scheme: TightScheme, tol: float) -> np.ndarray | CheckResult:
+    """The resource vector psi, or the failing verdict on the resource.
 
-    A vector is one term of weight 1.  A matrix is split by ``eigh`` of its
-    Hermitian and anti-Hermitian parts, which is exact for any matrix, less
-    eigenvalues at rounding level.  The shift is the median eigenvalue, so a
-    degenerate level, such as the white noise of a depolarized resource,
-    costs one identity term instead of one term per eigenvector.  A
-    non-finite matrix gives a NaN shift.
+    A vector is returned as it is.  A matrix Omega must pass
+    |<Omega, Omega> - 1| <= tol and then be psi psi* within ``tol`` in every
+    entry, where psi = Omega[:, j] / sqrt(Omega[j, j]) is read off the column
+    at the largest diagonal entry j, in O(d^4).  NaN fails both tests.
     """
-    d = scheme.d
     omega = scheme.omega
     if omega.ndim == 1:
-        return 0.0, [(1.0, omega.reshape(d, d))]
-    if not np.isfinite(omega).all():
-        return np.nan, []
-    adjoint = omega.conj().T
-    values, vectors = np.linalg.eigh((omega + adjoint) / 2)
-    shift = float(np.median(values))
-    terms = [(values - shift, vectors)]
-    anti = (omega - adjoint) / 2j
-    if anti.any():
-        anti_values, anti_vectors = np.linalg.eigh(anti)
-        terms.append((1j * anti_values, anti_vectors))
-    cutoff = d * d * np.finfo(float).eps * max(np.abs(w).max() for w, _ in terms)
-    return shift, [
-        (w, v.reshape(d, d).copy()) for ws, vs in terms for w, v in zip(ws, vs.T) if abs(w) > cutoff
-    ]
-
-
-def _identity_parts(scheme: TightScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Rows vec(U_x U_x*) and vec(conj(phi_x) phi_x^T): an identity resource
-    enters every identity through these two stacks only."""
-    n = scheme.d**2
-    u = scheme.channel_unitaries
-    phis = scheme.effects.vectors.reshape(u.shape)
-    return (u @ _adjoint(u)).reshape(n, n), (phis.conj() @ np.swapaxes(phis, 1, 2)).reshape(n, n)
+        return omega
+    gap = float(abs(np.vdot(omega, omega) - 1))
+    if gap <= tol:
+        diagonal = omega.diagonal().real
+        j = int(np.argmax(diagonal))
+        psi = omega[:, j] / np.sqrt(diagonal[j]) if diagonal[j] > 0 else 0 * omega[:, j]
+        gap = max_abs(omega - np.outer(psi, psi.conj()))
+        if gap <= tol:
+            return psi
+    return CheckResult(False, gap, "resource is not a unit vector or a pure state")
 
 
 def _reference(omega, d: int, tol: float) -> np.ndarray:
@@ -267,35 +246,24 @@ def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Check
     units span, so checking all d^4 (rho, A) pairs settles the identity for
     every state and observable.  Those d^4 numbers are the entries of the
     protocol's Choi matrix sum_x vec(T_x) vec(T_x)*, one matrix product on
-    the stacked T_x, checked against the identity channel's vec(I) vec(I)^T.
-    The sum starts from its first term's product, and the d^2 ones of the
-    identity channel's Choi matrix are subtracted from it in place.
+    the stacked T_x, checked against the identity channel's vec(I) vec(I)^T,
+    whose d^2 ones are subtracted from the product in place.
 
-    Only this identity is checked, whatever the scheme's mode, not the rest
+    Only the identity of a pure resource is checked, whatever the scheme's
+    mode (a matrix that is not psi psi* fails on its resource), not the rest
     of its definition: channel unitarity, completeness of the effects and the
-    resource's norm are not.  The outcome average can hold without them; d^2
+    vector's norm are not.  The outcome average can hold without them; d^2
     copies of I as channels pass, for one.  :func:`verify` checks all of it.
     """
+    psi = _resource_vector(scheme, tol)
+    if isinstance(psi, CheckResult):
+        return psi
     d = scheme.d
     n = d * d
-    shift, terms = _resource_terms(scheme)
-    choi = None  # the sum starts from its first term's product
-    if shift:
-        p, q = _identity_parts(scheme)
-        choi = (p.T @ q).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
-        choi *= shift
     phis = scheme.effects.vectors.reshape(n, d, d)
-    for weight, w in terms:
-        # rows vec(T_x), T_x = U_x K_x with the Kraus operator K_x = W^T phi_x*
-        t = (scheme.channel_unitaries @ (w.T @ _adjoint(phis))).reshape(n, n)
-        term = t.T @ t.conj()
-        term *= weight
-        if choi is None:
-            choi = term
-        else:
-            choi += term
-    if choi is None:  # a zero resource has no terms
-        choi = np.zeros((n, n), dtype=complex)
+    # rows vec(T_x), T_x = U_x K_x with the Kraus operator K_x = W^T phi_x*
+    t = (scheme.channel_unitaries @ (psi.reshape(d, d).T @ _adjoint(phis))).reshape(n, n)
+    choi = t.T @ t.conj()
     choi[:: d + 1, :: d + 1] -= 1  # vec(I) vec(I)^T is 1 where both indices are (k, k)
     # gap[a, b, c, e] is at choi[(e, a), (c, b)]: state unit E[a,b], observable unit E[c,e]
     gap = np.abs(choi).reshape(d, d, d, d).transpose(1, 3, 2, 0)
@@ -311,23 +279,20 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     regardless of validity; validity means the matrix is exactly I.  The
     matrix is the result's ``table``.
 
-    Only this identity is checked, not the rest of the scheme's definition:
-    channel unitarity, completeness of the effects and the resource's norm
-    are not, so an identity table from non-unitary channels also passes.
-    :func:`verify` checks all of it.
+    Only the identity of a pure resource is checked (a matrix that is not
+    psi psi* fails on its resource, with no table), not the rest of the
+    scheme's definition: channel unitarity, completeness of the effects and
+    the vector's norm are not, so an identity table from non-unitary channels
+    also passes.  :func:`verify` checks all of it.
     """
+    psi = _resource_vector(scheme, tol)
+    if isinstance(psi, CheckResult):
+        return psi
     d = scheme.d
     n = d * d
-    effects_adjoint = scheme.effects.vectors.conj().T
-    shift, terms = _resource_terms(scheme)
-    table = np.zeros((n, n))
-    if shift:
-        p, q = _identity_parts(scheme)
-        table += shift * (p @ q.T).real
-    for weight, w in terms:
-        # amplitude[x, y] = <phi_y | vec(U_x W)>
-        amplitude = (scheme.channel_unitaries @ w).reshape(n, n) @ effects_adjoint
-        table += (weight * np.abs(amplitude) ** 2).real
+    # amplitude[x, y] = <phi_y | vec(U_x W)>
+    amplitude = (scheme.channel_unitaries @ psi.reshape(d, d)).reshape(n, n)
+    table = np.abs(amplitude @ scheme.effects.vectors.conj().T) ** 2
     return CheckResult.worst(_identity_gap(table), tol, "encoded {}, decoded {}".format, table)
 
 
@@ -355,12 +320,12 @@ def verify_entangled_basis(
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check a unitary basis, an entangled basis or a scheme by its kind.
 
-    A scheme is checked against its whole definition: |<omega, omega> - 1|
-    within ``tol`` (a vector's norm, a matrix's purity), unitary channels,
-    effect vectors forming a complete measurement, and the identity of its
-    mode.  An impure resource fails before any product is formed; the other
-    parts make one verdict whose witness names the part at fault and whose
-    ``table`` is the identity's.
+    A scheme is checked against its whole definition: a maximally entangled
+    unit resource vector (a matrix resource must be psi psi* for one), unitary
+    channels, effect vectors forming a complete measurement, and the identity
+    of its mode.  A resource at fault fails before any product is formed; the
+    other parts make one verdict whose witness names the part at fault and
+    whose ``table`` is the identity's.
     """
     if isinstance(obj, UnitaryBasis):
         return verify_orthonormal(obj, tol)
@@ -368,9 +333,15 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
         return verify_entangled_basis(obj, tol)
     if not isinstance(obj, TightScheme):
         raise TypeError(f"cannot verify an object of type {type(obj).__name__}")
-    resource = float(abs(np.vdot(obj.omega, obj.omega) - 1))
-    if not resource <= tol:  # NaN included
-        return CheckResult(False, resource, "resource is not a unit vector or a pure state")
+    psi = _resource_vector(obj, tol)
+    if isinstance(psi, CheckResult):
+        return psi
+    norm = float(abs(np.vdot(psi, psi) - 1))
+    if not norm <= tol:  # NaN included
+        return CheckResult(False, norm, "resource is not a unit vector or a pure state")
+    entangled = is_maximally_entangled(psi, obj.d, tol)
+    if not entangled:
+        return replace(entangled, witness="resource is not maximally entangled")
     u = obj.channel_unitaries
     channels = _identity_gap(_adjoint(u) @ u).max(axis=(1, 2))
     check_identity = verify_teleportation if obj.mode == TELEPORTATION else verify_dense_coding
@@ -388,8 +359,11 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
 def swap_roles(scheme: TightScheme) -> TightScheme:
     """Flip the scheme's direction; the parties exchange equipment.
 
-    The component triple is untouched: a valid teleportation scheme read in
-    the other direction is a valid dense-coding scheme and conversely.
+    The component triple is untouched.  A valid teleportation scheme read in
+    the other direction is a valid dense-coding scheme, and conversely, when
+    the resource's d x d matrix W satisfies W^T = +-W, as ``omega_vector(d)``
+    does; for another maximally entangled resource one direction can pass and
+    the other fail.
     """
     return replace(scheme, mode=MODES[1 - MODES.index(scheme.mode)])
 
@@ -421,7 +395,7 @@ def teleport_state(
     _check_density(rho, d, tol)
     phis = scheme.effects.vectors.reshape(d * d, d, d)
     # conditional[x, k, n] = sum_{j, m} (phi_x* rho phi_x)[j, m] resource[(j, k), (m, n)],
-    # which is K_x rho K_x* for a vector resource and needs no eigh for a matrix
+    # which is K_x rho K_x* for a vector resource and the same contraction for a matrix
     resource = scheme.resource_density().reshape(d, d, d, d).transpose(0, 2, 1, 3)
     reduced = (_adjoint(phis) @ rho @ phis).reshape(d * d, -1)
     conditionals = (reduced @ resource.reshape(d * d, -1)).reshape(-1, d, d)
@@ -436,9 +410,10 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
     """Recover the unitary basis generating a verified scheme.
 
     The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised.
-    With the resource vector (a pure density matrix's top eigenvector) as the
-    reference, which must be maximally entangled, :func:`entangled_to_basis`
-    reads each element off its effect vector and checks that it is unitary.
+    With the resource vector (the psi of a psi psi* matrix), which the
+    verdict has found maximally entangled, as the reference,
+    :func:`entangled_to_basis` reads each element off its effect vector and
+    checks that it is unitary.
     The family's Gram matrix is then the effects' Gram matrix, which the
     verdict has checked, so orthonormality is not checked again.  Elements
     may differ from the generating ones by global phases, which affect
@@ -449,5 +424,4 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
         raise SchemeInvalid(
             f"scheme fails by {verdict.deviation:.3e}: {verdict.witness}; cannot extract a basis"
         )
-    ref = scheme.omega if scheme.omega.ndim == 1 else np.linalg.eigh(scheme.omega)[1][:, -1]
-    return entangled_to_basis(scheme.effects, ref, tol)
+    return entangled_to_basis(scheme.effects, _resource_vector(scheme, tol), tol)

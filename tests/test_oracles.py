@@ -145,6 +145,9 @@ SCHEME_DAMAGES = {
     "perturbed_channel": _perturbed_channel,
     "random_channels": _random_channels,
 }
+# Matrix resources that are not psi psi*: the identity verifiers fail them on
+# their resource, with |<omega, omega> - 1| as the deviation, and form no identity.
+IMPURE_RESOURCES = ("mixed", "random_mixed", "non_hermitian_resource")
 SCHEME_CASES = [(damage, "weyl", d) for damage in SCHEME_DAMAGES for d in (2, 3)] + [
     ("valid", name, d) for name in BASES if name not in VALID_BASES for d in (2, 3)
 ]
@@ -171,6 +174,14 @@ def assert_witness_at_max(gaps, index):
 
 def indices(witness):
     return tuple(int(k) for k in re.findall(r"\d+", witness))
+
+
+def assert_fails_on_resource(verdict, scheme, gap):
+    """An impure resource fails by its purity gap, which the oracle's identity gap confirms."""
+    assert not verdict.passed
+    assert verdict.witness == "resource is not a unit vector or a pure state"
+    assert verdict.deviation == abs(np.vdot(scheme.omega, scheme.omega) - 1)
+    assert gap.max() > TOL
 
 
 @pytest.mark.parametrize("name,d", BASIS_CASES)
@@ -221,6 +232,9 @@ def test_teleportation_matches_oracle(damage, basis_name, d):
     scheme = make_scheme(damage, basis_name, d)
     verdict = verify_teleportation(scheme, TOL)
     gap = oracles.teleportation(scheme)
+    if damage in IMPURE_RESOURCES:
+        assert_fails_on_resource(verdict, scheme, gap)
+        return
     assert_agree(verdict.deviation, gap.max())
     assert verdict.passed == (gap.max() <= TOL)
     assert_witness_at_max(gap, indices(verdict.witness))
@@ -232,6 +246,9 @@ def test_dense_coding_matches_oracle(damage, basis_name, d):
     verdict = verify_dense_coding(scheme, TOL)
     table = oracles.dense_coding_table(scheme)
     gap = np.abs(table - np.eye(d * d))
+    if damage in IMPURE_RESOURCES:
+        assert_fails_on_resource(verdict, scheme, gap)
+        return
     assert_agree(verdict.table, table)
     assert_agree(verdict.deviation, gap.max())
     assert verdict.passed == (gap.max() <= TOL)

@@ -14,6 +14,7 @@ from tightport import (
     NotMaximallyEntangled,
     NotUnitaryExtraction,
     SchemeInvalid,
+    TightScheme,
     basis_to_entangled,
     build_scheme,
     check_projector_completeness,
@@ -249,6 +250,23 @@ class TestSwapRoles:
         assert not verify_teleportation(broken).passed
         assert not verify_dense_coding(swap_roles(broken)).passed
 
+    @pytest.mark.parametrize("resource", ["random", "symmetric", "antisymmetric"])
+    def test_swap_holds_for_symmetric_or_antisymmetric_resources(self, resource):
+        # W = R / sqrt(d) with channels U_x R conj(R) teleports for every unitary R;
+        # read as dense coding it holds when W^T = +-W and fails for a random R
+        d = 2 if resource == "antisymmetric" else 3
+        r = random_unitary(np.random.default_rng(5), d)
+        if resource == "symmetric":
+            r = r @ r.T
+        elif resource == "antisymmetric":
+            r = np.array([[0, 1], [-1, 0]], dtype=complex)
+        omega = r.reshape(-1) / np.sqrt(d)
+        basis = weyl_basis(d)
+        effects = basis_to_entangled(basis, omega)
+        scheme = TightScheme(d, omega, basis.elements @ r @ r.conj(), effects, TELEPORTATION)
+        assert verify(scheme).passed
+        assert verify(swap_roles(scheme)).passed == (resource != "random")
+
 
 class TestRigidity:
     @pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
@@ -268,6 +286,44 @@ class TestRigidity:
         broken = replace(scheme, omega=mixed)
         assert not verify_teleportation(broken).passed
         assert not verify_dense_coding(broken).passed
+
+
+def _unit_purity_impostors(d):
+    """Matrices with <Omega, Omega> = 1 that are not psi psi*, each with omega in its range."""
+    omega = omega_vector(d)
+    b = np.zeros(d * d, dtype=complex)
+    b[1] = 1.0  # orthogonal to omega, which vanishes off the (k, k) entries
+    # a Hermitian matrix with spectrum (2/3, 2/3, -1/3) and omega a 2/3 eigenvector
+    u = np.linalg.qr(np.column_stack([omega, b, np.roll(b, 1)]))[0]
+    hermitian = (u * [2 / 3, 2 / 3, -1 / 3]) @ u.conj().T
+    return {"non-Hermitian |omega><b|": np.outer(omega, b.conj()), "indefinite": hermitian}
+
+
+class TestMatrixResource:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", ["non-Hermitian |omega><b|", "indefinite"])
+    def test_unit_purity_is_not_enough(self, d, name):
+        omega = _unit_purity_impostors(d)[name]
+        assert abs(np.vdot(omega, omega) - 1) < 1e-14
+        broken = replace(build_scheme(weyl_basis(d)), omega=omega)
+        for check in (verify, verify_teleportation, verify_dense_coding):
+            result = check(broken)
+            assert not result.passed
+            assert result.witness == "resource is not a unit vector or a pure state"
+            assert result.deviation > 0.1
+
+    def test_full_rank_resource_fails_without_eigh(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        broken = replace(build_scheme(weyl_basis(16)), omega=random_density(rng, 256))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the resource was decomposed")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for check in (verify_teleportation, verify_dense_coding):
+            result = check(broken)
+            assert not result.passed
+            assert result.witness == "resource is not a unit vector or a pure state"
 
 
 class TestTeleportState:

@@ -60,6 +60,23 @@ def test_scheme_with_incomplete_effects_fails(family):
     assert tp.verify(tp.swap_roles(scheme)).deviation == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_resource_off_maximal_entanglement_fails_before_extraction(d):
+    # Both identities are quadratic in the resource's error, so a resource 1e-6
+    # away from maximal entanglement passes them; the verdict checks the
+    # reduced operator W W* = I/d itself, and extraction refuses the scheme.
+    scheme = tp.build_scheme(tp.weyl_basis(d))
+    effects = scheme.effects.vectors
+    omega = effects[0] + 1e-6 * effects[1]
+    tilted = replace(scheme, omega=omega / np.linalg.norm(omega))
+    assert tp.verify_teleportation(tilted).passed
+    result = tp.verify(tilted)
+    assert not result.passed and result.witness == "resource is not maximally entangled"
+    assert result.deviation > 1e-7
+    with pytest.raises(tp.SchemeInvalid, match="resource is not maximally entangled"):
+        tp.extract_basis_from_scheme(tilted)
+
+
 def test_dense_coding_with_non_unitary_channels_fails():
     # sqrt(2) E[a, b] sends the canonical resource to the computational basis
     # vector e_(a, b), so the outcome table is exactly I
