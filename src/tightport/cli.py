@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -202,7 +203,7 @@ def cmd_simulate(args) -> int:
         return _err(f"--trials must be at least 1, got {args.trials}")
     scheme = _load_as(args.scheme, "scheme")
     states = _input_state(args.state, scheme.d, args)
-    verdict = verify(scheme, args.tol)  # the protocol is only defined for a valid scheme
+    verdict = verify(replace(scheme, mode=TELEPORTATION), args.tol)  # the protocol the trials run
     if not verdict:
         return _fail(f"scheme (d={scheme.d})", verdict, args.tol)
     deviations = []

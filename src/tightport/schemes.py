@@ -16,12 +16,14 @@ matrix is exactly the identity).  The verifiers evaluate both identities
 completely, not on samples, and the converse direction is exercised by
 feeding them deliberately damaged resources.
 
-Both identities are products of stacked arrays.  With the resource vector
-reshaped to a d x d matrix W, outcome x acts on the input by the Kraus
-operator K_x = W^T phi_x* and the corrected protocol by T_x = U_x K_x.
-Teleportation holds when the Choi matrix sum_x vec(T_x) vec(T_x)* is the
-identity channel's, and the dense-coding table is |Phi* M|^2 with the
-columns of M equal to vec(U_x W).
+Both identities and the protocol are products of stacked arrays.  With the
+resource vector reshaped to a d x d matrix W, outcome x acts on the input by
+the Kraus operator K_x = W^T phi_x* and the corrected protocol by
+T_x = U_x K_x.  Teleportation holds when the Choi matrix sum_x vec(T_x)
+vec(T_x)* is the identity channel's, the dense-coding table is |Phi* M|^2
+with the columns of M equal to vec(U_x W), and the protocol's output is
+sum_x T_x rho T_x*.  All of them read the resource by one rule: a unit
+vector, or a matrix that is psi psi* for one; any other resource fails.
 
 Phase convention: operators extracted from entangled vectors keep the phase
 the correspondence delivers; round-trip equality assertions are therefore
@@ -110,8 +112,9 @@ class TightScheme:
     the identity of its ``mode``; :func:`verify` checks all four, and the
     dataclass checks shapes only.  ``omega`` is normally the resource vector
     (length d^2); a (d^2, d^2) matrix is also accepted so that damaged
-    schemes stay representable, and the verifiers fail it on its resource
-    unless it is psi psi*.  The components themselves are direction-agnostic.
+    schemes stay representable.  The verifiers and :func:`teleport_state`
+    fail a resource that is neither a unit vector nor psi psi* for one.
+    The components themselves are direction-agnostic.
     """
 
     d: int
@@ -145,33 +148,31 @@ class TightScheme:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    def resource_density(self) -> np.ndarray:
-        """The resource as a density matrix on the d x d space."""
-        if self.omega.ndim == 1:
-            return np.outer(self.omega, self.omega.conj())
-        return self.omega
-
 
 def _resource_vector(scheme: TightScheme, tol: float) -> np.ndarray | CheckResult:
     """The resource vector psi, or the failing verdict on the resource.
 
-    A vector is returned as it is.  A matrix Omega must pass
-    |<Omega, Omega> - 1| <= tol and then be psi psi* within ``tol`` in every
-    entry, where psi = Omega[:, j] / sqrt(Omega[j, j]) is read off the column
-    at the largest diagonal entry j, in O(d^4).  NaN fails both tests.
+    One rule for both forms: |<omega, omega> - 1| <= tol (a vector's squared
+    norm, a matrix's purity), and a matrix Omega must be psi psi* within
+    ``tol`` in every entry, where psi = Omega[:, j] / sqrt(Omega[j, j]) is read
+    off the column at the largest diagonal entry j, in O(d^4).  NaN fails.
     """
-    omega = scheme.omega
-    if omega.ndim == 1:
-        return omega
+    psi = omega = scheme.omega
     gap = float(abs(np.vdot(omega, omega) - 1))
-    if gap <= tol:
+    if gap <= tol and omega.ndim == 2:
         diagonal = omega.diagonal().real
         j = int(np.argmax(diagonal))
         psi = omega[:, j] / np.sqrt(diagonal[j]) if diagonal[j] > 0 else 0 * omega[:, j]
         gap = max_abs(omega - np.outer(psi, psi.conj()))
-        if gap <= tol:
-            return psi
+    if gap <= tol:
+        return psi
     return CheckResult(False, gap, "resource is not a unit vector or a pure state")
+
+
+def _kraus(scheme: TightScheme, psi: np.ndarray) -> np.ndarray:
+    """The outcomes' Kraus operators K_x = W^T phi_x*, stacked as (d^2, d, d)."""
+    d = scheme.d
+    return psi.reshape(d, d).T @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))
 
 
 def _reference(omega, d: int, tol: float) -> np.ndarray:
@@ -249,20 +250,18 @@ def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Check
     the stacked T_x, checked against the identity channel's vec(I) vec(I)^T,
     whose d^2 ones are subtracted from the product in place.
 
-    Only the identity of a pure resource is checked, whatever the scheme's
-    mode (a matrix that is not psi psi* fails on its resource), not the rest
-    of its definition: channel unitarity, completeness of the effects and the
-    vector's norm are not.  The outcome average can hold without them; d^2
-    copies of I as channels pass, for one.  :func:`verify` checks all of it.
+    The resource's form (a unit vector, or a matrix that is psi psi*) and the
+    identity are checked, whatever the scheme's mode, and nothing else:
+    channel unitarity, completeness of the effects and maximal entanglement
+    are not.  The outcome average can hold without them; d^2 copies of I as
+    channels pass, for one.  :func:`verify` checks all of it.
     """
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         return psi
     d = scheme.d
     n = d * d
-    phis = scheme.effects.vectors.reshape(n, d, d)
-    # rows vec(T_x), T_x = U_x K_x with the Kraus operator K_x = W^T phi_x*
-    t = (scheme.channel_unitaries @ (psi.reshape(d, d).T @ _adjoint(phis))).reshape(n, n)
+    t = (scheme.channel_unitaries @ _kraus(scheme, psi)).reshape(n, n)  # rows vec(T_x)
     choi = t.T @ t.conj()
     choi[:: d + 1, :: d + 1] -= 1  # vec(I) vec(I)^T is 1 where both indices are (k, k)
     # gap[a, b, c, e] is at choi[(e, a), (c, b)]: state unit E[a,b], observable unit E[c,e]
@@ -279,11 +278,11 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     regardless of validity; validity means the matrix is exactly I.  The
     matrix is the result's ``table``.
 
-    Only the identity of a pure resource is checked (a matrix that is not
-    psi psi* fails on its resource, with no table), not the rest of the
-    scheme's definition: channel unitarity, completeness of the effects and
-    the vector's norm are not, so an identity table from non-unitary channels
-    also passes.  :func:`verify` checks all of it.
+    The resource's form (a unit vector, or a matrix that is psi psi*; one
+    that fails has no table) and the identity are checked, and nothing else:
+    channel unitarity, completeness of the effects and maximal entanglement
+    are not, so an identity table from non-unitary channels also passes.
+    :func:`verify` checks all of it.
     """
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
@@ -336,9 +335,6 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     psi = _resource_vector(obj, tol)
     if isinstance(psi, CheckResult):
         return psi
-    norm = float(abs(np.vdot(psi, psi) - 1))
-    if not norm <= tol:  # NaN included
-        return CheckResult(False, norm, "resource is not a unit vector or a pure state")
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
@@ -384,25 +380,23 @@ def teleport_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the measure-and-correct protocol on one input state.
 
-    Returns the outcome-averaged output state and the d^2 outcome
-    probabilities.  For a valid scheme the output equals the input and the
-    outcomes are uniform at 1/d^2.  Outcomes with probability below 1e-14
-    contribute no conditional state and their weight is dropped (this
-    cannot happen for valid schemes).
+    Returns the output state sum_x U_x K_x rho K_x* U_x* and the d^2 outcome
+    probabilities tr(K_x rho K_x*).  For a valid scheme the output equals the
+    input and the outcomes are uniform at 1/d^2.  A resource that is neither
+    a unit vector nor psi psi* raises ``SchemeInvalid``; nothing else of the
+    scheme is checked.
     """
     d = scheme.d
     rho = np.asarray(rho, dtype=complex)
     _check_density(rho, d, tol)
-    phis = scheme.effects.vectors.reshape(d * d, d, d)
-    # conditional[x, k, n] = sum_{j, m} (phi_x* rho phi_x)[j, m] resource[(j, k), (m, n)],
-    # which is K_x rho K_x* for a vector resource and the same contraction for a matrix
-    resource = scheme.resource_density().reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    reduced = (_adjoint(phis) @ rho @ phis).reshape(d * d, -1)
-    conditionals = (reduced @ resource.reshape(d * d, -1)).reshape(-1, d, d)
+    psi = _resource_vector(scheme, tol)
+    if isinstance(psi, CheckResult):
+        raise SchemeInvalid(f"scheme fails by {psi.deviation:.3e}: {psi.witness}; cannot teleport")
+    kraus = _kraus(scheme, psi)
+    conditionals = kraus @ rho @ _adjoint(kraus)
     probabilities = np.trace(conditionals, axis1=1, axis2=2).real
-    kept = ~(probabilities < 1e-14)  # a NaN probability is kept and spoils the output
-    u = scheme.channel_unitaries[kept]
-    output = (u @ conditionals[kept] @ _adjoint(u)).sum(axis=0)
+    u = scheme.channel_unitaries
+    output = (u @ conditionals @ _adjoint(u)).sum(axis=0)
     return output, probabilities
 
 

@@ -85,10 +85,16 @@ def recover_weight(elems: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return rho
 
 
+def resource_density(scheme) -> np.ndarray:
+    """The resource as a density matrix: psi psi* for a vector, else the matrix itself."""
+    omega = scheme.omega
+    return np.outer(omega, omega.conj()) if omega.ndim == 1 else omega
+
+
 def teleportation(scheme) -> np.ndarray:
     """|lhs - target| over (state unit E[a,b], observable unit E[c,d])."""
     d = scheme.d
-    omega4 = scheme.resource_density().reshape(d, d, d, d)
+    omega4 = resource_density(scheme).reshape(d, d, d, d)
     lhs = np.zeros((d, d, d, d), dtype=complex)
     for x in range(d * d):
         phi = scheme.effects.vectors[x].reshape(d, d)
@@ -103,7 +109,7 @@ def teleportation(scheme) -> np.ndarray:
 def dense_coding_table(scheme) -> np.ndarray:
     """Probability of decoding y when x was encoded, one Kronecker product per x."""
     d = scheme.d
-    rho = scheme.resource_density()
+    rho = resource_density(scheme)
     eye = np.eye(d, dtype=complex)
     vecs = scheme.effects.vectors
     table = np.zeros((d * d, d * d))
@@ -137,7 +143,7 @@ def teleport_state(scheme, rho) -> tuple[np.ndarray, np.ndarray]:
     """The protocol on the d^3 x d^3 joint state, one outcome at a time."""
     d = scheme.d
     rho = np.asarray(rho, dtype=complex)
-    joint = np.kron(rho, scheme.resource_density())
+    joint = np.kron(rho, resource_density(scheme))
     eye = np.eye(d, dtype=complex)
     output = np.zeros((d, d), dtype=complex)
     probabilities = np.zeros(d * d)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import random_unitary
 from test_verify import INCOMPLETE
 import tightport as tp
 from tightport.cli import main
@@ -281,6 +283,23 @@ def test_scheme_with_incomplete_effects_fails_verify_and_simulate(tmp_path, caps
     assert capsys.readouterr().out == line
     assert run("simulate", scheme, "--state", "pure:0") == 1
     assert capsys.readouterr().out == line
+
+
+def test_simulate_verifies_a_dense_coding_scheme_as_teleportation(tmp_path, capsys):
+    # W = V / sqrt(3) with W^T != +-W: a valid dense-coding scheme whose
+    # teleportation reading, which the trials run, fails
+    d = 3
+    omega = random_unitary(np.random.default_rng(5), d).reshape(-1) / np.sqrt(d)
+    basis = tp.weyl_basis(d)
+    effects = tp.basis_to_entangled(basis, omega)
+    path = tmp_path / "dense.json"
+    tp.save(tp.make_document(tp.TightScheme(d, omega, basis.elements, effects, tp.DENSE_CODING)), path)
+    assert run("verify", path) == 0
+    capsys.readouterr()
+    assert run("simulate", path, "--state", "pure:0") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL scheme (d=3): max deviation ")
+    assert "; worst: state unit E[" in lines[0]
 
 
 def test_simulate_prints_only_the_trials_for_a_valid_scheme(scheme_file, capsys):

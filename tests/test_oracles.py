@@ -18,6 +18,7 @@ import oracles
 from conftest import random_complex, random_density, random_unitary
 from tightport import (
     NoSolution,
+    SchemeInvalid,
     UnitaryBasis,
     apply_equivalence,
     build_scheme,
@@ -146,7 +147,8 @@ SCHEME_DAMAGES = {
     "random_channels": _random_channels,
 }
 # Matrix resources that are not psi psi*: the identity verifiers fail them on
-# their resource, with |<omega, omega> - 1| as the deviation, and form no identity.
+# their resource, with |<omega, omega> - 1| as the deviation, and form no
+# identity; teleport_state raises on them.
 IMPURE_RESOURCES = ("mixed", "random_mixed", "non_hermitian_resource")
 SCHEME_CASES = [(damage, "weyl", d) for damage in SCHEME_DAMAGES for d in (2, 3)] + [
     ("valid", name, d) for name in BASES if name not in VALID_BASES for d in (2, 3)
@@ -258,6 +260,10 @@ def test_dense_coding_matches_oracle(damage, basis_name, d):
 @pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)
 def test_teleport_state_matches_oracle(damage, basis_name, d):
     scheme = make_scheme(damage, basis_name, d)
+    if damage in IMPURE_RESOURCES:
+        with pytest.raises(SchemeInvalid, match="resource is not a unit vector or a pure state"):
+            teleport_state(scheme, np.eye(d) / d)
+        return
     rng = np.random.default_rng(d)
     for rho in (random_density(rng, d), np.eye(d) / d):
         output, probabilities = teleport_state(scheme, rho)

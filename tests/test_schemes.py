@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import PAULIS, random_complex, random_density, random_unitary
+from oracles import resource_density
 from test_oracles import SCHEME_CASES, make_scheme
 from tightport import (
     DENSE_CODING,
@@ -147,7 +148,7 @@ class TestBuildScheme:
 def kron_teleportation_oracle(scheme, rho, a):
     """Literal sum of tr((rho x omega)(F_x x U* A U)) over all outcomes."""
     d = scheme.d
-    resource = scheme.resource_density()
+    resource = resource_density(scheme)
     big_state = np.kron(rho, resource)
     total = 0.0 + 0.0j
     for x in range(d * d):
@@ -280,12 +281,15 @@ class TestRigidity:
         assert not dense.passed and dense.deviation >= floor
 
     def test_mixed_resource_fails_both_verifiers(self):
+        # as does a vector off unit norm, which both identities would scale
         scheme = build_scheme(weyl_basis(2))
         pure = np.outer(scheme.omega, scheme.omega.conj())
         mixed = 0.5 * pure + 0.5 * np.diag([1.0, 0, 0, 0]).astype(complex)
-        broken = replace(scheme, omega=mixed)
-        assert not verify_teleportation(broken).passed
-        assert not verify_dense_coding(broken).passed
+        for omega in (mixed, 1.01 * scheme.omega):
+            broken = replace(scheme, omega=omega)
+            for check in (verify_teleportation, verify_dense_coding):
+                result = check(broken)
+                assert not result.passed and result.witness == "resource is not a unit vector or a pure state"
 
 
 def _unit_purity_impostors(d):
@@ -311,6 +315,8 @@ class TestMatrixResource:
             assert not result.passed
             assert result.witness == "resource is not a unit vector or a pure state"
             assert result.deviation > 0.1
+        with pytest.raises(SchemeInvalid, match="resource is not a unit vector or a pure state"):
+            teleport_state(broken, np.eye(d) / d)
 
     def test_full_rank_resource_fails_without_eigh(self, monkeypatch):
         rng = np.random.default_rng(16)
@@ -324,6 +330,8 @@ class TestMatrixResource:
             result = check(broken)
             assert not result.passed
             assert result.witness == "resource is not a unit vector or a pure state"
+        with pytest.raises(SchemeInvalid, match="resource is not a unit vector or a pure state"):
+            teleport_state(broken, np.eye(16) / 16)
 
 
 class TestTeleportState:
@@ -388,16 +396,18 @@ class TestTeleportState:
         assert np.isnan(probs[1]) and np.isnan(output).any()
 
     def test_memory_stays_within_kraus_stack(self):
-        # The d^3 x d^3 joint state of the literal protocol took 12 MiB at d=8.
-        scheme = build_scheme(weyl_basis(8))
-        rho = random_density(np.random.default_rng(33), 8)
-        tracemalloc.start()
-        try:
-            teleport_state(scheme, rho)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # The d^3 x d^3 joint state of the literal protocol took 12 MiB at d=8;
+        # a d^2 x d^2 resource density beside the stacks took 7 matrices at d=12.
+        for d, limit in ((8, 2**20), (12, 6 * 144**2 * 16)):
+            scheme = build_scheme(weyl_basis(d))
+            rho = random_density(np.random.default_rng(33), d)
+            tracemalloc.start()
+            try:
+                teleport_state(scheme, rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, d
 
 
 # Peak traced allocation of a check at d = 12, in d^2 x d^2 complex matrices.  Each
@@ -431,8 +441,8 @@ class TestNonFiniteResource:
         broken = replace(scheme, omega=omega)
         assert not verify_teleportation(broken).passed
         assert not verify_dense_coding(broken).passed
-        output, _ = teleport_state(broken, np.eye(2, dtype=complex) / 2)
-        assert np.isnan(output).any()
+        with pytest.raises(SchemeInvalid, match="resource is not a unit vector or a pure state"):
+            teleport_state(broken, np.eye(2, dtype=complex) / 2)
 
     def test_nan_vector_is_not_extracted(self):
         entangled = basis_to_entangled(weyl_basis(2))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_density
 import tightport as tp
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)]
@@ -156,7 +157,8 @@ SCHEME_DAMAGES = {"swapped channels": _swapped, "non-unitary channel": _non_unit
 def test_equivalence_theorem(family, d, damage, exponent, seed):
     # A unitary basis, its depolarizer, its entangled basis and the schemes it
     # generates, in either mode and with roles swapped, are valid together or
-    # not at all; a scheme damaged on its own is invalid in every reading.
+    # not at all; a scheme damaged on its own is invalid in every reading.  A
+    # teleportation scheme that passes teleports a state.
     rng = np.random.default_rng(seed)
     basis = _family(family, d, rng)
     if damage in BASIS_DAMAGES:
@@ -171,8 +173,14 @@ def test_equivalence_theorem(family, d, damage, exponent, seed):
         scheme = tp.build_scheme(basis, mode)
         if damage in SCHEME_DAMAGES:
             scheme = SCHEME_DAMAGES[damage](scheme, rng, 10.0**exponent)
-        assert tp.verify(scheme).passed == (damage is None), mode
-        assert tp.verify(tp.swap_roles(scheme)).passed == (damage is None), mode
+        for reading in (scheme, tp.swap_roles(scheme)):
+            verdict = tp.verify(reading)
+            assert verdict.passed == (damage is None), mode
+            if verdict and reading.mode == tp.TELEPORTATION:
+                rho = random_density(rng, basis.d)
+                output, probabilities = tp.teleport_state(reading, rho)
+                assert np.abs(output - rho).max() <= tp.DEFAULT_TOL
+                assert np.abs(probabilities - 1 / basis.d**2).max() <= tp.DEFAULT_TOL
 
 
 def test_worst_takes_the_first_nan_and_fails_closed():
@@ -285,3 +293,7 @@ def test_default_tolerance_holds_with_margin_at_d32():
     }
     for name, result in results.items():
         assert result.passed and result.deviation < tp.DEFAULT_TOL / 100, (name, result.deviation)
+    rho = random_density(np.random.default_rng(32), 32)
+    output, probabilities = tp.teleport_state(scheme, rho)
+    assert np.abs(output - rho).max() < tp.DEFAULT_TOL / 100
+    assert np.abs(probabilities - 1 / 32**2).max() < tp.DEFAULT_TOL / 100
