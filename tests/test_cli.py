@@ -292,8 +292,9 @@ def test_simulate_verifies_a_dense_coding_scheme_as_teleportation(tmp_path, caps
     omega = random_unitary(np.random.default_rng(5), d).reshape(-1) / np.sqrt(d)
     basis = tp.weyl_basis(d)
     effects = tp.basis_to_entangled(basis, omega)
+    scheme = tp.TightScheme(d, omega, basis.elements, effects, tp.DENSE_CODING)
     path = tmp_path / "dense.json"
-    tp.save(tp.make_document(tp.TightScheme(d, omega, basis.elements, effects, tp.DENSE_CODING)), path)
+    tp.save(tp.make_document(scheme), path)
     assert run("verify", path) == 0
     capsys.readouterr()
     assert run("simulate", path, "--state", "pure:0") == 1

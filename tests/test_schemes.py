@@ -289,7 +289,8 @@ class TestRigidity:
             broken = replace(scheme, omega=omega)
             for check in (verify_teleportation, verify_dense_coding):
                 result = check(broken)
-                assert not result.passed and result.witness == "resource is not a unit vector or a pure state"
+                assert not result.passed
+                assert result.witness == "resource is not a unit vector or a pure state"
 
 
 def _unit_purity_impostors(d):
