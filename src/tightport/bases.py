@@ -10,7 +10,9 @@ Every check is a product of one matrix: stack the elements as the d^2 x d^2
 matrix A with rows vec(U_x).  Orthonormality is A A* = d I, the depolarizer
 identity over all matrix units is A* A = d I, and the weight recovered from
 the weighted Gram equations is the inverse of Tr_2 (A^T conj(A)) / d, in
-closed form; each is O(d^6).
+closed form.  The two checks are O(d^6); the partial trace is
+sum_x U_x U_x* / d, one O(d^5) product, and the weight is then checked
+against the weighted Gram matrix, another O(d^6) product.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, as_permutation, require_positive
+from .common import DEFAULT_TOL, CheckResult, _freeze, as_permutation, require_positive
 from .designs import (
     HadamardMatrix,
     LatinSquare,
@@ -57,32 +59,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryBasis:
     """d^2 operators on a d-dimensional space, stacked as one (d^2, d, d) array.
 
     Construction checks shapes only; the defining unitarity and
     orthonormality conditions are the business of :func:`verify_orthonormal`,
     so that perturbed or corrupted families can still be represented and
-    diagnosed.  ``label_map`` records (i, j) -> flat index provenance for
-    shift-and-multiply families.
+    diagnosed.
     """
 
     d: int
     elements: np.ndarray
-    label_map: dict[tuple[int, int], int] | None = None
 
     def __post_init__(self):
-        require_positive(self.d)
-        elems = np.asarray(self.elements, dtype=complex)
-        if elems.shape != (self.d * self.d, self.d, self.d):
-            raise DimensionMismatch(
-                f"expected {self.d ** 2} matrices of shape ({self.d}, {self.d}), "
-                f"got array of shape {elems.shape}"
-            )
-        elems = elems.copy()
-        elems.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
+        d = self.d
+        require_positive(d)
+        _freeze(self, "elements", self.elements, [(d * d, d, d)],
+                f"expected {d ** 2} matrices of shape ({d}, {d})", complex)
 
 
 def _raw_shift_multiply(grid: np.ndarray, phase_mats: list[np.ndarray]) -> np.ndarray:
@@ -128,8 +122,7 @@ def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
                 f"matrix {j} is not Hadamard: {check.witness} "
                 f"(deviation {check.deviation:.3e})"
             )
-    labels = {(i, j): i * d + j for i in range(d) for j in range(d)}
-    return UnitaryBasis(d, _raw_shift_multiply(grid, mats), labels)
+    return UnitaryBasis(d, _raw_shift_multiply(grid, mats))
 
 
 def weyl_basis(d: int) -> UnitaryBasis:
@@ -237,22 +230,23 @@ def recover_weight_from_unitary_gram(
     consistent exactly when the family is a genuine basis, in which case the
     unique solution is I/d.  They say conj(A) (rho (x) I) A^T = I, so then
     rho^{-1} (x) I = A^T conj(A), and rho is the inverse of its partial trace
-    over d, in closed form.  A weighted Gram residual beyond ``tol`` (NaN
-    included), a solution away from I/d or a singular partial trace raises
-    ``NoSolution``, signalling that the input was not a basis.
+    over d, sum_x U_x U_x* / d, in closed form.  A weighted Gram residual
+    beyond ``tol`` (NaN included), a solution away from I/d or a singular
+    partial trace raises ``NoSolution``, signalling that the input was not a
+    basis.
     """
     d = basis.d
     elems = basis.elements
     if not np.isfinite(elems).all():
         raise NoSolution("the family has non-finite entries")
-    a = _stacked(basis)
-    # inverse_rho[k, j] = sum_{x, i} U_x[k, i] conj(U_x[j, i]) / d
-    inverse_rho = np.einsum("kiji->kj", (a.T @ a.conj()).reshape(d, d, d, d)) / d
+    # s[k, (x, i)] = U_x[k, i], so s s* / d = sum_x U_x U_x* / d
+    s = elems.transpose(1, 0, 2).reshape(d, -1)
+    inverse_rho = s @ s.conj().T / d
     try:
         rho = np.linalg.inv(inverse_rho)
     except np.linalg.LinAlgError:
         raise NoSolution("the family's partial Gram trace is singular") from None
-    gram = a.conj() @ (rho @ elems).reshape(d * d, -1).T
+    gram = _stacked(basis).conj() @ (rho @ elems).reshape(d * d, -1).T
     residual = float(_identity_gap(gram).max())
     if not residual <= tol:
         raise NoSolution(

@@ -49,6 +49,18 @@ class CheckResult:
         return cls(deviation <= tol, deviation, name(*index), table)
 
 
+def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) -> None:
+    """Store a read-only C-ordered copy of ``array`` as ``obj.name``: the one way
+    a frozen value takes an array, so no caller can write to what it holds.
+    With ``shapes`` given, another shape raises ``DimensionMismatch``.
+    """
+    array = np.array(array, dtype=dtype, order="C")
+    if shapes is not None and array.shape not in shapes:
+        raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+
+
 def require_positive(n: int, name: str = "dimension") -> None:
     """Reject a size below 1; no object in this package is defined for one."""
     if n < 1:

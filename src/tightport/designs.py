@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, as_permutation, require_positive
+from .common import DEFAULT_TOL, CheckResult, _freeze, as_permutation, require_positive
 from .errors import (
     DesignInvalid,
     DimensionTooLarge,
@@ -69,7 +69,7 @@ def _as_phase_matrix(h) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatinSquare:
     """A d x d grid over symbols 0..d-1, each exactly once per row and column.
 
@@ -84,16 +84,14 @@ class LatinSquare:
         result = validate_latin(grid)
         if not result:
             raise DesignInvalid(f"not a Latin square: {result.witness}")
-        grid = grid.copy()
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        _freeze(self, "grid", grid)
 
     @property
     def d(self) -> int:
         return self.grid.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
     """A square matrix of unit-modulus entries with H H* = d I.
 
@@ -109,9 +107,7 @@ class HadamardMatrix:
             raise DesignInvalid(
                 f"not a Hadamard matrix: {result.witness} (deviation {result.deviation:.3e})"
             )
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _freeze(self, "matrix", m)
 
     @property
     def d(self) -> int:

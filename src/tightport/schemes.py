@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import DEFAULT_TOL, CheckResult, require_positive
+from .common import DEFAULT_TOL, CheckResult, _freeze, require_positive
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -78,7 +78,7 @@ DENSE_CODING = "dense_coding"
 MODES = (TELEPORTATION, DENSE_CODING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxEntangledBasis:
     """d^2 vectors on the d x d space, stacked as a (d^2, d^2) array.
 
@@ -92,18 +92,12 @@ class MaxEntangledBasis:
 
     def __post_init__(self):
         require_positive(self.d)
-        vecs = np.asarray(self.vectors, dtype=complex)
-        if vecs.shape != (self.d * self.d, self.d * self.d):
-            raise DimensionMismatch(
-                f"expected {self.d ** 2} vectors of length {self.d ** 2}, "
-                f"got array of shape {vecs.shape}"
-            )
-        vecs = vecs.copy()
-        vecs.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
+        n = self.d * self.d
+        _freeze(self, "vectors", self.vectors, [(n, n)],
+                f"expected {n} vectors of length {n}", complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightScheme:
     """Shared components of a teleportation or dense-coding scheme.
 
@@ -127,26 +121,15 @@ class TightScheme:
         d = self.d
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        omega = np.asarray(self.omega, dtype=complex)
-        if omega.shape not in ((d * d,), (d * d, d * d)):
-            raise DimensionMismatch(
+        _freeze(self, "omega", self.omega, [(d * d,), (d * d, d * d)],
                 f"resource must be a vector of length {d * d} or a "
-                f"({d * d}, {d * d}) density matrix, got shape {omega.shape}"
-            )
-        unitaries = np.asarray(self.channel_unitaries, dtype=complex)
-        if unitaries.shape != (d * d, d, d):
-            raise DimensionMismatch(
-                f"expected {d ** 2} channel matrices of shape ({d}, {d}), "
-                f"got array of shape {unitaries.shape}"
-            )
+                f"({d * d}, {d * d}) density matrix", complex)
+        _freeze(self, "channel_unitaries", self.channel_unitaries, [(d * d, d, d)],
+                f"expected {d ** 2} channel matrices of shape ({d}, {d})", complex)
         if self.effects.d != d:
             raise DimensionMismatch(
                 f"effect vectors live at d={self.effects.d}, scheme has d={d}"
             )
-        for name, array in (("omega", omega), ("channel_unitaries", unitaries)):
-            array = array.copy()
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
 
 def _resource_vector(scheme: TightScheme, tol: float) -> np.ndarray | CheckResult:

@@ -58,7 +58,7 @@ _PAYLOAD_KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignDocument:
     """A kind tag, the dimension, raw payload arrays, and provenance text."""
 

@@ -56,9 +56,12 @@ class TestShiftMultiply:
         report = verify_orthonormal(basis)
         assert report.passed and report.deviation < 1e-12
 
-    def test_label_map(self):
-        basis = weyl_basis(3)
-        assert basis.label_map[(1, 2)] == 5
+    def test_flat_label_is_i_d_plus_j(self):
+        # element (i, j) = (1, 2) sits at x = i*d + j = 5 and sends e_k to H_2[1, k] e_{grid[2, k]}
+        grid, h = latin_from_cyclic(3).grid, fourier_hadamard(3).matrix
+        expected = np.zeros((3, 3), dtype=complex)
+        expected[grid[2], range(3)] = h[1]
+        np.testing.assert_array_equal(weyl_basis(3).elements[5], expected)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_weyl_rejects_non_positive_dimension(self, d):
@@ -133,10 +136,8 @@ class TestShiftMultiply:
 
 class TestWeylBasis:
     def test_group_product_is_scalar_multiple(self):
-        basis = weyl_basis(3)
-        u10 = basis.elements[basis.label_map[(1, 0)]]
-        u01 = basis.elements[basis.label_map[(0, 1)]]
-        u11 = basis.elements[basis.label_map[(1, 1)]]
+        d, elems = 3, weyl_basis(3).elements
+        u10, u01, u11 = elems[1 * d + 0], elems[0 * d + 1], elems[1 * d + 1]
         product = u10 @ u01
         ratio = trace_inner(u11, product)
         assert abs(abs(ratio) - 1.0) < 1e-12

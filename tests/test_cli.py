@@ -128,6 +128,18 @@ class TestVerify:
         assert run("verify", bad) == 1
         assert "column 0" in capsys.readouterr().out
 
+    def test_out_of_range_symbol_exits_2(self, tmp_path, capsys):
+        latin = tmp_path / "l.json"
+        assert run("generate", "latin", "--construction", "cyclic", "--d", 3, "-o", latin) == 0
+        capsys.readouterr()
+        data = json.loads(latin.read_text())
+        data["payload"]["grid"][1][1] = 3
+        latin.write_text(json.dumps(data))
+        assert run("verify", latin) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entries must lie in 0..2\n"
+
     def test_truncated_file(self, tmp_path, weyl2_file):
         bad = tmp_path / "t.json"
         bad.write_text(weyl2_file.read_text()[:40])

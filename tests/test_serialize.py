@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightport import (
+    DesignDocument,
     ParseError,
+    UnitaryBasis,
     basis_to_entangled,
     build_scheme,
     document_to_object,
@@ -57,6 +59,32 @@ def test_round_trip_objects_reconstruct(obj):
     doc = loads(dumps(make_document(obj)))
     rebuilt = document_to_object(doc)
     assert type(rebuilt) is type(obj)
+
+
+def frozen_values():
+    return [*all_kinds(), make_document(weyl_basis(2))]
+
+
+@pytest.mark.parametrize(
+    "value,twin", zip(frozen_values(), frozen_values()), ids=lambda v: type(v).__name__
+)
+def test_values_are_frozen_and_compare_by_identity(value, twin):
+    """Arrays are read-only, a document's payload is the only mutable container
+    a value holds, and equality is identity, so values hash."""
+    for name, attr in vars(value).items():
+        if isinstance(attr, np.ndarray):
+            assert not attr.flags.writeable, name
+        elif not (isinstance(value, DesignDocument) and name == "payload"):
+            assert not isinstance(attr, (dict, list, set)), name
+    assert value == value and value != twin and value in [twin, value]
+    assert len({value, twin}) == 2
+
+
+def test_values_hold_copies_of_their_arrays():
+    elements = weyl_basis(2).elements.copy()
+    basis = UnitaryBasis(2, elements)
+    elements[0] = 0
+    assert elements.flags.writeable and basis.elements[0, 0, 0] == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False])
