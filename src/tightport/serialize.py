@@ -1,11 +1,15 @@
 """JSON documents for every object kind the package constructs.
 
-One schema, version-tagged, diffable, and strict: unknown or missing fields
-are rejected with the offending location, as are non-finite numbers.
-Complex numbers are stored as two-element ``[re, im]`` arrays, matrices as
-row-major nested arrays, Latin squares as nested integers.
+One private table of the kinds and their fields is the schema;
+``make_document``, ``document_to_object``, ``dumps`` and ``loads`` are loops
+over it.  Documents are version-tagged, diffable, and strict: unknown or
+missing fields are rejected with the offending location, as are non-finite
+numbers.  Complex numbers are stored as two-element ``[re, im]`` arrays,
+matrices as row-major nested arrays, Latin squares as nested integers.
 
-Loading is purely structural; it never runs the numerical validators, so a
+``dumps`` writes only text ``loads`` reads back, else raises ``ParseError``
+where ``loads`` would, and ``save`` then leaves its file as it was.  Loading
+is purely structural; it never runs the numerical validators, so a
 corrupted-but-well-formed file loads fine and is then failed by ``verify``.
 
 Each complex payload is decoded as a whole: one numpy conversion of the
@@ -24,7 +28,9 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -47,15 +53,28 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-KINDS = ("latin", "hadamard", "unitary_basis", "entangled_basis", "scheme")
 
-_PAYLOAD_KEYS = {
-    "latin": {"grid"},
-    "hadamard": {"matrix"},
-    "unitary_basis": {"elements"},
-    "entangled_basis": {"vectors"},
-    "scheme": {"mode", "omega", "channel_unitaries", "effect_vectors"},
+# Each kind's type, its constructor from d and the payload values in field
+# order, and its payload fields in decoding order: (key, attribute path on the
+# object, dtype, shape as a function of d).  A str field is a scheme mode.
+_TABLE = {
+    "latin": (LatinSquare, lambda d, grid: LatinSquare(grid),
+              [("grid", "grid", int, lambda d: (d, d))]),
+    "hadamard": (HadamardMatrix, lambda d, matrix: HadamardMatrix(matrix),
+                 [("matrix", "matrix", complex, lambda d: (d, d))]),
+    "unitary_basis": (UnitaryBasis, UnitaryBasis,
+                      [("elements", "elements", complex, lambda d: (d * d, d, d))]),
+    "entangled_basis": (MaxEntangledBasis, MaxEntangledBasis,
+                        [("vectors", "vectors", complex, lambda d: (d * d, d * d))]),
+    "scheme": (TightScheme, lambda d, mode, omega, channels, effects: TightScheme(
+        d, omega, channels, MaxEntangledBasis(d, effects), mode), [
+        ("mode", "mode", str, lambda d: ()),
+        ("omega", "omega", complex, lambda d: (d * d,)),
+        ("channel_unitaries", "channel_unitaries", complex, lambda d: (d * d, d, d)),
+        ("effect_vectors", "effects.vectors", complex, lambda d: (d * d, d * d)),
+    ]),
 }
+KINDS = tuple(_TABLE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,39 +108,16 @@ def _collector_paused():
 # ---------------------------------------------------------------------------
 # encoding
 
-def _encode_complex_array(a: np.ndarray) -> list:
-    stacked = np.stack([a.real, a.imag], axis=-1)
-    return stacked.tolist()
-
-
 def make_document(obj, meta: str = "") -> DesignDocument:
     """Wrap a domain object of any supported kind in a document."""
-    if isinstance(obj, LatinSquare):
-        return DesignDocument("latin", obj.d, {"grid": obj.grid.copy()}, meta)
-    if isinstance(obj, HadamardMatrix):
-        return DesignDocument("hadamard", obj.d, {"matrix": obj.matrix.copy()}, meta)
-    if isinstance(obj, UnitaryBasis):
-        return DesignDocument(
-            "unitary_basis", obj.d, {"elements": obj.elements.copy()}, meta
-        )
-    if isinstance(obj, MaxEntangledBasis):
-        return DesignDocument(
-            "entangled_basis", obj.d, {"vectors": obj.vectors.copy()}, meta
-        )
-    if isinstance(obj, TightScheme):
-        if obj.omega.ndim != 1:
-            raise ParseError("only schemes with a vector resource are serializable")
-        return DesignDocument(
-            "scheme",
-            obj.d,
-            {
-                "mode": obj.mode,
-                "omega": obj.omega.copy(),
-                "channel_unitaries": obj.channel_unitaries.copy(),
-                "effect_vectors": obj.effects.vectors.copy(),
-            },
-            meta,
-        )
+    for kind, (cls, _, fields) in _TABLE.items():
+        if isinstance(obj, cls):
+            payload = {}
+            for key, path, _, shape in fields:
+                payload[key] = copy(attrgetter(path)(obj))
+                if np.shape(payload[key]) != shape(obj.d):  # a density-matrix resource
+                    raise ParseError(f"cannot serialize {path} of shape {np.shape(payload[key])}")
+            return DesignDocument(kind, obj.d, payload, meta)
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -132,39 +128,32 @@ def document_to_object(doc: DesignDocument):
     constructors and may raise ``DesignInvalid``; the larger objects are
     shape-checked only, leaving numerical verification to the verifiers.
     """
-    if doc.kind == "latin":
-        return LatinSquare(doc.payload["grid"])
-    if doc.kind == "hadamard":
-        return HadamardMatrix(doc.payload["matrix"])
-    if doc.kind == "unitary_basis":
-        return UnitaryBasis(doc.d, doc.payload["elements"])
-    if doc.kind == "entangled_basis":
-        return MaxEntangledBasis(doc.d, doc.payload["vectors"])
-    if doc.kind == "scheme":
-        p = doc.payload
-        return TightScheme(
-            doc.d,
-            p["omega"],
-            p["channel_unitaries"],
-            MaxEntangledBasis(doc.d, p["effect_vectors"]),
-            p["mode"],
-        )
-    raise ParseError(f"unknown document kind {doc.kind!r}")
+    _, make, fields = _check_header(doc.kind, doc.d, doc.meta, doc.payload)
+    return make(doc.d, *(doc.payload[key] for key, _, _, _ in fields))
+
+
+def _encode_field(value, dtype, shape: tuple[int, ...], location: str):
+    """``value`` as JSON data, or the ``ParseError`` ``loads`` would raise on that data."""
+    if dtype is str:
+        return _decode_field(value, dtype, shape, location, True)
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # not numbers: the walk names the entry
+        return _decode_field(value, dtype, shape, location, True)
+    pairs = np.stack([array.real, array.imag], axis=-1) if dtype is complex else array
+    if array.shape != shape or not np.isfinite(array).all():
+        _decode_field(pairs.tolist(), dtype, shape, location, True)  # raises where loads would
+    return pairs.tolist()
 
 
 @_collector_paused()
 def dumps(doc: DesignDocument) -> str:
-    """The document as JSON text; the cyclic GC is held meanwhile, process-wide."""
-    if doc.kind not in KINDS:
-        raise ParseError(f"unknown document kind {doc.kind!r}")
-    payload: dict[str, Any] = {}
-    for key, value in doc.payload.items():
-        if key == "mode":
-            payload[key] = value
-        elif key == "grid":
-            payload[key] = np.asarray(value, dtype=int).tolist()
-        else:
-            payload[key] = _encode_complex_array(np.asarray(value, dtype=complex))
+    """The document as JSON text ``loads`` reads back; the cyclic GC is held, process-wide."""
+    _, _, fields = _check_header(doc.kind, doc.d, doc.meta, doc.payload)
+    payload = {
+        key: _encode_field(doc.payload[key], dtype, shape(doc.d), f"payload.{key}")
+        for key, _, dtype, shape in fields
+    }
     data = {
         "v": SCHEMA_VERSION,
         "kind": doc.kind,
@@ -176,8 +165,9 @@ def dumps(doc: DesignDocument) -> str:
 
 
 def save(doc: DesignDocument, path) -> None:
+    text = dumps(doc)  # before the file is opened, so a failure leaves it as it was
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(doc))
+        handle.write(text)
         handle.write("\n")
 
 
@@ -285,6 +275,29 @@ def _decode_int_grid(value, d: int, location: str) -> np.ndarray:
     return grid
 
 
+def _decode_field(value, dtype, shape: tuple[int, ...], location: str, may_hold_bools: bool):
+    if dtype is str:
+        if value not in MODES:
+            _fail(location, f"expected one of {MODES}, got {value!r}")
+        return value
+    if dtype is int:
+        return _decode_int_grid(value, shape[0], location)
+    return _decode_complex_array(value, shape, location, may_hold_bools)
+
+
+def _check_header(kind, d, meta, payload) -> tuple:
+    """The table row of ``kind`` once the header and the payload keys are valid."""
+    if kind not in KINDS:  # a tuple: an unhashable kind is unknown, not a TypeError
+        _fail("kind", f"unknown kind {kind!r}")
+    d = _decode_int(d, "d")
+    if d < 1:
+        _fail("d", f"dimension must be positive, got {d}")
+    if not isinstance(meta, str):
+        _fail("meta", "expected a string")
+    _expect_keys(payload, {key for key, _, _, _ in _TABLE[kind][2]}, "payload")
+    return _TABLE[kind]
+
+
 @_collector_paused()
 def loads(text: str) -> DesignDocument:
     """Parse and shape-check a document; any defect raises ``ParseError``.
@@ -303,44 +316,16 @@ def loads(text: str) -> DesignDocument:
     version = _decode_int(data["v"], "v")
     if version != SCHEMA_VERSION:
         _fail("v", f"unsupported schema version {version}")
-    kind = data["kind"]
-    if kind not in KINDS:
-        _fail("kind", f"unknown kind {kind!r}")
-    d = _decode_int(data["d"], "d")
-    if d < 1:
-        _fail("d", f"dimension must be positive, got {d}")
-    meta = data["meta"]
-    if not isinstance(meta, str):
-        _fail("meta", "expected a string")
-    raw = data["payload"]
-    _expect_keys(raw, _PAYLOAD_KEYS[kind], "payload")
-
-    n = d * d
+    kind, d, raw = data["kind"], data["d"], data["payload"]
+    _, _, fields = _check_header(kind, d, data["meta"], raw)
     # No numpy conversion tells a JSON true from 1, so a document that may
     # hold a boolean anywhere (a false positive costs only speed) takes the walk.
     may_hold_bools = "true" in text or "false" in text
-    payload: dict[str, Any] = {}
-
-    def decode(key: str, shape: tuple[int, ...]) -> None:
-        payload[key] = _decode_complex_array(raw[key], shape, f"payload.{key}", may_hold_bools)
-
-    if kind == "latin":
-        payload["grid"] = _decode_int_grid(raw["grid"], d, "payload.grid")
-    elif kind == "hadamard":
-        decode("matrix", (d, d))
-    elif kind == "unitary_basis":
-        decode("elements", (n, d, d))
-    elif kind == "entangled_basis":
-        decode("vectors", (n, n))
-    else:
-        mode = raw["mode"]
-        if mode not in MODES:
-            _fail("payload.mode", f"expected one of {MODES}, got {mode!r}")
-        payload["mode"] = mode
-        decode("omega", (n,))
-        decode("channel_unitaries", (n, d, d))
-        decode("effect_vectors", (n, n))
-    return DesignDocument(kind, d, payload, meta)
+    payload = {
+        key: _decode_field(raw[key], dtype, shape(d), f"payload.{key}", may_hold_bools)
+        for key, _, dtype, shape in fields
+    }
+    return DesignDocument(kind, d, payload, data["meta"])
 
 
 def load(path) -> DesignDocument:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import re
 import tracemalloc
@@ -446,3 +447,129 @@ def test_d16_basis_load_stays_under_16_mib():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# pinned behaviour: the exact text dumps writes, which of two defects loads
+# reports, and dumps refusing what loads would refuse
+
+GOLDEN_SHA256 = {
+    "latin-d4": "2a2461a3ba86ca090468c888ad3fa97bdb19ce1ddf3365d6c320bfa099e06809",
+    "hadamard-d3": "6cc167d2175f9f3756919a43d13ae6d1d1c36e3177b1fc5a79c7981476835732",
+    "unitary-basis-d3": "e19c80ad3cb3aec37b587753017295b55bb2ec928f65cbf98cd5e9d4f06eb028",
+    "entangled-basis-d3": "f0427a30c9d5cf28f492ea124a9c7f3fa3cbba71da6679f09b53af729f913977",
+    "teleportation-d3": "02c7bcac8ebfe05684bbbe9521ce75288a68db4f24368c4d36b76e543eef3dfd",
+    "dense-coding-d3": "1fd2cbdae22a6a061ba3e5c759172656fa81b7d6d9bc6ec7c790b4e1840d563b",
+}
+
+
+def golden_objects():
+    basis = weyl_basis(3)
+    return {
+        "latin-d4": latin_from_cyclic(4),
+        "hadamard-d3": fourier_hadamard(3),
+        "unitary-basis-d3": basis,
+        "entangled-basis-d3": basis_to_entangled(basis),
+        "teleportation-d3": build_scheme(basis, "teleportation"),
+        "dense-coding-d3": build_scheme(basis, "dense_coding"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_dumps_text_is_pinned(name):
+    text = dumps(make_document(golden_objects()[name], meta="m"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def scheme_data():
+    return json.loads(dumps(make_document(build_scheme(weyl_basis(2)))))
+
+
+def bad_mode_and_entry(data):
+    data["payload"]["mode"] = "bogus"
+    data["payload"]["omega"][2][0] = "HUGE"
+
+
+def unknown_field_and_entry(data):
+    data["payload"]["note"] = "hi"
+    data["payload"]["channel_unitaries"][0][0][0] = "x"
+
+
+def bad_omega_and_effects(data):
+    data["payload"]["omega"][1][1] = "HUGE"
+    data["payload"]["effect_vectors"][0][0][1] = "HUGE"
+
+
+def bad_kind_and_d(data):
+    data["kind"] = "sudoku"
+    data["d"] = 0
+
+
+def unhashable_kind_and_d(data):
+    data["kind"] = ["scheme"]
+    data["d"] = 0
+
+
+def bad_meta_and_missing_field(data):
+    data["meta"] = 5
+    del data["payload"]["omega"]
+
+
+DOUBLE_DEFECTS = [
+    (bad_mode_and_entry,
+     "payload.mode: expected one of ('teleportation', 'dense_coding'), got 'bogus'"),
+    (unknown_field_and_entry, "payload: unknown field 'note'"),
+    (bad_omega_and_effects, "payload.omega[1]: non-finite number is not allowed"),
+    (bad_kind_and_d, "kind: unknown kind 'sudoku'"),
+    (unhashable_kind_and_d, "kind: unknown kind ['scheme']"),
+    (bad_meta_and_missing_field, "meta: expected a string"),
+]
+
+
+@pytest.mark.parametrize("case", DOUBLE_DEFECTS, ids=lambda c: c[0].__name__)
+def test_doubly_broken_document_reports_the_first_check(case):
+    damage, message = case
+    data = scheme_data()
+    damage(data)
+    assert parse_error(json.dumps(data).replace('"HUGE"', "1e400")) == message
+
+
+def nan_basis_document():
+    elements = weyl_basis(2).elements.copy()
+    elements[1, 0, 1] = np.nan
+    return make_document(UnitaryBasis(2, elements))
+
+
+UNREADABLE = [
+    ("latin-with-matrix",
+     lambda: DesignDocument("latin", 2, {"matrix": fourier_hadamard(2).matrix}),
+     "payload: unknown field 'matrix'"),
+    ("elements-of-wrong-shape",
+     lambda: DesignDocument("unitary_basis", 3, {"elements": np.zeros((2, 2, 2))}),
+     "payload.elements: expected a list of length 9"),
+    ("bogus-mode",
+     lambda: DesignDocument(
+         "scheme", 3, {**make_document(build_scheme(weyl_basis(3))).payload, "mode": "bogus"}),
+     "payload.mode: expected one of ('teleportation', 'dense_coding'), got 'bogus'"),
+    ("integer-meta",
+     lambda: DesignDocument("latin", 2, {"grid": latin_from_cyclic(2).grid}, meta=5),
+     "meta: expected a string"),
+    ("nan-entry", nan_basis_document,
+     "payload.elements[1][0][1]: non-finite number is not allowed"),
+]
+
+
+@pytest.mark.parametrize("case", UNREADABLE, ids=lambda c: c[0])
+def test_dumps_rejects_what_loads_would_reject(case):
+    _, make, message = case
+    with pytest.raises(ParseError) as info:
+        dumps(make())
+    assert str(info.value) == message
+
+
+def test_failed_save_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "basis.json"
+    path.write_text("old contents\n")
+    with pytest.raises(ParseError):
+        save(nan_basis_document(), path)
+    assert path.read_text() == "old contents\n"
