@@ -189,8 +189,7 @@ def verify_depolarizer(
         conj_sum = product.reshape(d, d, d, d).transpose(0, 2, 1, 3)
         stack = np.asarray(probes)
         totals = (stack.reshape(len(stack), -1) @ conj_sum.reshape(d * d, -1)).reshape(-1, d, d)
-        totals -= d * np.trace(stack, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-        gaps = np.abs(totals)
+        gaps = _identity_gap(totals, d * np.trace(stack, axis1=1, axis2=2)[:, None])
         name = "probe {}".format
     return CheckResult.worst(gaps.max(axis=(-2, -1)), tol, name)
 

@@ -19,11 +19,11 @@ feeding them deliberately damaged resources.
 Both identities and the protocol are products of stacked arrays.  With the
 resource vector reshaped to a d x d matrix W, outcome x acts on the input by
 the Kraus operator K_x = W^T phi_x* and the corrected protocol by
-T_x = U_x K_x.  Teleportation holds when the Choi matrix sum_x vec(T_x)
-vec(T_x)* is the identity channel's, the dense-coding table is |Phi* M|^2
-with the columns of M equal to vec(U_x W), and the protocol's output is
-sum_x T_x rho T_x*.  All of them read the resource by one rule: a unit
-vector, or a matrix that is psi psi* for one; any other resource fails.
+T_x = U_x K_x.  Teleportation holds when every T_x is c_x I and
+sum_x |c_x|^2 = 1 (the Choi matrix sum_x vec(T_x) vec(T_x)* read per outcome),
+the dense-coding table is |Phi* M|^2 with the columns of M equal to vec(U_x W),
+and the protocol's output is sum_x T_x rho T_x*.  All of them read the
+resource by one rule and fail any but a unit vector or psi psi* for one.
 
 Phase convention: operators extracted from entangled vectors keep the phase
 the correspondence delivers; round-trip equality assertions are therefore
@@ -152,12 +152,6 @@ def _resource_vector(scheme: TightScheme, tol: float) -> np.ndarray | CheckResul
     return CheckResult(False, gap, "resource is not a unit vector or a pure state")
 
 
-def _kraus(scheme: TightScheme, psi: np.ndarray) -> np.ndarray:
-    """The outcomes' Kraus operators K_x = W^T phi_x*, stacked as (d^2, d, d)."""
-    d = scheme.d
-    return psi.reshape(d, d).T @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))
-
-
 def _reference(omega, d: int, tol: float) -> np.ndarray:
     """The reference vector, ``omega_vector(d)`` by default, checked."""
     ref = omega_vector(d) if omega is None else np.asarray(omega, dtype=complex)
@@ -198,7 +192,7 @@ def entangled_to_basis(
     d = entangled.d
     ref = _reference(omega, d, tol)
     ref_op = vector_to_operator(ref, d)
-    ops = entangled.vectors.reshape(d * d, d, d) * np.sqrt(d) @ ref_op.conj().T
+    ops = (entangled.vectors.reshape(-1, d) @ (np.sqrt(d) * ref_op.conj().T)).reshape(-1, d, d)
     devs = _identity_gap(_adjoint(ops) @ ops).max(axis=(1, 2))
     x = int(np.argmax(~(devs <= tol)))  # the first vector out of tolerance, NaN included
     if not devs[x] <= tol:
@@ -222,16 +216,15 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
 
 
 def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Evaluate the teleportation identity on all pairs of matrix units.
+    """Evaluate the teleportation identity outcome by outcome.
 
-    For input state rho and observable A, summing over outcomes the joint
-    probability of measuring x on (input, resource-left) and then finding A
-    on the corrected right half must reproduce tr(rho A) exactly.  Matrix
-    units span, so checking all d^4 (rho, A) pairs settles the identity for
-    every state and observable.  Those d^4 numbers are the entries of the
-    protocol's Choi matrix sum_x vec(T_x) vec(T_x)*, one matrix product on
-    the stacked T_x, checked against the identity channel's vec(I) vec(I)^T,
-    whose d^2 ones are subtracted from the product in place.
+    Averaged over outcomes, the protocol must reproduce tr(rho A) for every
+    state rho and observable A.  Over the matrix units these d^4 numbers form
+    the Choi matrix sum_x vec(T_x) vec(T_x)*, a sum of PSD rank-one terms, so
+    they hold exactly when every T_x is c_x I and sum_x |c_x|^2 = 1 ("outcome
+    7: T_x is not a multiple of I", or "outcome weights sum to s").  The worst
+    gap delta (c_x = tr(T_x) / d) and the Choi matrix's gap eps bound each other:
+    eps <= (1 + 2d) delta + d (d + 1) delta^2, delta <= max(eps, sqrt(d (d + 1) eps)).
 
     The resource's form (a unit vector, or a matrix that is psi psi*) and the
     identity are checked, whatever the scheme's mode, and nothing else:
@@ -243,13 +236,16 @@ def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Check
     if isinstance(psi, CheckResult):
         return psi
     d = scheme.d
-    n = d * d
-    t = (scheme.channel_unitaries @ _kraus(scheme, psi)).reshape(n, n)  # rows vec(T_x)
-    choi = t.T @ t.conj()
-    choi[:: d + 1, :: d + 1] -= 1  # vec(I) vec(I)^T is 1 where both indices are (k, k)
-    # gap[a, b, c, e] is at choi[(e, a), (c, b)]: state unit E[a,b], observable unit E[c,e]
-    gap = np.abs(choi).reshape(d, d, d, d).transpose(1, 3, 2, 0)
-    return CheckResult.worst(gap, tol, "state unit E[{},{}], observable unit E[{},{}]".format)
+    # gaps are moduli, so conj(T_x) = conj(U_x W^T) phi_x^T serves and no adjoint is copied
+    t = (scheme.channel_unitaries.reshape(-1, d) @ psi.reshape(d, d).T).reshape(-1, d, d)
+    t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
+    diagonal = t.reshape(len(t), -1)[:, :: d + 1]  # a strided view
+    c = diagonal.sum(axis=1) / d
+    diagonal -= c[:, None]  # T_x - c_x I, in place
+    weight = float(np.vdot(c, c).real)
+    gaps = np.append(np.abs(t).max(axis=(1, 2)), abs(weight - 1))
+    return CheckResult.worst(gaps, tol, lambda x: f"outcome weights sum to {weight}"
+                             if x == len(c) else f"outcome {x}: T_x is not a multiple of I")
 
 
 def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -303,11 +299,11 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     """Check a unitary basis, an entangled basis or a scheme by its kind.
 
     A scheme is checked against its whole definition: a maximally entangled
-    unit resource vector (a matrix resource must be psi psi* for one), unitary
-    channels, effect vectors forming a complete measurement, and the identity
-    of its mode.  A resource at fault fails before any product is formed; the
-    other parts make one verdict whose witness names the part at fault and
-    whose ``table`` is the identity's.
+    unit resource vector (or psi psi* as a matrix), unitary channels, effects
+    forming a complete measurement, and its mode's identity per outcome: every
+    T_x is c_x I with sum_x |c_x|^2 = 1, or every |<phi_x, vec(U_x W)>|^2 is 1.
+    A resource at fault fails before any product is formed; the rest is one
+    verdict naming the part at fault, whose ``table`` is the effects' Gram matrix.
     """
     if isinstance(obj, UnitaryBasis):
         return verify_orthonormal(obj, tol)
@@ -323,15 +319,18 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
         return replace(entangled, witness="resource is not maximally entangled")
     u = obj.channel_unitaries
     channels = _identity_gap(_adjoint(u) @ u).max(axis=(1, 2))
-    check_identity = verify_teleportation if obj.mode == TELEPORTATION else verify_dense_coding
-    identity = check_identity(obj, tol)
-    completeness = check_projector_completeness(obj.effects.vectors, tol)
     n = len(u)
+    if obj.mode == TELEPORTATION:
+        identity = verify_teleportation(obj, tol)
+    else:  # |<phi_x, vec(U_x W)>|^2, the table's diagonal: with the other parts, ones make it I
+        amp = (np.conj(u @ psi.reshape(obj.d, -1)).reshape(n, n) * obj.effects.vectors).sum(axis=1)
+        identity = CheckResult.worst(abs(1 - abs(amp) ** 2), tol, "encoded {0}, decoded {0}".format)
+    completeness = check_projector_completeness(obj.effects.vectors, tol)
     parts = {n: f"effect vectors are not a complete measurement: {completeness.witness}",
              n + 1: identity.witness}
     return CheckResult.worst(
         np.append(channels, [completeness.deviation, identity.deviation]), tol,
-        lambda i: parts.get(i, f"channel {i} is not unitary"), identity.table,
+        lambda i: parts.get(i, f"channel {i} is not unitary"), completeness.table,
     )
 
 
@@ -375,7 +374,7 @@ def teleport_state(
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         raise SchemeInvalid(f"scheme fails by {psi.deviation:.3e}: {psi.witness}; cannot teleport")
-    kraus = _kraus(scheme, psi)
+    kraus = psi.reshape(d, d).T @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))  # K_x
     conditionals = kraus @ rho @ _adjoint(kraus)
     probabilities = np.trace(conditionals, axis1=1, axis2=2).real
     u = scheme.channel_unitaries
@@ -386,19 +385,20 @@ def teleport_state(
 def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> UnitaryBasis:
     """Recover the unitary basis generating a verified scheme.
 
-    The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised.
-    With the resource vector (the psi of a psi psi* matrix), which the
-    verdict has found maximally entangled, as the reference,
-    :func:`entangled_to_basis` reads each element off its effect vector and
-    checks that it is unitary.
-    The family's Gram matrix is then the effects' Gram matrix, which the
-    verdict has checked, so orthonormality is not checked again.  Elements
-    may differ from the generating ones by global phases, which affect
-    neither the channels nor the effects.
+    The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised; it
+    reads teleportation per outcome (every T_x is c_x I), so its one O(d^6)
+    product is the effects' Gram matrix.  With the resource vector (the psi of
+    a psi psi* matrix), found maximally entangled by the verdict, as the
+    reference, :func:`entangled_to_basis` reads each element off its effect
+    vector and checks that it is unitary.  The family's Gram matrix is then
+    the effects' Gram matrix, which the verdict has checked, so orthonormality
+    is not checked again.  Elements may differ from the generating ones by
+    global phases, which affect neither the channels nor the effects.
     """
     verdict = verify(scheme, tol)
     if not verdict:
         raise SchemeInvalid(
             f"scheme fails by {verdict.deviation:.3e}: {verdict.witness}; cannot extract a basis"
         )
+    del verdict  # its Gram table is not held beside the extraction's products
     return entangled_to_basis(scheme.effects, _resource_vector(scheme, tol), tol)

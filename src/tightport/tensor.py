@@ -47,13 +47,13 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return np.swapaxes(stack, -1, -2).conj()
 
 
-def _identity_gap(product: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Entrywise |product - scale I| of a square matrix or of each in a stack.
 
-    Read in place from the product buffer: no identity or difference array is
-    built.  Off the diagonal the gap is |product|; only the n diagonal entries
-    of each matrix are rewritten, through a strided view of the result, which
-    is C-ordered so that the view is one whatever the layout of ``product``.
+    ``scale`` is a number, or one per matrix shaped (count, 1).  Read in place
+    from the product buffer: off the diagonal the gap is |product|; only the n
+    diagonal entries of each matrix are rewritten, through a strided view of
+    the result, C-ordered so that the view is one whatever the layout of ``product``.
     """
     gap = np.abs(product, order="C")
     n = gap.shape[-1]

@@ -106,6 +106,31 @@ def teleportation(scheme) -> np.ndarray:
     return np.abs(lhs - np.einsum("bc,ad->abcd", eye, eye))
 
 
+def teleportation_outcomes(scheme) -> np.ndarray:
+    """Per outcome x, |T_x - c_x I| with c_x = tr(T_x) / d; last, |sum_x |c_x|^2 - 1|.
+
+    K_x is built column by column from the protocol: K_x e_j is the right
+    half of (phi_x* (x) I)(e_j (x) psi), and T_x = U_x K_x.  A density-matrix
+    resource contributes its top eigenvector, whose phase no gap sees.
+    """
+    d = scheme.d
+    psi = scheme.omega
+    if psi.ndim == 2:
+        weights, vectors = np.linalg.eigh(psi)
+        psi = vectors[:, -1] * np.sqrt(weights[-1])
+    eye = np.eye(d)
+    gaps, total = [], 0.0
+    for x in range(d * d):
+        kraus = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            kraus[:, j] = scheme.effects.vectors[x].conj() @ np.kron(eye[j], psi).reshape(d * d, d)
+        t = scheme.channel_unitaries[x] @ kraus
+        c = np.trace(t) / d
+        gaps.append(max_abs(t - c * eye))
+        total += abs(c) ** 2
+    return np.asarray([*gaps, abs(total - 1)])
+
+
 def dense_coding_table(scheme) -> np.ndarray:
     """Probability of decoding y when x was encoded, one Kronecker product per x."""
     d = scheme.d

@@ -312,7 +312,7 @@ def test_simulate_verifies_a_dense_coding_scheme_as_teleportation(tmp_path, caps
     assert run("simulate", path, "--state", "pure:0") == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("FAIL scheme (d=3): max deviation ")
-    assert "; worst: state unit E[" in lines[0]
+    assert "; worst: outcome " in lines[0]  # an outcome, or the outcome weights
 
 
 def test_simulate_prints_only_the_trials_for_a_valid_scheme(scheme_file, capsys):

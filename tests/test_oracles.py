@@ -233,13 +233,15 @@ def test_recover_weight_matches_oracle(name, d):
 def test_teleportation_matches_oracle(damage, basis_name, d):
     scheme = make_scheme(damage, basis_name, d)
     verdict = verify_teleportation(scheme, TOL)
-    gap = oracles.teleportation(scheme)
+    choi_gap = oracles.teleportation(scheme)
     if damage in IMPURE_RESOURCES:
-        assert_fails_on_resource(verdict, scheme, gap)
+        assert_fails_on_resource(verdict, scheme, choi_gap)
         return
-    assert_agree(verdict.deviation, gap.max())
-    assert verdict.passed == (gap.max() <= TOL)
-    assert_witness_at_max(gap, indices(verdict.witness))
+    gaps = oracles.teleportation_outcomes(scheme)
+    assert_agree(verdict.deviation, gaps.max())
+    assert verdict.passed == (gaps.max() <= TOL) == (choi_gap.max() <= TOL)
+    weights = verdict.witness.startswith("outcome weights")
+    assert_witness_at_max(gaps, d * d if weights else indices(verdict.witness)[0])
 
 
 @pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import PAULIS, random_complex, random_density, random_unitary
-from oracles import resource_density
+from oracles import resource_density, teleportation, teleportation_outcomes
 from test_oracles import SCHEME_CASES, make_scheme
 from tightport import (
     DENSE_CODING,
@@ -160,6 +160,62 @@ def kron_teleportation_oracle(scheme, rho, a):
     return total
 
 
+def assert_choi_bounds(eps, delta, d):
+    """The bounds of verify_teleportation between the Choi gap and the per-outcome gap."""
+    slack = 1e-13  # rounding in either gap
+    assert eps <= (1 + 2 * d) * delta + d * (d + 1) * delta**2 + slack
+    assert delta <= max(eps, np.sqrt(d * (d + 1) * eps)) + slack
+
+
+def choi_gap(scheme):
+    """Max entry of sum_x vec(T_x) vec(T_x)* - vec(I) vec(I)^T, one product on the T_x stack."""
+    d = scheme.d
+    n = d * d
+    effects = scheme.effects.vectors.reshape(n, d, d)
+    kraus = scheme.omega.reshape(d, d).T @ np.swapaxes(effects, 1, 2).conj()
+    t = (scheme.channel_unitaries @ kraus).reshape(n, n)
+    unit = np.eye(d).reshape(-1)
+    return np.abs(t.T @ t.conj() - np.outer(unit, unit)).max()
+
+
+def _tilted_resource(scheme, rng, size):
+    omega = scheme.omega + size * random_complex(rng, scheme.d**2, 1)[:, 0]
+    return replace(scheme, omega=omega / np.linalg.norm(omega))
+
+
+def _perturbed_channel(scheme, rng, size):
+    channels = scheme.channel_unitaries.copy()
+    channels[1] += size * random_complex(rng, scheme.d, scheme.d)
+    return replace(scheme, channel_unitaries=channels)
+
+
+@pytest.mark.parametrize("damage", [_tilted_resource, _perturbed_channel])
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 32])
+def test_per_outcome_gap_and_choi_gap_bound_each_other(damage, d):
+    rng = np.random.default_rng(d)
+    for size in (1e-2, 1e-5, 1e-8):
+        scheme = damage(build_scheme(weyl_basis(d)), rng, size)
+        delta, eps = verify_teleportation(scheme).deviation, choi_gap(scheme)
+        if d <= 8:  # the literal oracles, too slow beyond
+            np.testing.assert_allclose(eps, teleportation(scheme).max(), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(delta, teleportation_outcomes(scheme).max(), rtol=0, atol=1e-14)
+        assert_choi_bounds(eps, delta, d)
+
+
+def test_choi_bound_needs_its_linear_weight_term():
+    # U_x = I and W = I/sqrt(d) make T_x = Phi_x* / sqrt(d): here T_x = c I + delta
+    # diag(1, -1) with |c|^2 = (1 + delta) / d^2, where eps exceeds (1 + 2d) delta + d^2 delta^2
+    d, delta = 2, 0.1
+    t = np.sqrt(1 + delta) / d * np.eye(d) + delta * np.diag([1, -1])
+    effects = MaxEntangledBasis(d, np.tile(np.sqrt(d) * t.conj().T.reshape(-1), (d * d, 1)))
+    scheme = TightScheme(d, omega_vector(d), np.stack([np.eye(d)] * d * d), effects, TELEPORTATION)
+    verdict = verify_teleportation(scheme)
+    assert verdict.deviation == pytest.approx(delta)
+    eps = choi_gap(scheme)
+    assert eps > (1 + 2 * d) * delta + d**2 * delta**2
+    assert_choi_bounds(eps, delta, d)
+
+
 class TestVerifyTeleportation:
     def test_weyl_d2_passes(self):
         verdict = verify_teleportation(build_scheme(weyl_basis(2)))
@@ -175,8 +231,8 @@ class TestVerifyTeleportation:
             assert abs(lhs - np.trace(rho @ a)) < 1e-12
 
     def test_deviation_matches_kron_oracle_on_broken_scheme(self):
-        # the contracted evaluation must reproduce the literal sum even when
-        # it is far from the target
+        # far from the target too, the verdict is the literal per-outcome gap,
+        # tied to the literal sum over matrix units (the Choi gap) by its bounds
         scheme = build_scheme(weyl_basis(2))
         broken = replace(scheme, omega=schmidt_pair_resource(0.8))
         units = matrix_units(2)
@@ -187,7 +243,8 @@ class TestVerifyTeleportation:
                 target = np.trace(units[a_idx] @ units[b_idx])
                 worst = max(worst, abs(lhs - target))
         verdict = verify_teleportation(broken)
-        assert verdict.deviation == pytest.approx(worst, abs=1e-13)
+        assert verdict.deviation == pytest.approx(teleportation_outcomes(broken).max(), abs=1e-13)
+        assert_choi_bounds(worst, verdict.deviation, 2)
 
     def test_product_resource_fails_badly(self):
         scheme = build_scheme(weyl_basis(2))
@@ -205,11 +262,19 @@ class TestVerifyTeleportation:
         assert verdict.passed
 
     def test_mode_gate(self):
-        # only tp.verify reads the mode; the identity itself ignores it
-        scheme = build_scheme(weyl_basis(2), DENSE_CODING)
-        assert verify_teleportation(scheme).passed
-        assert verify(scheme).table.shape == (4, 4)  # the dense-coding table
-        assert verify(swap_roles(scheme)).table is None
+        # only tp.verify reads the mode; the identity itself ignores it.  With
+        # W^T != +-W the dense-coding reading passes and the teleportation one fails.
+        d = 3
+        omega = random_unitary(np.random.default_rng(5), d).reshape(-1) / np.sqrt(d)
+        basis = weyl_basis(d)
+        effects = basis_to_entangled(basis, omega)
+        scheme = TightScheme(d, omega, basis.elements, effects, DENSE_CODING)
+        assert not verify_teleportation(scheme).passed
+        assert verify(scheme).passed and not verify(swap_roles(scheme)).passed
+        # either way the verdict's table is the effects' Gram matrix
+        gram = check_projector_completeness(effects.vectors).table
+        for reading in (scheme, swap_roles(scheme)):
+            np.testing.assert_array_equal(verify(reading).table, gram)
 
 
 class TestVerifyDenseCoding:
@@ -417,17 +482,21 @@ class TestTeleportState:
 PRODUCT_BUFFER_PEAKS = {
     "check_projector_completeness": (lambda s: check_projector_completeness(s.effects.vectors), 2.5),
     "verify_entangled_basis": (lambda s: verify_entangled_basis(s.effects), 2.5),
-    "verify_teleportation": (verify_teleportation, 3.5),
+    "verify_teleportation": (verify_teleportation, 2.5),
+    # a scheme's verdict forms one d^2 x d^2 product, the effects' Gram matrix
+    "verify of a teleportation scheme": (verify, 2.5),
+    "verify of a dense_coding scheme": (verify, 2.5),
+    "extract_basis_from_scheme": (extract_basis_from_scheme, 3.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_BUFFER_PEAKS))
 def test_identity_gap_reads_the_product_buffer(name):
     check, limit = PRODUCT_BUFFER_PEAKS[name]
-    scheme = build_scheme(weyl_basis(12))
+    scheme = build_scheme(weyl_basis(12), DENSE_CODING if "dense_coding" in name else TELEPORTATION)
     tracemalloc.start()
     try:
-        assert check(scheme).passed
+        assert check(scheme)  # a verdict that passed, or the extracted basis
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -556,6 +556,19 @@ UNREADABLE = [
      "meta: expected a string"),
     ("nan-entry", nan_basis_document,
      "payload.elements[1][0][1]: non-finite number is not allowed"),
+    # an integer field is not cast: loads rejects 0.5, 0.0 and false in a grid
+    ("float-grid",
+     lambda: DesignDocument("latin", 2, {"grid": [[0.5, 1], [1, 0]]}),
+     "payload.grid[0][0]: expected an integer, got 0.5"),
+    ("integral-float-grid",
+     lambda: DesignDocument("latin", 2, {"grid": np.array([[0.0, 1.0], [1.0, 0.0]])}),
+     "payload.grid[0][0]: expected an integer, got 0.0"),
+    ("bool-grid",
+     lambda: DesignDocument("latin", 2, {"grid": np.array([[False, True], [True, False]])}),
+     "payload.grid[0][0]: expected an integer, got False"),
+    ("str-in-grid",
+     lambda: DesignDocument("latin", 2, {"grid": [[0, 1], [1, "a"]]}),
+     "payload.grid[1][1]: expected an integer, got 'a'"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 import tightport as tp
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)]
@@ -24,13 +24,14 @@ def test_verify_dispatches_by_kind():
             expected.passed, expected.deviation, expected.witness
         )
         np.testing.assert_equal(got.table, expected.table)
-    # a scheme's verdict covers more than its mode's identity, whose table it keeps
+    # a scheme's verdict covers more than its mode's identity; its table is the effects' Gram
+    gram = tp.check_projector_completeness(scheme.effects.vectors, 1e-12).table
     for obj, identity in [
         (scheme, tp.verify_teleportation), (tp.swap_roles(scheme), tp.verify_dense_coding)
     ]:
         got, expected = tp.verify(obj, 1e-12), identity(obj, 1e-12)
-        assert got.passed and expected.passed and got.deviation >= expected.deviation
-        np.testing.assert_equal(got.table, expected.table)
+        assert got.passed and expected.passed
+        np.testing.assert_equal(got.table, gram)
     with pytest.raises(TypeError):
         tp.verify(tp.fourier_hadamard(3))
 
@@ -63,14 +64,18 @@ def test_scheme_with_incomplete_effects_fails(family):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_resource_off_maximal_entanglement_fails_before_extraction(d):
-    # Both identities are quadratic in the resource's error, so a resource 1e-6
-    # away from maximal entanglement passes them; the verdict checks the
-    # reduced operator W W* = I/d itself, and extraction refuses the scheme.
+    # The dense-coding table is quadratic in the resource's error, so a resource
+    # 1e-6 away from maximal entanglement passes it; the per-outcome teleportation
+    # gap is linear and fails it.  The verdict checks the reduced operator
+    # W W* = I/d itself, before either identity, and extraction refuses the scheme.
     scheme = tp.build_scheme(tp.weyl_basis(d))
     effects = scheme.effects.vectors
     omega = effects[0] + 1e-6 * effects[1]
     tilted = replace(scheme, omega=omega / np.linalg.norm(omega))
-    assert tp.verify_teleportation(tilted).passed
+    assert tp.verify_dense_coding(tilted).passed
+    teleportation = tp.verify_teleportation(tilted)
+    assert not teleportation.passed and teleportation.deviation > 1e-7
+    assert teleportation.witness.endswith(": T_x is not a multiple of I")
     result = tp.verify(tilted)
     assert not result.passed and result.witness == "resource is not maximally entangled"
     assert result.deviation > 1e-7
@@ -181,6 +186,20 @@ def test_equivalence_theorem(family, d, damage, exponent, seed):
                 output, probabilities = tp.teleport_state(reading, rho)
                 assert np.abs(output - rho).max() <= tp.DEFAULT_TOL
                 assert np.abs(probabilities - 1 / basis.d**2).max() <= tp.DEFAULT_TOL
+    # A resource W = V / sqrt(d) for a unitary V: channels U_x make a dense-coding
+    # scheme and U_x V conj(V) a teleportation one.  Each passes in its own
+    # direction only, unless W^T = +-W.
+    v = random_unitary(rng, basis.d)
+    w = v / np.sqrt(basis.d)
+    effects = tp.basis_to_entangled(basis, w.reshape(-1))
+    symmetric = min(np.abs(w.T - w).max(), np.abs(w.T + w).max()) <= tp.DEFAULT_TOL
+    for mode, channels in [(tp.DENSE_CODING, basis.elements),
+                           (tp.TELEPORTATION, basis.elements @ v @ v.conj())]:
+        scheme = tp.TightScheme(basis.d, w.reshape(-1), channels, effects, mode)
+        if damage in SCHEME_DAMAGES:
+            scheme = SCHEME_DAMAGES[damage](scheme, rng, 10.0**exponent)
+        assert tp.verify(scheme).passed == (damage is None), mode
+        assert tp.verify(tp.swap_roles(scheme)).passed == (damage is None and symmetric), mode
 
 
 def test_worst_takes_the_first_nan_and_fails_closed():
