@@ -239,11 +239,9 @@ def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Check
     # gaps are moduli, so conj(T_x) = conj(U_x W^T) phi_x^T serves and no adjoint is copied
     t = (scheme.channel_unitaries.reshape(-1, d) @ psi.reshape(d, d).T).reshape(-1, d, d)
     t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
-    diagonal = t.reshape(len(t), -1)[:, :: d + 1]  # a strided view
-    c = diagonal.sum(axis=1) / d
-    diagonal -= c[:, None]  # T_x - c_x I, in place
+    c = np.trace(t, axis1=1, axis2=2) / d
     weight = float(np.vdot(c, c).real)
-    gaps = np.append(np.abs(t).max(axis=(1, 2)), abs(weight - 1))
+    gaps = np.append(_identity_gap(t, c[:, None]).max(axis=(1, 2)), abs(weight - 1))
     return CheckResult.worst(gaps, tol, lambda x: f"outcome weights sum to {weight}"
                              if x == len(c) else f"outcome {x}: T_x is not a multiple of I")
 

@@ -136,14 +136,16 @@ def _encode_field(value, dtype, shape: tuple[int, ...], location: str):
     """``value`` as JSON data, or the ``ParseError`` ``loads`` would raise on that data."""
     if dtype is str:
         return _decode_field(value, dtype, shape, location, True)
-    try:  # an int field is not cast: floats or bools in it would be truncated
-        array = np.asarray(value, dtype=None if dtype is int else dtype)
+    if dtype is int:  # walked as loads walks it: a float or bool in the grid is refused, not cast
+        grid = value.tolist() if isinstance(value, np.ndarray) else value
+        return _decode_field(grid, dtype, shape, location, True).tolist()
+    try:
+        array = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):  # not numbers: the walk names the entry
         return _decode_field(value, dtype, shape, location, True)
-    pairs = np.stack([array.real, array.imag], axis=-1) if dtype is complex else array
-    if array.dtype.kind not in "iuc" or array.shape != shape or not np.isfinite(array).all():
-        walked = value if dtype is int and isinstance(value, list) else pairs.tolist()
-        _decode_field(walked, dtype, shape, location, True)  # raises where loads would
+    pairs = np.stack([array.real, array.imag], axis=-1)
+    if array.shape != shape or not np.isfinite(array).all():
+        _decode_field(pairs.tolist(), dtype, shape, location, True)  # raises where loads would
     return pairs.tolist()
 
 

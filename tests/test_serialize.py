@@ -556,7 +556,7 @@ UNREADABLE = [
      "meta: expected a string"),
     ("nan-entry", nan_basis_document,
      "payload.elements[1][0][1]: non-finite number is not allowed"),
-    # an integer field is not cast: loads rejects 0.5, 0.0 and false in a grid
+    # an integer field is not cast: loads rejects 0.5, 0.0, false and true in a grid
     ("float-grid",
      lambda: DesignDocument("latin", 2, {"grid": [[0.5, 1], [1, 0]]}),
      "payload.grid[0][0]: expected an integer, got 0.5"),
@@ -566,6 +566,9 @@ UNREADABLE = [
     ("bool-grid",
      lambda: DesignDocument("latin", 2, {"grid": np.array([[False, True], [True, False]])}),
      "payload.grid[0][0]: expected an integer, got False"),
+    ("bool-in-int-grid",
+     lambda: DesignDocument("latin", 2, {"grid": [[True, 1], [1, 0]]}),
+     "payload.grid[0][0]: expected an integer, got True"),
     ("str-in-grid",
      lambda: DesignDocument("latin", 2, {"grid": [[0, 1], [1, "a"]]}),
      "payload.grid[1][1]: expected an integer, got 'a'"),
