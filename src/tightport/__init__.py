@@ -13,14 +13,9 @@ from .errors import *  # noqa: F401,F403  (the exception taxonomy)
 from .tensor import (
     check_projector_completeness,
     is_maximally_entangled,
-    matrix_units,
     max_abs,
     omega_vector,
-    operator_to_vector,
-    partial_trace,
-    tensor_product,
     trace_inner,
-    transpose_in_basis,
     vector_to_operator,
 )
 from .designs import (

@@ -74,8 +74,8 @@ def _generate_object(args):
         if construction == "fourier":
             return fourier_hadamard(_require(args, "d")), f"fourier d={args.d}"
         if construction == "d4-family":
-            if args.u_phase is None:
-                raise TightportError("d4-family requires --u-phase")
+            if args.u_phase is None or not np.isfinite(args.u_phase):
+                raise TightportError(f"d4-family requires a finite --u-phase, got {args.u_phase}")
             u = np.exp(1j * args.u_phase)
             return hadamard_d4_family(u), f"d4-family u-phase={args.u_phase}"
         if construction == "periodic":

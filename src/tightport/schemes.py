@@ -266,9 +266,12 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
         return psi
     d = scheme.d
     n = d * d
-    # amplitude[x, y] = <phi_y | vec(U_x W)>
-    amplitude = (scheme.channel_unitaries @ psi.reshape(d, d)).reshape(n, n)
-    table = np.abs(amplitude @ scheme.effects.vectors.conj().T) ** 2
+    # |<phi_y | vec(U_x W)>| as |conj(vec(U_x W)) . phi_y|, so the effects are not copied
+    table = np.abs(
+        np.conj(scheme.channel_unitaries @ psi.reshape(d, d)).reshape(n, n)
+        @ scheme.effects.vectors.T
+    )
+    table **= 2
     return CheckResult.worst(_identity_gap(table), tol, "encoded {}, decoded {}".format, table)
 
 

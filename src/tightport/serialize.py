@@ -314,6 +314,8 @@ def loads(text: str) -> DesignDocument:
         data = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nested array or object
+        raise ParseError("invalid JSON: nesting too deep") from exc
 
     _expect_keys(data, {"v", "kind", "d", "meta", "payload"}, "document")
     version = _decode_int(data["v"], "v")

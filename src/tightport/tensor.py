@@ -8,10 +8,10 @@ Conventions used everywhere in this package:
 * matrices and vectors are plain complex ``numpy`` arrays.
 
 The reference entangled vector is ``omega_vector(d)``, the uniform sum of
-e_k (x) e_k scaled to unit norm.  ``operator_to_vector`` and
-``vector_to_operator`` translate between a d x d operator A and the
-d^2-vector (A (x) I) applied to that reference, which turns statements
-about entangled vectors into statements about operators and back.
+e_k (x) e_k scaled to unit norm.  A d x d operator A corresponds to the
+d^2-vector (A (x) I) applied to that reference, whose entries are A's
+row-major entries over sqrt(d); ``vector_to_operator`` reads A back, which
+turns statements about entangled vectors into statements about operators.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ from .common import DEFAULT_TOL, CheckResult, require_positive
 from .errors import CountMismatch, DimensionMismatch, NotNormalized
 
 __all__ = [
-    "tensor_product",
-    "partial_trace",
     "trace_inner",
     "omega_vector",
-    "operator_to_vector",
     "vector_to_operator",
-    "transpose_in_basis",
     "is_maximally_entangled",
     "check_projector_completeness",
-    "matrix_units",
     "max_abs",
 ]
 
@@ -76,41 +71,6 @@ def _as_vector(v, name: str = "vector") -> np.ndarray:
     return w
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor varying slowest.
-
-    The entry at composite position ((i, k), (j, l)) is ``a[i, j] * b[k, l]``.
-    """
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
-
-
-def partial_trace(m, shape: tuple[int, int], factor: str = "second") -> np.ndarray:
-    """Trace out one tensor factor of an operator on a dA x dB space.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix of size dA*dB.
-    shape : (dA, dB)
-        Dimensions of the two factors.
-    factor : {"first", "second"}
-        Which factor to trace out; the result lives on the other one.
-    """
-    dim_a, dim_b = int(shape[0]), int(shape[1])
-    mat = _as_matrix(m)
-    n = dim_a * dim_b
-    if mat.shape != (n, n):
-        raise DimensionMismatch(
-            f"matrix shape {mat.shape} does not match factors ({dim_a}, {dim_b})"
-        )
-    four = mat.reshape(dim_a, dim_b, dim_a, dim_b)
-    if factor == "second":
-        return np.einsum("ikjk->ij", four)
-    if factor == "first":
-        return np.einsum("ikil->kl", four)
-    raise ValueError(f"factor must be 'first' or 'second', got {factor!r}")
-
-
 def trace_inner(a, b) -> complex:
     """Normalized trace inner product tr(A* B) / d, conjugate-linear in A."""
     am = _as_matrix(a, "a")
@@ -130,29 +90,12 @@ def omega_vector(d: int) -> np.ndarray:
     return v
 
 
-def operator_to_vector(a, d: int) -> np.ndarray:
-    """Vector (A (x) I) omega_vector(d) of a d x d operator A.
-
-    The squared norm of the result is tr(A* A) / d, so unitaries map to
-    unit vectors.
-    """
-    am = _as_matrix(a, "a")
-    if am.shape != (d, d):
-        raise DimensionMismatch(f"operator shape {am.shape} is not ({d}, {d})")
-    return am.reshape(-1) / np.sqrt(d)
-
-
 def vector_to_operator(psi, d: int) -> np.ndarray:
-    """Inverse of :func:`operator_to_vector`; entry (k, l) is sqrt(d) psi[k*d+l]."""
+    """The A with (A (x) I) omega_vector(d) = psi: entry (k, l) is sqrt(d) psi[k*d+l]."""
     v = _as_vector(psi, "psi")
     if v.shape != (d * d,):
         raise DimensionMismatch(f"vector length {v.shape[0]} is not {d * d}")
     return v.reshape(d, d) * np.sqrt(d)
-
-
-def transpose_in_basis(a) -> np.ndarray:
-    """Plain transpose (no conjugation) in the computational basis."""
-    return _as_matrix(a).T.copy()
 
 
 def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -194,8 +137,3 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
         raise CountMismatch(f"got {count} vectors in dimension {dim}")
     gram = vs.conj() @ vs.T
     return CheckResult.worst(_identity_gap(gram), tol, "Gram entry ({}, {})".format, gram)
-
-
-def matrix_units(d: int) -> np.ndarray:
-    """All d^2 matrix units E[a, b], stacked at flat index a*d + b."""
-    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)

@@ -6,7 +6,8 @@ were rebuilt on the stacked-unitary and Kraus forms.  They are slow
 (O(d^8) to O(d^11)) and exist only so that tests can compare the fast
 code against them on damaged inputs.  Where a check has a witness, the
 oracle returns its whole gap array, so a test can confirm that the
-witness names an entry at the maximum gap.
+witness names an entry at the maximum gap.  The two tensor helpers they
+need, ``matrix_units`` and ``partial_trace``, are defined here as well.
 """
 
 from __future__ import annotations
@@ -14,7 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 from tightport.errors import DimensionMismatch, NoSolution
-from tightport.tensor import matrix_units, max_abs, partial_trace
+from tightport.tensor import max_abs
+
+
+def matrix_units(d: int) -> np.ndarray:
+    """All d^2 matrix units E[a, b], stacked at flat index a*d + b."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+
+def partial_trace(m, shape: tuple[int, int], factor: str = "second") -> np.ndarray:
+    """Trace out the ``factor`` ("first" or "second") of an operator on a dA x dB space."""
+    dim_a, dim_b = shape
+    mat = np.asarray(m, dtype=complex)
+    if mat.shape != (dim_a * dim_b,) * 2:
+        raise DimensionMismatch(f"matrix shape {mat.shape} does not match factors {shape}")
+    four = mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    if factor == "second":
+        return np.einsum("ikjk->ij", four)
+    if factor == "first":
+        return np.einsum("ikil->kl", four)
+    raise ValueError(f"factor must be 'first' or 'second', got {factor!r}")
 
 
 def orthonormal(elems: np.ndarray) -> tuple[float, float]:

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unitary
+from test_serialize import deeply_nested_text
 from test_verify import INCOMPLETE
 import tightport as tp
 from tightport.cli import main
@@ -148,6 +151,14 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert run("verify", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize("where", ["bare", "payload.grid"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, where):
+        bad = tmp_path / "deep.json"
+        bad.write_text(deeply_nested_text(where))
+        assert run("verify", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "number", ["1e400", "-1e400", "9" * 400], ids=["1e400", "-1e400", "400-digit"]
     )
@@ -265,6 +276,16 @@ def test_tol_must_be_finite_and_non_negative(scheme_file, capsys, command, tol):
     assert "--tol: must be a finite number >= 0" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("phase", ["nan", "inf", "-1e400"])
+def test_u_phase_must_be_finite(tmp_path, capsys, phase):
+    path = tmp_path / "h.json"
+    argv = ("generate", "hadamard", "--construction", "d4-family", f"--u-phase={phase}")
+    assert run(*argv, "-o", path) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: d4-family requires a finite --u-phase, got {float(phase)}\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 121. GiB for an array", ""])
 def test_out_of_memory_is_a_bad_parameter(tmp_path, capsys, monkeypatch, message):
     # stands in for weyl_basis(300), which would ask numpy for 121 GiB
@@ -345,3 +366,93 @@ class TestCountLatin:
 
 def test_no_command_shows_usage():
     assert run() == 2
+
+
+# The CLI contract: main returns 0, 1 or 2 on any argv and never raises.  Sizes
+# stay small (at most a 64 x 64 periodic Hadamard), and every run is in-process.
+SIZES = st.integers(-2, 8).map(str)
+NUMBERS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "-1e400", "-0.0", "1e-400", "x", ""]),
+)
+STATES = st.one_of(
+    st.sampled_from(["maximally-mixed", "random", "thermal", "pure:", "pure:x", ""]),
+    st.integers(-2, 5).map("pure:{}".format),
+)
+CONSTRUCTIONS = {
+    "latin": ["cyclic", "random"],
+    "hadamard": ["fourier", "d4-family", "periodic"],
+    "unitary-basis": ["weyl", "shift-multiply"],
+    "entangled-basis": [],
+    "scheme": [],
+    "sudoku": [],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input paths of every sort: five valid documents and five that are not."""
+    root = tmp_path_factory.mktemp("fuzz")
+    basis = tp.weyl_basis(2)
+    valid = {
+        "basis": basis,
+        "scheme": tp.build_scheme(basis),
+        "dense": tp.build_scheme(basis, tp.DENSE_CODING),
+        "latin": tp.latin_from_cyclic(3),
+        "hadamard": tp.fourier_hadamard(2),
+    }
+    for name, obj in valid.items():
+        tp.save(tp.make_document(obj), root / f"{name}.json")
+    (root / "binary.json").write_bytes(b'\xff\xfe{"v": 1}')
+    (root / "deep.json").write_text(deeply_nested_text("payload.grid"))
+    unknown = json.loads((root / "latin.json").read_text())
+    unknown["kind"] = "sudoku"
+    (root / "unknown.json").write_text(json.dumps(unknown))
+    (root / "inputs").mkdir()
+    names = [*valid, "binary", "deep", "unknown"]
+    return root, [str(root / f"{name}.json") for name in names] + [
+        str(root / "missing.json"), str(root / "inputs"),
+    ]
+
+
+def _draw_options(data, options):
+    """Some of ``options`` (flag -> value strategy) as ``flag=value``, in drawn order."""
+    flags = data.draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    return [f"{flag}={data.draw(options[flag])}" for flag in flags]
+
+
+def _draw_argv(data, root, files):
+    command = data.draw(st.sampled_from(["generate", "verify", "simulate", "count-latin", "x"]))
+    file = st.sampled_from(files)
+    if command == "generate":
+        kind = data.draw(st.sampled_from(sorted(CONSTRUCTIONS)))
+        construction = st.sampled_from([*CONSTRUCTIONS[kind], "walsh"])
+        output = st.sampled_from([str(root / "out.json"), str(root / "inputs")])
+        return ["generate", kind, f"--output={data.draw(output)}", *_draw_options(data, {
+            "--construction": construction,
+            "--d": SIZES, "--p": SIZES, "--q": SIZES,
+            "--u-phase": NUMBERS,
+            "--latin": file,
+            "--hadamards": file,
+            "--from-basis": file,
+            "--mode": st.sampled_from(["teleportation", "dense-coding", "sideways"]),
+            "--rng-seed": st.integers(-1, 3),
+        })]
+    if command == "verify":
+        return ["verify", data.draw(file), *_draw_options(data, {"--tol": NUMBERS})]
+    if command == "simulate":
+        return ["simulate", data.draw(file), f"--state={data.draw(STATES)}", *_draw_options(data, {
+            "--trials": st.integers(-1, 3),
+            "--tol": NUMBERS,
+            "--rng-seed": st.integers(-1, 3),
+        })]
+    if command == "count-latin":
+        return ["count-latin", str(data.draw(st.integers(-1, 7)))]
+    return data.draw(st.lists(st.sampled_from(["x", "--help", "-o"]), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2(fuzz_files, data):
+    argv = _draw_argv(data, *fuzz_files)
+    assert main(argv) in (0, 1, 2)

@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import PAULIS, random_complex, random_density, random_unitary
-from oracles import resource_density, teleportation, teleportation_outcomes
+from oracles import matrix_units, resource_density, teleportation, teleportation_outcomes
 from test_oracles import SCHEME_CASES, make_scheme
 from tightport import (
     DENSE_CODING,
@@ -23,12 +23,10 @@ from tightport import (
     extract_basis_from_scheme,
     hadamard_d4_family,
     latin_from_cyclic,
-    matrix_units,
     omega_vector,
     shift_multiply_basis,
     swap_roles,
     tensor_bases,
-    tensor_product,
     teleport_state,
     trace_inner,
     verify,
@@ -97,7 +95,7 @@ class TestEntangledToBasis:
         rng = np.random.default_rng(30)
         d = 3
         w = random_unitary(rng, d)
-        ref = tensor_product(w, np.eye(d)) @ omega_vector(d)
+        ref = np.kron(w, np.eye(d)) @ omega_vector(d)
         basis = weyl_basis(d)
         back = entangled_to_basis(basis_to_entangled(basis, ref), ref)
         np.testing.assert_allclose(back.elements, basis.elements, atol=1e-11)
@@ -483,6 +481,7 @@ PRODUCT_BUFFER_PEAKS = {
     "check_projector_completeness": (lambda s: check_projector_completeness(s.effects.vectors), 2.5),
     "verify_entangled_basis": (lambda s: verify_entangled_basis(s.effects), 2.5),
     "verify_teleportation": (verify_teleportation, 2.5),
+    "verify_dense_coding": (verify_dense_coding, 2.5),
     # a scheme's verdict forms one d^2 x d^2 product, the effects' Gram matrix
     "verify of a teleportation scheme": (verify, 2.5),
     "verify of a dense_coding scheme": (verify, 2.5),

