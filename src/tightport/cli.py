@@ -38,6 +38,8 @@ from .schemes import (
 from .serialize import DesignDocument, document_to_object, load, make_document, save
 
 _MODE_FLAGS = {"teleportation": TELEPORTATION, "dense-coding": DENSE_CODING}
+_CONSTRUCTIONS = {"latin": ["cyclic", "random"], "hadamard": ["fourier", "d4-family", "periodic"],
+                  "unitary-basis": ["weyl", "shift-multiply"]}
 
 
 def _err(message: str) -> int:
@@ -58,17 +60,19 @@ def _load_as(path, kind: str):
 def _generate_object(args):
     kind = args.kind
     construction = args.construction
+    choices = _CONSTRUCTIONS.get(kind, [construction])
+    if construction not in choices:
+        raise TightportError(f"{kind} needs --construction, one of {', '.join(choices)}; "
+                             f"got {construction!r}")
 
     if kind == "latin":
         if construction == "cyclic":
             return latin_from_cyclic(_require(args, "d")), f"cyclic d={args.d}"
-        if construction == "random":
-            d = _require(args, "d")
-            rng = _rng(args)
-            p, q, r = (rng.permutation(d) for _ in range(3))
-            square = latin_equivalence_apply(latin_from_cyclic(d), p, q, r)
-            return square, f"random d={d} seed={args.rng_seed}"
-        raise TightportError(f"unknown latin construction {construction!r}")
+        d = _require(args, "d")  # random
+        rng = _rng(args)
+        p, q, r = (rng.permutation(d) for _ in range(3))
+        square = latin_equivalence_apply(latin_from_cyclic(d), p, q, r)
+        return square, f"random d={d} seed={args.rng_seed}"
 
     if kind == "hadamard":
         if construction == "fourier":
@@ -78,36 +82,29 @@ def _generate_object(args):
                 raise TightportError(f"d4-family requires a finite --u-phase, got {args.u_phase}")
             u = np.exp(1j * args.u_phase)
             return hadamard_d4_family(u), f"d4-family u-phase={args.u_phase}"
-        if construction == "periodic":
-            p, q = _require(args, "p"), _require(args, "q")
-            require_positive(p, "period p")
-            require_positive(q, "period q")
-            d = p * q
-            if args.rng_seed is None:
-                cell = np.ones((d, d), dtype=complex)
-            else:
-                rng = _rng(args)
-                angles = rng.uniform(0.0, 2.0 * np.pi, size=(p, q))
-                cell = np.exp(1j * np.tile(angles, (d // p, d // q)))
-            return (
-                periodic_phase_hadamard(p, q, cell),
-                f"periodic p={p} q={q} seed={args.rng_seed}",
-            )
-        raise TightportError(f"unknown hadamard construction {construction!r}")
+        p, q = _require(args, "p"), _require(args, "q")  # periodic
+        require_positive(p, "period p")
+        require_positive(q, "period q")
+        d = p * q
+        if args.rng_seed is None:
+            cell = np.ones((d, d), dtype=complex)
+        else:
+            rng = _rng(args)
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=(p, q))
+            cell = np.exp(1j * np.tile(angles, (d // p, d // q)))
+        return periodic_phase_hadamard(p, q, cell), f"periodic p={p} q={q} seed={args.rng_seed}"
 
     if kind == "unitary-basis":
         if construction == "weyl":
             return weyl_basis(_require(args, "d")), f"weyl d={args.d}"
-        if construction == "shift-multiply":
-            if not args.latin or not args.hadamards:
-                raise TightportError("shift-multiply requires --latin and --hadamards")
-            square = _load_as(args.latin, "latin")
-            mats = [_load_as(path, "hadamard") for path in args.hadamards]
-            if len(mats) == 1:
-                mats = mats * square.d
-            basis = shift_multiply_basis(square, mats)
-            return basis, f"shift-multiply from {args.latin} + {len(args.hadamards)} hadamard file(s)"
-        raise TightportError(f"unknown unitary-basis construction {construction!r}")
+        if not args.latin or not args.hadamards:  # shift-multiply
+            raise TightportError("shift-multiply requires --latin and --hadamards")
+        square = _load_as(args.latin, "latin")
+        mats = [_load_as(path, "hadamard") for path in args.hadamards]
+        if len(mats) == 1:
+            mats = mats * square.d
+        basis = shift_multiply_basis(square, mats)
+        return basis, f"shift-multiply from {args.latin} + {len(args.hadamards)} hadamard file(s)"
 
     if kind == "entangled-basis":
         basis = _load_as(_require(args, "from_basis"), "unitary_basis")
@@ -127,8 +124,8 @@ def _require(args, name: str):
 
 
 def _rng(args) -> np.random.Generator:
-    if args.rng_seed is None:
-        raise TightportError("randomized generation requires --rng-seed")
+    if args.rng_seed is None or args.rng_seed < 0:
+        raise TightportError(f"randomized generation requires --rng-seed >= 0, got {args.rng_seed}")
     return np.random.default_rng(args.rng_seed)
 
 
@@ -174,11 +171,11 @@ def _input_state(spec: str, d: int, args) -> list[np.ndarray]:
     if spec == "maximally-mixed":
         return [np.eye(d, dtype=complex) / d] * args.trials
     if spec.startswith("pure:"):
-        index = int(spec.split(":", 1)[1])
-        if not 0 <= index < d:
-            raise TightportError(f"pure state index {index} out of range for d={d}")
+        index = spec[len("pure:"):]
+        if not (index.isdecimal() and int(index) < d):
+            raise TightportError(f"--state pure:<i> needs an index i in 0..{d - 1}, got {spec!r}")
         rho = np.zeros((d, d), dtype=complex)
-        rho[index, index] = 1.0
+        rho[int(index), int(index)] = 1.0
         return [rho] * args.trials
     if spec == "random":
         rng = _rng(args)

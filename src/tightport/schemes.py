@@ -13,17 +13,15 @@ Built from a unitary basis, the triple satisfies the teleportation identity
 (averaging the measure-and-correct protocol over outcomes reproduces every
 input state exactly) and the dense-coding identity (the receiver's outcome
 matrix is exactly the identity).  The verifiers evaluate both identities
-completely, not on samples, and the converse direction is exercised by
-feeding them deliberately damaged resources.
+completely, not on samples.
 
 Both identities and the protocol are products of stacked arrays.  With the
-resource vector reshaped to a d x d matrix W, outcome x acts on the input by
-the Kraus operator K_x = W^T phi_x* and the corrected protocol by
-T_x = U_x K_x.  Teleportation holds when every T_x is c_x I and
-sum_x |c_x|^2 = 1 (the Choi matrix sum_x vec(T_x) vec(T_x)* read per outcome),
-the dense-coding table is |Phi* M|^2 with the columns of M equal to vec(U_x W),
-and the protocol's output is sum_x T_x rho T_x*.  All of them read the
-resource by one rule and fail any but a unit vector or psi psi* for one.
+resource vector reshaped to a d x d matrix W and phi_x* the adjoint of effect
+x's d x d matrix, :func:`verify` reads either identity per outcome: every
+T_x = U_x R phi_x* is c_x I and sum_x |c_x|^2 = 1, R = W^T for teleportation
+and R = W for dense coding.  Outcome x acts on the input by K_x = W^T phi_x*,
+and the output is sum_x U_x K_x rho K_x* U_x*.  All of them read the resource
+by one rule and fail any but a unit vector or psi psi* for one.
 
 Phase convention: operators extracted from entangled vectors keep the phase
 the correspondence delivers; round-trip equality assertions are therefore
@@ -105,10 +103,9 @@ class TightScheme:
     effect vectors forming a complete von Neumann measurement, and satisfies
     the identity of its ``mode``; :func:`verify` checks all four, and the
     dataclass checks shapes only.  ``omega`` is normally the resource vector
-    (length d^2); a (d^2, d^2) matrix is also accepted so that damaged
-    schemes stay representable.  The verifiers and :func:`teleport_state`
-    fail a resource that is neither a unit vector nor psi psi* for one.
-    The components themselves are direction-agnostic.
+    (length d^2); a (d^2, d^2) matrix, valid only as psi psi*, is also accepted
+    so that damaged schemes stay representable.  The components are
+    direction-agnostic.
     """
 
     d: int
@@ -215,15 +212,35 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     return TightScheme(d, ref, basis.elements, effects, mode)
 
 
+def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float) -> CheckResult:
+    """Every T_x = U_x R phi_x* is c_x I, c_x = tr(T_x) / d, and sum_x |c_x|^2 = 1.
+
+    R = W^T states teleportation; R = W states dense coding exactly given unitary
+    channels, W W* = I/d and complete effects: then U_x W is unitary / sqrt(d) and
+    |phi_x| = 1, so |T_x - c_x I|_F^2 = (1 - |a_x|^2) / d for the table's amplitude
+    a_x = tr(T_x) = <phi_x, vec(U_x W)>, and each row of the table sums to 1.  So the
+    table is I exactly when every T_x = c_x I, and then |c_x| = 1/d.  Its gap eps =
+    max_x |1 - |a_x|^2| and the worst outcome gap delta obey delta^2 <= eps / d <= d^2 delta^2.
+    """
+    d = scheme.d
+    # gaps are moduli, so conj(T_x) = conj(U_x R) phi_x^T serves and no adjoint is copied
+    t = (scheme.channel_unitaries.reshape(-1, d) @ r).reshape(-1, d, d)
+    t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
+    c = np.trace(t, axis1=1, axis2=2) / d
+    weight = float(np.vdot(c, c).real)
+    gaps = np.append(_identity_gap(t, c[:, None]).max(axis=(1, 2)), abs(weight - 1))
+    return CheckResult.worst(gaps, tol, lambda x: f"outcome weights sum to {weight}"
+                             if x == len(c) else f"outcome {x}: T_x is not a multiple of I")
+
+
 def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
     """Evaluate the teleportation identity outcome by outcome.
 
     Averaged over outcomes, the protocol must reproduce tr(rho A) for every
     state rho and observable A.  Over the matrix units these d^4 numbers form
     the Choi matrix sum_x vec(T_x) vec(T_x)*, a sum of PSD rank-one terms, so
-    they hold exactly when every T_x is c_x I and sum_x |c_x|^2 = 1 ("outcome
-    7: T_x is not a multiple of I", or "outcome weights sum to s").  The worst
-    gap delta (c_x = tr(T_x) / d) and the Choi matrix's gap eps bound each other:
+    they hold exactly when every T_x = U_x W^T phi_x* is c_x I and the weights
+    |c_x|^2 sum to 1.  The worst gap delta and the Choi matrix's gap eps obey
     eps <= (1 + 2d) delta + d (d + 1) delta^2, delta <= max(eps, sqrt(d (d + 1) eps)).
 
     The resource's form (a unit vector, or a matrix that is psi psi*) and the
@@ -235,15 +252,7 @@ def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Check
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         return psi
-    d = scheme.d
-    # gaps are moduli, so conj(T_x) = conj(U_x W^T) phi_x^T serves and no adjoint is copied
-    t = (scheme.channel_unitaries.reshape(-1, d) @ psi.reshape(d, d).T).reshape(-1, d, d)
-    t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
-    c = np.trace(t, axis1=1, axis2=2) / d
-    weight = float(np.vdot(c, c).real)
-    gaps = np.append(_identity_gap(t, c[:, None]).max(axis=(1, 2)), abs(weight - 1))
-    return CheckResult.worst(gaps, tol, lambda x: f"outcome weights sum to {weight}"
-                             if x == len(c) else f"outcome {x}: T_x is not a multiple of I")
+    return _outcome_identity(scheme, psi.reshape(scheme.d, -1).T, tol)
 
 
 def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -251,15 +260,15 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
 
     Entry (x, y) is the probability of decoding y when x was encoded:
     the sender conjugates the resource's left half by channel x, and the
-    receiver projects onto effect y.  Each row is an outcome distribution
-    regardless of validity; validity means the matrix is exactly I.  The
-    matrix is the result's ``table``.
+    receiver projects onto effect y.  Validity means the matrix, the result's
+    ``table``, is exactly I.  Its entries are probabilities, so its gap is
+    quadratic in the damage by definition.
 
     The resource's form (a unit vector, or a matrix that is psi psi*; one
     that fails has no table) and the identity are checked, and nothing else:
     channel unitarity, completeness of the effects and maximal entanglement
     are not, so an identity table from non-unitary channels also passes.
-    :func:`verify` checks all of it.
+    :func:`verify` checks all of it, with the identity read per outcome.
     """
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
@@ -301,10 +310,10 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
 
     A scheme is checked against its whole definition: a maximally entangled
     unit resource vector (or psi psi* as a matrix), unitary channels, effects
-    forming a complete measurement, and its mode's identity per outcome: every
-    T_x is c_x I with sum_x |c_x|^2 = 1, or every |<phi_x, vec(U_x W)>|^2 is 1.
-    A resource at fault fails before any product is formed; the rest is one
-    verdict naming the part at fault, whose ``table`` is the effects' Gram matrix.
+    forming a complete measurement, and the identity per outcome, every
+    U_x R phi_x* = c_x I with R = W^T or W by mode.  A resource at fault fails
+    before any product is formed; the rest is one verdict naming the part at
+    fault, whose ``table`` is the effects' Gram matrix.
     """
     if isinstance(obj, UnitaryBasis):
         return verify_orthonormal(obj, tol)
@@ -321,11 +330,8 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     u = obj.channel_unitaries
     channels = _identity_gap(_adjoint(u) @ u).max(axis=(1, 2))
     n = len(u)
-    if obj.mode == TELEPORTATION:
-        identity = verify_teleportation(obj, tol)
-    else:  # |<phi_x, vec(U_x W)>|^2, the table's diagonal: with the other parts, ones make it I
-        amp = (np.conj(u @ psi.reshape(obj.d, -1)).reshape(n, n) * obj.effects.vectors).sum(axis=1)
-        identity = CheckResult.worst(abs(1 - abs(amp) ** 2), tol, "encoded {0}, decoded {0}".format)
+    w = psi.reshape(obj.d, -1)
+    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
     completeness = check_projector_completeness(obj.effects.vectors, tol)
     parts = {n: f"effect vectors are not a complete measurement: {completeness.witness}",
              n + 1: identity.witness}
@@ -338,11 +344,10 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
 def swap_roles(scheme: TightScheme) -> TightScheme:
     """Flip the scheme's direction; the parties exchange equipment.
 
-    The component triple is untouched.  A valid teleportation scheme read in
-    the other direction is a valid dense-coding scheme, and conversely, when
-    the resource's d x d matrix W satisfies W^T = +-W, as ``omega_vector(d)``
-    does; for another maximally entangled resource one direction can pass and
-    the other fail.
+    The component triple is untouched; only R in U_x R phi_x* = c_x I changes,
+    from W^T to W or back.  So both readings agree when W^T = +-W, as for
+    ``omega_vector(d)``; for another maximally entangled resource one direction
+    can pass and the other fail.
     """
     return replace(scheme, mode=MODES[1 - MODES.index(scheme.mode)])
 
@@ -386,14 +391,12 @@ def teleport_state(
 def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> UnitaryBasis:
     """Recover the unitary basis generating a verified scheme.
 
-    The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised; it
-    reads teleportation per outcome (every T_x is c_x I), so its one O(d^6)
-    product is the effects' Gram matrix.  With the resource vector (the psi of
-    a psi psi* matrix), found maximally entangled by the verdict, as the
-    reference, :func:`entangled_to_basis` reads each element off its effect
-    vector and checks that it is unitary.  The family's Gram matrix is then
-    the effects' Gram matrix, which the verdict has checked, so orthonormality
-    is not checked again.  Elements may differ from the generating ones by
+    The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised.  With its
+    resource vector (the psi of a psi psi* matrix) as the reference,
+    :func:`entangled_to_basis` reads each element off its effect vector and checks
+    that it is unitary: the verdict bounds that gap only by a multiple of its
+    deviation that grows with d.  The family's Gram matrix is the effects', which
+    the verdict has checked.  Elements may differ from the generating ones by
     global phases, which affect neither the channels nor the effects.
     """
     verdict = verify(scheme, tol)

@@ -20,3 +20,12 @@ def random_density(rng, d):
     g = random_complex(rng, d, d)
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def random_twist(rng, n, size):
+    """exp(i size H) for a random traceless Hermitian n x n H of unit spectral norm."""
+    g = random_complex(rng, n, n)
+    h = g + g.conj().T
+    h -= np.trace(h) / n * np.eye(n)
+    w, v = np.linalg.eigh(h / np.abs(np.linalg.eigvalsh(h)).max())
+    return (v * np.exp(1j * size * w)) @ v.conj().T

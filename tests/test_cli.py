@@ -286,6 +286,44 @@ def test_u_phase_must_be_finite(tmp_path, capsys, phase):
     assert not path.exists()
 
 
+# A bad parameter's one error line names its flag, and for a missing or unknown
+# construction the valid choices, instead of passing a Python or numpy message on.
+FLAG_ERRORS = {
+    "pure index not a number": (("simulate", "{scheme}", "--state", "pure:x"), ["--state"]),
+    "pure index missing": (("simulate", "{scheme}", "--state", "pure:"), ["--state"]),
+    "pure index negative": (("simulate", "{scheme}", "--state", "pure:-1"), ["--state"]),
+    "pure index too large": (("simulate", "{scheme}", "--state", "pure:4"), ["--state"]),
+    "negative seed, simulate": (
+        ("simulate", "{scheme}", "--state", "random", "--rng-seed", -1), ["--rng-seed"]),
+    "negative seed, generate": (
+        ("generate", "latin", "--construction", "random", "--d", 3, "--rng-seed", -1, "-o", "{out}"),
+        ["--rng-seed"]),
+    "latin without construction": (
+        ("generate", "latin", "--d", 3, "-o", "{out}"), ["--construction", "cyclic, random"]),
+    "hadamard without construction": (
+        ("generate", "hadamard", "--d", 3, "-o", "{out}"),
+        ["--construction", "fourier, d4-family, periodic"]),
+    "unitary basis without construction": (
+        ("generate", "unitary-basis", "--d", 3, "-o", "{out}"),
+        ["--construction", "weyl, shift-multiply"]),
+    "unknown construction": (
+        ("generate", "hadamard", "--construction", "walsh", "--d", 4, "-o", "{out}"),
+        ["--construction", "'walsh'", "fourier, d4-family, periodic"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_ERRORS))
+def test_bad_parameter_error_names_its_flag(tmp_path, scheme_file, capsys, case):
+    argv, named = FLAG_ERRORS[case]
+    out = tmp_path / "out.json"
+    assert run(*(str(a).format(scheme=scheme_file, out=out) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for text in named:
+        assert text in captured.err
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 121. GiB for an array", ""])
 def test_out_of_memory_is_a_bad_parameter(tmp_path, capsys, monkeypatch, message):
     # stands in for weyl_basis(300), which would ask numpy for 121 GiB

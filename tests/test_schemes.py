@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import PAULIS, random_complex, random_density, random_unitary
+from conftest import PAULIS, random_complex, random_density, random_twist, random_unitary
 from oracles import matrix_units, resource_density, teleportation, teleportation_outcomes
 from test_oracles import SCHEME_CASES, make_scheme
+from test_verify import twisted_channel
 from tightport import (
     DENSE_CODING,
     TELEPORTATION,
@@ -212,6 +213,53 @@ def test_choi_bound_needs_its_linear_weight_term():
     eps = choi_gap(scheme)
     assert eps > (1 + 2 * d) * delta + d**2 * delta**2
     assert_choi_bounds(eps, delta, d)
+
+
+def outcome_gaps(scheme, r):
+    """Per outcome x, the max entry of |T_x - c_x I| for T_x = U_x R phi_x*, formed literally."""
+    d = scheme.d
+    t = scheme.channel_unitaries @ r @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2).conj()
+    c = np.trace(t, axis1=1, axis2=2) / d
+    return np.abs(t - c[:, None, None] * np.eye(d)).max(axis=(1, 2))
+
+
+def _rotated_effects(scheme, rng, size):
+    vectors = scheme.effects.vectors @ random_twist(rng, scheme.d**2, size).T
+    return replace(scheme, effects=MaxEntangledBasis(scheme.d, vectors))
+
+
+@pytest.mark.parametrize("damage,d", [(twisted_channel, d) for d in (2, 3, 5, 8, 16, 32)]
+                         + [(_rotated_effects, d) for d in (2, 3, 5, 8, 16)])
+def test_outcome_gap_and_dense_table_gap_bound_each_other(damage, d):
+    # Channels stay unitary and effects complete, so |T_x - c_x I|_F^2 = eps_x / d for
+    # the table's diagonal gap eps_x: the worst outcome gap delta and eps = max_x eps_x
+    # obey delta^2 <= eps / d <= d^2 delta^2.  Undamaged, eps reads up to 10 rounding
+    # units at every d here, so it is allowed 16 + d^2 of them.
+    rng = np.random.default_rng(d)
+    slack = (16 + d * d) * np.finfo(float).eps
+    for size in (1e-2, 1e-5, 1e-8):
+        scheme = damage(build_scheme(weyl_basis(d), DENSE_CODING), rng, size)
+        eps = np.abs(1 - np.diagonal(verify_dense_coding(scheme).table)).max()
+        gaps = outcome_gaps(scheme, scheme.omega.reshape(d, d))
+        delta = gaps.max()
+        assert delta**2 <= (eps + slack) / d, size
+        assert eps - slack <= d**3 * delta**2, size
+        verdict = verify(scheme)
+        assert verdict.deviation == pytest.approx(delta, rel=1e-6, abs=1e-13), size
+        if not verdict.passed:
+            x = int(verdict.witness.removeprefix("outcome ").split(":")[0])
+            assert gaps[x] == pytest.approx(delta, rel=1e-6, abs=1e-13), size
+
+
+def test_extraction_refuses_a_dense_scheme_with_rotated_effects():
+    # A 1e-6 rotation keeps the effects complete and moves the dense table by about
+    # 1e-12, which passes it; the verdict's outcome gap is linear in the rotation, so
+    # extraction refuses the scheme instead of reading operators off unitarity.
+    scheme = build_scheme(weyl_basis(3), DENSE_CODING)
+    rotated = _rotated_effects(scheme, np.random.default_rng(1), 1e-6)
+    assert verify_dense_coding(rotated).passed
+    with pytest.raises(SchemeInvalid, match=r"outcome \d+: T_x is not a multiple of I"):
+        extract_basis_from_scheme(rotated)
 
 
 class TestVerifyTeleportation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_twist, random_unitary
 from oracles import matrix_units
 import tightport as tp
 
@@ -26,8 +26,8 @@ def test_verify_dispatches_by_kind():
         )
         np.testing.assert_equal(got.table, expected.table)
     # a scheme's verdict covers more than its mode's identity; its table is the effects' Gram.
-    # Dense coding reads the identity table's diagonal, summed in another order than the
-    # table's product, so its deviation may fall short of the table's by rounding.
+    # For dense coding the verdict reads the identity per outcome, not through the table,
+    # so on a valid scheme its rounding may fall short of the table's.
     gram = tp.check_projector_completeness(scheme.effects.vectors, 1e-12).table
     for obj, identity, rounding in [
         (scheme, tp.verify_teleportation, 0.0),
@@ -150,9 +150,17 @@ def _product_effects(scheme, rng, size):
     return replace(scheme, effects=tp.MaxEntangledBasis(scheme.d, np.eye(scheme.d**2)))
 
 
+def twisted_channel(scheme, rng, size):
+    # still unitary: the dense-coding table's gap is quadratic in size, the verdict's linear
+    channels = scheme.channel_unitaries.copy()
+    x = int(rng.integers(len(channels)))
+    channels[x] = channels[x] @ random_twist(rng, scheme.d, size)
+    return replace(scheme, channel_unitaries=channels)
+
+
 BASIS_DAMAGES = {"perturbed": _perturbed, "duplicated": _duplicated, "nan": _nan}
 SCHEME_DAMAGES = {"swapped channels": _swapped, "non-unitary channel": _non_unitary,
-                  "product effects": _product_effects}
+                  "product effects": _product_effects, "twisted channel": twisted_channel}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
