@@ -12,24 +12,34 @@ where ``loads`` would, and ``save`` then leaves its file as it was.  Loading
 is purely structural; it never runs the numerical validators, so a
 corrupted-but-well-formed file loads fine and is then failed by ``verify``.
 
-Each complex payload is decoded as a whole: one numpy conversion of the
-parsed nested list, accepted when it yields finite numbers of the expected
-shape, and reinterpreted as complex without a copy.  Only when that fails
-does the per-entry walk run, to decode the rare valid inputs the whole-array
-path leaves to it or to name the first offending entry.  Payload numbers
-must be JSON numbers: strings, ``true``/``false`` and ``null`` are rejected
-at their location.
+Text laid out as ``dumps`` writes it (sorted keys, ``", "`` and ``": "``
+separators, ``[re, im]`` pairs) takes a fast path.  ``json`` reads the
+document with each complex payload array cut out.  Each array's text must
+have the bracket-and-comma skeleton of its field's shape, with number
+characters only inside its pairs.  ``[0.0, 0.0]`` pairs, most entries of a
+monomial unitary, are set by position; ``json`` reads the other pairs'
+numbers as one flat list into one float64 buffer, viewed as complex, with no
+nested list.  Any other text, and any deviation found on the way, goes to
+``json.loads`` and the per-entry walk, which accepts the same documents,
+reads them to the same bits and names the first offending entry of the rest.
+Payload numbers must be JSON numbers: strings, ``true``/``false`` and
+``null`` are rejected at their location.
 
-``loads`` and ``dumps`` hold the cyclic garbage collector while they run.
+Only the walk builds nested lists, and it holds the cyclic garbage collector
+while it runs.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import math
+import re
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
+from functools import lru_cache
+from json.decoder import scanstring
 from operator import attrgetter
 from typing import Any
 
@@ -91,10 +101,10 @@ class DesignDocument:
 def _collector_paused():
     """Disable the cyclic garbage collector, restoring the state found on exit.
 
-    The nested lists of a document are acyclic, so reference counting frees
-    them; the collector would only re-walk them as they grow.  The switch is
-    process-wide: other threads also run without the collector meanwhile.
-    As a decorator it pauses the collector for each call.
+    The nested lists ``json.loads`` builds are acyclic, so reference counting
+    frees them; the collector would only re-walk them as they grow.  The
+    switch is process-wide: other threads also run without the collector
+    meanwhile.  As a decorator it pauses the collector for each call.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -103,6 +113,117 @@ def _collector_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the layout dumps writes, shared by both directions
+
+# The characters of a JSON number; what remains of an array's text without
+# them is its skeleton of brackets, commas and spaces.
+_NUMBER_CHARS = b"0123456789.eE+-"
+_ZERO_PAIR = b"[0.0, 0.0]"
+# The eight bytes inside the brackets of a zero pair, read as one word.
+_ZERO_WORD = np.frombuffer(_ZERO_PAIR[1:-1], dtype="<u8")[0]
+# Numbers that dumps formats, or loads parses, at once.
+_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=32)
+def _layout(shape: tuple[int, ...]) -> tuple[str, ...]:
+    """The text ``json.dumps`` writes around the numbers of a nested list of ``shape``.
+
+    One piece more than there are numbers: number i goes between pieces i and i + 1.
+    """
+    template = "%s"
+    for n in reversed(shape):
+        template = "[" + ", ".join([template] * n) + "]"
+    return tuple(template.split("%s"))
+
+
+def _skeleton_length(shape: tuple[int, ...]) -> int:
+    """The length of the text of ``_layout(shape)``, computed without building it."""
+    length = 0
+    for n in reversed(shape):
+        length = 2 + n * length + 2 * (n - 1)
+    return length
+
+
+def _complex_text(array: np.ndarray) -> str:
+    """``json.dumps`` of the ``[re, im]`` nested list of a finite complex128 array.
+
+    Each distinct number is formatted once, and blocks of rows along the
+    first axis are laid into one cached layout; no nested list is built.
+    """
+    numbers = np.ascontiguousarray(array).view(np.int64).reshape(-1)  # the bits of re, im, ...
+    nonzero = np.flatnonzero(numbers)  # +0.0 is the only float with no bit set
+    values, inverse = np.unique(numbers[nonzero], return_inverse=True)
+    texts = np.array(list(map(float.__repr__, values.view(float).tolist())), dtype=object)[inverse]
+    per_row = 2 * array[0].size
+    step = max(1, _BLOCK // per_row) * per_row
+    blocks = []
+    for start in range(0, len(numbers), step):
+        block = np.empty(min(step, len(numbers) - start), dtype=object)
+        block[:] = "0.0"
+        lo, hi = np.searchsorted(nonzero, [start, start + len(block)])
+        block[nonzero[lo:hi] - start] = texts[lo:hi]
+        parts = [""] * (2 * len(block) + 1)
+        parts[::2] = _layout((len(block) // per_row,) + array.shape[1:] + (2,))
+        parts[1::2] = block.tolist()
+        blocks.append("".join(parts)[1:-1])  # the rows, without the block's own brackets
+    return "[" + ", ".join(blocks) + "]"
+
+
+def _read_complex(document: str, start: int, end: int, shape: tuple[int, ...]):
+    """The complex array of ``shape`` in ``document[start:end]``, laid out as ``dumps`` writes it.
+
+    None whenever ``json.loads`` and the walk might read that text otherwise:
+    a skeleton other than the shape's, a number character outside a pair, a
+    token that is not a JSON number, or a number that is not a finite float.
+    """
+    try:
+        text = document[start:end].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    skeleton = text.translate(None, _NUMBER_CHARS)
+    # compared by length first, so a claimed shape larger than the text builds nothing
+    if len(skeleton) != _skeleton_length(shape + (2,)):
+        return None
+    row = "".join(_layout(shape[1:] + (2,))).encode()
+    if skeleton != b"[" + b", ".join([row] * shape[0]) + b"]":
+        return None
+    # A bracket opens a pair when a number (or the comma) follows it and closes
+    # one when a number (or the space) precedes it: every pair's brackets do.
+    # As many as the shape has pairs means no stray number made another, and
+    # the pairs' lengths then account for every number character.
+    chars = np.frombuffer(text, dtype=np.uint8)
+    opens = np.flatnonzero((chars[:-1] == ord("[")) & (chars[1:] != ord("[")))
+    closes = np.flatnonzero((chars[1:] == ord("]")) & (chars[:-1] != ord("]"))) + 1
+    count = math.prod(shape)
+    if len(opens) != count or len(closes) != count:
+        return None
+    if (closes - opens - 3).sum() != len(text) - len(skeleton):
+        return None
+    # "[0.0, 0.0]", most pairs of a monomial unitary, is told by its length
+    # and its eight inner bytes read as one word, and set rather than parsed;
+    # json reads the other pairs' numbers as one flat list.
+    words = np.ndarray(len(text) - 7, dtype="<u8", buffer=text, strides=(1,))
+    zero = closes - opens == len(_ZERO_PAIR) - 1
+    zero[zero] = words[opens[zero] + 1] == _ZERO_WORD
+    array = np.zeros((len(opens), 2))
+    pairs = np.flatnonzero(~zero)
+    for start in range(0, len(pairs), _BLOCK // 2):
+        chunk = pairs[start:start + _BLOCK // 2]
+        # one slice "re, im], [re, im, ..." per run of adjacent pairs, flat without brackets
+        first = np.flatnonzero(np.diff(chunk, prepend=-2) != 1)
+        last = np.append(first[1:], len(chunk)) - 1
+        bounds = zip(opens[chunk[first]].tolist(), closes[chunk[last]].tolist())
+        numbers = b", ".join([text[left + 1:right] for left, right in bounds])
+        try:
+            values = json.loads(b"[" + numbers.translate(None, b"[]") + b"]")
+            array[chunk] = np.array(values, dtype=float).reshape(-1, 2)
+        except (ValueError, OverflowError):  # not JSON numbers, or an integer past float range
+            return None
+    return array.view(complex).reshape(shape) if np.isfinite(array).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -132,39 +253,38 @@ def document_to_object(doc: DesignDocument):
     return make(doc.d, *(doc.payload[key] for key, _, _, _ in fields))
 
 
-def _encode_field(value, dtype, shape: tuple[int, ...], location: str):
-    """``value`` as JSON data, or the ``ParseError`` ``loads`` would raise on that data."""
+def _encode_field(value, dtype, shape: tuple[int, ...], location: str) -> str:
+    """``value`` as JSON text, or the ``ParseError`` ``loads`` would raise on that text."""
     if dtype is str:
-        return _decode_field(value, dtype, shape, location, True)
+        return json.dumps(_decode_field(value, dtype, shape, location))
     if dtype is int:  # walked as loads walks it: a float or bool in the grid is refused, not cast
         grid = value.tolist() if isinstance(value, np.ndarray) else value
-        return _decode_field(grid, dtype, shape, location, True).tolist()
+        return json.dumps(_decode_field(grid, dtype, shape, location).tolist())
     try:
-        array = np.asarray(value, dtype=dtype)
+        array = np.asarray(value, dtype=complex)
     except (TypeError, ValueError, OverflowError):  # not numbers: the walk names the entry
-        return _decode_field(value, dtype, shape, location, True)
-    pairs = np.stack([array.real, array.imag], axis=-1)
+        array = _decode_field(value, dtype, shape, location)
     if array.shape != shape or not np.isfinite(array).all():
-        _decode_field(pairs.tolist(), dtype, shape, location, True)  # raises where loads would
-    return pairs.tolist()
+        pairs = np.stack([array.real, array.imag], axis=-1).tolist()
+        _decode_field(pairs, dtype, shape, location)  # raises where loads would
+    return _complex_text(array)
 
 
-@_collector_paused()
 def dumps(doc: DesignDocument) -> str:
-    """The document as JSON text ``loads`` reads back; the cyclic GC is held, process-wide."""
+    """The document as JSON text ``loads`` reads back.
+
+    The text is ``json.dumps(..., sort_keys=True)`` of the document with each
+    complex array as its nested list of ``[re, im]`` pairs, written without
+    building that list.
+    """
     _, _, fields = _check_header(doc.kind, doc.d, doc.meta, doc.payload)
-    payload = {
-        key: _encode_field(doc.payload[key], dtype, shape(doc.d), f"payload.{key}")
+    payload = sorted(
+        (key, _encode_field(doc.payload[key], dtype, shape(doc.d), f"payload.{key}"))
         for key, _, dtype, shape in fields
-    }
-    data = {
-        "v": SCHEMA_VERSION,
-        "kind": doc.kind,
-        "d": doc.d,
-        "meta": doc.meta,
-        "payload": payload,
-    }
-    return json.dumps(data, sort_keys=True, allow_nan=False)
+    )
+    header = json.dumps({"d": doc.d, "kind": doc.kind, "meta": doc.meta}, sort_keys=True)
+    body = ", ".join(f'"{key}": {text}' for key, text in payload)
+    return f'{header[:-1]}, "payload": {{{body}}}, "v": {SCHEMA_VERSION}}}'
 
 
 def save(doc: DesignDocument, path) -> None:
@@ -227,35 +347,7 @@ def _decode_nested(value, shape: tuple[int, ...], location: str) -> np.ndarray:
     )
 
 
-def _number_pairs(value, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``value`` as a finite float array of shape ``shape + (2,)``, or None.
-
-    ``np.array`` discovers the dtype, so strings, ``None``, objects and
-    integers beyond 64 bits give a non-numeric dtype and ragged nesting
-    raises.  JSON booleans would still pass as numbers; callers rule them
-    out before calling.
-    """
-    try:
-        pairs = np.array(value)
-    except ValueError:  # ragged or too deeply nested
-        return None
-    if pairs.dtype.kind not in "fi" or pairs.shape != shape + (2,):
-        return None
-    pairs = pairs.astype(float, copy=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return pairs if np.isfinite(pairs.sum()) else None
-
-
-def _decode_complex_array(
-    value, shape: tuple[int, ...], location: str, may_hold_bools: bool
-) -> np.ndarray:
-    pairs = None if may_hold_bools else _number_pairs(value, shape)
-    if pairs is not None:
-        return pairs.view(complex).reshape(shape)
-    # The walk is the reference decoder: it gives the fast path's bits wherever
-    # that succeeds, decodes the valid inputs the fast path leaves to it (any
-    # "true" in the text, integers beyond 64 bits, sums that overflow), and
-    # otherwise names the first offending entry.
+def _decode_complex_array(value, shape: tuple[int, ...], location: str) -> np.ndarray:
     array = _decode_nested(value, shape, location)
     # A finite sum, one pass with no temporary, rules out inf and NaN entries;
     # only a non-finite sum (possibly an overflow of finite ones) pays for the search.
@@ -278,14 +370,14 @@ def _decode_int_grid(value, d: int, location: str) -> np.ndarray:
     return grid
 
 
-def _decode_field(value, dtype, shape: tuple[int, ...], location: str, may_hold_bools: bool):
+def _decode_field(value, dtype, shape: tuple[int, ...], location: str):
     if dtype is str:
         if value not in MODES:
             _fail(location, f"expected one of {MODES}, got {value!r}")
         return value
     if dtype is int:
         return _decode_int_grid(value, shape[0], location)
-    return _decode_complex_array(value, shape, location, may_hold_bools)
+    return _decode_complex_array(value, shape, location)
 
 
 def _check_header(kind, d, meta, payload) -> tuple:
@@ -301,36 +393,125 @@ def _check_header(kind, d, meta, payload) -> tuple:
     return _TABLE[kind]
 
 
-@_collector_paused()
-def loads(text: str) -> DesignDocument:
-    """Parse and shape-check a document; any defect raises ``ParseError``.
-
-    The cyclic GC is held while this runs, process-wide.
-    """
-    def reject_constant(name: str):
-        raise ParseError(f"non-finite number {name} is not allowed")
-
-    try:
-        data = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:  # the parser recurses once per nested array or object
-        raise ParseError("invalid JSON: nesting too deep") from exc
-
+def _read_header(data) -> list:
+    """The payload fields of parsed document data once its header is valid."""
     _expect_keys(data, {"v", "kind", "d", "meta", "payload"}, "document")
     version = _decode_int(data["v"], "v")
     if version != SCHEMA_VERSION:
         _fail("v", f"unsupported schema version {version}")
-    kind, d, raw = data["kind"], data["d"], data["payload"]
-    _, _, fields = _check_header(kind, d, data["meta"], raw)
-    # No numpy conversion tells a JSON true from 1, so a document that may
-    # hold a boolean anywhere (a false positive costs only speed) takes the walk.
-    may_hold_bools = "true" in text or "false" in text
+    return _check_header(data["kind"], data["d"], data["meta"], data["payload"])[2]
+
+
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} is not allowed")
+
+
+_PAYLOAD_OPEN = ', "payload": {'
+_PAYLOAD_KEY = re.compile(r'"([a-z_]+)": ')
+_COMPLEX_KEYS = {
+    key for _, _, fields in _TABLE.values() for key, _, dtype, _ in fields if dtype is complex
+}
+
+
+def _split_payload(text: str) -> tuple[str, dict] | None:
+    """``text`` with each complex payload array replaced by ``[]``, and where they were.
+
+    None unless the payload's keys are sorted and distinct and each array
+    ends where the layout of ``dumps`` puts its end: before the next key's
+    ``, "`` or the payload's ``}``, neither of which an array of numbers holds.
+    The arrays' own text is left to ``_read_complex``.
+    """
+    pos = text.find(_PAYLOAD_OPEN)
+    if pos < 0:
+        return None
+    pos += len(_PAYLOAD_OPEN)
+    pieces, arrays, key, kept = [], {}, "", 0
+    while True:
+        match = _PAYLOAD_KEY.match(text, pos)
+        if match is None or match[1] <= key:  # a repeated key would hide its first value
+            return None
+        key, pos = match[1], match.end()
+        if text.startswith('"', pos):  # the mode
+            try:
+                pos = scanstring(text, pos + 1)[1]
+            except ValueError:
+                return None
+        elif text.startswith("[", pos):
+            end = text.find("}", pos)
+            quote = text.find('"', pos, max(end, pos))
+            end = quote - 2 if quote >= 0 else end
+            if end <= pos:
+                return None
+            if key in _COMPLEX_KEYS:
+                pieces += [text[kept:pos], "[]"]
+                arrays[key] = (pos, end)
+                kept = end
+            pos = end
+        else:
+            return None
+        if text.startswith("}", pos):
+            break
+        if not text.startswith(", ", pos):
+            return None
+        pos += 2
+    pieces.append(text[kept:])
+    return "".join(pieces), arrays
+
+
+def _loads_fast(text: str) -> DesignDocument | None:
+    """The document ``text`` holds if it is laid out as ``dumps`` writes it, else None.
+
+    None also when any check fails: the walk then reports the defect it
+    always reported, even one in an array this path had not reached.
+    """
+    split = _split_payload(text)
+    if split is None:
+        return None
+    rest, arrays = split
+    try:
+        data = json.loads(rest, parse_constant=_reject_constant)
+        fields = _read_header(data)
+        payload = {}
+        for key, _, dtype, shape in fields:
+            if dtype is not complex:
+                payload[key] = _decode_field(
+                    data["payload"][key], dtype, shape(data["d"]), f"payload.{key}")
+            elif key in arrays:
+                payload[key] = _read_complex(text, *arrays[key], shape(data["d"]))
+            if payload.get(key) is None:
+                return None
+    except (ValueError, RecursionError, ParseError):
+        return None
+    return DesignDocument(data["kind"], data["d"], payload, data["meta"])
+
+
+@_collector_paused()
+def _loads_walked(text: str) -> DesignDocument:
+    """``loads`` through ``json.loads`` and the per-entry walk, with the cyclic GC held."""
+    try:
+        data = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nested array or object
+        raise ParseError("invalid JSON: nesting too deep") from exc
+    fields = _read_header(data)
+    d, raw = data["d"], data["payload"]
     payload = {
-        key: _decode_field(raw[key], dtype, shape(d), f"payload.{key}", may_hold_bools)
+        key: _decode_field(raw[key], dtype, shape(d), f"payload.{key}")
         for key, _, dtype, shape in fields
     }
-    return DesignDocument(kind, d, payload, data["meta"])
+    return DesignDocument(data["kind"], d, payload, data["meta"])
+
+
+def loads(text: str) -> DesignDocument:
+    """Parse and shape-check a document; any defect raises ``ParseError``.
+
+    Text laid out as ``dumps`` writes it is read without nested lists; any
+    other text is read by ``json.loads`` and the walk, which hold the cyclic
+    GC while they run, process-wide.
+    """
+    doc = _loads_fast(text) if isinstance(text, str) else None
+    return _loads_walked(text) if doc is None else doc
 
 
 def load(path) -> DesignDocument:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tightport import (
     DesignDocument,
@@ -27,7 +28,7 @@ from tightport import (
     weyl_basis,
 )
 from tightport.schemes import TightScheme
-from tightport.serialize import _decode_nested
+from tightport.serialize import _decode_nested, _loads_walked
 
 
 def all_kinds():
@@ -454,6 +455,162 @@ def test_fuzzed_entry_is_rejected_or_decoded_as_the_walk_does(target, part, valu
     assert_same_as_walk(doc, text)
 
 
+# ---------------------------------------------------------------------------
+# the layout dumps writes is read without json.loads of the whole text: every
+# number token, key and separator must still read as json and the walk read it
+
+# (id, JSON literal for one part of the target entry, the error message, or
+#  None when the document loads; "invalid JSON" stands for json's own message,
+#  {location} for the entry's location and {pair} for the entry as parsed)
+TOKEN_TRAPS = [
+    ("integer-minus-zero", "-0", None),  # json reads the integer 0: +0.0, not -0.0
+    ("leading-zero", "01", "invalid JSON"),
+    ("trailing-dot", "1.", "invalid JSON"),
+    ("leading-dot", ".5", "invalid JSON"),
+    ("leading-plus", "+1", "invalid JSON"),
+    ("minus-dot", "-.5", "invalid JSON"),
+    ("dot-exponent", "1.e5", "invalid JSON"),
+    ("bare-exponent", "1e", "invalid JSON"),
+    ("capital-exponent", "1E5", None),
+    ("zero-padded-exponent", "1e05", None),
+    ("2**53+1", str(2**53 + 1), None),
+    ("400-digit", BIG, "{location}: number out of range"),
+    ("1e400", "1e400", "{location}: non-finite number is not allowed"),
+    ("smallest-subnormal", "5e-324", None),
+    ("NaN", "NaN", "non-finite number NaN is not allowed"),
+    ("Infinity", "Infinity", "non-finite number Infinity is not allowed"),
+    ("true", "true", "{location}: expected [re, im], got {pair}"),
+]
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+@pytest.mark.parametrize("case", TOKEN_TRAPS, ids=lambda c: c[0])
+@pytest.mark.parametrize("target", TARGETS, ids=target_id)
+def test_number_token_reads_as_the_walk_reads_it(target, case, part):
+    _, literal, message = case
+    text = document_with(target, literal, part=part)
+    if message is None:
+        assert_same_as_walk(loads(text), text)
+        return
+    if message == "invalid JSON":
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(text)
+        message = f"invalid JSON: {info.value}"
+    pair = [0.5, 0.25]
+    pair[part] = True
+    assert parse_error(text) == message.format(location=entry_location(target), pair=pair)
+
+
+# spellings of a zero entry next to the "[0.0, 0.0]" that loads sets unparsed
+ZERO_ENTRIES = ["[0.0, 0.0]", "[0.0, -0.0]", "[-0.0, 0.0]", "[0.0, 0.00]", "[0.0, 0e0]",
+                "[0, 0.0]", "[0.0, -0]", "[0.0,0.0]", "[0.0, 0.0 ]"]
+
+
+@pytest.mark.parametrize("entry", ZERO_ENTRIES)
+@pytest.mark.parametrize("target", TARGETS, ids=target_id)
+def test_zero_entry_reads_as_the_walk_reads_it(target, entry):
+    text = document_with(target, entry)
+    assert_same_as_walk(loads(text), text)
+
+
+# a number character in a Hadamard document's matrix but outside the two
+# slots of a pair, where the bracket-and-comma skeleton alone does not see it
+STRAY_NUMBERS = [("after-open", "[[[", "[5[["), ("before-close", "]]]", "]]5]"),
+                 ("after-comma", "], [", "],5 ["), ("before-open", "], [", "], 5["),
+                 ("between-rows", "]], [[", "]], 5[["), ("trailing", "]]]}", "]]]5}")]
+
+
+@pytest.mark.parametrize("case", STRAY_NUMBERS, ids=lambda c: c[0])
+def test_number_outside_a_pair_is_invalid_json(case):
+    _, old, new = case
+    text = dumps(D2_DOCS["hadamard"]).replace(old, new, 1)
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(text)
+    assert parse_error(text) == f"invalid JSON: {info.value}"
+
+
+def relaid(text, how):
+    """The document ``text`` holds, written in another layout."""
+    data = json.loads(text)
+    if how == "unsorted":
+        data["payload"] = dict(reversed(data["payload"].items()))
+        return json.dumps(dict(reversed(data.items())))
+    if how == "tab-in-array":
+        return text.replace("], [", "],\t[", 1)
+    return {
+        "trailing-newline": text + "\n",
+        "indented": json.dumps(data, indent=1),
+        "compact": json.dumps(data, separators=(",", ":")),
+        "spaced-header": text.replace('"d": ', '"d" : ', 1),
+    }[how]
+
+
+LAYOUTS = ["trailing-newline", "indented", "compact", "spaced-header", "unsorted", "tab-in-array"]
+
+
+@pytest.mark.parametrize("how", LAYOUTS)
+@pytest.mark.parametrize("kind", sorted(D2_DOCS))
+def test_other_layouts_read_as_the_canonical_text(kind, how):
+    text = dumps(D2_DOCS[kind])
+    other = relaid(text, how)
+    assert other != text
+    doc, canonical = loads(other), loads(text)
+    assert_same_as_walk(doc, other)
+    for key, value in canonical.payload.items():
+        assert np.array_equal(doc.payload[key], value), key
+
+
+def with_earlier_matrix(text, matrix_text):
+    """``text`` of a Hadamard document whose payload first holds another ``matrix``."""
+    return text.replace('"payload": {', '"payload": {"matrix": ' + matrix_text + ", ", 1)
+
+
+def test_duplicated_payload_key_keeps_the_last_value():
+    text = dumps(D2_DOCS["hadamard"])
+    matrix = json.dumps(json.loads(text)["payload"]["matrix"])
+    other = "[[[9.0, 9.0], [9.0, 9.0]], [[9.0, 9.0], [9.0, 9.0]]]"
+    for first, last in [(other, matrix), (matrix, other)]:
+        single = text.replace(matrix, last)
+        doc = loads(with_earlier_matrix(single, first))
+        assert doc.payload["matrix"].tobytes() == loads(single).payload["matrix"].tobytes()
+    assert (doc.payload["matrix"] == 9 + 9j).all()
+
+
+def test_duplicated_payload_key_with_a_bad_first_value_is_invalid_json():
+    text = with_earlier_matrix(dumps(D2_DOCS["hadamard"]), "[[[01, 9.0]]]")
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(text)
+    assert parse_error(text) == f"invalid JSON: {info.value}"
+
+
+def outcome(read, text):
+    """What ``read`` makes of ``text``: its error message, or the document's bits."""
+    try:
+        doc = read(text)
+    except ParseError as exc:
+        return str(exc)
+    bits = {key: value if isinstance(value, str) else (value.dtype, value.shape, value.tobytes())
+            for key, value in doc.payload.items()}
+    return doc.kind, doc.d, doc.meta, bits
+
+
+EDIT_TEXTS = list("0123456789.eE+-[], ") + ["0.0", "-0", "1e400", "true", "[0.0, 0.0]", "\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(sorted(D2_DOCS)), edits=st.lists(
+    st.tuples(st.floats(0, 1), st.sampled_from(["replace", "insert", "delete"]),
+              st.sampled_from(EDIT_TEXTS)), min_size=1, max_size=3))
+def test_edited_text_reads_as_the_walk_reads_it(kind, edits):
+    text = dumps(D2_DOCS[kind])
+    start = text.index('"payload": ') + len('"payload": ')
+    for where, how, piece in edits:  # inside the payload, where the arrays are
+        at = start + int(where * (len(text) - start - 1))
+        edited = {"replace": piece, "insert": piece + text[at], "delete": ""}[how]
+        text = text[:at] + edited + text[at + 1:]
+    assert outcome(loads, text) == outcome(_loads_walked, text)
+
+
 def test_d16_basis_load_stays_under_16_mib():
     text = dumps(make_document(weyl_basis(16)))
     tracemalloc.start()
@@ -463,6 +620,75 @@ def test_d16_basis_load_stays_under_16_mib():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_d16_weyl_loads_and_dumps_each_peak_under_8_mib():
+    doc = make_document(weyl_basis(16))
+    text = dumps(doc)
+    assert traced_peak(lambda: loads(text)) < 8 * 2**20
+    assert traced_peak(lambda: dumps(doc)) < 8 * 2**20
+
+
+def test_small_text_claiming_a_large_d_builds_nothing_that_large():
+    text = dumps(make_document(weyl_basis(1))).replace('"d": 1', '"d": 100000')
+    assert len(text) < 200
+    peak = traced_peak(lambda: parse_error(text))
+    assert parse_error(text) == "payload.elements: expected a list of length 10000000000"
+    assert peak < 2**20
+
+
+def test_only_the_walk_pauses_the_collector(monkeypatch):
+    pauses = []
+    disable = gc.disable
+    monkeypatch.setattr(gc, "disable", lambda: pauses.append(disable()))
+    doc = make_document(build_scheme(weyl_basis(2)))
+    text = dumps(doc)
+    loads(text)
+    assert pauses == []
+    loads(json.dumps(json.loads(text), indent=1))
+    assert pauses == [None]
+
+
+# the layout of every complex kind at small d, against json.dumps of the nested
+# lists it stands for
+FIELD_SHAPES = {
+    "hadamard": {"matrix": lambda d: (d, d)},
+    "unitary_basis": {"elements": lambda d: (d * d, d, d)},
+    "entangled_basis": {"vectors": lambda d: (d * d, d * d)},
+    "scheme": {"omega": lambda d: (d * d,), "channel_unitaries": lambda d: (d * d, d, d),
+               "effect_vectors": lambda d: (d * d, d * d)},
+}
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 1.0, -3.0, 2.0**53, 0.1]
+FLOATS = (
+    st.sampled_from(EDGE_FLOATS)
+    | st.integers(-(10**6), 10**6).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(FIELD_SHAPES)), d=st.integers(1, 3), meta=st.text(max_size=4),
+       mode=st.sampled_from(["teleportation", "dense_coding"]), data=st.data())
+def test_dumps_writes_what_json_dumps_writes(kind, d, meta, mode, data):
+    payload, nested = {}, {}
+    for key, shape in FIELD_SHAPES[kind].items():
+        pairs = data.draw(arrays(np.float64, shape(d) + (2,), elements=FLOATS))
+        payload[key] = pairs.view(complex).reshape(shape(d))
+        nested[key] = pairs.tolist()
+    if kind == "scheme":
+        payload["mode"] = nested["mode"] = mode
+    reference = {"v": 1, "kind": kind, "d": d, "meta": meta, "payload": nested}
+    expected = json.dumps(reference, sort_keys=True, allow_nan=False)
+    assert dumps(DesignDocument(kind, d, payload, meta)) == expected
 
 
 # ---------------------------------------------------------------------------
