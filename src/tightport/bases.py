@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, _freeze, as_permutation, require_positive
+from .common import DEFAULT_TOL, CheckResult, _freeze, _worst_of, as_permutation, require_positive
 from .designs import (
     HadamardMatrix,
     LatinSquare,
@@ -44,7 +44,7 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import _adjoint, _identity_gap, max_abs
+from .tensor import _gram, _identity_gap, _unitarity, max_abs
 
 __all__ = [
     "UnitaryBasis",
@@ -148,18 +148,10 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     basis in the intended sense when both hold.  The deviation is the worse
     of the two; ``table`` is the Gram matrix.
     """
-    elems = basis.elements
-    n = basis.d**2
-    a = _stacked(basis)
-    gram = a.conj() @ a.T
-    gram /= basis.d
-    unit_gaps = _identity_gap(_adjoint(elems) @ elems).max(axis=(1, 2))
-    gaps = np.concatenate([_identity_gap(gram).ravel(), unit_gaps])
-
-    def name(i: int) -> str:
-        return f"Gram entry {divmod(i, n)}" if i < n * n else f"element {i - n * n} is not unitary"
-
-    return CheckResult.worst(gaps, tol, name, gram)
+    # the elements' products first, so that the Gram matrix is not held beside them
+    elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format)
+    gram = _gram(_stacked(basis), tol, basis.d)
+    return _worst_of([gram, elements], gram.table)
 
 
 def verify_depolarizer(

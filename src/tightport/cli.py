@@ -172,7 +172,7 @@ def _input_state(spec: str, d: int, args) -> list[np.ndarray]:
         return [np.eye(d, dtype=complex) / d] * args.trials
     if spec.startswith("pure:"):
         index = spec[len("pure:"):]
-        if not (index.isdecimal() and int(index) < d):
+        if not (index.isascii() and index.isdecimal() and int(index) < d):
             raise TightportError(f"--state pure:<i> needs an index i in 0..{d - 1}, got {spec!r}")
         rho = np.zeros((d, d), dtype=complex)
         rho[int(index), int(index)] = 1.0

@@ -25,6 +25,8 @@ class CheckResult:
     callers always see how close a failure was; ``witness`` names the entry
     at that distance.  ``table`` carries the matrix a check computed when
     callers need more than its worst entry (a Gram matrix, an outcome table).
+    A check made of parts reports the first NaN among them, else the first
+    largest deviation, in the order its parts are listed.
     """
 
     passed: bool
@@ -43,10 +45,16 @@ class CheckResult:
         anywhere fails the check; ``name(*index)`` names the entry at ``index``.
         """
         gaps = np.asarray(gaps, dtype=float)
-        flat = int(np.argmax(gaps))
-        deviation = float(gaps.flat[flat])
-        index = (int(k) for k in np.unravel_index(flat, gaps.shape))
+        flat = int(gaps.argmax())
+        deviation = gaps.item(flat)
+        index = (flat,) if gaps.ndim == 1 else map(int, np.unravel_index(flat, gaps.shape))
         return cls(deviation <= tol, deviation, name(*index), table)
+
+
+def _worst_of(parts, table=None) -> CheckResult:
+    """The first NaN among ``parts``, else the first largest deviation, with ``table``."""
+    worst = max(parts, key=lambda p: (p.deviation != p.deviation, p.deviation))
+    return CheckResult(worst.passed, worst.deviation, worst.witness, table)
 
 
 def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) -> None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import DEFAULT_TOL, CheckResult, _freeze, require_positive
+from .common import DEFAULT_TOL, CheckResult, _freeze, _worst_of, require_positive
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -45,8 +45,9 @@ from .errors import (
 )
 from .tensor import (
     _adjoint,
+    _gram,
     _identity_gap,
-    check_projector_completeness,
+    _unitarity,
     is_maximally_entangled,
     max_abs,
     omega_vector,
@@ -190,12 +191,9 @@ def entangled_to_basis(
     ref = _reference(omega, d, tol)
     ref_op = vector_to_operator(ref, d)
     ops = (entangled.vectors.reshape(-1, d) @ (np.sqrt(d) * ref_op.conj().T)).reshape(-1, d, d)
-    devs = _identity_gap(_adjoint(ops) @ ops).max(axis=(1, 2))
-    x = int(np.argmax(~(devs <= tol)))  # the first vector out of tolerance, NaN included
-    if not devs[x] <= tol:
-        raise NotUnitaryExtraction(
-            f"vector {x} yields an operator {devs[x]:.3e} away from unitarity"
-        )
+    check = _unitarity(ops, 1, tol, "vector {} yields an operator".format)
+    if not check:
+        raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
     return UnitaryBasis(d, ops)
 
 
@@ -227,10 +225,12 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float) -> CheckRe
     t = (scheme.channel_unitaries.reshape(-1, d) @ r).reshape(-1, d, d)
     t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
     c = np.trace(t, axis1=1, axis2=2) / d
+    outcomes = CheckResult.worst(_identity_gap(t, c[:, None]).max(axis=(1, 2)), tol,
+                                 "outcome {}: T_x is not a multiple of I".format)
     weight = float(np.vdot(c, c).real)
-    gaps = np.append(_identity_gap(t, c[:, None]).max(axis=(1, 2)), abs(weight - 1))
-    return CheckResult.worst(gaps, tol, lambda x: f"outcome weights sum to {weight}"
-                             if x == len(c) else f"outcome {x}: T_x is not a multiple of I")
+    gap = abs(weight - 1)
+    weights = CheckResult(gap <= tol, gap, f"outcome weights sum to {weight}")
+    return _worst_of([outcomes, weights])
 
 
 def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -294,15 +294,10 @@ def verify_entangled_basis(
     reduced operator I/d.  Reports the worse of the two deviations.
     """
     d = entangled.d
-    ops = entangled.vectors.reshape(d * d, d, d)
-    gaps = _identity_gap(ops @ _adjoint(ops), 1 / d).max(axis=(1, 2))
-    # second, so that the Gram matrix it keeps as its table is not held beside that product
-    completeness = check_projector_completeness(entangled.vectors, tol)
-    return CheckResult.worst(
-        np.append(completeness.deviation, gaps),
-        tol,
-        lambda i: f"vector {i - 1} is not maximally entangled" if i else completeness.witness,
-    )
+    # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
+    vectors = _unitarity(entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2), 1 / d, tol,
+                         "vector {} is not maximally entangled".format)
+    return _worst_of([_gram(entangled.vectors, tol), vectors])
 
 
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -327,18 +322,12 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    u = obj.channel_unitaries
-    channels = _identity_gap(_adjoint(u) @ u).max(axis=(1, 2))
-    n = len(u)
+    channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format)
     w = psi.reshape(obj.d, -1)
     identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
-    completeness = check_projector_completeness(obj.effects.vectors, tol)
-    parts = {n: f"effect vectors are not a complete measurement: {completeness.witness}",
-             n + 1: identity.witness}
-    return CheckResult.worst(
-        np.append(channels, [completeness.deviation, identity.deviation]), tol,
-        lambda i: parts.get(i, f"channel {i} is not unitary"), completeness.table,
-    )
+    effects = _gram(obj.effects.vectors, tol, name="effect vectors are not a complete "
+                    "measurement: Gram entry ({}, {})".format)
+    return _worst_of([channels, effects, identity], effects.table)
 
 
 def swap_roles(scheme: TightScheme) -> TightScheme:

@@ -151,21 +151,21 @@ def _skeleton_length(shape: tuple[int, ...]) -> int:
 def _complex_text(array: np.ndarray) -> str:
     """``json.dumps`` of the ``[re, im]`` nested list of a finite complex128 array.
 
-    Each distinct number is formatted once, and blocks of rows along the
-    first axis are laid into one cached layout; no nested list is built.
+    Blocks of rows along the first axis are laid into one cached layout; each
+    distinct number of a block is formatted once, and no nested list is built.
     """
     numbers = np.ascontiguousarray(array).view(np.int64).reshape(-1)  # the bits of re, im, ...
-    nonzero = np.flatnonzero(numbers)  # +0.0 is the only float with no bit set
-    values, inverse = np.unique(numbers[nonzero], return_inverse=True)
-    texts = np.array(list(map(float.__repr__, values.view(float).tolist())), dtype=object)[inverse]
     per_row = 2 * array[0].size
     step = max(1, _BLOCK // per_row) * per_row
     blocks = []
     for start in range(0, len(numbers), step):
-        block = np.empty(min(step, len(numbers) - start), dtype=object)
+        bits = numbers[start:start + step]
+        nonzero = np.flatnonzero(bits)  # +0.0 is the only float with no bit set
+        values, inverse = np.unique(bits[nonzero], return_inverse=True)
+        block = np.empty(len(bits), dtype=object)
         block[:] = "0.0"
-        lo, hi = np.searchsorted(nonzero, [start, start + len(block)])
-        block[nonzero[lo:hi] - start] = texts[lo:hi]
+        block[nonzero] = np.array(list(map(float.__repr__, values.view(float).tolist())),
+                                  dtype=object)[inverse]
         parts = [""] * (2 * len(block) + 1)
         parts[::2] = _layout((len(block) // per_row,) + array.shape[1:] + (2,))
         parts[1::2] = block.tolist()

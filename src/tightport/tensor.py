@@ -57,6 +57,20 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
     return gap
 
 
+def _unitarity(stack: np.ndarray, scale: float, tol: float, name) -> CheckResult:
+    """The verdict on S* S = scale I for every matrix S of a stack; ``name(x)`` names S_x."""
+    gaps = _identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2))
+    return CheckResult.worst(gaps, tol, name)
+
+
+def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format) -> CheckResult:
+    """The verdict on conj(V) V^T / scale = I for the rows of V; ``table`` is that matrix."""
+    gram = rows.conj() @ rows.T
+    if scale != 1:  # complex division, even by 1, would turn -0.0 into +0.0
+        gram /= scale
+    return CheckResult.worst(_identity_gap(gram), tol, name, gram)
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -64,11 +78,13 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _as_vector(v, name: str = "vector") -> np.ndarray:
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-dimensional, got shape {w.shape}")
-    return w
+def _as_vector(psi, d: int) -> np.ndarray:
+    v = np.asarray(psi, dtype=complex)
+    if v.ndim != 1:
+        raise DimensionMismatch(f"psi must be 1-dimensional, got shape {v.shape}")
+    if v.shape != (d * d,):
+        raise DimensionMismatch(f"vector length {v.shape[0]} is not {d * d}")
+    return v
 
 
 def trace_inner(a, b) -> complex:
@@ -92,10 +108,7 @@ def omega_vector(d: int) -> np.ndarray:
 
 def vector_to_operator(psi, d: int) -> np.ndarray:
     """The A with (A (x) I) omega_vector(d) = psi: entry (k, l) is sqrt(d) psi[k*d+l]."""
-    v = _as_vector(psi, "psi")
-    if v.shape != (d * d,):
-        raise DimensionMismatch(f"vector length {v.shape[0]} is not {d * d}")
-    return v.reshape(d, d) * np.sqrt(d)
+    return _as_vector(psi, d).reshape(d, d) * np.sqrt(d)
 
 
 def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -105,15 +118,13 @@ def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult
     :func:`vector_to_operator` is unitary.  Raises ``NotNormalized`` when
     the squared norm strays from 1 by more than ``tol``.
     """
-    v = _as_vector(psi, "psi")
-    if v.shape != (d * d,):
-        raise DimensionMismatch(f"vector length {v.shape[0]} is not {d * d}")
+    v = _as_vector(psi, d)
     norm_sq = float(np.vdot(v, v).real)
     if abs(norm_sq - 1.0) > tol:  # a NaN norm is failed below, by its deviation
         raise NotNormalized(f"squared norm {norm_sq} deviates from 1 beyond {tol}")
-    op = v.reshape(d, d)
-    gap = _identity_gap(op @ op.conj().T, 1 / d)
-    return CheckResult.worst(gap, tol, lambda *_: "reduced operator deviates from I/d")
+    # W W* = I/d read through S = W^T as S* S = conj(W W*), whose gaps have the same moduli
+    return _unitarity(v.reshape(1, d, d).swapaxes(1, 2), 1 / d, tol,
+                      lambda _: "reduced operator deviates from I/d")
 
 
 def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -135,5 +146,4 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     count, dim = vs.shape
     if count != dim:
         raise CountMismatch(f"got {count} vectors in dimension {dim}")
-    gram = vs.conj() @ vs.T
-    return CheckResult.worst(_identity_gap(gram), tol, "Gram entry ({}, {})".format, gram)
+    return _gram(vs, tol)

@@ -293,6 +293,10 @@ FLAG_ERRORS = {
     "pure index missing": (("simulate", "{scheme}", "--state", "pure:"), ["--state"]),
     "pure index negative": (("simulate", "{scheme}", "--state", "pure:-1"), ["--state"]),
     "pure index too large": (("simulate", "{scheme}", "--state", "pure:4"), ["--state"]),
+    "pure index in fullwidth digits": (
+        ("simulate", "{scheme}", "--state", "pure:\uff11"), ["--state"]),
+    "pure index in Arabic-Indic digits": (
+        ("simulate", "{scheme}", "--state", "pure:\u0661"), ["--state"]),
     "negative seed, simulate": (
         ("simulate", "{scheme}", "--state", "random", "--rng-seed", -1), ["--rng-seed"]),
     "negative seed, generate": (

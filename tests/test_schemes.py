@@ -604,7 +604,7 @@ class TestExtractBasis:
         def no_product(*args):
             raise AssertionError("a product was formed for an impure resource")
 
-        for name in ("verify_teleportation", "verify_dense_coding", "check_projector_completeness"):
+        for name in ("verify_teleportation", "verify_dense_coding", "_unitarity", "_gram"):
             monkeypatch.setattr(schemes, name, no_product)
         purity = np.vdot(noisy.omega, noisy.omega).real
         with pytest.raises(SchemeInvalid, match="resource is not a unit vector or a pure state"):

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import random_unitary
 from tightport import (
     DesignDocument,
     ParseError,
     UnitaryBasis,
+    apply_equivalence,
     basis_to_entangled,
     build_scheme,
     document_to_object,
@@ -636,6 +638,17 @@ def test_d16_weyl_loads_and_dumps_each_peak_under_8_mib():
     text = dumps(doc)
     assert traced_peak(lambda: loads(text)) < 8 * 2**20
     assert traced_peak(lambda: dumps(doc)) < 8 * 2**20
+
+
+def test_d16_dense_dumps_formats_one_block_at_a_time():
+    # Weyl moved by two unitaries: every entry is nonzero and nearly every number distinct,
+    # so texts of all numbers at once took 22.5 MiB, and those of one block take 16
+    rng = np.random.default_rng(16)
+    basis = apply_equivalence(weyl_basis(16), random_unitary(rng, 16), random_unitary(rng, 16))
+    doc = make_document(basis)
+    text = dumps(doc)
+    assert traced_peak(lambda: dumps(doc)) < 19 * 2**20
+    assert loads(text).payload["elements"].tobytes() == basis.elements.tobytes()
 
 
 def test_small_text_claiming_a_large_d_builds_nothing_that_large():

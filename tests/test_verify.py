@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_twist, random_unitary
 from oracles import matrix_units
 import tightport as tp
+from tightport.common import _worst_of
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)]
 
@@ -221,6 +222,73 @@ def test_worst_takes_the_first_nan_and_fails_closed():
     assert result.witness == "entry (1, 0)"
     tie = tp.CheckResult.worst([1.0, 3.0, 3.0], 5.0, "entry {}".format)
     assert tie.passed and tie.deviation == 3.0 and tie.witness == "entry 1"
+
+
+def test_worst_of_parts_takes_the_first_nan_then_the_first_largest():
+    parts = [tp.CheckResult(True, 1.0, "small"), tp.CheckResult(False, np.nan, "first nan"),
+             tp.CheckResult(False, 5.0, "large"), tp.CheckResult(False, np.nan, "second nan")]
+    table = np.eye(2)
+    result = _worst_of(parts, table)
+    assert not result.passed and np.isnan(result.deviation) and result.witness == "first nan"
+    assert result.table is table
+    tie = _worst_of([tp.CheckResult(False, 2.0, "first"), tp.CheckResult(False, 2.0, "second")])
+    assert (tie.passed, tie.deviation, tie.witness, tie.table) == (False, 2.0, "first", None)
+
+
+def _scaled_weyl2():
+    # element 3 scaled by 1.5: its unitarity gap and Gram entry (3, 3) are both 1.25
+    elements = tp.weyl_basis(2).elements.copy()
+    elements[3] *= 1.5
+    return elements
+
+
+def _nan_weyl2():
+    elements = tp.weyl_basis(2).elements.copy()
+    elements[2, 1, 0] = np.nan
+    return elements
+
+
+def _with_channels(elements):
+    # channels and effects from the same elements, so a fault shows in both parts
+    effects = tp.basis_to_entangled(tp.UnitaryBasis(2, elements))
+    return tp.TightScheme(2, tp.omega_vector(2), elements, effects, tp.TELEPORTATION)
+
+
+# Exact ties and NaN across a verdict's parts go to the part listed first: the
+# Gram matrix before the elements or vectors, and channels, effects, identity in a scheme.
+PART_ORDER = {
+    "orthonormal, tie": (_scaled_weyl2, lambda e: tp.verify_orthonormal(tp.UnitaryBasis(2, e)),
+                         1.25, "Gram entry (3, 3)"),
+    "scheme, tie": (_scaled_weyl2, lambda e: tp.verify(_with_channels(e)),
+                    1.25, "channel 3 is not unitary"),
+    "orthonormal, nan": (_nan_weyl2, lambda e: tp.verify_orthonormal(tp.UnitaryBasis(2, e)),
+                         np.nan, "Gram entry (0, 2)"),
+    "entangled basis, nan": (_nan_weyl2, lambda e: tp.verify_entangled_basis(
+        tp.basis_to_entangled(tp.UnitaryBasis(2, e))), np.nan, "Gram entry (0, 2)"),
+    "scheme, nan": (_nan_weyl2, lambda e: tp.verify(_with_channels(e)),
+                    np.nan, "channel 2 is not unitary"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(PART_ORDER))
+def test_ties_and_nan_go_to_the_first_listed_part(case):
+    make, check, deviation, witness = PART_ORDER[case]
+    result = check(make())
+    assert not result.passed and result.witness == witness
+    np.testing.assert_equal(result.deviation, deviation)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extraction_names_the_first_nan_else_the_worst_vector():
+    with pytest.raises(tp.NotUnitaryExtraction) as caught:
+        tp.entangled_to_basis(tp.basis_to_entangled(tp.UnitaryBasis(2, _nan_weyl2())))
+    assert str(caught.value) == "vector 2 yields an operator nan away from unitarity"
+    elements = _scaled_weyl2()
+    elements[0] *= 0.5  # out of tolerance too, by 0.75, before the worse element 3
+    with pytest.raises(tp.NotUnitaryExtraction) as caught:
+        tp.entangled_to_basis(tp.basis_to_entangled(tp.UnitaryBasis(2, elements)))
+    assert str(caught.value) == "vector 3 yields an operator 1.250e+00 away from unitarity"
 
 
 def test_empty_objects_are_rejected():
