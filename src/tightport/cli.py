@@ -201,7 +201,7 @@ def cmd_simulate(args) -> int:
     deviations = []
     histogram = np.zeros(scheme.d**2)
     for rho in states:
-        output, probabilities = teleport_state(scheme, rho)
+        output, probabilities = teleport_state(scheme, rho, args.tol)
         deviations.append(np.abs(output - rho).max())
         histogram += probabilities / len(states)
     worst = float(np.max(deviations))  # NaN if any trial produced NaN

@@ -25,17 +25,15 @@ reads them to the same bits and names the first offending entry of the rest.
 Payload numbers must be JSON numbers: strings, ``true``/``false`` and
 ``null`` are rejected at their location.
 
-Only the walk builds nested lists, and it holds the cyclic garbage collector
-while it runs.
+Only the walk builds nested lists.  Neither route switches the garbage
+collector or any other process-wide state.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import re
-from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,24 +93,6 @@ class DesignDocument:
     d: int
     payload: dict[str, Any]
     meta: str = ""
-
-
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector, restoring the state found on exit.
-
-    The nested lists ``json.loads`` builds are acyclic, so reference counting
-    frees them; the collector would only re-walk them as they grow.  The
-    switch is process-wide: other threads also run without the collector
-    meanwhile.  As a decorator it pauses the collector for each call.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +456,9 @@ def _loads_fast(text: str) -> DesignDocument | None:
             if dtype is not complex:
                 payload[key] = _decode_field(
                     data["payload"][key], dtype, shape(data["d"]), f"payload.{key}")
-            elif key in arrays:
+            # the cut-out must be this field: one found in an object nested in the
+            # document leaves the field's own value in place of []
+            elif key in arrays and data["payload"][key] == []:
                 payload[key] = _read_complex(text, *arrays[key], shape(data["d"]))
             if payload.get(key) is None:
                 return None
@@ -485,9 +467,8 @@ def _loads_fast(text: str) -> DesignDocument | None:
     return DesignDocument(data["kind"], data["d"], payload, data["meta"])
 
 
-@_collector_paused()
 def _loads_walked(text: str) -> DesignDocument:
-    """``loads`` through ``json.loads`` and the per-entry walk, with the cyclic GC held."""
+    """``loads`` through ``json.loads`` and the per-entry walk."""
     try:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -507,8 +488,7 @@ def loads(text: str) -> DesignDocument:
     """Parse and shape-check a document; any defect raises ``ParseError``.
 
     Text laid out as ``dumps`` writes it is read without nested lists; any
-    other text is read by ``json.loads`` and the walk, which hold the cyclic
-    GC while they run, process-wide.
+    other text is read by ``json.loads`` and the walk.
     """
     doc = _loads_fast(text) if isinstance(text, str) else None
     return _loads_walked(text) if doc is None else doc

@@ -385,6 +385,21 @@ def test_simulate_prints_only_the_trials_for_a_valid_scheme(scheme_file, capsys)
     assert lines[2] == "PASS within tol 1e-10"
 
 
+@pytest.mark.parametrize("state", ["pure:0", "maximally-mixed", "random"])
+def test_simulate_runs_the_trials_at_the_given_tol(tmp_path, capsys, state):
+    # a resource scaled by 1 + 1e-8 passes verify at tol 1e-6; the trials must use that tol too
+    scheme = tp.build_scheme(tp.weyl_basis(3))
+    scaled = tp.TightScheme(3, scheme.omega * (1 + 1e-8), scheme.channel_unitaries,
+                            scheme.effects, scheme.mode)
+    path = tmp_path / "scaled.json"
+    tp.save(tp.make_document(scaled), path)
+    assert run("verify", path, "--tol", "1e-6") == 0
+    capsys.readouterr()
+    assert run("simulate", path, "--state", state, "--rng-seed", 3, "--tol", "1e-6") == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.splitlines()[-1] == "PASS within tol 1e-06"
+
+
 class TestCountLatin:
     def test_d5(self, capsys):
         assert run("count-latin", 5) == 0

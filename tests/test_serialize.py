@@ -542,24 +542,24 @@ def relaid(text, how):
     return {
         "trailing-newline": text + "\n",
         "indented": json.dumps(data, indent=1),
+        "indented-by-2": json.dumps(data, indent=2),
         "compact": json.dumps(data, separators=(",", ":")),
         "spaced-header": text.replace('"d": ', '"d" : ', 1),
     }[how]
 
 
-LAYOUTS = ["trailing-newline", "indented", "compact", "spaced-header", "unsorted", "tab-in-array"]
+LAYOUTS = ["trailing-newline", "indented", "indented-by-2", "compact", "spaced-header",
+           "unsorted", "tab-in-array"]
+LAYOUT_DOCS = {**D2_DOCS, "weyl16": make_document(weyl_basis(16))}
 
 
 @pytest.mark.parametrize("how", LAYOUTS)
-@pytest.mark.parametrize("kind", sorted(D2_DOCS))
+@pytest.mark.parametrize("kind", sorted(LAYOUT_DOCS))
 def test_other_layouts_read_as_the_canonical_text(kind, how):
-    text = dumps(D2_DOCS[kind])
+    text = dumps(LAYOUT_DOCS[kind])
     other = relaid(text, how)
     assert other != text
-    doc, canonical = loads(other), loads(text)
-    assert_same_as_walk(doc, other)
-    for key, value in canonical.payload.items():
-        assert np.array_equal(doc.payload[key], value), key
+    assert outcome(loads, other) == outcome(_loads_walked, other) == outcome(loads, text)
 
 
 def with_earlier_matrix(text, matrix_text):
@@ -585,6 +585,16 @@ def test_duplicated_payload_key_with_a_bad_first_value_is_invalid_json():
     assert parse_error(text) == f"invalid JSON: {info.value}"
 
 
+def test_payload_key_inside_the_payload_is_not_the_payload():
+    # the document's own payload comes first, and its matrix holds one object with a
+    # "payload" key of its own: that is a matrix of one row, wherever the keys' text is
+    text = dumps(D2_DOCS["hadamard"])
+    matrix = json.dumps(json.loads(text)["payload"]["matrix"])
+    nested = ('{"payload": {"matrix": [{"a": 1, "payload": {"matrix": ' + matrix + '}}]}, '
+              '"d": 2, "kind": "hadamard", "meta": "", "v": 1}')
+    assert parse_error(nested) == "payload.matrix: expected a list of length 2"
+
+
 def outcome(read, text):
     """What ``read`` makes of ``text``: its error message, or the document's bits."""
     try:
@@ -596,16 +606,19 @@ def outcome(read, text):
     return doc.kind, doc.d, doc.meta, bits
 
 
-EDIT_TEXTS = list("0123456789.eE+-[], ") + ["0.0", "-0", "1e400", "true", "[0.0, 0.0]", "\n"]
+EDIT_TEXTS = list("0123456789.eE+-[], ") + ["0.0", "-0", "1e400", "true", "[0.0, 0.0]", "\n",
+                                            "\t"]
 
 
+@pytest.mark.parametrize("layout", ["canonical", *LAYOUTS])
 @settings(max_examples=500, deadline=None)
 @given(kind=st.sampled_from(sorted(D2_DOCS)), edits=st.lists(
     st.tuples(st.floats(0, 1), st.sampled_from(["replace", "insert", "delete"]),
               st.sampled_from(EDIT_TEXTS)), min_size=1, max_size=3))
-def test_edited_text_reads_as_the_walk_reads_it(kind, edits):
+def test_edited_text_reads_as_the_walk_reads_it(layout, kind, edits):
     text = dumps(D2_DOCS[kind])
-    start = text.index('"payload": ') + len('"payload": ')
+    text = text if layout == "canonical" else relaid(text, layout)
+    start = text.index('"payload"') + len('"payload"')
     for where, how, piece in edits:  # inside the payload, where the arrays are
         at = start + int(where * (len(text) - start - 1))
         edited = {"replace": piece, "insert": piece + text[at], "delete": ""}[how]
@@ -659,16 +672,17 @@ def test_small_text_claiming_a_large_d_builds_nothing_that_large():
     assert peak < 2**20
 
 
-def test_only_the_walk_pauses_the_collector(monkeypatch):
-    pauses = []
-    disable = gc.disable
-    monkeypatch.setattr(gc, "disable", lambda: pauses.append(disable()))
-    doc = make_document(build_scheme(weyl_basis(2)))
-    text = dumps(doc)
+def test_loads_leaves_the_collector_alone(monkeypatch):
+    def switch():
+        raise AssertionError("the cyclic garbage collector was switched")
+
+    monkeypatch.setattr(gc, "disable", switch)
+    monkeypatch.setattr(gc, "enable", switch)
+    text = dumps(make_document(build_scheme(weyl_basis(2))))
     loads(text)
-    assert pauses == []
     loads(json.dumps(json.loads(text), indent=1))
-    assert pauses == [None]
+    with pytest.raises(ParseError):
+        loads(text.replace('"d": 2', '"d": 0'))
 
 
 # the layout of every complex kind at small d, against json.dumps of the nested
