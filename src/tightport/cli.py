@@ -288,7 +288,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # Entries as large as 1e200 load, and their products overflow; the
+        # verdicts fail closed on the inf or nan left behind, so numpy's
+        # warnings would only add lines to stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (TightportError, OSError, ValueError) as exc:
         return _err(str(exc))
     except MemoryError as exc:  # a size too large to allocate is a bad parameter

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from json.decoder import scanstring
@@ -215,7 +214,7 @@ def make_document(obj, meta: str = "") -> DesignDocument:
         if isinstance(obj, cls):
             payload = {}
             for key, path, _, shape in fields:
-                payload[key] = copy(attrgetter(path)(obj))
+                payload[key] = attrgetter(path)(obj)
                 if np.shape(payload[key]) != shape(obj.d):  # a density-matrix resource
                     raise ParseError(f"cannot serialize {path} of shape {np.shape(payload[key])}")
             return DesignDocument(kind, obj.d, payload, meta)

@@ -7,10 +7,14 @@ were rebuilt on the stacked-unitary and Kraus forms.  They are slow
 code against them on damaged inputs.  Where a check has a witness, the
 oracle returns its whole gap array, so a test can confirm that the
 witness names an entry at the maximum gap.  The two tensor helpers they
-need, ``matrix_units`` and ``partial_trace``, are defined here as well.
+need, ``matrix_units`` and ``partial_trace``, are defined here as well, and
+so are two references for the Latin-square code: the row and column loop
+``validate_latin`` once was, and a count by filtering every tuple of rows.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 import numpy as np
 
@@ -203,3 +207,33 @@ def teleport_state(scheme, rho) -> tuple[np.ndarray, np.ndarray]:
         u = scheme.channel_unitaries[x]
         output += u @ conditional @ u.conj().T
     return output, probabilities
+
+
+def latin(grid: np.ndarray) -> tuple[bool, float, str | None]:
+    """Verdict, number of bad lines and first bad line (rows before columns)."""
+    d = grid.shape[0]
+    violations = 0
+    witness = None
+    for j in range(d):
+        if len(set(grid[j, :].tolist())) != d:
+            violations += 1
+            witness = witness or f"row {j}"
+    for k in range(d):
+        if len(set(grid[:, k].tolist())) != d:
+            violations += 1
+            witness = witness or f"column {k}"
+    return violations == 0, float(violations), witness
+
+
+def brute_force_normalized_count(d: int) -> int:
+    """Filter all row-permutation tuples; independent of the package's search."""
+    first_row = tuple(range(d))
+    row_choices = [
+        [p for p in permutations(range(d)) if p[0] == j] for j in range(1, d)
+    ]
+    count = 0
+    for rows in product(*row_choices):
+        grid = (first_row,) + rows
+        if all(len({grid[j][k] for j in range(d)}) == d for k in range(d)):
+            count += 1
+    return count

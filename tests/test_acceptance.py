@@ -10,11 +10,11 @@ random phases, and tensor products at (2,2) and (2,3).
 
 import time
 from dataclasses import replace
-from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import PAULIS, random_density
 from tightport import (
     PeriodicityViolated,
@@ -159,25 +159,12 @@ def test_criterion_05_swap_equivalence(built_schemes):
     announce(5, "swap equivalence", "both verifiers agree on valid and perturbed schemes")
 
 
-def brute_force_normalized_count(d):
-    first_row = tuple(range(d))
-    row_choices = [
-        [p for p in permutations(range(d)) if p[0] == j] for j in range(1, d)
-    ]
-    count = 0
-    for rows in product(*row_choices):
-        grid = (first_row,) + rows
-        if all(len({grid[j][k] for j in range(d)}) == d for k in range(d)):
-            count += 1
-    return count
-
-
 def test_criterion_06_latin_counts():
     start = time.perf_counter()
     assert count_normalized_latin(3) == 1
     assert count_normalized_latin(4) == 4
-    assert count_normalized_latin(3) == brute_force_normalized_count(3)
-    assert count_normalized_latin(4) == brute_force_normalized_count(4)
+    assert count_normalized_latin(3) == oracles.brute_force_normalized_count(3)
+    assert count_normalized_latin(4) == oracles.brute_force_normalized_count(4)
     assert count_normalized_latin(5) == 56
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"counting took {elapsed:.2f}s"

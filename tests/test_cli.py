@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,53 @@ def test_simulate_runs_the_trials_at_the_given_tol(tmp_path, capsys, state):
     assert run("simulate", path, "--state", state, "--rng-seed", 3, "--tol", "1e-6") == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.splitlines()[-1] == "PASS within tol 1e-06"
+
+
+def _with_huge_entries(obj, keys, path):
+    """Save ``obj`` with every [re, im] pair of the payload ``keys`` set to 1e200."""
+    def huge(value):
+        return [1e200, 1e200] if isinstance(value[0], float) else [huge(v) for v in value]
+
+    data = json.loads(tp.dumps(tp.make_document(obj)))
+    for key in keys:
+        data["payload"][key] = huge(data["payload"][key])
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_overflowing_entries_fail_closed_without_warnings(tmp_path, capsys):
+    # 1e200 loads as a finite number and its products overflow; the verdict
+    # is the whole report, with no numpy warning on stderr
+    basis = tp.weyl_basis(2)
+    huge_basis = _with_huge_entries(basis, ["elements"], tmp_path / "basis.json")
+    scheme = _with_huge_entries(
+        tp.build_scheme(basis), ["channel_unitaries", "effect_vectors"], tmp_path / "scheme.json"
+    )
+    data = json.loads(tp.dumps(tp.make_document(tp.fourier_hadamard(2))))
+    data["payload"]["matrix"][0][0] = [1e200, 0.0]
+    hadamard = tmp_path / "hadamard.json"
+    hadamard.write_text(json.dumps(data))
+    latin, fourier = tmp_path / "latin.json", tmp_path / "fourier.json"
+    tp.save(tp.make_document(tp.latin_from_cyclic(2)), latin)
+    tp.save(tp.make_document(tp.fourier_hadamard(2)), fourier)
+    commands = [
+        (("verify", huge_basis), 1),
+        (("verify", hadamard), 1),
+        (("verify", scheme), 1),
+        (("simulate", scheme, "--state", "pure:0"), 1),
+        (("generate", "unitary-basis", "--construction", "shift-multiply", "--latin", latin,
+          "--hadamards", hadamard, fourier, "-o", tmp_path / "out.json"), 2),
+    ]
+    for argv, code in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == code, argv
+        assert caught == [], argv
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.err == "" and captured.out.startswith("FAIL "), argv
+        else:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
 
 
 class TestCountLatin:

@@ -1,10 +1,9 @@
-from itertools import permutations, product
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tightport import (
     DesignInvalid,
     BadPermutation,
@@ -27,20 +26,6 @@ from tightport import (
     validate_hadamard,
     validate_latin,
 )
-
-
-def brute_force_normalized_count(d):
-    """Filter all row-permutation tuples; independent of the package's search."""
-    first_row = tuple(range(d))
-    row_choices = [
-        [p for p in permutations(range(d)) if p[0] == j] for j in range(1, d)
-    ]
-    count = 0
-    for rows in product(*row_choices):
-        grid = (first_row,) + rows
-        if all(len({grid[j][k] for j in range(d)}) == d for k in range(d)):
-            count += 1
-    return count
 
 
 class TestLatinConstruction:
@@ -103,6 +88,23 @@ class TestValidateLatin:
     def test_symbol_out_of_range(self):
         with pytest.raises(SymbolOutOfRange):
             validate_latin([[0, 1], [1, 7]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_loop_oracle(self, data):
+        d = data.draw(st.integers(1, 8))
+        how = data.draw(st.sampled_from(["latin", "one entry moved", "random symbols"]))
+        if how == "random symbols":
+            symbols = st.lists(st.integers(0, d - 1), min_size=d * d, max_size=d * d)
+            grid = np.array(data.draw(symbols)).reshape(d, d)
+        else:
+            p, q, r = (np.array(data.draw(st.permutations(range(d)))) for _ in range(3))
+            grid = latin_equivalence_apply(latin_from_cyclic(d), p, q, r).grid.copy()
+        if how == "one entry moved":
+            j, k, s = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+            grid[j, k] = s
+        result = validate_latin(grid)
+        assert (result.passed, result.deviation, result.witness) == oracles.latin(grid)
 
     def test_equivalence_closure(self):
         rng = np.random.default_rng(0)
@@ -169,7 +171,7 @@ class TestNormalizedCounts:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_against_permutation_oracle(self, d):
-        assert count_normalized_latin(d) == brute_force_normalized_count(d)
+        assert count_normalized_latin(d) == oracles.brute_force_normalized_count(d)
 
     def test_cap(self):
         with pytest.raises(DimensionTooLarge):
@@ -284,6 +286,12 @@ class TestPeriodicPhase:
         v = np.ones((6, 6), dtype=complex)
         v[0, 0] = np.exp(0.3j)  # breaks V[k, l] == V[k+p, l]
         with pytest.raises(PeriodicityViolated):
+            periodic_phase_hadamard(2, 3, v)
+
+    def test_column_periodicity_violation(self):
+        v = np.ones((6, 6), dtype=complex)
+        v[::2, 4] = np.exp(0.3j)  # breaks V[k, l] == V[k, l+q] but not V[k, l] == V[k+p, l]
+        with pytest.raises(PeriodicityViolated, match=r"entry \(0, 4\) .* cell entry \(0, 1\)"):
             periodic_phase_hadamard(2, 3, v)
 
     def test_non_unimodular_cell(self):

@@ -91,6 +91,19 @@ def test_values_hold_copies_of_their_arrays():
     assert elements.flags.writeable and basis.elements[0, 0, 0] == 1
 
 
+@pytest.mark.parametrize("obj", all_kinds(), ids=lambda o: type(o).__name__)
+def test_document_shares_the_objects_read_only_arrays(obj):
+    doc = make_document(obj)
+    copied = {}
+    for key, value in doc.payload.items():
+        if isinstance(value, np.ndarray):
+            source = getattr(obj, key) if hasattr(obj, key) else obj.effects.vectors
+            assert np.shares_memory(value, source) and not value.flags.writeable, key
+            value = value.copy()
+        copied[key] = value
+    assert dumps(doc) == dumps(DesignDocument(doc.kind, doc.d, copied, doc.meta))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_collector_state_is_restored(enabled):
     text = dumps(make_document(weyl_basis(2)))
