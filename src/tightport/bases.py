@@ -208,8 +208,7 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckR
     if not float(np.linalg.eigvalsh(w).min()) > 1e-12:
         raise WeightNotPositive("weight has an eigenvalue at or below 1e-12")
     n = ops.shape[0]
-    gram = ops.conj().reshape(n, -1) @ (w @ ops).reshape(n, -1).T
-    return CheckResult.worst(_identity_gap(gram), tol, "Gram entry ({}, {})".format, gram)
+    return _gram(ops.reshape(n, -1), tol, right=(w @ ops).reshape(n, -1))
 
 
 def recover_weight_from_unitary_gram(
@@ -237,11 +236,10 @@ def recover_weight_from_unitary_gram(
         rho = np.linalg.inv(inverse_rho)
     except np.linalg.LinAlgError:
         raise NoSolution("the family's partial Gram trace is singular") from None
-    gram = _stacked(basis).conj() @ (rho @ elems).reshape(d * d, -1).T
-    residual = float(_identity_gap(gram).max())
-    if not residual <= tol:
+    residual = _gram(_stacked(basis), tol, right=(rho @ elems).reshape(d * d, -1))
+    if not residual:
         raise NoSolution(
-            f"weighted Gram residual {residual:.3e} exceeds {tol}; "
+            f"weighted Gram residual {residual.deviation:.3e} exceeds {tol}; "
             f"the family is not an orthonormal basis"
         )
     witness_dev = float(_identity_gap(rho, 1 / d).max())
@@ -274,8 +272,8 @@ def apply_equivalence(
     for name, v in (("V1", v1), ("V2", v2)):
         if v.shape != (d, d):
             raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({d}, {d})")
-        dev = float(_identity_gap(v.conj().T @ v).max())
-        if not dev <= DEFAULT_TOL:
-            raise NotUnitary(f"{name} deviates from unitarity by {dev:.3e}")
+    unitary = _unitarity(np.stack([v1, v2]), 1, DEFAULT_TOL, lambda x: f"V{x + 1}")
+    if not unitary:
+        raise NotUnitary(f"{unitary.witness} deviates from unitarity by {unitary.deviation:.3e}")
     order = np.arange(d * d) if relabel is None else as_permutation(relabel, d * d)
     return UnitaryBasis(d, v1 @ basis.elements[order] @ v2)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import BadPermutation, DimensionMismatch
 
-__all__ = ["DEFAULT_TOL", "CheckResult", "as_permutation", "require_positive"]
+__all__ = ["DEFAULT_TOL", "CheckResult"]
 
 # Absolute max-entry tolerance, not scaled with d.  Far above accumulated
 # rounding at the dimensions this package targets (the Weyl basis at d = 32

@@ -39,7 +39,6 @@ __all__ = [
     "validate_hadamard",
     "dephase_hadamard",
     "hadamards_equivalent",
-    "MAX_ENUMERATION_D",
 ]
 
 # Exhaustive Latin-square counting is capped here; the search space beyond
@@ -164,8 +163,10 @@ def count_normalized_latin(d: int) -> int:
             f"counts grow astronomically beyond that"
         )
     require_positive(d)
-    masks = {p: sum(1 << (k * d + s) for k, s in enumerate(p)) for p in permutations(range(d))}
-    rows = [[m for p, m in masks.items() if p[0] == r] for r in range(d)]
+    bits = [[1 << (k * d + s) for s in range(d)] for k in range(d)]
+    rows = [[] for _ in range(d)]
+    for p in permutations(range(d)):
+        rows[p[0]].append(sum(map(list.__getitem__, bits, p)))
 
     def count(r: int, used: int) -> int:
         if r == d:

@@ -48,8 +48,6 @@ from .errors import ParseError
 from .schemes import MODES, MaxEntangledBasis, TightScheme
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "KINDS",
     "DesignDocument",
     "make_document",
     "document_to_object",

@@ -63,9 +63,11 @@ def _unitarity(stack: np.ndarray, scale: float, tol: float, name) -> CheckResult
     return CheckResult.worst(gaps, tol, name)
 
 
-def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format) -> CheckResult:
-    """The verdict on conj(V) V^T / scale = I for the rows of V; ``table`` is that matrix."""
-    gram = rows.conj() @ rows.T
+def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format,
+          right: np.ndarray | None = None) -> CheckResult:
+    """The verdict on conj(V) R^T / scale = I for the rows of V and of R, by default V;
+    ``table`` is that matrix."""
+    gram = rows.conj() @ (rows if right is None else right).T
     if scale != 1:  # complex division, even by 1, would turn -0.0 into +0.0
         gram /= scale
     return CheckResult.worst(_identity_gap(gram), tol, name, gram)

@@ -391,3 +391,27 @@ def test_orthonormal_forms_the_gram_matrix_after_the_elements_products():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 144**2 * 16
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weighted_gram(weyl_basis(2).elements, np.eye(3)),
+     "weight shape (3, 3) does not match operators (2, 2)"),
+    (lambda: apply_equivalence(weyl_basis(2), np.eye(2), np.eye(3)),
+     "V2 has shape (3, 3), expected (2, 2)"),
+    (lambda: UnitaryBasis(2, np.zeros((3, 2, 2))),
+     "expected 4 matrices of shape (2, 2), got array of shape (3, 2, 2)"),
+], ids=["weighted_gram weight", "apply_equivalence V2", "UnitaryBasis elements"])
+def test_an_operand_of_another_shape_is_a_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_apply_equivalence_checks_both_shapes_then_names_the_less_unitary_factor():
+    basis = weyl_basis(2)
+    with pytest.raises(DimensionMismatch, match=r"^V2 has shape \(3, 3\)"):
+        apply_equivalence(basis, 2 * np.eye(2), np.eye(3))
+    # V2 deviates by 1.2^2 - 1, V1 by 1.1^2 - 1: the worse one is named, as in every check
+    with pytest.raises(NotUnitary) as info:
+        apply_equivalence(basis, 1.1 * np.eye(2), 1.2 * np.eye(2))
+    assert str(info.value) == "V2 deviates from unitarity by 4.400e-01"

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import random_twist, random_unitary
 from test_serialize import deeply_nested_text
 from test_verify import INCOMPLETE
 import tightport as tp
@@ -561,3 +565,55 @@ def _draw_argv(data, root, files):
 def test_every_argv_exits_0_1_or_2(fuzz_files, data):
     argv = _draw_argv(data, *fuzz_files)
     assert main(argv) in (0, 1, 2)
+
+
+def test_periodic_hadamard_without_seed_is_the_fourier_matrix(tmp_path):
+    path = tmp_path / "h.json"
+    assert run("generate", "hadamard", "--construction", "periodic", "--p", 2, "--q", 3,
+               "-o", path) == 0
+    doc = load(path)
+    assert doc.meta == "periodic p=2 q=3 seed=None"
+    np.testing.assert_array_equal(doc.payload["matrix"], tp.fourier_hadamard(6).matrix)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--hadamards", "{out}"),
+    ("--latin", "{out}"),
+], ids=["without --latin", "without --hadamards"])
+def test_shift_multiply_needs_both_design_files(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code = run("generate", "unitary-basis", "--construction", "shift-multiply",
+               *(a.format(out=out) for a in argv), "-o", out)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: shift-multiply requires --latin and --hadamards\n"
+
+
+@pytest.mark.parametrize("d, code, stdout", [(4, 0, "4\n"), (6, 2, "")])
+def test_module_entry_point_exits_with_main_code(d, code, stdout):
+    src = str(Path(tp.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tightport.cli", "count-latin", str(d)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    if code:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_simulate_fails_a_trial_that_verify_passes(tmp_path, capsys):
+    # Every channel left-multiplied by a twist T = exp(1e-6 i H), H not diagonal:
+    # T_x = c_x T moves verify by |T - I| / 3 = 1.9e-7, and the output T rho T* of
+    # pure:0 by 5.8e-7, so at tol 3e-7 verify passes and the trial fails.
+    scheme = tp.build_scheme(tp.weyl_basis(3))
+    twist = random_twist(np.random.default_rng(0), 3, 1e-6)
+    twisted = tp.TightScheme(3, scheme.omega, twist @ scheme.channel_unitaries,
+                             scheme.effects, tp.TELEPORTATION)
+    path = tmp_path / "twisted.json"
+    tp.save(tp.make_document(twisted), path)
+    assert run("verify", path, "--tol", "3e-7") == 0
+    capsys.readouterr()
+    assert run("simulate", path, "--state", "pure:0", "--tol", "3e-7") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0].startswith("max output deviation over 1 trial(s): 5.8")
+    assert captured.out.splitlines()[-1] == "FAIL: deviation exceeds tol 3e-07"

@@ -346,3 +346,21 @@ class TestDephase:
             * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))[:, None]
         )
         assert hadamards_equivalent(twisted, fourier_hadamard(3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: validate_latin(np.zeros((2, 3), dtype=int)),
+     DesignInvalid, "grid must be square, got shape (2, 3)"),
+    (lambda: validate_hadamard(np.ones((2, 3))),
+     DesignInvalid, "matrix must be square, got shape (2, 3)"),
+    (lambda: periodic_phase_hadamard(2, 3, np.ones((5, 5))),
+     PeriodicityViolated, "phase matrix shape (5, 5) is not (6, 6)"),
+], ids=["non-square grid", "non-square matrix", "phase grid of another shape"])
+def test_a_design_of_another_shape_is_rejected(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_hadamards_of_different_orders_are_not_equivalent():
+    assert hadamards_equivalent(fourier_hadamard(2), fourier_hadamard(3)) is False

@@ -10,6 +10,7 @@ from test_oracles import SCHEME_CASES, make_scheme
 from test_verify import twisted_channel
 from tightport import (
     DENSE_CODING,
+    DimensionMismatch,
     TELEPORTATION,
     MaxEntangledBasis,
     NotDensityOperator,
@@ -734,3 +735,16 @@ class TestVerifyEntangledBasis:
         vectors[0] = np.array([1, 0, 0, 0], dtype=complex)
         result = verify_entangled_basis(MaxEntangledBasis(2, vectors))
         assert not result.passed
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TightScheme(2, omega_vector(2), weyl_basis(2).elements,
+                         basis_to_entangled(weyl_basis(3)), TELEPORTATION),
+     DimensionMismatch, "effect vectors live at d=3, scheme has d=2"),
+    (lambda: teleport_state(build_scheme(weyl_basis(2)), np.eye(3) / 3),
+     NotDensityOperator, "state shape (3, 3) is not (2, 2)"),
+], ids=["effects at another d", "state at another d"])
+def test_a_part_at_another_dimension_is_rejected(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -871,3 +871,28 @@ def test_failed_save_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(ParseError):
         save(nan_basis_document(), path)
     assert path.read_text() == "old contents\n"
+
+
+LATIN3_ROWS = '{"d": 3, "kind": "latin", "meta": "", "payload": {"grid": %s}, "v": 1}'
+
+
+@pytest.mark.parametrize("call, message", [
+    # a non-ASCII character in an array leaves the fast path; the walk finds it
+    (lambda: loads(dumps(make_document(weyl_basis(2))).replace("1.0", "\uff11.0", 1)),
+     "invalid JSON: Expecting value: line 1 column 75 (char 74)"),
+    (lambda: loads("[]"), "document: expected an object, got list"),
+    (lambda: loads(LATIN3_ROWS % "[[0, 1, 2], [1, 2, 0]]"), "payload.grid: expected 3 rows"),
+    (lambda: loads(LATIN3_ROWS % "[[0, 1, 2], [1, 2], [2, 0, 1]]"),
+     "payload.grid[1]: expected 3 integers"),
+    (lambda: loads('{"d": 2, "kind": "hadamard", "meta": "", "payload": {"matrix": '
+                   '[["ab", [1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]]}, "v": 1}'),
+     "payload.matrix[0][0]: expected [re, im], got 'ab'"),
+    (lambda: make_document(object()), "cannot serialize object of type object"),
+    (lambda: dumps(DesignDocument("hadamard", 2, {"matrix": "ab"})),
+     "payload.matrix: expected a list of length 2"),
+], ids=["non-ASCII in an array", "not an object", "too few rows", "short row",
+        "string in a complex array", "unknown type", "payload not numbers"])
+def test_each_defect_is_a_parse_error_at_its_location(call, message):
+    with pytest.raises(ParseError) as info:
+        call()
+    assert str(info.value) == message

@@ -423,3 +423,9 @@ def test_identity_gap_matches_the_difference_in_any_layout(layout):
         np.testing.assert_array_equal(
             _identity_gap(product, scale), np.abs(product - scale * np.eye(4))
         )
+
+
+def test_trace_inner_rejects_a_one_dimensional_operand():
+    with pytest.raises(DimensionMismatch) as info:
+        trace_inner(np.ones(2), np.eye(2))
+    assert str(info.value) == "a must be 2-dimensional, got shape (2,)"
