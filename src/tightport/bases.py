@@ -44,7 +44,7 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import _gram, _identity_gap, _unitarity, max_abs
+from .tensor import _gram, _hermitian_gram, _identity_gap, _unitarity, max_abs
 
 __all__ = [
     "UnitaryBasis",
@@ -167,7 +167,7 @@ def verify_depolarizer(
     """
     d = basis.d
     a = _stacked(basis)
-    product = a.conj().T @ a
+    product = _hermitian_gram(a.T)
     probes = None if probes is None else [np.asarray(p, dtype=complex) for p in probes]
     if not probes:
         # gaps[a, b] belongs to the probe E[a, b]

@@ -12,6 +12,15 @@ e_k (x) e_k scaled to unit norm.  A d x d operator A corresponds to the
 d^2-vector (A (x) I) applied to that reference, whose entries are A's
 row-major entries over sqrt(d); ``vector_to_operator`` reads A back, which
 turns statements about entangled vectors into statements about operators.
+
+Every orthonormality statement is a Gram identity conj(V) V^T = I on a
+d^2 x d^2 matrix, and that one product is the cost of every verdict.  Below
+100 rows it is one complex product.  From 100 rows on it is formed in real
+arithmetic at half the multiplications: with V = A + iB, one symmetric
+product of V's float64 view gives A A^T + B B^T and one real product gives
+M = A B^T, whose M - M^T is the imaginary part.  That table is exactly
+Hermitian, and its entries agree with the complex product's to about
+n eps max|row|^2.
 """
 
 from __future__ import annotations
@@ -63,11 +72,38 @@ def _unitarity(stack: np.ndarray, scale: float, tol: float, name) -> CheckResult
     return CheckResult.worst(gaps, tol, name)
 
 
+# From this many rows on, the Hermitian Gram is formed in real arithmetic.  Seeded
+# dense square complex rows, one OpenBLAS 0.3.31 thread, numpy 2.4, best of 15 on a
+# 2-core x86-64 virtual machine, real form against one complex product: 0.83x the
+# speed at n = 64, 1.0x at n = 81 and 100, 1.10x at 121, 1.19x at 144, 1.24x at 256.
+_REAL_GRAM_ROWS = 100
+
+
+def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
+    """conj(V) V^T for the rows of V, of any layout.
+
+    From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB: the real part
+    A A^T + B B^T is R R^T for the float64 view R of V (one dsyrk, exactly
+    symmetric), and the imaginary part is M - M^T with M = A B^T (one dgemm).
+    """
+    n = len(rows)
+    if n < _REAL_GRAM_ROWS:
+        return rows.conj() @ rows.T
+    # BLAS takes unit-stride operands only; copies in the input's order, so none transposes
+    cross = rows.real.copy(order="K") @ rows.imag.copy(order="K").T
+    gram = np.empty((n, n), dtype=complex)
+    np.subtract(cross, cross.T, out=gram.imag)
+    del cross
+    r = np.ascontiguousarray(rows, dtype=complex).view(np.float64)  # a copy unless C-ordered
+    gram.real = r @ r.T
+    return gram
+
+
 def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format,
           right: np.ndarray | None = None) -> CheckResult:
     """The verdict on conj(V) R^T / scale = I for the rows of V and of R, by default V;
     ``table`` is that matrix."""
-    gram = rows.conj() @ (rows if right is None else right).T
+    gram = _hermitian_gram(rows) if right is None else rows.conj() @ right.T
     if scale != 1:  # complex division, even by 1, would turn -0.0 into +0.0
         gram /= scale
     return CheckResult.worst(_identity_gap(gram), tol, name, gram)
@@ -81,6 +117,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _as_vector(psi, d: int) -> np.ndarray:
+    require_positive(d)
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 1:
         raise DimensionMismatch(f"psi must be 1-dimensional, got shape {v.shape}")

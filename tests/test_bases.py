@@ -6,6 +6,7 @@ import pytest
 from conftest import PAULIS, SIGMA_X, random_complex, random_unitary
 from tightport import (
     BadPermutation,
+    CheckResult,
     DesignInvalid,
     DimensionMismatch,
     NoSolution,
@@ -27,6 +28,7 @@ from tightport import (
     weyl_basis,
 )
 from tightport.bases import _raw_shift_multiply
+from tightport.tensor import _identity_gap
 
 
 def hs_normalized_perturbation(d=2, epsilon=0.01):
@@ -415,3 +417,26 @@ def test_apply_equivalence_checks_both_shapes_then_names_the_less_unitary_factor
     with pytest.raises(NotUnitary) as info:
         apply_equivalence(basis, 1.1 * np.eye(2), 1.2 * np.eye(2))
     assert str(info.value) == "V2 deviates from unitarity by 4.400e-01"
+
+
+@pytest.mark.parametrize("damage", [None, "perturbed", "nan"])
+@pytest.mark.parametrize("d", [10, 12])
+def test_depolarizer_takes_the_gram_of_the_columns(d, damage):
+    # A* A is the Gram matrix of A's columns: the rows of a transposed view
+    elems = weyl_basis(d).elements.copy()
+    if damage == "perturbed":
+        elems[1] += 1e-6 * random_complex(np.random.default_rng(d), d, d)
+    elif damage == "nan":
+        elems[d, 1, 0] = np.nan
+    basis = UnitaryBasis(d, elems)
+    a = elems.reshape(d * d, -1)
+    columns = np.ascontiguousarray(a.T)
+    expected = CheckResult.worst(
+        _identity_gap(columns.conj() @ columns.T, d).reshape(d, d, d, d)
+        .transpose(0, 2, 1, 3).max(axis=(-2, -1)),
+        1e-10, "matrix unit E[{},{}]".format)
+    result = verify_depolarizer(basis)
+    assert result.passed == expected.passed == (damage is None)
+    if damage is not None:  # on a basis the witness names the largest rounding error
+        assert result.witness == expected.witness
+    assert result.deviation == pytest.approx(expected.deviation, rel=0, abs=1e-12, nan_ok=True)

@@ -527,7 +527,8 @@ class TestTeleportState:
 # gap is read from its product buffer; an identity or a difference copy beside
 # the product would raise the peak by at least half a matrix.
 PRODUCT_BUFFER_PEAKS = {
-    "check_projector_completeness": (lambda s: check_projector_completeness(s.effects.vectors), 2.5),
+    # the Gram matrix formed in real arithmetic peaks at 1.70 matrices here, zgemm at 2.0
+    "check_projector_completeness": (lambda s: check_projector_completeness(s.effects.vectors), 1.75),
     "verify_entangled_basis": (lambda s: verify_entangled_basis(s.effects), 2.5),
     "verify_teleportation": (verify_teleportation, 2.5),
     "verify_dense_coding": (verify_dense_coding, 2.5),

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_unitary
 from oracles import matrix_units, partial_trace
 from tightport import (
+    CheckResult,
     CountMismatch,
     DimensionMismatch,
     NotNormalized,
@@ -25,7 +26,7 @@ from tightport import (
     verify_orthonormal,
     weyl_basis,
 )
-from tightport.tensor import _identity_gap
+from tightport.tensor import _REAL_GRAM_ROWS, _gram, _hermitian_gram, _identity_gap
 
 TOL = 1e-12
 
@@ -429,3 +430,79 @@ def test_trace_inner_rejects_a_one_dimensional_operand():
     with pytest.raises(DimensionMismatch) as info:
         trace_inner(np.ones(2), np.eye(2))
     assert str(info.value) == "a must be 2-dimensional, got shape (2,)"
+
+
+@pytest.mark.parametrize("call, d", [
+    (lambda: is_maximally_entangled(np.array([1.0]), -1), -1),
+    (lambda: vector_to_operator(np.array([1.0]), -1), -1),
+    (lambda: vector_to_operator(np.array([]), 0), 0),
+    (lambda: is_maximally_entangled(np.array([]), 0), 0),
+], ids=["is_maximally_entangled d=-1", "vector_to_operator d=-1",
+        "vector_to_operator d=0", "is_maximally_entangled d=0"])
+def test_a_vector_at_a_non_positive_dimension_is_rejected(call, d):
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == f"dimension must be positive, got {d}"
+
+
+GRAM_ROWS = [64, 81, 100, 121, 144, 256]
+
+
+@pytest.mark.parametrize("n", GRAM_ROWS)
+def test_hermitian_gram_agrees_with_the_complex_product(n):
+    rows = random_complex(np.random.default_rng(n), n, n)
+    gram = _hermitian_gram(rows)
+    product = rows.conj() @ rows.T
+    bound = n * np.finfo(float).eps * (np.abs(rows) ** 2).sum(axis=1).max()
+    assert np.abs(gram - product).max() <= bound
+    if n < _REAL_GRAM_ROWS:
+        assert gram.tobytes() == product.tobytes()
+    else:
+        # exactly Hermitian: M - M^T is antisymmetric in floating point too
+        assert np.array_equal(gram, gram.conj().T)
+        assert not np.diagonal(gram).imag.any()
+
+
+@pytest.mark.parametrize("row", ["first", "middle", "last"])
+@pytest.mark.parametrize("n", GRAM_ROWS)
+def test_hermitian_gram_names_the_first_nan_as_the_complex_product_does(n, row):
+    rows = random_unitary(np.random.default_rng(n), n)
+    k = {"first": 0, "middle": n // 2, "last": n - 1}[row]
+    rows[k] = np.nan
+    result = _gram(rows, TOL)
+    expected = CheckResult.worst(_identity_gap(rows.conj() @ rows.T), TOL,
+                                 "Gram entry ({}, {})".format)
+    assert not result.passed and np.isnan(result.deviation)
+    assert result.witness == expected.witness
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e200, 1j * np.inf, 1e200 + 1e200j])
+@pytest.mark.parametrize("n", GRAM_ROWS)
+def test_hermitian_gram_fails_closed_on_huge_entries(n, value):
+    rows = random_unitary(np.random.default_rng(n), n)
+    assert _gram(rows, TOL).passed
+    rows[n // 3, 5] = value
+    with np.errstate(all="ignore"):
+        result = _gram(rows, TOL)
+    assert not result.passed and not np.isfinite(result.deviation)
+
+
+VECTOR_LAYOUTS = {
+    "Fortran": np.asfortranarray,
+    "rows reversed": lambda v: v[::-1],
+    "transposed view": lambda v: v.T,
+}
+
+
+@pytest.mark.parametrize("damage", [None, "perturbed", "nan"])
+@pytest.mark.parametrize("layout", sorted(VECTOR_LAYOUTS))
+@pytest.mark.parametrize("d", [10, 12])
+def test_completeness_reads_vectors_in_any_layout(d, layout, damage):
+    # the float64 view the Gram is built from needs C order; other layouts must be copied
+    entangled = basis_to_entangled(_theorem_damage(weyl_basis(d), damage))
+    vectors = VECTOR_LAYOUTS[layout](entangled.vectors)
+    assert not vectors.flags.c_contiguous
+    result = check_projector_completeness(vectors)
+    expected = check_projector_completeness(np.ascontiguousarray(vectors))
+    assert (result.passed, result.witness) == (expected.passed, expected.witness)
+    np.testing.assert_allclose(result.table, expected.table, rtol=0, atol=1e-12, equal_nan=True)
