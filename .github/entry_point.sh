@@ -29,6 +29,12 @@ tightport generate entangled-basis --from-basis basis24.json -o entangled24.json
 tightport verify basis24.json
 tightport verify entangled24.json
 python -c "import sys, tightport as tp; bad = [p for p in sys.argv[1:] if tp.dumps(tp.load(p)) + '\n' != open(p).read()]; sys.exit(' '.join(bad) or None)" basis24.json entangled24.json
+# so does its scheme, whose effects' Gram matrix is formed from the d Hadamard blocks
+tightport generate scheme --from-basis basis24.json -o scheme24.json
+tightport verify scheme24.json
+# an element duplicated inside its own group keeps the block form, which names the pair
+python -c "import tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[12] = e[0]; tp.save(tp.make_document(tp.UnitaryBasis(12, e)), 'dup12.json')"
+rc=0; tightport verify dup12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'Gram entry (0, 12)' out.txt
 # the same basis re-laid out with one-space indents verifies and writes the canonical text back
 python -m json.tool --indent 1 basis24.json basis24-indented.json
 tightport verify basis24-indented.json

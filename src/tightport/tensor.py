@@ -14,13 +14,15 @@ row-major entries over sqrt(d); ``vector_to_operator`` reads A back, which
 turns statements about entangled vectors into statements about operators.
 
 Every orthonormality statement is a Gram identity conj(V) V^T = I on a
-d^2 x d^2 matrix, and that one product is the cost of every verdict.  Below
-100 rows it is one complex product.  From 100 rows on it is formed in real
-arithmetic at half the multiplications: with V = A + iB, one symmetric
-product of V's float64 view gives A A^T + B B^T and one real product gives
-M = A B^T, whose M - M^T is the imaginary part.  That table is exactly
-Hermitian, and its entries agree with the complex product's to about
-n eps max|row|^2.
+d^2 x d^2 matrix, the cost of every verdict.  Below 100 rows it is one complex
+product; from 100 on, in real arithmetic at half the multiplications, with
+V = A + iB: R R^T for V's float64 view R gives A A^T + B B^T, and M - M^T for
+M = A B^T the imaginary part.  A Latin family (``shift_multiply_basis``,
+``weyl_basis``, ``tensor_bases`` of those, their entangled bases and schemes)
+is the paper's d Hadamard blocks up to order, so its Gram is d products of
+d x d blocks, O(d^4); any other family pays the full O(d^6) product.  Either
+table is exactly Hermitian and within about n eps max|row|^2 of the complex
+product, so on a passing family the witness names a rounding-level entry.
 """
 
 from __future__ import annotations
@@ -79,23 +81,51 @@ def _unitarity(stack: np.ndarray, scale: float, tol: float, name) -> CheckResult
 _REAL_GRAM_ROWS = 100
 
 
+def _blocks(rows: np.ndarray):
+    """(members, blocks) when V is block diagonal up to row and column order, with k >= 2
+    groups of m rows on m columns each: group g is rows ``members[g]``, ``blocks[g]`` finite."""
+    x = rows.T if rows.flags.f_contiguous else rows  # read in C order
+    m = np.count_nonzero(x[0])
+    if not (0 < m <= len(x) / 2 and len(x) % m == 0):  # so a dense family reads one row
+        return None
+    nonzero = x.astype(bool, order="C")  # grouped by first nonzero column, m at a time
+    groups = np.argsort(nonzero.argmax(axis=1), kind="stable").reshape(-1, m)
+    support = np.packbits(nonzero, axis=1)[groups]
+    columns = np.unpackbits(support[:, 0], axis=1, count=x.shape[1])
+    if not ((support == support[:, :1]).all() and (columns.sum(axis=1) == m).all()
+            and (columns.sum(axis=0) == 1).all()):
+        return None
+    parts = np.nonzero(columns)[1].reshape(-1, m)
+    members, parts = (groups, parts) if x is rows else (parts, groups)  # x = V^T: swapped
+    blocks = rows[members[:, :, None], parts[:, None, :]]
+    # a NaN or an inf times a zero is NaN in the full product, and not in the blocks
+    return (members, blocks) if np.isfinite(blocks).all() else None
+
+
 def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
     """conj(V) V^T for the rows of V, of any layout.
 
-    From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB: the real part
-    A A^T + B B^T is R R^T for the float64 view R of V (one dsyrk, exactly
-    symmetric), and the imaginary part is M - M^T with M = A B^T (one dgemm).
+    From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB, A A^T + B B^T is R R^T for V's float64
+    view R (one dsyrk, exactly symmetric) and the imaginary part M - M^T for M = A B^T (one
+    dgemm).  On ``_blocks`` of V they form the blocks' Grams, scattered into a zero table.
     """
     n = len(rows)
     if n < _REAL_GRAM_ROWS:
         return rows.conj() @ rows.T
-    # BLAS takes unit-stride operands only; copies in the input's order, so none transposes
-    cross = rows.real.copy(order="K") @ rows.imag.copy(order="K").T
-    gram = np.empty((n, n), dtype=complex)
-    np.subtract(cross, cross.T, out=gram.imag)
+    members, v = _blocks(rows) or (None, rows)
+    k = v.shape[-2]
+    # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
+    # M's rows are padded where a 4 KiB-multiple stride would put a column in one cache set
+    cross = np.matmul(v.real.copy(order="K"), v.imag.copy(order="K").swapaxes(-1, -2),
+                      out=np.empty(v.shape[:-1] + (k + 8 * (k % 512 == 0),))[..., :k])
+    gram = np.empty(cross.shape, dtype=complex)
+    np.subtract(cross, cross.swapaxes(-1, -2), out=gram.imag)
     del cross
-    r = np.ascontiguousarray(rows, dtype=complex).view(np.float64)  # a copy unless C-ordered
-    gram.real = r @ r.T
+    r = np.ascontiguousarray(v, dtype=complex).view(np.float64)  # a copy unless C-ordered
+    gram.real = r @ r.swapaxes(-1, -2)
+    if members is not None:  # the blocks' Grams, scattered into a zero table
+        gram, blocks = np.zeros((n, n), dtype=complex), gram
+        gram[members[:, :, None], members[:, None, :]] = blocks
     return gram
 
 

@@ -18,6 +18,7 @@ from tightport import (
     NotUnitaryExtraction,
     SchemeInvalid,
     TightScheme,
+    apply_equivalence,
     basis_to_entangled,
     build_scheme,
     check_projector_completeness,
@@ -33,6 +34,7 @@ from tightport import (
     trace_inner,
     verify,
     verify_dense_coding,
+    verify_depolarizer,
     verify_entangled_basis,
     verify_orthonormal,
     verify_teleportation,
@@ -525,27 +527,46 @@ class TestTeleportState:
 
 # Peak traced allocation of a check at d = 12, in d^2 x d^2 complex matrices.  Each
 # gap is read from its product buffer; an identity or a difference copy beside
-# the product would raise the peak by at least half a matrix.
+# the product would raise the peak by at least half a matrix.  The limits hold on a
+# dense family, Weyl moved by two seeded unitaries, whose Gram matrix is the full product.
 PRODUCT_BUFFER_PEAKS = {
     # the Gram matrix formed in real arithmetic peaks at 1.70 matrices here, zgemm at 2.0
-    "check_projector_completeness": (lambda s: check_projector_completeness(s.effects.vectors), 1.75),
-    "verify_entangled_basis": (lambda s: verify_entangled_basis(s.effects), 2.5),
-    "verify_teleportation": (verify_teleportation, 2.5),
-    "verify_dense_coding": (verify_dense_coding, 2.5),
+    "check_projector_completeness": (lambda b, s: check_projector_completeness(s.effects.vectors),
+                                     1.75),
+    "verify_entangled_basis": (lambda b, s: verify_entangled_basis(s.effects), 2.5),
+    "verify_teleportation": (lambda b, s: verify_teleportation(s), 2.5),
+    "verify_dense_coding": (lambda b, s: verify_dense_coding(s), 2.5),
     # a scheme's verdict forms one d^2 x d^2 product, the effects' Gram matrix
-    "verify of a teleportation scheme": (verify, 2.5),
-    "verify of a dense_coding scheme": (verify, 2.5),
-    "extract_basis_from_scheme": (extract_basis_from_scheme, 3.5),
+    "verify of a teleportation scheme": (lambda b, s: verify(s), 2.5),
+    "verify of a dense_coding scheme": (lambda b, s: verify(s), 2.5),
+    "extract_basis_from_scheme": (lambda b, s: extract_basis_from_scheme(s), 3.5),
+    # A's columns are a transposed view, which the full product copies to C order: 2.50
+    "verify_depolarizer": (lambda b, s: verify_depolarizer(b), 2.55),
 }
+# On Weyl the Gram matrix is d blocks scattered into one zero table, 1.51 matrices with
+# its gap; these limits fail if the full product is formed.
+LATIN_BUFFER_PEAKS = {"check_projector_completeness": 1.55, "verify_depolarizer": 1.55}
 
 
-@pytest.mark.parametrize("name", sorted(PRODUCT_BUFFER_PEAKS))
-def test_identity_gap_reads_the_product_buffer(name):
+def _product_buffer_cases():
+    for name in sorted(PRODUCT_BUFFER_PEAKS):
+        yield pytest.param(name, "Weyl", id=name)
+        yield pytest.param(name, "dense", id=f"{name}, dense family")
+
+
+@pytest.mark.parametrize("name, family", _product_buffer_cases())
+def test_identity_gap_reads_the_product_buffer(name, family):
     check, limit = PRODUCT_BUFFER_PEAKS[name]
-    scheme = build_scheme(weyl_basis(12), DENSE_CODING if "dense_coding" in name else TELEPORTATION)
+    basis = weyl_basis(12)
+    if family == "dense":
+        rng = np.random.default_rng(12)
+        basis = apply_equivalence(basis, random_unitary(rng, 12), random_unitary(rng, 12))
+    else:
+        limit = LATIN_BUFFER_PEAKS.get(name, limit)
+    scheme = build_scheme(basis, DENSE_CODING if "dense_coding" in name else TELEPORTATION)
     tracemalloc.start()
     try:
-        assert check(scheme)  # a verdict that passed, or the extracted basis
+        assert check(basis, scheme)  # a verdict that passed, or the extracted basis
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,13 @@ from tightport import (
     UnitaryBasis,
     basis_to_entangled,
     check_projector_completeness,
+    fourier_hadamard,
     hadamard_d4_family,
     is_maximally_entangled,
+    latin_equivalence_apply,
     latin_from_cyclic,
     omega_vector,
+    periodic_phase_hadamard,
     shift_multiply_basis,
     tensor_bases,
     trace_inner,
@@ -26,7 +31,7 @@ from tightport import (
     verify_orthonormal,
     weyl_basis,
 )
-from tightport.tensor import _REAL_GRAM_ROWS, _gram, _hermitian_gram, _identity_gap
+from tightport.tensor import _REAL_GRAM_ROWS, _blocks, _gram, _hermitian_gram, _identity_gap
 
 TOL = 1e-12
 
@@ -485,6 +490,110 @@ def test_hermitian_gram_fails_closed_on_huge_entries(n, value):
     with np.errstate(all="ignore"):
         result = _gram(rows, TOL)
     assert not result.passed and not np.isfinite(result.deviation)
+
+
+def _hadamard(rng, d, kind):
+    if kind == "Fourier":
+        return fourier_hadamard(d)
+    if kind == "periodic":
+        p = min(f for f in range(2, d + 1) if d % f == 0)
+        cell = np.exp(2j * np.pi * rng.random((p, d // p)))
+        return periodic_phase_hadamard(p, d // p, np.tile(cell, (d // p, p)))
+    # a member of the d = 4 family, times Fourier phases up to d
+    u = np.exp(2j * np.pi * rng.random())
+    return np.kron(hadamard_d4_family(u).matrix, fourier_hadamard(d // 4).matrix)
+
+
+def _latin_family(rng, d):
+    """A shift-multiply basis on a relabelled cyclic square, each H_j of a random kind."""
+    square = latin_equivalence_apply(latin_from_cyclic(d), *(rng.permutation(d) for _ in range(3)))
+    kinds = ["Fourier", "periodic"] + ["d = 4 family"] * (d % 4 == 0)
+    return shift_multiply_basis(square, [_hadamard(rng, d, k) for k in rng.choice(kinds, d)])
+
+
+NEAR_MISSES = ["intact", "support entry moved", "group's support column moved",
+               "duplicate in its group", "duplicate across groups", "group short of a row"] + [
+    f"{value} at a {where} entry" for value in ("nan", "inf", "-inf", "1e200")
+    for where in ("zero", "nonzero")]
+# the block path runs on these; the other near misses take the full product
+ON_BLOCK_PATH = {"intact", "duplicate in its group", "1e200 at a nonzero entry"}
+
+
+def _near_miss(rows, miss, rng):
+    rows = rows.copy()
+    x = rng.integers(len(rows))
+    support = rows != 0
+    same = (support == support[x]).all(axis=1)
+    nonzero, zero = (rng.choice(np.flatnonzero(s)) for s in (support[x], ~support[x]))
+    if miss == "support entry moved":
+        rows[x, zero], rows[x, nonzero] = rows[x, nonzero], 0
+    elif miss == "group's support column moved":  # onto another group's column
+        rows[same, zero], rows[same, nonzero] = rows[same, nonzero], 0
+    elif miss == "duplicate in its group":
+        rows[rng.choice(np.flatnonzero(same & (np.arange(len(rows)) != x)))] = rows[x]
+    elif miss == "duplicate across groups":
+        rows[rng.choice(np.flatnonzero(~same))] = rows[x]
+    elif miss == "group short of a row":
+        rows = np.delete(rows, x, axis=0)
+    elif miss != "intact":
+        value, where = miss.split(" at a ")
+        rows[x, nonzero if where == "nonzero entry" else zero] = float(value)
+    return rows
+
+
+def _assert_verdict_of_the_product(rows, block):
+    """The Gram verdict and table on ``rows`` are the complex product's, and the block
+    path formed them exactly when ``block``."""
+    assert (len(rows) >= _REAL_GRAM_ROWS and _blocks(rows) is not None) == block
+    with np.errstate(all="ignore"):
+        table = _hermitian_gram(rows)
+        result = _gram(rows, TOL)
+        product = rows.conj() @ rows.T
+        gaps = _identity_gap(product)
+        bound = len(rows) * np.finfo(float).eps * (np.abs(rows) ** 2).sum(axis=1).max()
+    expected = CheckResult.worst(gaps, TOL, "Gram entry ({}, {})".format)
+    assert result.passed == expected.passed
+    if not result.passed:
+        # the witness names a worst entry: non-finite, or within rounding of the worst
+        worst = expected.deviation
+        tied = np.argwhere(gaps >= worst - bound if np.isfinite(worst) else ~np.isfinite(gaps))
+        i, j = map(int, re.findall(r"\d+", result.witness))
+        assert [i, j] in tied.tolist()
+        # and the product's own when it is alone there, up to its mirror image; the full
+        # product in real arithmetic may name another non-finite entry than zgemm
+        if block and len({tuple(sorted(ij)) for ij in tied.tolist()}) == 1:
+            assert result.witness == expected.witness
+    if np.isfinite(product).all():
+        assert np.abs(table - product).max() <= bound
+    if len(rows) >= _REAL_GRAM_ROWS:
+        assert np.array_equal(table, table.conj().T, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(10, 16), product=st.booleans(), miss=st.sampled_from(NEAR_MISSES),
+       columns=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_latin_gram_blocks_agree_with_the_complex_product(d, product, miss, columns, seed):
+    rng = np.random.default_rng(seed)
+    factors = [f for f in range(2, d) if d % f == 0]
+    if product and factors:
+        d1 = int(rng.choice(factors))
+        basis = tensor_bases(_latin_family(rng, d1), _latin_family(rng, d // d1))
+    else:
+        basis = _latin_family(rng, d)
+    rows = _near_miss(basis.elements.reshape(d * d, -1), miss, rng)
+    # A's columns, as the depolarizer reads them, are a transposed view
+    _assert_verdict_of_the_product(rows.T if columns else rows, miss in ON_BLOCK_PATH)
+
+
+@pytest.mark.parametrize("duplicate", [False, True], ids=["intact", "element d is element 0"])
+@pytest.mark.parametrize("d", [24, 32])
+def test_weyl_gram_blocks_agree_with_the_complex_product(d, duplicate):
+    rows = weyl_basis(d).elements.reshape(d * d, -1).copy()
+    if duplicate:  # a duplicate inside its own group keeps the block path
+        rows[d] = rows[0]
+    _assert_verdict_of_the_product(rows, True)
+    if duplicate:
+        assert _gram(rows, TOL).witness == f"Gram entry (0, {d})"
 
 
 VECTOR_LAYOUTS = {
