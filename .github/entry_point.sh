@@ -35,6 +35,15 @@ tightport verify scheme24.json
 # an element duplicated inside its own group keeps the block form, which names the pair
 python -c "import tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[12] = e[0]; tp.save(tp.make_document(tp.UnitaryBasis(12, e)), 'dup12.json')"
 rc=0; tightport verify dup12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'Gram entry (0, 12)' out.txt
+# its channels stay a permutation times phases with one phase scaled by 1 + 1e-6, and
+# are read as such: the channel is not unitary, and the verdict names it
+python -c "import tightport as tp; s = tp.build_scheme(tp.weyl_basis(12)); u = s.channel_unitaries.copy(); u[5, 0] *= 1 + 1e-6; tp.save(tp.make_document(tp.TightScheme(12, s.omega, u, s.effects, tp.TELEPORTATION)), 'scaled12.json')"
+rc=0; tightport verify scaled12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'channel 5' out.txt
+# an entry off an element's support fails: NaN through the library (a document cannot hold
+# it), and 1e200, whose products overflow, through the command
+python -c "import numpy as np, tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[5, 0, np.flatnonzero(e[5, 0] == 0)[0]] = np.nan; assert not tp.verify(tp.UnitaryBasis(12, e))"
+python -c "import numpy as np, tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[5, 0, np.flatnonzero(e[5, 0] == 0)[0]] = 1e200; tp.save(tp.make_document(tp.UnitaryBasis(12, e)), 'huge12.json')"
+rc=0; tightport verify huge12.json || rc=$?; test "$rc" -eq 1
 # the same basis re-laid out with one-space indents verifies and writes the canonical text back
 python -m json.tool --indent 1 basis24.json basis24-indented.json
 tightport verify basis24-indented.json

@@ -15,13 +15,13 @@ input state exactly) and the dense-coding identity (the receiver's outcome
 matrix is exactly the identity).  The verifiers evaluate both identities
 completely, not on samples.
 
-Both identities and the protocol are products of stacked arrays.  With the
-resource vector reshaped to a d x d matrix W and phi_x* the adjoint of effect
-x's d x d matrix, :func:`verify` reads either identity per outcome: every
-T_x = U_x R phi_x* is c_x I and sum_x |c_x|^2 = 1, R = W^T for teleportation
-and R = W for dense coding.  Outcome x acts on the input by K_x = W^T phi_x*,
-and the output is sum_x U_x K_x rho K_x* U_x*.  All of them read the resource
-by one rule and fail any but a unit vector or psi psi* for one.
+Both identities and the protocol are products of stacked arrays.  With the resource vector
+reshaped to a d x d matrix W and phi_x* the adjoint of effect x's d x d matrix, :func:`verify`
+reads either identity per outcome: every T_x = U_x R phi_x* is c_x I and sum_x |c_x|^2 = 1,
+R = W^T for teleportation and R = W for dense coding.  For a Latin family's channels or effects,
+each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2) per outcome.
+Outcome x acts on the input by K_x = W^T phi_x*, and the output is sum_x U_x K_x rho K_x* U_x*.
+All of them read the resource by one rule and fail any but a unit vector or psi psi* for one.
 
 Phase convention: operators extracted from entangled vectors keep the phase
 the correspondence delivers; round-trip equality assertions are therefore
@@ -47,6 +47,7 @@ from .tensor import (
     _adjoint,
     _gram,
     _identity_gap,
+    _monomial,
     _unitarity,
     is_maximally_entangled,
     max_abs,
@@ -213,17 +214,30 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
 def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float) -> CheckResult:
     """Every T_x = U_x R phi_x* is c_x I, c_x = tr(T_x) / d, and sum_x |c_x|^2 = 1.
 
-    R = W^T states teleportation; R = W states dense coding exactly given unitary
-    channels, W W* = I/d and complete effects: then U_x W is unitary / sqrt(d) and
-    |phi_x| = 1, so |T_x - c_x I|_F^2 = (1 - |a_x|^2) / d for the table's amplitude
-    a_x = tr(T_x) = <phi_x, vec(U_x W)>, and each row of the table sums to 1.  So the
-    table is I exactly when every T_x = c_x I, and then |c_x| = 1/d.  Its gap eps =
-    max_x |1 - |a_x|^2| and the worst outcome gap delta obey delta^2 <= eps / d <= d^2 delta^2.
+    R = W^T states teleportation; R = W states dense coding exactly given unitary channels,
+    W W* = I/d and complete effects: then U_x W is unitary / sqrt(d) and |phi_x| = 1, so
+    |T_x - c_x I|_F^2 = (1 - |a_x|^2) / d for the table's amplitude a_x = tr(T_x) =
+    <phi_x, vec(U_x W)>, and each row of the table sums to 1.  So the table is I exactly when
+    every T_x = c_x I, and then |c_x| = 1/d.  Its gap eps = max_x |1 - |a_x|^2| and the worst
+    outcome gap delta obey delta^2 <= eps / d <= d^2 delta^2.  Channels or effects that are
+    ``_monomial``, as a Latin family's, are read as gathers in O(d^2) per outcome.
     """
     d = scheme.d
-    # gaps are moduli, so conj(T_x) = conj(U_x R) phi_x^T serves and no adjoint is copied
-    t = (scheme.channel_unitaries.reshape(-1, d) @ r).reshape(-1, d, d)
-    t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
+    effects = scheme.effects.vectors.reshape(-1, d, d)
+    u, phi = _monomial(scheme.channel_unitaries), _monomial(effects)
+    # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
+    # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
+    q = slice(None) if phi is None else (np.arange(len(effects))[:, None], np.argsort(phi[0], 1))
+    if u is None:
+        t = (scheme.channel_unitaries[q].reshape(-1, d) @ r).reshape(-1, d, d)
+    else:  # row i of U_x R is u_i R[a_i] if row i of U_x is u_i at column a_i
+        t = r[u[0][q]]
+        t *= u[1][q][..., None]
+    if phi is None:
+        t = np.conjugate(t, out=t) @ np.swapaxes(effects, 1, 2)
+    else:  # T_x in that order is (U_x R)[q] times conj(p[q]) on the columns
+        t *= phi[1][q].conj()[:, None, :]
+    del u, phi  # not held beside the gaps
     c = np.trace(t, axis1=1, axis2=2) / d
     outcomes = CheckResult.worst(_identity_gap(t, c[:, None]).max(axis=(1, 2)), tol,
                                  "outcome {}: T_x is not a multiple of I".format)

@@ -540,12 +540,21 @@ PRODUCT_BUFFER_PEAKS = {
     "verify of a teleportation scheme": (lambda b, s: verify(s), 2.5),
     "verify of a dense_coding scheme": (lambda b, s: verify(s), 2.5),
     "extract_basis_from_scheme": (lambda b, s: extract_basis_from_scheme(s), 3.5),
+    # the elements' S* S products beside the Gram matrix: 2.00
+    "verify_orthonormal": (lambda b, s: verify_orthonormal(b), 2.05),
     # A's columns are a transposed view, which the full product copies to C order: 2.50
     "verify_depolarizer": (lambda b, s: verify_depolarizer(b), 2.55),
 }
 # On Weyl the Gram matrix is d blocks scattered into one zero table, 1.51 matrices with
-# its gap; these limits fail if the full product is formed.
-LATIN_BUFFER_PEAKS = {"check_projector_completeness": 1.55, "verify_depolarizer": 1.55}
+# its gap; these limits fail if the full product is formed.  Its elements, channels and
+# effects are each a permutation times phases, so unitarity forms no S* S product and the
+# basis verdicts peak at the Gram's 1.51; T_x is one gather of R's rows, 1.81 with its gap
+# and the readings, and extraction peaks at 2.01.  The products take each to 2.0 or more.
+LATIN_BUFFER_PEAKS = {"check_projector_completeness": 1.55, "verify_depolarizer": 1.55,
+                      "verify_orthonormal": 1.55, "verify_entangled_basis": 1.55,
+                      "verify of a teleportation scheme": 1.85,
+                      "verify of a dense_coding scheme": 1.85, "verify_teleportation": 1.85,
+                      "extract_basis_from_scheme": 2.05}
 
 
 def _product_buffer_cases():

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +11,16 @@ from hypothesis.extra.numpy import arrays
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_unitary
 from oracles import matrix_units, partial_trace
 from tightport import (
+    MODES,
     CheckResult,
     CountMismatch,
     DimensionMismatch,
     NotNormalized,
     TightportError,
     UnitaryBasis,
+    apply_equivalence,
     basis_to_entangled,
+    build_scheme,
     check_projector_completeness,
     fourier_hadamard,
     hadamard_d4_family,
@@ -31,7 +36,19 @@ from tightport import (
     verify_orthonormal,
     weyl_basis,
 )
-from tightport.tensor import _REAL_GRAM_ROWS, _blocks, _gram, _hermitian_gram, _identity_gap
+from tightport.bases import _stacked
+from tightport.common import _worst_of
+from tightport.schemes import TELEPORTATION, MaxEntangledBasis, TightScheme, _outcome_identity
+from tightport.tensor import (
+    _REAL_GRAM_ROWS,
+    _adjoint,
+    _blocks,
+    _gram,
+    _hermitian_gram,
+    _identity_gap,
+    _monomial,
+    _unitarity,
+)
 
 TOL = 1e-12
 
@@ -594,6 +611,227 @@ def test_weyl_gram_blocks_agree_with_the_complex_product(d, duplicate):
     _assert_verdict_of_the_product(rows, True)
     if duplicate:
         assert _gram(rows, TOL).witness == f"Gram entry (0, {d})"
+
+
+@pytest.mark.parametrize("family", ["Weyl", "dense"])
+@pytest.mark.parametrize("d", [10, 12])
+def test_gram_scale_is_complex_division_by_the_scale(d, family):
+    basis = weyl_basis(d)
+    if family == "dense":
+        rng = np.random.default_rng(d)
+        basis = apply_equivalence(basis, random_unitary(rng, d), random_unitary(rng, d))
+    rows = _stacked(basis).copy()
+    assert _gram(rows, TOL, d).table.tobytes() == (_hermitian_gram(rows) / d).tobytes()
+    # an overflowing entry stays inf where complex division would make NaN of inf * 0
+    rows[d, 3] = 1e200
+    with np.errstate(all="ignore"):
+        unscaled, result = _hermitian_gram(rows), _gram(rows, TOL, d)
+    assert np.isinf(unscaled).any() and not result.passed and not np.isfinite(result.deviation)
+    assert np.array_equal(np.isnan(result.table), np.isnan(unscaled))
+
+
+def _outcome_gaps_by_products(scheme, r):
+    """Per-outcome gaps and weight sum of ``_outcome_identity``, from the two d x d products."""
+    d = scheme.d
+    t = (scheme.channel_unitaries.reshape(-1, d) @ r).reshape(-1, d, d)
+    t = np.conjugate(t, out=t) @ np.swapaxes(scheme.effects.vectors.reshape(-1, d, d), 1, 2)
+    c = np.trace(t, axis1=1, axis2=2) / d
+    return _identity_gap(t, c[:, None]).max(axis=(1, 2)), float(np.vdot(c, c).real)
+
+
+def _unitarity_gaps_by_products(stack, scale):
+    return _identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2))
+
+
+OUTCOME = "outcome {}: T_x is not a multiple of I".format
+WEIGHTS = "outcome weights sum to"
+
+
+def _verdict_of_the_products(gaps, weight=None, name=OUTCOME):
+    """The verdict the products give: on per-matrix ``gaps``, then on the weight sum if given."""
+    parts = [CheckResult.worst(gaps, TOL, name)]
+    if weight is not None:
+        parts.append(CheckResult(abs(weight - 1) <= TOL, abs(weight - 1), f"{WEIGHTS} {weight}"))
+    return _worst_of(parts)
+
+
+def _assert_verdict_within_rounding(result, gaps, weight, bound, name=OUTCOME):
+    """``result`` is the products' verdict on ``gaps`` (and ``weight``) up to ``bound``: the same
+    ``passed``, a deviation within it, and a witness naming a worst part, which is the products'
+    own where the worst part is alone within ``bound``."""
+    expected = _verdict_of_the_products(gaps, weight, name)
+    parts = {name(x): g for x, g in enumerate(gaps)}
+    if weight is not None:
+        parts[WEIGHTS] = abs(weight - 1)
+    worst = expected.deviation
+    assert result.passed == expected.passed
+    if np.isnan(worst):
+        tied = [w for w, g in parts.items() if np.isnan(g)]
+        assert np.isnan(result.deviation)
+    else:
+        tied = [w for w, g in parts.items() if g >= worst - bound]
+        assert result.deviation == worst or abs(result.deviation - worst) <= bound
+    witness = result.witness
+    if witness.startswith(WEIGHTS):  # which prints the sum
+        reported = float(witness.split()[-1])
+        assert np.isclose(reported, weight, rtol=0, atol=bound, equal_nan=True)
+        witness = WEIGHTS
+    assert witness in tied
+
+
+# Damage to one matrix of a monomial stack; ``_monomial`` reads the stack on ON_MONOMIAL_PATH.
+MONOMIAL_MISSES = ["intact", "phase scaled by 1 + 1e-9", "1e200 phase", "support entry moved",
+                   "1e-300 off the support", "two columns share a row", "zero column"] + [
+    f"{value} at a {where} entry"
+    for value in ("nan", "inf", "-inf") for where in ("zero", "nonzero")]
+ON_MONOMIAL_PATH = {"intact", "phase scaled by 1 + 1e-9"}
+
+
+def _monomial_miss(stack, miss, rng):
+    stack = stack.copy()
+    s = stack[rng.integers(len(stack))]
+    k = int(rng.integers(len(s)))  # a column, with its nonzero in row i
+    i, other = int(np.flatnonzero(s[:, k])[0]), int(rng.choice(np.delete(np.arange(len(s)), k)))
+    if miss == "phase scaled by 1 + 1e-9":
+        s[i, k] *= 1 + 1e-9
+    elif miss == "1e200 phase":
+        s[i, k] = 1e200
+    elif miss == "support entry moved":  # along its row, onto another column's
+        s[i, other], s[i, k] = s[i, k], 0
+    elif miss == "1e-300 off the support":
+        s[i, other] = 1e-300
+    elif miss == "two columns share a row":  # column k's entry moved into column other's row
+        j = int(np.flatnonzero(s[:, other])[0])
+        s[j, k], s[i, k] = s[i, k], 0
+    elif miss == "zero column":
+        s[i, k] = 0
+    elif miss != "intact":
+        value, where = miss.split(" at a ")
+        s[(i, k) if where == "nonzero entry" else (i, other)] = float(value)
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(10, 16), product=st.booleans(), miss=st.sampled_from(MONOMIAL_MISSES),
+       transposed=st.booleans(), side=st.sampled_from(["channels", "effects"]),
+       canonical=st.booleans(), mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+def test_monomial_reading_agrees_with_the_products(d, product, miss, transposed, side, canonical,
+                                                   mode, seed):
+    rng = np.random.default_rng(seed)
+    factors = [f for f in range(2, d) if d % f == 0]
+    if product and factors:
+        d1 = int(rng.choice(factors))
+        basis = tensor_bases(_latin_family(rng, d1), _latin_family(rng, d // d1))
+    else:
+        basis = _latin_family(rng, d)
+    fast = miss in ON_MONOMIAL_PATH
+    # the same damage to the elements and to the entangled vectors' d x d matrices
+    elements, vectors = (_monomial_miss(m, miss, np.random.default_rng(seed))
+                         for m in (basis.elements, basis.elements / np.sqrt(d)))
+    # unitarity of the elements, or of the vectors' transposed view, as verify_entangled_basis
+    # reads them
+    stack, scale = (vectors.swapaxes(1, 2), 1 / d) if transposed else (elements, 1)
+    assert (_monomial(elements) is not None) == fast
+    with np.errstate(all="ignore"):
+        result = _unitarity(stack, scale, TOL, "matrix {}".format)
+        gaps = _unitarity_gaps_by_products(stack, scale)
+    _assert_verdict_within_rounding(result, gaps, None, 16 * np.finfo(float).eps,
+                                    "matrix {}".format)
+    # the damaged stack as one side of a scheme whose other side is dense unless the resource,
+    # W = V / sqrt(d), is the canonical one; the other side is what makes the intact scheme tight
+    v = np.eye(d, dtype=complex) if canonical else random_unitary(rng, d)
+    w = v / np.sqrt(d)
+    r = w.T if mode == TELEPORTATION else w
+    if side == "channels":  # phi_x = U_x (R^-1)* / d
+        channels, effects = elements, basis.elements @ np.linalg.inv(r).conj().T / d
+    else:  # U_x = phi_x R^-1
+        channels, effects = basis.elements @ np.linalg.inv(r) / np.sqrt(d), vectors
+    effects = MaxEntangledBasis(d, effects.reshape(d * d, -1))
+    scheme = TightScheme(d, w.reshape(-1), channels, effects, mode)
+    assert (_monomial(scheme.channel_unitaries) is not None) == (
+        fast if side == "channels" else canonical)
+    assert (_monomial(scheme.effects.vectors.reshape(-1, d, d)) is not None) == (
+        fast if side == "effects" else canonical)
+    with np.errstate(all="ignore"):
+        result = _outcome_identity(scheme, r, TOL)
+        gaps, weight = _outcome_gaps_by_products(scheme, r)
+    _assert_verdict_within_rounding(result, gaps, weight, d * d * np.finfo(float).eps)
+    if miss == "intact":  # the scheme is tight
+        assert result.passed
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("resource", ["dense", "diagonal"])
+def test_non_finite_channels_beside_monomial_effects_read_as_the_products(resource, value):
+    # U_x R, a product, holds NaN or inf, and the gather with phi_x's phases keeps the verdict
+    d = 12
+    rng = np.random.default_rng(d)
+    v = (random_unitary(rng, d) if resource == "dense"
+         else np.diag(np.exp(2j * np.pi * rng.random(d))))
+    w = v / np.sqrt(d)
+    basis = weyl_basis(d)
+    channels = basis.elements @ np.linalg.inv(w.T) / np.sqrt(d)
+    channels[5, 2, 3] = value
+    scheme = TightScheme(d, w.reshape(-1), channels, basis_to_entangled(basis), TELEPORTATION)
+    assert _monomial(scheme.channel_unitaries) is None
+    assert _monomial(scheme.effects.vectors.reshape(-1, d, d)) is not None
+    with np.errstate(all="ignore"):
+        result = _outcome_identity(scheme, w.T, TOL)
+        gaps, weight = _outcome_gaps_by_products(scheme, w.T)
+    expected = _verdict_of_the_products(gaps, weight)
+    assert (result.passed, result.witness) == (expected.passed, expected.witness)
+    assert np.isnan(result.deviation) == np.isnan(expected.deviation)
+    assert np.isinf(result.deviation) == np.isinf(expected.deviation)
+
+
+def test_unitarity_reads_a_transposed_view_without_a_copy():
+    d = 12
+    vectors = basis_to_entangled(weyl_basis(d)).vectors.reshape(d * d, d, d)
+    tracemalloc.start()
+    try:
+        assert _unitarity(vectors.swapaxes(1, 2), 1 / d, TOL, "vector {}".format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * vectors.nbytes  # the reading's masks and indices, and no copy
+
+
+LATIN_BELOW_THE_READING = {
+    "Weyl d = 8": lambda: weyl_basis(8),
+    "Weyl d = 9": lambda: weyl_basis(9),
+    "shift-multiply d = 8": lambda: _latin_family(np.random.default_rng(8), 8),
+    "tensor product d = 2 x 4": lambda: tensor_bases(weyl_basis(2), weyl_basis(4)),
+}
+
+
+@pytest.mark.parametrize("damage", [None, "phase", "nan"])
+@pytest.mark.parametrize("family", sorted(LATIN_BELOW_THE_READING))
+def test_fewer_matrices_than_the_reading_take_the_products_bit_for_bit(family, damage):
+    basis = LATIN_BELOW_THE_READING[family]()
+    d = basis.d
+    elements = basis.elements.copy()
+    if damage == "phase":
+        elements[5] *= np.exp(1e-6j)
+        elements[5, 0] *= 1 + 1e-6
+    elif damage == "nan":
+        elements[5, 0, np.flatnonzero(elements[5, 0] == 0)[0]] = np.nan
+    assert len(elements) < _REAL_GRAM_ROWS and _monomial(elements) is None
+    for stack, scale in ((elements, 1), (elements.swapaxes(1, 2) / np.sqrt(d), 1 / d)):
+        with np.errstate(all="ignore"):
+            result = _unitarity(stack, scale, TOL, "matrix {}".format)
+            expected = CheckResult.worst(_unitarity_gaps_by_products(stack, scale), TOL,
+                                         "matrix {}".format)
+        assert (result.passed, result.witness) == (expected.passed, expected.witness)
+        assert np.float64(result.deviation).tobytes() == np.float64(expected.deviation).tobytes()
+    for mode in MODES:
+        scheme = replace(build_scheme(basis, mode), channel_unitaries=elements)
+        w = scheme.omega.reshape(d, d)
+        r = w.T if mode == TELEPORTATION else w
+        with np.errstate(all="ignore"):
+            result = _outcome_identity(scheme, r, TOL)
+            expected = _verdict_of_the_products(*_outcome_gaps_by_products(scheme, r))
+        assert (result.passed, result.witness) == (expected.passed, expected.witness)
+        assert np.float64(result.deviation).tobytes() == np.float64(expected.deviation).tobytes()
 
 
 VECTOR_LAYOUTS = {
