@@ -39,6 +39,10 @@ rc=0; tightport verify dup12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q '
 # are read as such: the channel is not unitary, and the verdict names it
 python -c "import tightport as tp; s = tp.build_scheme(tp.weyl_basis(12)); u = s.channel_unitaries.copy(); u[5, 0] *= 1 + 1e-6; tp.save(tp.make_document(tp.TightScheme(12, s.omega, u, s.effects, tp.TELEPORTATION)), 'scaled12.json')"
 rc=0; tightport verify scaled12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'channel 5' out.txt
+# a resource with diagonal phases exp(1e-6j k) is read as a permutation times phases too, and
+# each T_x as its d nonzeros: the identity fails, and the verdict names the worst outcome
+python -c "import numpy as np, tightport as tp; s = tp.build_scheme(tp.weyl_basis(12)); tp.save(tp.make_document(tp.TightScheme(12, np.diag(np.exp(1e-6j * np.arange(12))).ravel() / np.sqrt(12), s.channel_unitaries, s.effects, tp.TELEPORTATION)), 'phased12.json')"
+rc=0; tightport verify phased12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'outcome 132' out.txt
 # an entry off an element's support fails: NaN through the library (a document cannot hold
 # it), and 1e200, whose products overflow, through the command
 python -c "import numpy as np, tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[5, 0, np.flatnonzero(e[5, 0] == 0)[0]] = np.nan; assert not tp.verify(tp.UnitaryBasis(12, e))"

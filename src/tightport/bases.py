@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, _freeze, _worst_of, as_permutation, require_positive
+from .common import (DEFAULT_TOL, CheckResult, _Built, _freeze, _worst_of, as_permutation,
+                     require_positive)
 from .designs import (
     HadamardMatrix,
     LatinSquare,
@@ -122,7 +123,7 @@ def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
                 f"matrix {j} is not Hadamard: {check.witness} "
                 f"(deviation {check.deviation:.3e})"
             )
-    return UnitaryBasis(d, _raw_shift_multiply(grid, mats))
+    return UnitaryBasis(d, _Built(_raw_shift_multiply(grid, mats)))
 
 
 def weyl_basis(d: int) -> UnitaryBasis:
@@ -256,7 +257,7 @@ def tensor_bases(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     d = b1.d * b2.d
     # product[x, y, a, b, i, j] = U_x[a, i] V_y[b, j]
     product = b1.elements[:, None, :, None, :, None] * b2.elements[None, :, None, :, None, :]
-    return UnitaryBasis(d, product.reshape(d * d, d, d))
+    return UnitaryBasis(d, _Built(product.reshape(d * d, d, d)))
 
 
 def apply_equivalence(
@@ -276,4 +277,4 @@ def apply_equivalence(
     if not unitary:
         raise NotUnitary(f"{unitary.witness} deviates from unitarity by {unitary.deviation:.3e}")
     order = np.arange(d * d) if relabel is None else as_permutation(relabel, d * d)
-    return UnitaryBasis(d, v1 @ basis.elements[order] @ v2)
+    return UnitaryBasis(d, _Built(v1 @ basis.elements[order] @ v2))

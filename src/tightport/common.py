@@ -57,12 +57,21 @@ def _worst_of(parts, table=None) -> CheckResult:
     return CheckResult(worst.passed, worst.deviation, worst.witness, table)
 
 
+@dataclass(frozen=True, eq=False)
+class _Built:
+    """An array the library has just built, or one a value holds frozen: no caller holds it
+    writable, so a value built from it takes it over with no copy."""
+
+    array: np.ndarray
+
+
 def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) -> None:
-    """Store a read-only C-ordered copy of ``array`` as ``obj.name``: the one way
-    a frozen value takes an array, so no caller can write to what it holds.
-    With ``shapes`` given, another shape raises ``DimensionMismatch``.
+    """Store ``array`` read-only and C-ordered as ``obj.name``: the one way a frozen value takes
+    an array, so no caller can write to what it holds.  A caller's array is copied, a ``_Built``
+    one taken over.  With ``shapes`` given, another shape raises ``DimensionMismatch``.
     """
-    array = np.array(array, dtype=dtype, order="C")
+    array = (np.asarray(array.array, dtype, order="C") if isinstance(array, _Built)
+             else np.array(array, dtype=dtype, order="C"))
     if shapes is not None and array.shape not in shapes:
         raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
     array.setflags(write=False)

@@ -19,7 +19,8 @@ Both identities and the protocol are products of stacked arrays.  With the resou
 reshaped to a d x d matrix W and phi_x* the adjoint of effect x's d x d matrix, :func:`verify`
 reads either identity per outcome: every T_x = U_x R phi_x* is c_x I and sum_x |c_x|^2 = 1,
 R = W^T for teleportation and R = W for dense coding.  For a Latin family's channels or effects,
-each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2) per outcome.
+each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2) per outcome;
+with both and R one too, as for the canonical resource, T_x is its d nonzeros, O(d^3) in all.
 Outcome x acts on the input by K_x = W^T phi_x*, and the output is sum_x U_x K_x rho K_x* U_x*.
 All of them read the resource by one rule and fail any but a unit vector or psi psi* for one.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import DEFAULT_TOL, CheckResult, _freeze, _worst_of, require_positive
+from .common import DEFAULT_TOL, CheckResult, _Built, _freeze, _worst_of, require_positive
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -174,7 +175,7 @@ def basis_to_entangled(
     d = basis.d
     ref = _reference(omega, d, tol)
     vecs = (basis.elements @ ref.reshape(d, d)).reshape(d * d, -1)
-    return MaxEntangledBasis(d, vecs)
+    return MaxEntangledBasis(d, _Built(vecs))
 
 
 def entangled_to_basis(
@@ -195,7 +196,7 @@ def entangled_to_basis(
     check = _unitarity(ops, 1, tol, "vector {} yields an operator".format)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
-    return UnitaryBasis(d, ops)
+    return UnitaryBasis(d, _Built(ops))
 
 
 def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
@@ -203,15 +204,16 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
 
     The resource is the canonical maximally entangled vector, the channels
     conjugate by the basis elements, and the effects project onto the
-    entangled basis obtained from the same elements.
+    entangled basis obtained from the same elements.  The channels are the
+    basis's own read-only array.
     """
     d = basis.d
     ref = omega_vector(d)
     effects = basis_to_entangled(basis, ref)
-    return TightScheme(d, ref, basis.elements, effects, mode)
+    return TightScheme(d, _Built(ref), _Built(basis.elements), effects, mode)
 
 
-def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float) -> CheckResult:
+def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False) -> CheckResult:
     """Every T_x = U_x R phi_x* is c_x I, c_x = tr(T_x) / d, and sum_x |c_x|^2 = 1.
 
     R = W^T states teleportation; R = W states dense coding exactly given unitary channels,
@@ -220,27 +222,38 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float) -> CheckRe
     <phi_x, vec(U_x W)>, and each row of the table sums to 1.  So the table is I exactly when
     every T_x = c_x I, and then |c_x| = 1/d.  Its gap eps = max_x |1 - |a_x|^2| and the worst
     outcome gap delta obey delta^2 <= eps / d <= d^2 delta^2.  Channels or effects that are
-    ``_monomial``, as a Latin family's, are read as gathers in O(d^2) per outcome.
+    ``_monomial``, as a Latin family's, are read as gathers in O(d^2) per outcome; with R one
+    too, T_x is its d nonzeros, O(d) per outcome.  ``u`` is the channels' reading if made.
     """
     d = scheme.d
     effects = scheme.effects.vectors.reshape(-1, d, d)
-    u, phi = _monomial(scheme.channel_unitaries), _monomial(effects)
+    u, phi = _monomial(scheme.channel_unitaries) if u is False else u, _monomial(effects)
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
     q = slice(None) if phi is None else (np.arange(len(effects))[:, None], np.argsort(phi[0], 1))
-    if u is None:
-        t = (scheme.channel_unitaries[q].reshape(-1, d) @ r).reshape(-1, d, d)
-    else:  # row i of U_x R is u_i R[a_i] if row i of U_x is u_i at column a_i
-        t = r[u[0][q]]
-        t *= u[1][q][..., None]
-    if phi is None:
-        t = np.conjugate(t, out=t) @ np.swapaxes(effects, 1, 2)
-    else:  # T_x in that order is (U_x R)[q] times conj(p[q]) on the columns
-        t *= phi[1][q].conj()[:, None, :]
-    del u, phi  # not held beside the gaps
-    c = np.trace(t, axis1=1, axis2=2) / d
-    outcomes = CheckResult.worst(_identity_gap(t, c[:, None]).max(axis=(1, 2)), tol,
-                                 "outcome {}: T_x is not a multiple of I".format)
+    rr = u and phi and _monomial(r[None], 1)  # one matrix: read only past the stacks' gate
+    if rr:  # row k of T_x in that order: R's entry in row a_k, times u's phase and conj(p)'s
+        columns, t = (x[0][u[0][q]] for x in rr)
+        t *= u[1][q]
+        t *= np.take_along_axis(phi[1][q].conj(), columns, 1)
+        on = columns == np.arange(d)
+        diagonal, t = np.where(on, t, 0), np.where(on, 0, t)
+        c = diagonal.sum(axis=1) / d  # tr(T_x) as np.trace sums it, zeros in their places
+        gaps = np.maximum(np.abs(diagonal - c[:, None]).max(axis=1), np.abs(t).max(axis=1))
+    else:
+        if u is None:
+            t = (scheme.channel_unitaries[q].reshape(-1, d) @ r).reshape(-1, d, d)
+        else:  # row i of U_x R is u_i R[a_i] if row i of U_x is u_i at column a_i
+            t = r[u[0][q]]
+            t *= u[1][q][..., None]
+        if phi is None:
+            t = np.conjugate(t, out=t) @ np.swapaxes(effects, 1, 2)
+        else:  # T_x in that order is (U_x R)[q] times conj(p[q]) on the columns
+            t *= phi[1][q].conj()[:, None, :]
+        del u, phi  # not held beside the gaps
+        c = np.trace(t, axis1=1, axis2=2) / d
+        gaps = _identity_gap(t, c[:, None]).max(axis=(1, 2))
+    outcomes = CheckResult.worst(gaps, tol, "outcome {}: T_x is not a multiple of I".format)
     weight = float(np.vdot(c, c).real)
     gap = abs(weight - 1)
     weights = CheckResult(gap <= tol, gap, f"outcome weights sum to {weight}")
@@ -336,9 +349,11 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format)
+    u = _monomial(obj.channel_unitaries)  # read once, for both of the channels' parts
+    channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format, u)
     w = psi.reshape(obj.d, -1)
-    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
+    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol, u)
+    del u  # not held beside the Gram matrix
     effects = _gram(obj.effects.vectors, tol, name="effect vectors are not a complete "
                     "measurement: Gram entry ({}, {})".format)
     return _worst_of([channels, effects, identity], effects.table)
@@ -350,9 +365,10 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
     The component triple is untouched; only R in U_x R phi_x* = c_x I changes,
     from W^T to W or back.  So both readings agree when W^T = +-W, as for
     ``omega_vector(d)``; for another maximally entangled resource one direction
-    can pass and the other fail.
+    can pass and the other fail.  Both schemes hold the same read-only arrays.
     """
-    return replace(scheme, mode=MODES[1 - MODES.index(scheme.mode)])
+    return TightScheme(scheme.d, _Built(scheme.omega), _Built(scheme.channel_unitaries),
+                       scheme.effects, MODES[1 - MODES.index(scheme.mode)])
 
 
 def _check_density(rho: np.ndarray, d: int, tol: float) -> None:

@@ -21,8 +21,10 @@ and M - M^T for M = A B^T the imaginary part.  A Latin family (``shift_multiply_
 Hadamard blocks up to order, so its Gram is d products of d x d blocks, O(d^4); any other family
 pays the full O(d^6) product.  Either table is exactly Hermitian and within about n eps
 max|row|^2 of the complex product, so on a passing family the witness names a rounding-level
-entry.  Each element, channel and entangled-basis matrix S of a Latin family is a permutation
-times phases, so from 100 on S* S is diag(|phase|^2): O(d^3) in all, not O(d^5) in products.
+entry; its gaps are read off the blocks.  Each element, channel and entangled-basis matrix S
+of a Latin family is a permutation times phases, so from 100 on S* S is diag(|phase|^2): O(d^3)
+in all, not O(d^5) in products, and with a resource that is one too each T_x of a scheme's
+outcome identity is its d nonzeros, O(d^3) in all.
 """
 
 from __future__ import annotations
@@ -68,11 +70,14 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
     return gap
 
 
-def _unitarity(stack: np.ndarray, scale: float, tol: float, name) -> CheckResult:
+def _unitarity(stack: np.ndarray, scale: float, tol: float, name, reading=False) -> CheckResult:
     """The verdict on S* S = scale I for every matrix S of a stack; ``name(x)`` names S_x.
-    For S or S^T ``_monomial`` (S's phases either way) S* S is diag(|phase|^2), O(d^3) in all."""
-    base = stack.swapaxes(1, 2)  # a transposed view is read through its base, with no copy
-    phases = (_monomial(base if base.flags.c_contiguous else stack) or (None, None))[1]
+    For S or S^T ``_monomial`` (S's phases either way) S* S is diag(|phase|^2), O(d^3) in all;
+    ``reading`` is the stack's ``_monomial`` when the caller has read it."""
+    if reading is False:
+        base = stack.swapaxes(1, 2)  # a transposed view is read through its base, with no copy
+        reading = _monomial(base if base.flags.c_contiguous else stack)
+    phases = (reading or (None, None))[1]
     gaps = (_identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)) if phases is None
             else np.abs(phases.real ** 2 + phases.imag ** 2 - scale).max(axis=1))
     return CheckResult.worst(gaps, tol, name)
@@ -85,11 +90,11 @@ def _unitarity(stack: np.ndarray, scale: float, tol: float, name) -> CheckResult
 _REAL_GRAM_ROWS = 100
 
 
-def _monomial(stack: np.ndarray):
-    """(columns, phases) when each S_x of at least ``_REAL_GRAM_ROWS`` complex d x d matrices is
-    a permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite."""
+def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
+    """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a
+    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite."""
     count, d = stack.shape[:2]
-    if count < _REAL_GRAM_ROWS or np.count_nonzero(stack[0]) != d:  # a dense family reads one
+    if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
     flat = np.flatnonzero((np.ascontiguousarray(stack).view(float) != 0).view(np.uint16) != 0)
     if len(flat) != count * d:  # d nonzeros a matrix, a NaN counted as one
@@ -123,16 +128,15 @@ def _blocks(rows: np.ndarray):
     return (members, blocks) if np.isfinite(blocks).all() else None
 
 
-def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
-    """conj(V) V^T for the rows of V, of any layout.
+def _block_grams(rows: np.ndarray):
+    """(members, grams): conj(V) V^T for the rows of V, of any layout, as (None, table), or on
+    ``_blocks`` of V as the blocks' Grams, block g on rows and columns ``members[g]``.
 
     From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB, A A^T + B B^T is R R^T for V's float64
-    view R (one dsyrk, exactly symmetric) and the imaginary part M - M^T for M = A B^T (one
-    dgemm).  On ``_blocks`` of V they form the blocks' Grams, scattered into a zero table.
+    view R (one dsyrk, exactly symmetric) and the imaginary part M - M^T for M = A B^T (one dgemm).
     """
-    n = len(rows)
-    if n < _REAL_GRAM_ROWS:
-        return rows.conj() @ rows.T
+    if len(rows) < _REAL_GRAM_ROWS:
+        return None, rows.conj() @ rows.T
     members, v = _blocks(rows) or (None, rows)
     k = v.shape[-2]
     # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
@@ -144,20 +148,38 @@ def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
     del cross
     r = np.ascontiguousarray(v, dtype=complex).view(np.float64)  # a copy unless C-ordered
     gram.real = r @ r.swapaxes(-1, -2)
-    if members is not None:  # the blocks' Grams, scattered into a zero table
-        gram, blocks = np.zeros((n, n), dtype=complex), gram
-        gram[members[:, :, None], members[:, None, :]] = blocks
-    return gram
+    return members, gram
+
+
+def _table(members: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """The blocks' Grams of ``_block_grams`` scattered into a zero n x n table."""
+    table = np.zeros((members.size,) * 2, dtype=complex)
+    table[members[:, :, None], members[:, None, :]] = grams
+    return table
+
+
+def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
+    """conj(V) V^T for the rows of V, of any layout (see ``_block_grams``)."""
+    members, gram = _block_grams(rows)
+    return gram if members is None else _table(members, gram)
 
 
 def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format,
           right: np.ndarray | None = None) -> CheckResult:
     """The verdict on conj(V) R^T / scale = I for the rows of V and of R, by default V;
-    ``table`` is that matrix."""
-    gram = _hermitian_gram(rows) if right is None else rows.conj() @ right.T
+    ``table`` is that matrix.  On blocks the gaps are the blocks': every entry off them is an
+    exact zero and every diagonal entry is in one."""
+    members, gram = _block_grams(rows) if right is None else (None, rows.conj() @ right.T)
     if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
         gram.view(np.float64)[...] *= 1 / scale
-    return CheckResult.worst(_identity_gap(gram), tol, name, gram)
+    gaps = _identity_gap(gram)
+    if members is None:
+        return CheckResult.worst(gaps, tol, name, gram)
+    worst, n = float(gaps.max()), members.size
+    # the table's first NaN, else its first worst entry, in row-major order as argmax takes it
+    flat = int((members[:, :, None] * n + members[:, None, :])[
+        gaps != gaps if worst != worst else gaps == worst].min())
+    return CheckResult(worst <= tol, worst, name(*divmod(flat, n)), _table(members, gram))
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -630,6 +630,37 @@ def test_gram_scale_is_complex_division_by_the_scale(d, family):
     assert np.array_equal(np.isnan(result.table), np.isnan(unscaled))
 
 
+@pytest.mark.parametrize("damage", ["intact", "element d is element 0", "1e200 on the support",
+                                    "1e200 on two rows' support"])
+@pytest.mark.parametrize("scale", [1, "d"])
+@pytest.mark.parametrize("d", [12, 16, 24, 32])
+def test_block_gaps_are_the_full_tables_gaps(d, scale, damage):
+    # every entry off the blocks is an exact zero and every diagonal entry is in a block, so the
+    # blocks' gaps give the full table's verdict: its first NaN, else its first worst entry
+    rows = weyl_basis(d).elements.reshape(d * d, -1).copy()
+    k, m = np.flatnonzero(rows[0])[[1, 3]]  # rows 0 and d are in one group
+    if damage == "element d is element 0":  # inside its own group: the worst entry is tied
+        rows[d] = rows[0]
+    elif damage == "1e200 on the support":  # the diagonal overflows, with NaN in M - M^T
+        rows[d, k] = 1e200 + 1e200j
+    elif damage == "1e200 on two rows' support":  # M - M^T at (0, d) is inf - inf, NaN
+        rows[0, k], rows[0, m], rows[d, k], rows[d, m] = 1e200, 1e200j, 1e200j, 1e200
+    scale = d if scale == "d" else 1
+    assert _blocks(rows) is not None
+    with np.errstate(all="ignore"):
+        result = _gram(rows, TOL, scale)
+        table = _hermitian_gram(rows)
+        table.view(np.float64)[...] *= 1 / scale
+        expected = CheckResult.worst(_identity_gap(table), TOL, "Gram entry ({}, {})".format)
+    assert (result.passed, repr(result.deviation), result.witness) == (
+        expected.passed, repr(expected.deviation), expected.witness)
+    assert result.table.tobytes() == table.tobytes()
+    if damage.startswith("1e200"):
+        assert np.isnan(result.table).any() and not np.isfinite(result.deviation)
+    if damage == "1e200 on two rows' support":
+        assert np.isnan(result.deviation) and result.witness == f"Gram entry (0, {d})"
+
+
 def _outcome_gaps_by_products(scheme, r):
     """Per-outcome gaps and weight sum of ``_outcome_identity``, from the two d x d products."""
     d = scheme.d
@@ -782,6 +813,88 @@ def test_non_finite_channels_beside_monomial_effects_read_as_the_products(resour
     assert (result.passed, result.witness) == (expected.passed, expected.witness)
     assert np.isnan(result.deviation) == np.isnan(expected.deviation)
     assert np.isinf(result.deviation) == np.isinf(expected.deviation)
+
+
+def _outcome_verdict_by_gather(scheme, r):
+    """``_outcome_identity``'s verdict with monomial channels and effects and any R: T_x as one
+    gather of R's rows in the order q that puts phi_x's nonzeros on the diagonal, two scalings."""
+    d = scheme.d
+    u = _monomial(scheme.channel_unitaries)
+    phi = _monomial(scheme.effects.vectors.reshape(-1, d, d))
+    q = (np.arange(d * d)[:, None], np.argsort(phi[0], 1))
+    t = r[u[0][q]]
+    t *= u[1][q][..., None]
+    t *= phi[1][q].conj()[:, None, :]
+    c = np.trace(t, axis1=1, axis2=2) / d
+    return _verdict_of_the_products(_identity_gap(t, c[:, None]).max(axis=(1, 2)),
+                                    float(np.vdot(c, c).real))
+
+
+# Damage that keeps every channel and effect a permutation times phases
+OUTCOME_MISSES = ["intact", "phase scaled by 1 + 1e-9", "two rows swapped", "duplicate"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(10, 16), product=st.booleans(), miss=st.sampled_from(OUTCOME_MISSES),
+       side=st.sampled_from(["channels", "effects"]),
+       resource=st.sampled_from(["canonical", "phases", "phases, canonical effects"]),
+       mode=st.sampled_from(MODES), seed=st.integers(0, 2**32 - 1))
+def test_monomial_resource_reads_the_outcomes_as_the_gather(d, product, miss, side, resource,
+                                                              mode, seed):
+    rng = np.random.default_rng(seed)
+    factors = [f for f in range(2, d) if d % f == 0]
+    if product and factors:
+        d1 = int(rng.choice(factors))
+        basis = tensor_bases(_latin_family(rng, d1), _latin_family(rng, d // d1))
+    else:
+        basis = _latin_family(rng, d)
+    # W = D / sqrt(d) for a diagonal of non-uniform phases D; its own effects make it tight
+    phases = np.exp(2j * np.pi * rng.random(d) * (resource != "canonical"))
+    w = np.diag(phases) / np.sqrt(d)
+    effects = basis_to_entangled(basis, omega_vector(d) if resource.endswith("effects")
+                                 else w.ravel())
+    stacks = {"channels": basis.elements.copy(),
+              "effects": effects.vectors.reshape(-1, d, d).copy()}
+    s, other = (stacks[side][x] for x in rng.integers(d * d, size=2))
+    i, k = rng.choice(d, 2, replace=False)
+    if miss == "phase scaled by 1 + 1e-9":
+        s[i, np.flatnonzero(s[i])[0]] *= 1 + 1e-9
+    elif miss == "two rows swapped":
+        s[[i, k]] = s[[k, i]]
+    elif miss == "duplicate":
+        s[...] = other
+    scheme = TightScheme(d, w.ravel(), stacks["channels"],
+                         MaxEntangledBasis(d, stacks["effects"].reshape(d * d, -1)), mode)
+    r = w.T if mode == TELEPORTATION else w
+    assert _monomial(r[None], 1) is not None
+    result = _outcome_identity(scheme, r, TOL)
+    expected = _outcome_verdict_by_gather(scheme, r)
+    assert (result.passed, repr(result.deviation), result.witness) == (
+        expected.passed, repr(expected.deviation), expected.witness)
+    if miss == "intact" and resource != "phases, canonical effects":
+        assert result.passed
+
+
+@pytest.mark.parametrize("resource", ["diagonal phases", "random"])
+@pytest.mark.parametrize("d", [10, 12, 16])
+def test_a_dense_resource_takes_the_gather(d, resource):
+    # T_x's d nonzeros stay below one (d^2, d, d) stack; the gather forms that stack
+    rng = np.random.default_rng(d)
+    v = (np.diag(np.exp(2j * np.pi * rng.random(d))) if resource == "diagonal phases"
+         else random_unitary(rng, d))
+    w = v / np.sqrt(d)
+    basis = weyl_basis(d)
+    scheme = TightScheme(d, w.ravel(), basis.elements, basis_to_entangled(basis), TELEPORTATION)
+    tracemalloc.start()
+    try:
+        result = _outcome_identity(scheme, w.T, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _outcome_verdict_by_gather(scheme, w.T)
+    assert (result.passed, repr(result.deviation), result.witness) == (
+        expected.passed, repr(expected.deviation), expected.witness)
+    assert (peak >= scheme.channel_unitaries.nbytes) == (resource == "random")
 
 
 def test_unitarity_reads_a_transposed_view_without_a_copy():
