@@ -3,7 +3,7 @@
 A unitary basis on a d-dimensional space is a family of d^2 unitaries that
 is orthonormal in the normalized trace inner product tr(U* V) / d.  Such a
 family is simultaneously a depolarizing channel decomposition: conjugating
-any probe by all elements and summing yields d tr(probe) I.  Both facts are
+any matrix M by all elements and summing yields d tr(M) I.  Both facts are
 checked numerically here, never assumed.
 
 Every check is a product of one matrix: stack the elements as the d^2 x d^2
@@ -155,36 +155,18 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     return _worst_of([gram, elements], gram.table)
 
 
-def verify_depolarizer(
-    basis: UnitaryBasis, probes=None, tol: float = DEFAULT_TOL
-) -> CheckResult:
-    """Check that conjugating probes by all elements sums to d tr(probe) I.
+def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckResult:
+    """Check that conjugating each matrix unit E by all elements sums to d tr(E) I.
 
-    With no probes given, all d^2 matrix units are used; they span, so by
-    linearity the check is then complete rather than probabilistic.  For the
-    matrix unit E[a, b] the sum is block (a, b) of A* A, so the complete
-    check is A* A = d I; other probes are contracted against the same
-    product.
+    The d^2 matrix units span every matrix, so by linearity the check is
+    complete.  For the matrix unit E[a, b] the sum is block (a, b) of A* A,
+    so the check is A* A = d I; the witness is the matrix unit at the worst
+    deviation.
     """
     d = basis.d
-    a = _stacked(basis)
-    product = _hermitian_gram(a.T)
-    probes = None if probes is None else [np.asarray(p, dtype=complex) for p in probes]
-    if not probes:
-        # gaps[a, b] belongs to the probe E[a, b]
-        gaps = _identity_gap(product, d).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        name = "matrix unit E[{},{}]".format
-    else:
-        for i, probe in enumerate(probes):
-            if probe.shape != (d, d):
-                raise DimensionMismatch(f"probe {i} has shape {probe.shape}, expected ({d}, {d})")
-        # conj_sum[a, b, i, j] = (sum_x U_x* E[a,b] U_x)[i, j]
-        conj_sum = product.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-        stack = np.asarray(probes)
-        totals = (stack.reshape(len(stack), -1) @ conj_sum.reshape(d * d, -1)).reshape(-1, d, d)
-        gaps = _identity_gap(totals, d * np.trace(stack, axis1=1, axis2=2)[:, None])
-        name = "probe {}".format
-    return CheckResult.worst(gaps.max(axis=(-2, -1)), tol, name)
+    # gaps[a, i, b, j] belongs to the matrix unit E[a, b]
+    gaps = _identity_gap(_hermitian_gram(_stacked(basis).T), d).reshape(d, d, d, d)
+    return CheckResult.worst(gaps.max(axis=(1, 3)), tol, "matrix unit E[{},{}]".format)
 
 
 def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckResult:

@@ -48,7 +48,7 @@ class CheckResult:
         flat = int(gaps.argmax())
         deviation = gaps.item(flat)
         index = (flat,) if gaps.ndim == 1 else map(int, np.unravel_index(flat, gaps.shape))
-        return cls(deviation <= tol, deviation, name(*index), table)
+        return cls(bool(deviation <= tol), deviation, name(*index), table)
 
 
 def _worst_of(parts, table=None) -> CheckResult:

@@ -256,7 +256,7 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False) -
     outcomes = CheckResult.worst(gaps, tol, "outcome {}: T_x is not a multiple of I".format)
     weight = float(np.vdot(c, c).real)
     gap = abs(weight - 1)
-    weights = CheckResult(gap <= tol, gap, f"outcome weights sum to {weight}")
+    weights = CheckResult(bool(gap <= tol), gap, f"outcome weights sum to {weight}")
     return _worst_of([outcomes, weights])
 
 

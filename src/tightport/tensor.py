@@ -179,7 +179,7 @@ def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".form
     # the table's first NaN, else its first worst entry, in row-major order as argmax takes it
     flat = int((members[:, :, None] * n + members[:, None, :])[
         gaps != gaps if worst != worst else gaps == worst].min())
-    return CheckResult(worst <= tol, worst, name(*divmod(flat, n)), _table(members, gram))
+    return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), _table(members, gram))
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:

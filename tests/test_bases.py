@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from conftest import PAULIS, SIGMA_X, random_complex, random_unitary
 from tightport import (
     BadPermutation,
@@ -188,29 +189,35 @@ class TestVerifyDepolarizer:
         elems = basis.elements
         total = sum(elems[x].conj().T @ SIGMA_X @ elems[x] for x in range(4))
         np.testing.assert_allclose(total, np.zeros((2, 2)), atol=1e-12)
-        assert verify_depolarizer(basis, [SIGMA_X]).passed
-
-    def test_identity_probe(self):
-        basis = weyl_basis(3)
-        assert verify_depolarizer(basis, [np.eye(3)]).passed
-
-    def test_random_probes(self):
-        rng = np.random.default_rng(20)
-        basis = weyl_basis(3)
-        probes = [random_complex(rng, 3, 3) for _ in range(20)]
-        result = verify_depolarizer(basis, probes, tol=1e-11)
-        assert result.passed
+        assert verify_depolarizer(basis).passed
 
     def test_default_probe_set_is_matrix_units(self):
         assert verify_depolarizer(weyl_basis(2)).passed
 
-    def test_empty_probe_sequence_falls_back_to_matrix_units(self):
-        bad = hs_normalized_perturbation()
-        assert not verify_depolarizer(bad, probes=[]).passed
+    @pytest.mark.parametrize("d,damage", [(d, damage) for d in range(1, 9)
+                                          for damage in ("intact", "perturbed", "duplicated")
+                                          if d > 1 or damage != "duplicated"])
+    def test_matrix_unit_verdict_bounds_every_probe(self, d, damage):
+        # P is sum_ab P_ab E[a, b], so its gap is at most sum_ab |P_ab| times the worst unit's
+        rng = np.random.default_rng(100 + d)
+        elems = weyl_basis(d).elements.copy()
+        if damage == "perturbed":
+            elems[d * d // 2] += 1e-6 * random_complex(rng, d, d)
+        elif damage == "duplicated":
+            elems[-1] = elems[0]
+        result = verify_depolarizer(UnitaryBasis(d, elems))
+        assert result.passed == (damage == "intact")
+        for probe in (random_complex(rng, d, d) for _ in range(10)):
+            bound = np.abs(probe).sum() * (result.deviation + 1e-13)
+            assert oracles.depolarizer(elems, [probe])[0] <= bound
 
-    def test_probe_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            verify_depolarizer(weyl_basis(2), [np.eye(3)])
+    def test_probes_are_no_longer_taken(self):
+        # the old call form puts the probes in ``tol``; it must raise, not return a verdict
+        basis = weyl_basis(3)
+        with pytest.raises(TypeError):
+            verify_depolarizer(basis, [np.eye(3)])
+        with pytest.raises(ValueError, match="truth value of an array"):
+            verify_depolarizer(basis, np.stack([np.eye(3), np.ones((3, 3))]))
 
     def test_nan_entry_fails(self):
         # a NaN gap must not lose every "worse than" comparison and pass
@@ -220,12 +227,6 @@ class TestVerifyDepolarizer:
         assert not result.passed
         assert np.isnan(result.deviation)
         assert result.witness.startswith("matrix unit")
-
-    def test_nan_probe_fails(self):
-        probe = np.eye(2, dtype=complex)
-        probe[0, 1] = np.nan
-        result = verify_depolarizer(weyl_basis(2), [SIGMA_X, probe])
-        assert not result.passed and result.witness == "probe 1"
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_equivalent_to_orthonormality(self, d):

@@ -198,21 +198,15 @@ def test_orthonormal_matches_oracle(name, d):
 
 
 @pytest.mark.parametrize("name,d", BASIS_CASES)
-@pytest.mark.parametrize("probes", ["matrix_units", "custom"])
-def test_depolarizer_matches_oracle(name, d, probes):
+def test_depolarizer_matches_oracle(name, d):
     basis = make_basis(name, d)
-    rng = np.random.default_rng(d)
-    probe_set = None if probes == "matrix_units" else [random_complex(rng, d, d) for _ in range(5)]
-    result = verify_depolarizer(basis, probe_set, TOL)
-    gaps = oracles.depolarizer(basis.elements, probe_set)
+    result = verify_depolarizer(basis, TOL)
+    gaps = oracles.depolarizer(basis.elements)
     assert_agree(result.deviation, gaps.max())
     assert result.passed == (gaps.max() <= TOL)
     if not result.passed:
-        if probe_set is None:
-            a, b = indices(result.witness)
-            assert_witness_at_max(gaps, a * d + b)
-        else:
-            assert_witness_at_max(gaps, indices(result.witness)[0])
+        a, b = indices(result.witness)
+        assert_witness_at_max(gaps, a * d + b)
 
 
 @pytest.mark.parametrize("name,d", BASIS_CASES)

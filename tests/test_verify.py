@@ -224,6 +224,19 @@ def test_worst_takes_the_first_nan_and_fails_closed():
     assert tie.passed and tie.deviation == 3.0 and tie.witness == "entry 1"
 
 
+@pytest.mark.parametrize("tol", [np.float64(1e-10), np.float32(1e-6)], ids=["float64", "float32"])
+@pytest.mark.parametrize("d", [3, 12])  # at 12 the block and permutation-times-phases paths
+def test_a_numpy_scalar_tolerance_gives_a_plain_bool(d, tol):
+    # a numpy.bool verdict makes bool(result) raise
+    basis = tp.weyl_basis(d)
+    scheme = tp.build_scheme(basis)
+    for obj in (basis, scheme.effects, scheme, tp.swap_roles(scheme)):
+        result = tp.verify(obj, tol)
+        assert type(result.passed) is bool and bool(result), obj
+    assert type(tp.verify_depolarizer(basis, tol).passed) is bool
+    assert tp.verify(tp.extract_basis_from_scheme(scheme, tol))
+
+
 def test_worst_of_parts_takes_the_first_nan_then_the_first_largest():
     parts = [tp.CheckResult(True, 1.0, "small"), tp.CheckResult(False, np.nan, "first nan"),
              tp.CheckResult(False, 5.0, "large"), tp.CheckResult(False, np.nan, "second nan")]
@@ -345,9 +358,6 @@ CHECKS = {
     },
     "depolarizer basis": lambda d, put: tp.verify_depolarizer(
         tp.UnitaryBasis(d, put(tp.weyl_basis(d).elements))
-    ),
-    "depolarizer probe": lambda d, put: tp.verify_depolarizer(
-        tp.weyl_basis(d), [np.eye(d), put(np.ones((d, d)))]
     ),
     "projector completeness": lambda d, put: tp.check_projector_completeness(
         put(tp.basis_to_entangled(tp.weyl_basis(d)).vectors)
