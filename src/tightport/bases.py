@@ -10,9 +10,11 @@ Every check is a product of one matrix: stack the elements as the d^2 x d^2
 matrix A with rows vec(U_x).  Orthonormality is A A* = d I, the depolarizer
 identity over all matrix units is A* A = d I, and the weight recovered from
 the weighted Gram equations is the inverse of Tr_2 (A^T conj(A)) / d, in
-closed form.  The two checks are O(d^6); the partial trace is
-sum_x U_x U_x* / d, one O(d^5) product, and the weight is then checked
-against the weighted Gram matrix, another O(d^6) product.
+closed form.  The two checks are O(d^6); for a Latin family both read their
+gaps off the d Hadamard blocks, O(d^4), so on a passing family the
+depolarizer's witness, like the Gram's, names a rounding-level entry.  The
+partial trace is sum_x U_x U_x* / d, one O(d^5) product, and the weight is
+then checked against the weighted Gram matrix, another O(d^6) product.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -45,7 +47,7 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import _gram, _hermitian_gram, _identity_gap, _unitarity, max_abs
+from .tensor import _block_grams, _gram, _gram_verdict, _identity_gap, _unitarity, max_abs
 
 __all__ = [
     "UnitaryBasis",
@@ -160,13 +162,13 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
 
     The d^2 matrix units span every matrix, so by linearity the check is
     complete.  For the matrix unit E[a, b] the sum is block (a, b) of A* A,
-    so the check is A* A = d I; the witness is the matrix unit at the worst
-    deviation.
+    so the check is A* A = d I, read as the Gram matrix of A's columns; the
+    witness is the matrix unit of its first NaN, else its first worst entry.
     """
     d = basis.d
-    # gaps[a, i, b, j] belongs to the matrix unit E[a, b]
-    gaps = _identity_gap(_hermitian_gram(_stacked(basis).T), d).reshape(d, d, d, d)
-    return CheckResult.worst(gaps.max(axis=(1, 3)), tol, "matrix unit E[{},{}]".format)
+    members, gram = _block_grams(_stacked(basis).T)
+    return _gram_verdict(_identity_gap(gram, d), members, tol,
+                         lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 
 
 def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckResult:

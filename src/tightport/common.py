@@ -84,13 +84,18 @@ def require_positive(n: int, name: str = "dimension") -> None:
         raise DimensionMismatch(f"{name} must be positive, got {n}")
 
 
-def as_permutation(perm, n: int) -> np.ndarray:
-    """Require ``perm`` to be integers that permute 0..n-1; return the index array.
+def _integral(values, array: np.ndarray) -> bool:
+    """Whether ``array``, ``np.asarray(values)``, holds integers.  A cast to int would truncate
+    floats, booleans or objects into integers they are not, and a sequence casts a bool it mixes
+    with integers to int; an array is judged by its dtype alone."""
+    return array.dtype.kind in "iu" and (isinstance(values, np.ndarray) or not any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat))
 
-    Only an integer dtype is accepted: casting floats, booleans or objects to
-    int would truncate them into a permutation they are not.
-    """
+
+def as_permutation(perm, n: int) -> np.ndarray:
+    """Require ``perm`` to be integers (see ``_integral``) that permute 0..n-1; return the
+    index array."""
     p = np.asarray(perm)
-    if p.dtype.kind not in "iu" or p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
+    if not _integral(perm, p) or p.shape != (n,) or sorted(p.tolist()) != list(range(n)):
         raise BadPermutation(f"expected a permutation of 0..{n - 1}, got {perm!r}")
     return p.astype(int, copy=False)

@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, _freeze, as_permutation, require_positive
+from .common import DEFAULT_TOL, CheckResult, _freeze, _integral, as_permutation, require_positive
 from .errors import (
     DesignInvalid,
     DimensionTooLarge,
@@ -53,8 +53,8 @@ def _as_grid(square) -> np.ndarray:
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise DesignInvalid(f"grid must be square, got shape {grid.shape}")
     require_positive(grid.shape[0])
-    if grid.dtype.kind not in "iu":  # a cast to int would truncate 0.9 into the symbol 0
-        raise DesignInvalid(f"grid entries must be integers, got dtype {grid.dtype}")
+    if not _integral(square, grid):  # a cast to int would truncate 0.9 into the symbol 0
+        raise DesignInvalid(f"grid entries must be integers, got {square!r}")
     return grid
 
 

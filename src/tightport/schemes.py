@@ -126,6 +126,9 @@ class TightScheme:
                 f"({d * d}, {d * d}) density matrix", complex)
         _freeze(self, "channel_unitaries", self.channel_unitaries, [(d * d, d, d)],
                 f"expected {d ** 2} channel matrices of shape ({d}, {d})", complex)
+        if not isinstance(self.effects, MaxEntangledBasis):  # as verify refuses an unknown type
+            raise TypeError(
+                f"effects must be a MaxEntangledBasis, got {type(self.effects).__name__}")
         if self.effects.d != d:
             raise DimensionMismatch(
                 f"effect vectors live at d={self.effects.d}, scheme has d={d}"

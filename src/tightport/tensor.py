@@ -151,35 +151,30 @@ def _block_grams(rows: np.ndarray):
     return members, gram
 
 
-def _table(members: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """The blocks' Grams of ``_block_grams`` scattered into a zero n x n table."""
-    table = np.zeros((members.size,) * 2, dtype=complex)
-    table[members[:, :, None], members[:, None, :]] = grams
-    return table
-
-
-def _hermitian_gram(rows: np.ndarray) -> np.ndarray:
-    """conj(V) V^T for the rows of V, of any layout (see ``_block_grams``)."""
-    members, gram = _block_grams(rows)
-    return gram if members is None else _table(members, gram)
+def _gram_verdict(gaps, members, tol: float, name, table=None) -> CheckResult:
+    """The verdict on the gaps of ``_block_grams``: the full table's, or on the blocks of
+    ``members`` the table's first NaN, else its first worst entry, in row-major order as argmax
+    takes it; every entry off the blocks is an exact zero and every diagonal entry is in one."""
+    if members is None:
+        return CheckResult.worst(gaps, tol, name, table)
+    worst, n = float(gaps.max()), members.size
+    flat = int((members[:, :, None] * n + members[:, None, :])[
+        gaps != gaps if worst != worst else gaps == worst].min())
+    return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), table)
 
 
 def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format,
           right: np.ndarray | None = None) -> CheckResult:
     """The verdict on conj(V) R^T / scale = I for the rows of V and of R, by default V;
-    ``table`` is that matrix.  On blocks the gaps are the blocks': every entry off them is an
-    exact zero and every diagonal entry is in one."""
+    ``table`` is that matrix, on blocks scattered into a zero n x n table."""
     members, gram = _block_grams(rows) if right is None else (None, rows.conj() @ right.T)
     if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
         gram.view(np.float64)[...] *= 1 / scale
-    gaps = _identity_gap(gram)
-    if members is None:
-        return CheckResult.worst(gaps, tol, name, gram)
-    worst, n = float(gaps.max()), members.size
-    # the table's first NaN, else its first worst entry, in row-major order as argmax takes it
-    flat = int((members[:, :, None] * n + members[:, None, :])[
-        gaps != gaps if worst != worst else gaps == worst].min())
-    return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), _table(members, gram))
+    gaps, table = _identity_gap(gram), gram
+    if members is not None:
+        table = np.zeros((members.size,) * 2, dtype=complex)
+        table[members[:, :, None], members[:, None, :]] = gram
+    return _gram_verdict(gaps, members, tol, name, table)
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -207,6 +202,7 @@ def trace_inner(a, b) -> complex:
         raise DimensionMismatch(
             f"operands must share a square shape, got {am.shape} and {bm.shape}"
         )
+    require_positive(am.shape[0])
     return complex(np.vdot(am, bm) / am.shape[0])
 
 

@@ -382,6 +382,12 @@ class TestApplyEquivalence:
         with pytest.raises(BadPermutation):
             apply_equivalence(weyl_basis(2), np.eye(2), np.eye(2), relabel=[0.2, 1.9, 2.5, 3.1])
 
+    @pytest.mark.parametrize("relabel", [[True, False, 2, 3], (1, np.False_, 2, 3)])
+    def test_rejects_a_bool_among_integers(self, relabel):
+        # np.asarray casts a list that mixes booleans and integers to int64
+        with pytest.raises(BadPermutation):
+            apply_equivalence(weyl_basis(2), np.eye(2), np.eye(2), relabel=relabel)
+
 
 def test_orthonormal_forms_the_gram_matrix_after_the_elements_products():
     # With the Gram matrix held beside the elements' adjoints and products the peak
@@ -420,11 +426,17 @@ def test_apply_equivalence_checks_both_shapes_then_names_the_less_unitary_factor
     assert str(info.value) == "V2 deviates from unitarity by 4.400e-01"
 
 
+@pytest.mark.parametrize("family", ["Weyl", "dense"])
 @pytest.mark.parametrize("damage", [None, "perturbed", "nan"])
-@pytest.mark.parametrize("d", [10, 12])
-def test_depolarizer_takes_the_gram_of_the_columns(d, damage):
-    # A* A is the Gram matrix of A's columns: the rows of a transposed view
-    elems = weyl_basis(d).elements.copy()
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_depolarizer_takes_the_gram_of_the_columns(d, damage, family):
+    # A* A is the Gram matrix of A's columns: the rows of a transposed view.  Below 100 rows it
+    # is one complex product; from 100 on, d blocks on Weyl and the full real form otherwise
+    basis = weyl_basis(d)
+    if family == "dense":
+        rng = np.random.default_rng(d)
+        basis = apply_equivalence(basis, random_unitary(rng, d), random_unitary(rng, d))
+    elems = basis.elements.copy()
     if damage == "perturbed":
         elems[1] += 1e-6 * random_complex(np.random.default_rng(d), d, d)
     elif damage == "nan":

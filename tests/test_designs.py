@@ -64,6 +64,17 @@ class TestLatinConstruction:
         with pytest.raises(DesignInvalid, match="integers"):
             latin_equivalence_apply(grid, [0, 1], [0, 1], [0, 1])
 
+    @pytest.mark.parametrize("grid", [[[0, True], [True, 0]], [[1, 0], [np.False_, 1]],
+                                      [np.array([0, 1]), [True, 0]]])
+    def test_a_bool_among_integers_rejected(self, grid):
+        # np.asarray casts a grid that mixes booleans and integers to int64
+        with pytest.raises(DesignInvalid, match="integers"):
+            LatinSquare(grid)
+        with pytest.raises(DesignInvalid, match="integers"):
+            validate_latin(grid)
+        with pytest.raises(DesignInvalid, match="integers"):
+            shift_multiply_basis(grid, [fourier_hadamard(2)] * 2)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
     def test_integer_grid_dtypes_accepted(self, dtype):
         grid = np.array([[0, 1], [1, 0]], dtype=dtype)
@@ -146,6 +157,13 @@ class TestLatinEquivalence:
         ident = np.arange(len(perm))
         with pytest.raises(BadPermutation):
             latin_equivalence_apply(latin_from_cyclic(len(perm)), perm, ident, ident)
+
+    @pytest.mark.parametrize("perm", [[2, True, 0], (np.int64(2), 0, np.True_)])
+    def test_a_bool_among_integers_rejected(self, perm):
+        # np.asarray casts a list that mixes booleans and integers to int64
+        ident = np.arange(3)
+        with pytest.raises(BadPermutation):
+            latin_equivalence_apply(latin_from_cyclic(3), perm, ident, ident)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
     def test_integer_dtypes_accepted(self, dtype):

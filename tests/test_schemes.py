@@ -146,6 +146,13 @@ class TestBuildScheme:
         with pytest.raises(ValueError):
             build_scheme(weyl_basis(2), "broadcast")
 
+    @pytest.mark.parametrize("effects", [np.zeros((4, 4)), None, build_scheme(weyl_basis(2))])
+    def test_rejects_effects_that_are_no_entangled_basis(self, effects):
+        with pytest.raises(TypeError) as info:
+            TightScheme(2, omega_vector(2), weyl_basis(2).elements, effects, TELEPORTATION)
+        assert str(info.value) == (
+            f"effects must be a MaxEntangledBasis, got {type(effects).__name__}")
+
 
 def kron_teleportation_oracle(scheme, rho, a):
     """Literal sum of tr((rho x omega)(F_x x U* A U)) over all outcomes."""
@@ -547,11 +554,11 @@ PRODUCT_BUFFER_PEAKS = {
 }
 # On Weyl the Gram matrix is d blocks scattered into one zero table, and a verdict takes
 # the blocks' gaps: 1.23 matrices; the table's gap takes it to 1.51, the full product to
-# 2.0.  The depolarizer reads the table's gap, 1.51.  Its elements, channels and effects
-# are each a permutation times phases, so unitarity forms no S* S product; with the
-# canonical resource T_x is its d nonzeros, 0.70 matrices in all, where a gather of R's
-# rows took 1.81.  Extraction holds the operators it builds, 1.27, where a copy took 2.01.
-LATIN_BUFFER_PEAKS = {"check_projector_completeness": 1.3, "verify_depolarizer": 1.55,
+# 2.0.  The depolarizer returns no table, so it holds the blocks alone, 0.27, where the
+# table's gap took 1.51.  Weyl's elements, channels and effects are each a permutation
+# times phases, so unitarity forms no S* S product; with the canonical resource T_x is its
+# d nonzeros, 0.70 matrices in all, where a gather of R's rows took 1.81.  Extraction holds the operators it builds, 1.27, where a copy took 2.01.
+LATIN_BUFFER_PEAKS = {"check_projector_completeness": 1.3, "verify_depolarizer": 0.3,
                       "verify_orthonormal": 1.3, "verify_entangled_basis": 1.3,
                       "verify of a teleportation scheme": 1.3,
                       "verify of a dense_coding scheme": 1.3, "verify_teleportation": 0.8,

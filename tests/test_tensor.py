@@ -44,7 +44,6 @@ from tightport.tensor import (
     _adjoint,
     _blocks,
     _gram,
-    _hermitian_gram,
     _identity_gap,
     _monomial,
     _unitarity,
@@ -454,6 +453,13 @@ def test_trace_inner_rejects_a_one_dimensional_operand():
     assert str(info.value) == "a must be 2-dimensional, got shape (2,)"
 
 
+def test_trace_inner_rejects_empty_operands():
+    # tr(A* B) / d at d = 0 would be 0 / 0
+    with pytest.raises(DimensionMismatch) as info:
+        trace_inner(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert str(info.value) == "dimension must be positive, got 0"
+
+
 @pytest.mark.parametrize("call, d", [
     (lambda: is_maximally_entangled(np.array([1.0]), -1), -1),
     (lambda: vector_to_operator(np.array([1.0]), -1), -1),
@@ -473,7 +479,7 @@ GRAM_ROWS = [64, 81, 100, 121, 144, 256]
 @pytest.mark.parametrize("n", GRAM_ROWS)
 def test_hermitian_gram_agrees_with_the_complex_product(n):
     rows = random_complex(np.random.default_rng(n), n, n)
-    gram = _hermitian_gram(rows)
+    gram = _gram(rows, TOL).table
     product = rows.conj() @ rows.T
     bound = n * np.finfo(float).eps * (np.abs(rows) ** 2).sum(axis=1).max()
     assert np.abs(gram - product).max() <= bound
@@ -563,7 +569,7 @@ def _assert_verdict_of_the_product(rows, block):
     path formed them exactly when ``block``."""
     assert (len(rows) >= _REAL_GRAM_ROWS and _blocks(rows) is not None) == block
     with np.errstate(all="ignore"):
-        table = _hermitian_gram(rows)
+        table = _gram(rows, TOL).table
         result = _gram(rows, TOL)
         product = rows.conj() @ rows.T
         gaps = _identity_gap(product)
@@ -621,11 +627,11 @@ def test_gram_scale_is_complex_division_by_the_scale(d, family):
         rng = np.random.default_rng(d)
         basis = apply_equivalence(basis, random_unitary(rng, d), random_unitary(rng, d))
     rows = _stacked(basis).copy()
-    assert _gram(rows, TOL, d).table.tobytes() == (_hermitian_gram(rows) / d).tobytes()
+    assert _gram(rows, TOL, d).table.tobytes() == (_gram(rows, TOL).table / d).tobytes()
     # an overflowing entry stays inf where complex division would make NaN of inf * 0
     rows[d, 3] = 1e200
     with np.errstate(all="ignore"):
-        unscaled, result = _hermitian_gram(rows), _gram(rows, TOL, d)
+        unscaled, result = _gram(rows, TOL).table, _gram(rows, TOL, d)
     assert np.isinf(unscaled).any() and not result.passed and not np.isfinite(result.deviation)
     assert np.array_equal(np.isnan(result.table), np.isnan(unscaled))
 
@@ -649,7 +655,7 @@ def test_block_gaps_are_the_full_tables_gaps(d, scale, damage):
     assert _blocks(rows) is not None
     with np.errstate(all="ignore"):
         result = _gram(rows, TOL, scale)
-        table = _hermitian_gram(rows)
+        table = _gram(rows, TOL).table
         table.view(np.float64)[...] *= 1 / scale
         expected = CheckResult.worst(_identity_gap(table), TOL, "Gram entry ({}, {})".format)
     assert (result.passed, repr(result.deviation), result.witness) == (
