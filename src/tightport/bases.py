@@ -10,11 +10,11 @@ Every check is a product of one matrix: stack the elements as the d^2 x d^2
 matrix A with rows vec(U_x).  Orthonormality is A A* = d I, the depolarizer
 identity over all matrix units is A* A = d I, and the weight recovered from
 the weighted Gram equations is the inverse of Tr_2 (A^T conj(A)) / d, in
-closed form.  The two checks are O(d^6); for a Latin family both read their
-gaps off the d Hadamard blocks, O(d^4), so on a passing family the
-depolarizer's witness, like the Gram's, names a rounding-level entry.  The
-partial trace is sum_x U_x U_x* / d, one O(d^5) product, and the weight is
-then checked against the weighted Gram matrix, another O(d^6) product.
+closed form.  A weighted Gram matrix tr(K_x* W K_y) is the plain one of the
+whitened L* K_x, for W = L L*.  Each Gram is O(d^6); on a Latin family, whose
+whitened elements keep its support for a diagonal W such as the recovered
+weight, each reads its gaps off the d Hadamard blocks, O(d^4), so on a passing
+family the witness names a rounding-level entry.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -47,7 +47,8 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import _block_grams, _gram, _gram_verdict, _identity_gap, _unitarity, max_abs
+from .tensor import (_adjoint, _block_grams, _gram, _gram_verdict, _identity_gap, _unitarity,
+                     max_abs)
 
 __all__ = [
     "UnitaryBasis",
@@ -177,7 +178,8 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckR
     W must be positive definite.  Among all W, only the maximally mixed
     density I/d admits d^2 unitaries with an identity weighted Gram matrix,
     so a deformed weight must push the result off identity for any unitary
-    family.  ``table`` is the Gram matrix.
+    family.  ``table`` is the Gram matrix of the L* K_x, for the Cholesky
+    factor W = L L* of W's lower triangle (``WeightNotPositive`` if none).
     """
     ops = np.asarray(operators, dtype=complex)
     if ops.ndim != 3 or ops.shape[-2] != ops.shape[-1] or not len(ops):
@@ -185,15 +187,19 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckR
             f"operators must stack to (n, d, d) with n >= 1, got shape {ops.shape}"
         )
     w = np.asarray(weight_inverse, dtype=complex)
-    d = ops.shape[-1]
+    n, d = ops.shape[:2]
+    require_positive(d)
     if w.shape != (d, d):
         raise DimensionMismatch(f"weight shape {w.shape} does not match operators ({d}, {d})")
     if not max_abs(w - w.conj().T) <= 1e-12:
         raise WeightNotPositive("weight is not Hermitian")
     if not float(np.linalg.eigvalsh(w).min()) > 1e-12:
         raise WeightNotPositive("weight has an eigenvalue at or below 1e-12")
-    n = ops.shape[0]
-    return _gram(ops.reshape(n, -1), tol, right=(w @ ops).reshape(n, -1))
+    try:
+        root = _adjoint(np.linalg.cholesky(w))
+    except np.linalg.LinAlgError:
+        raise WeightNotPositive("weight is too ill-conditioned for a Cholesky factor") from None
+    return _gram((root @ ops).reshape(n, -1), tol)
 
 
 def recover_weight_from_unitary_gram(
@@ -205,34 +211,29 @@ def recover_weight_from_unitary_gram(
     consistent exactly when the family is a genuine basis, in which case the
     unique solution is I/d.  They say conj(A) (rho (x) I) A^T = I, so then
     rho^{-1} (x) I = A^T conj(A), and rho is the inverse of its partial trace
-    over d, sum_x U_x U_x* / d, in closed form.  A weighted Gram residual
-    beyond ``tol`` (NaN included), a solution away from I/d or a singular
-    partial trace raises ``NoSolution``, signalling that the input was not a
-    basis.
+    P = sum_x U_x U_x* / d: for P = C C* and c = C^{-1}, rho = c* c, and the
+    residual is the Gram matrix of the c U_x.  A non-finite entry, a P with no
+    Cholesky factor, a residual beyond ``tol`` (NaN included) or a solution
+    away from I/d raises ``NoSolution``: the input was not a basis.
     """
-    d = basis.d
-    elems = basis.elements
+    d, elems = basis.d, basis.elements
     if not np.isfinite(elems).all():
         raise NoSolution("the family has non-finite entries")
     # s[k, (x, i)] = U_x[k, i], so s s* / d = sum_x U_x U_x* / d
     s = elems.transpose(1, 0, 2).reshape(d, -1)
-    inverse_rho = s @ s.conj().T / d
     try:
-        rho = np.linalg.inv(inverse_rho)
+        c = np.linalg.inv(np.linalg.cholesky(s @ s.conj().T / d))
     except np.linalg.LinAlgError:
         raise NoSolution("the family's partial Gram trace is singular") from None
-    residual = _gram(_stacked(basis), tol, right=(rho @ elems).reshape(d * d, -1))
+    rho = _block_grams(c.T)[1]
+    residual = _gram((c @ elems).reshape(d * d, -1), tol)
     if not residual:
-        raise NoSolution(
-            f"weighted Gram residual {residual.deviation:.3e} exceeds {tol}; "
-            f"the family is not an orthonormal basis"
-        )
+        raise NoSolution(f"weighted Gram residual {residual.deviation:.3e} exceeds {tol}; "
+                         f"the family is not an orthonormal basis")
     witness_dev = float(_identity_gap(rho, 1 / d).max())
     if not witness_dev <= tol:
-        raise NoSolution(
-            f"recovered weight deviates from I/d by {witness_dev:.3e} "
-            f"despite a small residual"
-        )
+        raise NoSolution(f"recovered weight deviates from I/d by {witness_dev:.3e} "
+                         f"despite a small residual")
     return rho
 
 

@@ -163,11 +163,10 @@ def _gram_verdict(gaps, members, tol: float, name, table=None) -> CheckResult:
     return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), table)
 
 
-def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format,
-          right: np.ndarray | None = None) -> CheckResult:
-    """The verdict on conj(V) R^T / scale = I for the rows of V and of R, by default V;
+def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format) -> CheckResult:
+    """The verdict on conj(V) V^T / scale = I for the rows of V, whitened for a weighted Gram;
     ``table`` is that matrix, on blocks scattered into a zero n x n table."""
-    members, gram = _block_grams(rows) if right is None else (None, rows.conj() @ right.T)
+    members, gram = _block_grams(rows)
     if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
         gram.view(np.float64)[...] *= 1 / scale
     gaps, table = _identity_gap(gram), gram

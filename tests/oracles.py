@@ -66,6 +66,11 @@ def depolarizer(elems: np.ndarray, probes=None) -> np.ndarray:
     return np.asarray(gaps)
 
 
+def weighted_gram(ops: np.ndarray, weight_inverse: np.ndarray) -> np.ndarray:
+    """The table tr(K_x* W K_y), as a product of the operators with W K_y."""
+    return np.einsum("xij,yij->xy", ops.conj(), weight_inverse @ ops)
+
+
 def _hermitian_basis(d: int) -> np.ndarray:
     """A real-spanning basis of the Hermitian d x d matrices."""
     mats = []

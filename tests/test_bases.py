@@ -275,6 +275,16 @@ class TestWeightedGram:
         with pytest.raises(WeightNotPositive):
             weighted_gram(weyl_basis(2).elements, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_weight_without_a_cholesky_factor_rejected(self, monkeypatch):
+        # a weight whose eigenvalues eigvalsh reads above 1e-12, with a condition number
+        # near 1/eps, can still have no Cholesky factor in floating point
+        def no_factor(w):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        with pytest.raises(WeightNotPositive, match="Cholesky"):
+            weighted_gram(weyl_basis(2).elements, np.eye(2) / 2)
+
     def test_nan_weight_rejected(self):
         weight = np.array([[0.5, np.nan], [np.nan, 0.5]])
         with pytest.raises(WeightNotPositive):

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_complex, random_density, random_unitary
@@ -34,6 +36,7 @@ from tightport import (
     verify_entangled_basis,
     verify_orthonormal,
     verify_teleportation,
+    weighted_gram,
     weyl_basis,
 )
 from tightport.bases import _raw_shift_multiply
@@ -221,6 +224,42 @@ def test_recover_weight_matches_oracle(name, d):
         assert name not in VALID_BASES
     else:
         assert_agree(recover_weight_from_unitary_gram(basis, TOL), expected)
+
+
+def _weight(kind, d, rng):
+    """A positive definite W: I/d, diagonal, general, or general with smallest eigenvalue 1e-6."""
+    if kind == "I/d":
+        return np.eye(d) / d
+    values = rng.uniform(0.1, 2.0, d)
+    if kind == "diagonal":
+        return np.diag(values)
+    if kind == "near singular":
+        values[0] = 1e-6
+    q = random_unitary(rng, d)
+    w = (q * values) @ q.conj().T
+    return (w + w.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 12),
+    family=st.sampled_from(["weyl", "equivalent", "perturbed", "duplicated", "nan_entry"]),
+    kind=st.sampled_from(["I/d", "diagonal", "general", "near singular"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_gram_matches_the_two_operand_product(d, family, kind, seed):
+    # n = d^2 operators on both sides of the real kernel's 100 rows; Weyl takes the blocks
+    rng = np.random.default_rng(seed)
+    ops, w = BASES[family](d, rng), _weight(kind, d, rng)
+    result, expected = weighted_gram(ops, w, TOL), oracles.weighted_gram(ops, w)
+    gaps = np.abs(expected - np.eye(d * d))
+    assert result.passed == bool(gaps.max() <= TOL)
+    rows = np.nanmax((np.abs(ops.reshape(d * d, -1)) ** 2).sum(axis=1))  # max |row|^2
+    bound = d * d * np.finfo(float).eps * np.linalg.norm(w, 2) * rows
+    finite = np.isfinite(expected)
+    assert np.abs(result.table - expected)[finite].max() <= bound
+    if finite.all():
+        assert abs(result.deviation - gaps.max()) <= bound
 
 
 @pytest.mark.parametrize("damage,basis_name,d", SCHEME_CASES)

@@ -1,5 +1,6 @@
 """The one verdict type and the one dispatcher, ``tp.verify``."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +314,8 @@ def test_empty_objects_are_rejected():
     with pytest.raises(tp.DimensionMismatch):
         tp.weighted_gram(np.zeros((0, 2, 2)), np.eye(2))
     with pytest.raises(tp.DimensionMismatch):
+        tp.weighted_gram(np.zeros((1, 0, 0)), np.zeros((0, 0)))
+    with pytest.raises(tp.DimensionMismatch):
         tp.check_projector_completeness([])
     with pytest.raises(tp.DimensionMismatch):
         tp.check_projector_completeness(np.zeros((0, 0)))
@@ -407,3 +410,55 @@ def test_default_tolerance_holds_with_margin_at_d32():
     output, probabilities = tp.teleport_state(scheme, rho)
     assert np.abs(output - rho).max() < tp.DEFAULT_TOL / 100
     assert np.abs(probabilities - 1 / 32**2).max() < tp.DEFAULT_TOL / 100
+
+
+def _assert_same(got, expected):
+    """Equal verdicts, texts and documents; deviations and arrays within 1e-14."""
+    close = dict(rtol=0, atol=1e-14)
+    if isinstance(expected, tp.CheckResult):
+        assert (got.passed, got.witness) == (expected.passed, expected.witness)
+        np.testing.assert_allclose(got.deviation, expected.deviation, **close)
+        if expected.table is None:
+            assert got.table is None
+        else:
+            np.testing.assert_allclose(got.table, expected.table, **close)
+    elif isinstance(expected, tp.DesignDocument):  # equal text, so equal arrays
+        assert tp.dumps(got) == tp.dumps(expected)
+    elif isinstance(expected, str):
+        assert got == expected
+    elif isinstance(expected, tuple):
+        for part, value in zip(got, expected, strict=True):
+            np.testing.assert_allclose(part, value, **close)
+    else:
+        np.testing.assert_allclose(got, expected, **close)
+
+
+def test_shared_objects_give_the_serial_results_from_four_threads():
+    # "everything is safe to share across threads": each call on objects shared by four
+    # threads returns what it returns alone.  One phase of element 5 is off by 1e-6, so each
+    # verdict on the damaged objects has one worst entry, not a tie within rounding.
+    d = 12
+    basis = tp.weyl_basis(d)
+    elements = basis.elements.copy()
+    elements[5][tuple(np.argwhere(elements[5] != 0)[0])] *= 1 + 1e-6
+    damaged = tp.UnitaryBasis(d, elements)
+    scheme, broken = tp.build_scheme(basis), tp.build_scheme(damaged)
+    text = tp.dumps(tp.make_document(scheme))
+    document = tp.loads(text)
+    rho = random_density(np.random.default_rng(12), d)
+    calls = {
+        "basis": lambda: tp.verify(damaged),
+        "entangled basis": lambda: tp.verify(broken.effects),
+        **{mode: (lambda mode=mode: tp.verify(replace(broken, mode=mode))) for mode in tp.MODES},
+        "weight": lambda: tp.recover_weight_from_unitary_gram(basis),
+        "weighted Gram": lambda: tp.weighted_gram(damaged.elements, np.eye(d) / d),
+        "loads": lambda: tp.loads(text),
+        "dumps": lambda: tp.dumps(document),
+        "teleport_state": lambda: tp.teleport_state(scheme, rho),
+    }
+    serial = {name: call() for name, call in calls.items()}
+    assert not any(serial[name] for name in ("basis", "entangled basis", *tp.MODES))
+    with ThreadPoolExecutor(4) as pool:
+        futures = [(name, pool.submit(call)) for _ in range(4) for name, call in calls.items()]
+        for name, future in futures:
+            _assert_same(future.result(), serial[name])
