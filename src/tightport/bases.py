@@ -18,8 +18,9 @@ family the witness names a rounding-level entry.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
-grid is a Latin square and each H_j is a complex Hadamard matrix.  Flat
-element labels are x = i*d + j.
+grid is a Latin square and each H_j is a complex Hadamard matrix.  A raw grid
+or matrix is validated by building its ``LatinSquare`` or ``HadamardMatrix``,
+the designs' one check.  Flat element labels are x = i*d + j.
 """
 
 from __future__ import annotations
@@ -30,16 +31,7 @@ import numpy as np
 
 from .common import (DEFAULT_TOL, CheckResult, _Built, _freeze, _worst_of, as_permutation,
                      require_positive)
-from .designs import (
-    HadamardMatrix,
-    LatinSquare,
-    fourier_hadamard,
-    latin_from_cyclic,
-    validate_hadamard,
-    validate_latin,
-    _as_grid,
-    _as_phase_matrix,
-)
+from .designs import HadamardMatrix, LatinSquare, fourier_hadamard, latin_from_cyclic
 from .errors import (
     DesignInvalid,
     DimensionMismatch,
@@ -101,31 +93,23 @@ def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
 
     Element (i, j) acts as ``e_k -> H_j[i, k] e_{grid[j, k]}``; validity of
     the two designs is necessary and sufficient for the result to be a
-    basis, so invalid inputs are rejected with ``DesignInvalid`` instead of
-    silently producing a non-basis.
+    basis, so a raw grid or matrix is built into its design, whose
+    ``DesignInvalid`` rejects it instead of silently producing a non-basis.
     """
-    grid = _as_grid(square)
-    d = grid.shape[0]
-    # LatinSquare and HadamardMatrix instances were validated when built.
-    if not isinstance(square, LatinSquare):
-        latin_check = validate_latin(grid)
-        if not latin_check:
-            raise DesignInvalid(f"grid is not a Latin square: {latin_check.witness}")
+    grid = (square if isinstance(square, LatinSquare) else LatinSquare(square)).grid
+    d = len(grid)
     hadamards = list(hadamards)
-    mats = [_as_phase_matrix(h) for h in hadamards]
-    if len(mats) != d:
-        raise DesignInvalid(f"need exactly {d} Hadamard matrices, got {len(mats)}")
-    for j, (h, m) in enumerate(zip(hadamards, mats)):
+    if len(hadamards) != d:
+        raise DesignInvalid(f"need exactly {d} Hadamard matrices, got {len(hadamards)}")
+    mats = []
+    for j, h in enumerate(hadamards):
+        try:
+            m = (h if isinstance(h, HadamardMatrix) else HadamardMatrix(h)).matrix
+        except DesignInvalid as error:
+            raise DesignInvalid(f"Hadamard {j}: {error}") from None
         if m.shape != (d, d):
             raise DesignInvalid(f"Hadamard {j} has shape {m.shape}, expected ({d}, {d})")
-        if isinstance(h, HadamardMatrix):
-            continue
-        check = validate_hadamard(m)
-        if not check:
-            raise DesignInvalid(
-                f"matrix {j} is not Hadamard: {check.witness} "
-                f"(deviation {check.deviation:.3e})"
-            )
+        mats.append(m)
     return UnitaryBasis(d, _Built(_raw_shift_multiply(grid, mats)))
 
 
@@ -155,7 +139,7 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     # the elements' products first, so that the Gram matrix is not held beside them
     elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format)
     gram = _gram(_stacked(basis), tol, basis.d)
-    return _worst_of([gram, elements], gram.table)
+    return _worst_of([gram, elements])
 
 
 def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckResult:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .schemes import (
     TELEPORTATION,
     basis_to_entangled,
     build_scheme,
+    swap_roles,
     teleport_state,
     verify,
 )
@@ -195,7 +195,8 @@ def cmd_simulate(args) -> int:
         return _err(f"--trials must be at least 1, got {args.trials}")
     scheme = _load_as(args.scheme, "scheme")
     states = _input_state(args.state, scheme.d, args)
-    verdict = verify(replace(scheme, mode=TELEPORTATION), args.tol)  # the protocol the trials run
+    # the protocol the trials run, on the scheme's own arrays
+    verdict = verify(scheme if scheme.mode == TELEPORTATION else swap_roles(scheme), args.tol)
     if not verdict:
         return _fail(f"scheme (d={scheme.d})", verdict, args.tol)
     deviations = []

@@ -26,7 +26,8 @@ class CheckResult:
     at that distance.  ``table`` carries the matrix a check computed when
     callers need more than its worst entry (a Gram matrix, an outcome table).
     A check made of parts reports the first NaN among them, else the first
-    largest deviation, in the order its parts are listed.
+    largest deviation, in the order its parts are listed, and the table of the
+    first part that has one.
     """
 
     passed: bool
@@ -51,9 +52,10 @@ class CheckResult:
         return cls(bool(deviation <= tol), deviation, name(*index), table)
 
 
-def _worst_of(parts, table=None) -> CheckResult:
-    """The first NaN among ``parts``, else the first largest deviation, with ``table``."""
+def _worst_of(parts) -> CheckResult:
+    """The first NaN among ``parts``, else the first largest deviation, and the first table."""
     worst = max(parts, key=lambda p: (p.deviation != p.deviation, p.deviation))
+    table = next((p.table for p in parts if p.table is not None), None)
     return CheckResult(worst.passed, worst.deviation, worst.witness, table)
 
 
@@ -79,7 +81,10 @@ def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) 
 
 
 def require_positive(n: int, name: str = "dimension") -> None:
-    """Reject a size below 1; no object in this package is defined for one."""
+    """Reject a size that is not an integer, a bool included, or is below 1; no object in this
+    package is defined for one, and a float one fails later in numpy's indexing."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionMismatch(f"{name} must be an integer, got {n}")
     if n < 1:
         raise DimensionMismatch(f"{name} must be positive, got {n}")
 

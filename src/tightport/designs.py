@@ -255,7 +255,8 @@ def dephase_hadamard(h) -> HadamardMatrix:
     Divides each row by its first entry, then each column by its resulting
     first entry.  Idempotent, and invariant under row/column phase twists.
     """
-    return HadamardMatrix(_dephased(_as_phase_matrix(h)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN entry fails validation
+        return HadamardMatrix(_dephased(_as_phase_matrix(h)))
 
 
 def hadamards_equivalent(h1, h2, tol: float = 1e-8) -> bool:
@@ -272,10 +273,11 @@ def hadamards_equivalent(h1, h2, tol: float = 1e-8) -> bool:
     if a.shape != b.shape:
         return False
     d = a.shape[0]
-    target = _dephased(b)
-    for rows in permutations(range(d)):
-        pa = a[list(rows), :]
-        for cols in permutations(range(d)):
-            if max_abs(_dephased(pa[:, list(cols)]) - target) <= tol:
-                return True
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN entry matches nothing
+        target = _dephased(b)
+        for rows in permutations(range(d)):
+            pa = a[list(rows), :]
+            for cols in permutations(range(d)):
+                if max_abs(_dephased(pa[:, list(cols)]) - target) <= tol:
+                    return True
     return False

@@ -119,6 +119,7 @@ class TightScheme:
 
     def __post_init__(self):
         d = self.d
+        require_positive(d)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         _freeze(self, "omega", self.omega, [(d * d,), (d * d, d * d)],
@@ -321,7 +322,8 @@ def verify_entangled_basis(
 
     The vectors must be pairwise orthonormal (for d^2 of them, the same as
     resolving the identity on the d^2-dimensional space) and each must have
-    reduced operator I/d.  Reports the worse of the two deviations.
+    reduced operator I/d.  Reports the worse of the two deviations; ``table``
+    is the vectors' Gram matrix.
     """
     d = entangled.d
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
@@ -359,7 +361,7 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     del u  # not held beside the Gram matrix
     effects = _gram(obj.effects.vectors, tol, name="effect vectors are not a complete "
                     "measurement: Gram entry ({}, {})".format)
-    return _worst_of([channels, effects, identity], effects.table)
+    return _worst_of([channels, effects, identity])
 
 
 def swap_roles(scheme: TightScheme) -> TightScheme:

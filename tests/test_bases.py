@@ -84,7 +84,7 @@ class TestShiftMultiply:
     def test_raw_non_hadamard_message_names_the_matrix(self):
         mats = [fourier_hadamard(3).matrix, fourier_hadamard(3).matrix, np.ones((3, 3))]
         message = (
-            "matrix 2 is not Hadamard: rows are not orthogonal at norm sqrt(d) "
+            "Hadamard 2: not a Hadamard matrix: rows are not orthogonal at norm sqrt(d) "
             "(deviation 3.000e+00)"
         )
         with pytest.raises(DesignInvalid) as info:
@@ -94,22 +94,22 @@ class TestShiftMultiply:
     def test_raw_non_latin_message(self):
         with pytest.raises(DesignInvalid) as info:
             shift_multiply_basis([[0, 1], [0, 1]], [fourier_hadamard(2)] * 2)
-        assert str(info.value) == "grid is not a Latin square: column 0"
+        assert str(info.value) == "not a Latin square: column 0"
 
     def test_validated_designs_are_not_checked_again(self, monkeypatch):
-        import tightport.bases as bases_module
+        import tightport.designs as designs_module
 
+        square, h = latin_from_cyclic(3), fourier_hadamard(3)
         calls = []
         for name in ("validate_latin", "validate_hadamard"):
-            original = getattr(bases_module, name)
+            original = getattr(designs_module, name)
             monkeypatch.setattr(
-                bases_module, name,
+                designs_module, name,
                 lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k),
             )
-        h = fourier_hadamard(3)
-        shift_multiply_basis(latin_from_cyclic(3), [h] * 3)
+        shift_multiply_basis(square, [h] * 3)
         assert calls == []
-        shift_multiply_basis(latin_from_cyclic(3).grid, [h.matrix] * 3)
+        shift_multiply_basis(square.grid, [h.matrix] * 3)
         assert calls == ["validate_latin"] + ["validate_hadamard"] * 3
 
     def test_validated_hadamard_of_wrong_size_rejected(self):

@@ -342,6 +342,16 @@ class TestDephase:
         twisted[0] *= 1j
         np.testing.assert_allclose(dephase_hadamard(twisted).matrix, h, atol=1e-14)
 
+    @pytest.mark.parametrize("value", [0, np.nan], ids=["zero", "nan"])
+    def test_a_zero_or_nan_entry_is_refused_without_a_warning(self, value):
+        # the division by that entry must not escape as a RuntimeWarning, an error in this suite
+        h = fourier_hadamard(3).matrix.copy()
+        h[0, 0] = value
+        with pytest.raises(DesignInvalid, match="not a Hadamard matrix"):
+            dephase_hadamard(h)
+        assert not hadamards_equivalent(h, fourier_hadamard(3))
+        assert not hadamards_equivalent(fourier_hadamard(3), h)
+
     def test_idempotent_on_random_twists(self):
         rng = np.random.default_rng(4)
         h = fourier_hadamard(4).matrix

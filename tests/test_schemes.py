@@ -808,6 +808,14 @@ class TestVerifyEntangledBasis:
         result = verify_entangled_basis(MaxEntangledBasis(2, vectors))
         assert not result.passed
 
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_table_is_the_vectors_gram_matrix(self, d):
+        entangled = basis_to_entangled(weyl_basis(d))
+        gram = check_projector_completeness(entangled.vectors).table
+        for result in (verify_entangled_basis(entangled), verify(entangled)):
+            assert result.table.shape == gram.shape
+            assert result.table.tobytes() == gram.tobytes()
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: TightScheme(2, omega_vector(2), weyl_basis(2).elements,

@@ -239,10 +239,12 @@ def test_a_numpy_scalar_tolerance_gives_a_plain_bool(d, tol):
 
 
 def test_worst_of_parts_takes_the_first_nan_then_the_first_largest():
-    parts = [tp.CheckResult(True, 1.0, "small"), tp.CheckResult(False, np.nan, "first nan"),
-             tp.CheckResult(False, 5.0, "large"), tp.CheckResult(False, np.nan, "second nan")]
+    # the table is the first part's that has one, whichever part is worst
     table = np.eye(2)
-    result = _worst_of(parts, table)
+    parts = [tp.CheckResult(True, 1.0, "small"), tp.CheckResult(False, np.nan, "first nan"),
+             tp.CheckResult(False, 5.0, "large", table),
+             tp.CheckResult(False, np.nan, "second nan", np.zeros(2))]
+    result = _worst_of(parts)
     assert not result.passed and np.isnan(result.deviation) and result.witness == "first nan"
     assert result.table is table
     tie = _worst_of([tp.CheckResult(False, 2.0, "first"), tp.CheckResult(False, 2.0, "second")])
@@ -328,6 +330,35 @@ def test_empty_objects_are_rejected():
         tp.HadamardMatrix(np.zeros((0, 0)))
     with pytest.raises(tp.DimensionMismatch):
         tp.validate_hadamard(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tp.UnitaryBasis(2.0, tp.weyl_basis(2).elements),
+     "dimension must be an integer, got 2.0"),
+    (lambda: tp.MaxEntangledBasis(2.0, tp.basis_to_entangled(tp.weyl_basis(2)).vectors),
+     "dimension must be an integer, got 2.0"),
+    (lambda: tp.TightScheme(2.0, tp.omega_vector(2), tp.weyl_basis(2).elements,
+                            tp.basis_to_entangled(tp.weyl_basis(2)), tp.TELEPORTATION),
+     "dimension must be an integer, got 2.0"),
+    (lambda: tp.count_normalized_latin(True), "dimension must be an integer, got True"),
+    (lambda: tp.omega_vector(True), "dimension must be an integer, got True"),
+    (lambda: tp.fourier_hadamard(2.5), "dimension must be an integer, got 2.5"),
+    (lambda: tp.periodic_phase_hadamard(1.5, 2, np.ones((3, 3))),
+     "period p must be an integer, got 1.5"),
+], ids=["UnitaryBasis", "MaxEntangledBasis", "TightScheme", "count_normalized_latin",
+        "omega_vector", "fourier_hadamard", "periodic_phase_hadamard"])
+def test_a_dimension_must_be_an_integer(call, message):
+    # a float d was stored and failed later in numpy; a bool d counted as 1
+    with pytest.raises(tp.DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_numpy_integer_dimension_is_accepted():
+    basis = tp.weyl_basis(3)
+    assert tp.verify(tp.UnitaryBasis(np.int64(3), basis.elements))
+    assert tp.verify(tp.build_scheme(tp.UnitaryBasis(np.int64(3), basis.elements)))
+    assert tp.count_normalized_latin(np.int64(3)) == 1
 
 
 def _with_entry(array, position, value):
