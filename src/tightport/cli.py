@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bases import shift_multiply_basis, weyl_basis
-from .common import DEFAULT_TOL, CheckResult, require_positive
+from .common import DEFAULT_TOL, CheckResult, _Built, require_positive
 from .designs import (
     count_normalized_latin,
     fourier_hadamard,
@@ -51,6 +51,16 @@ def _load_as(path, kind: str):
     doc = load(path)
     if doc.kind != kind:
         raise TightportError(f"{path} holds a {doc.kind!r} document, expected {kind!r}")
+    return _take_over(doc)
+
+
+def _take_over(doc: DesignDocument):
+    """The object of a document just loaded and then dropped, holding the document's arrays
+    rather than copies; a design's constructor validates and copies what it is given."""
+    if doc.kind not in ("latin", "hadamard"):
+        payload = {key: _Built(value) if isinstance(value, np.ndarray) else value
+                   for key, value in doc.payload.items()}
+        doc = DesignDocument(doc.kind, doc.d, payload, doc.meta)
     return document_to_object(doc)
 
 
@@ -145,7 +155,7 @@ def _verify_document(doc: DesignDocument, tol: float) -> CheckResult:
         return validate_latin(doc.payload["grid"])
     if doc.kind == "hadamard":
         return validate_hadamard(doc.payload["matrix"], tol)
-    return verify(document_to_object(doc), tol)
+    return verify(_take_over(doc), tol)
 
 
 def _fail(label: str, result: CheckResult, tol: float) -> int:

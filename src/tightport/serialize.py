@@ -13,18 +13,21 @@ is purely structural; it never runs the numerical validators, so a
 corrupted-but-well-formed file loads fine and is then failed by ``verify``.
 
 Text laid out as ``dumps`` writes it (sorted keys, ``", "`` and ``": "``
-separators, ``[re, im]`` pairs) takes a fast path.  ``json`` reads the
-document with each complex payload array cut out.  Each array's text must
-have the bracket-and-comma skeleton of its field's shape, with number
-characters only inside its pairs.  ``[0.0, 0.0]`` pairs, most entries of a
-monomial unitary, are set by position; ``json`` reads the other pairs'
-numbers as one flat list into one float64 buffer, viewed as complex, with no
-nested list.  Any other text, and any deviation found on the way, goes to
-``json.loads`` and the per-entry walk, which accepts the same documents,
-reads them to the same bits and names the first offending entry of the rest.
-Payload numbers must be JSON numbers: strings, ``true``/``false`` and
+separators, ``[re, im]`` pairs) takes a fast path over its UTF-8 bytes:
+``json`` reads the document with each complex payload array cut out, and each
+array, a run of rows at a time, must have its shape's bracket-and-comma
+skeleton with number characters only inside pairs.  ``[0.0, 0.0]`` pairs, most
+entries of a monomial unitary, are set by position, and ``json`` reads the
+other pairs' numbers as flat lists.  Any other text, and any deviation found
+on the way, goes to ``json.loads`` and the per-entry walk, which accepts the
+same documents, reads them to the same bits and names the first offending
+entry.  Payload numbers must be JSON numbers: strings, ``true``/``false`` and
 ``null`` are rejected at their location.
 
+Besides a document's arrays, ``load`` holds the file's bytes, decoded to a str
+only for the walk (``loads`` of a str encodes it once); ``dumps`` one buffer
+of the text's exact length and the str decoded from it; ``save`` that buffer
+alone.  Other temporaries take a block of rows, or a byte or two per entry.
 Only the walk builds nested lists.  Neither route switches the garbage
 collector or any other process-wide state.
 """
@@ -36,7 +39,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from json.decoder import scanstring
 from operator import attrgetter
 from typing import Any
 
@@ -101,106 +103,118 @@ _NUMBER_CHARS = b"0123456789.eE+-"
 _ZERO_PAIR = b"[0.0, 0.0]"
 # The eight bytes inside the brackets of a zero pair, read as one word.
 _ZERO_WORD = np.frombuffer(_ZERO_PAIR[1:-1], dtype="<u8")[0]
-# Numbers that dumps formats, or loads parses, at once.
-_BLOCK = 1 << 16
+# Numbers that dumps formats at once; 16 times as many bytes of text loads reads at once.
+_BLOCK = 1 << 13
 
 
 @lru_cache(maxsize=32)
-def _layout(shape: tuple[int, ...]) -> tuple[str, ...]:
-    """The text ``json.dumps`` writes around the numbers of a nested list of ``shape``.
-
-    One piece more than there are numbers: number i goes between pieces i and i + 1.
-    """
-    template = "%s"
+def _zero_row(shape: tuple[int, ...]) -> bytes:
+    """The text ``json.dumps`` writes for a nested list of zeros of ``shape``, then ``", "``."""
+    text = "0.0"
     for n in reversed(shape):
-        template = "[" + ", ".join([template] * n) + "]"
-    return tuple(template.split("%s"))
+        text = "[" + ", ".join([text] * n) + "]"
+    return (text + ", ").encode()
 
 
 def _skeleton_length(shape: tuple[int, ...]) -> int:
-    """The length of the text of ``_layout(shape)``, computed without building it."""
+    """The length of a nested list's text without its numbers, computed without building it."""
     length = 0
     for n in reversed(shape):
         length = 2 + n * length + 2 * (n - 1)
     return length
 
 
-def _complex_text(array: np.ndarray) -> str:
-    """``json.dumps`` of the ``[re, im]`` nested list of a finite complex128 array.
+def _complex_text(array: np.ndarray) -> list:
+    """``json.dumps`` of a finite complex array's ``[re, im]`` nested list, as ``_gather`` pieces.
 
-    Blocks of rows along the first axis are laid into one cached layout; each
-    distinct number of a block is formatted once, and no nested list is built.
+    A block of rows along the first axis is as many rows of zeros, each nonzero number's
+    ``0.0`` replaced by its text; each distinct number of a block is formatted once.
     """
+    row = _zero_row(array.shape[1:] + (2,))
+    slots = np.flatnonzero(np.frombuffer(row, np.uint8) == ord(".")) - 1  # where each 0.0 starts
     numbers = np.ascontiguousarray(array).view(np.int64).reshape(-1)  # the bits of re, im, ...
-    per_row = 2 * array[0].size
-    step = max(1, _BLOCK // per_row) * per_row
-    blocks = []
+    step = max(1, _BLOCK // len(slots)) * len(slots)
+    pieces = [b"["]
     for start in range(0, len(numbers), step):
         bits = numbers[start:start + step]
         nonzero = np.flatnonzero(bits)  # +0.0 is the only float with no bit set
         values, inverse = np.unique(bits[nonzero], return_inverse=True)
-        block = np.empty(len(bits), dtype=object)
-        block[:] = "0.0"
-        block[nonzero] = np.array(list(map(float.__repr__, values.view(float).tolist())),
-                                  dtype=object)[inverse]
-        parts = [""] * (2 * len(block) + 1)
-        parts[::2] = _layout((len(block) // per_row,) + array.shape[1:] + (2,))
-        parts[1::2] = block.tolist()
-        blocks.append("".join(parts)[1:-1])  # the rows, without the block's own brackets
-    return "[" + ", ".join(blocks) + "]"
+        texts = list(map(float.__repr__, values.view(float).tolist()))
+        lengths = np.fromiter(map(len, texts), int, len(texts))
+        zeros = len(bits) // len(slots) * len(row)  # the length of the block's rows of zeros
+        at = nonzero // len(slots) * len(row) + slots[nonzero % len(slots)]
+        # alternately a stretch of the rows of zeros and a nonzero number's text after them
+        src, size = np.empty((2, 2 * len(nonzero) + 1), np.int32)
+        src[::2], src[1::2] = np.append(0, at + 3), (zeros + np.cumsum(lengths) - lengths)[inverse]
+        size[::2], size[1::2] = np.append(at, zeros) - src[::2], lengths[inverse]
+        pieces.append(([row] * (len(bits) // len(slots)) + ["".join(texts).encode()], src, size))
+    size[-1] -= 2  # the last row's ", "
+    return pieces + [b"]"]
 
 
-def _read_complex(document: str, start: int, end: int, shape: tuple[int, ...]):
-    """The complex array of ``shape`` in ``document[start:end]``, laid out as ``dumps`` writes it.
+def _gather(pieces: list) -> np.ndarray:
+    """The text of ``pieces`` in one uint8 buffer of its exact length.  A piece is bytes, or
+    ``(parts, src, size)``: the ``size[i]`` bytes at ``src[i]`` of ``b"".join(parts)``, in turn."""
+    pieces = [([p], [0], [len(p)]) if isinstance(p, bytes) else p for p in pieces]
+    out, end = np.empty(sum(int(np.sum(size)) for _, _, size in pieces), np.uint8), 0
+    for parts, src, size in pieces:
+        index = np.repeat(np.subtract(src, np.cumsum(size) - size), size)
+        index += np.arange(len(index))
+        end += len(index)
+        np.take(np.frombuffer(b"".join(parts), np.uint8), index, out=out[end - len(index):end])
+    return out
+
+
+def _read_complex(text: bytes, start: int, end: int, shape: tuple[int, ...]):
+    """The complex array of ``shape`` in ``text[start:end]``, laid out as ``dumps`` writes it.
 
     None whenever ``json.loads`` and the walk might read that text otherwise:
     a skeleton other than the shape's, a number character outside a pair, a
     token that is not a JSON number, or a number that is not a finite float.
     """
-    try:
-        text = document[start:end].encode("ascii")
-    except UnicodeEncodeError:
+    # compared by length first, so a claimed shape larger than the text builds nothing; the
+    # caller found the array's "[" at start, and its "]" must end it
+    if end - start < _skeleton_length(shape + (2,)) or text[end - 1] != ord("]"):
         return None
-    skeleton = text.translate(None, _NUMBER_CHARS)
-    # compared by length first, so a claimed shape larger than the text builds nothing
-    if len(skeleton) != _skeleton_length(shape + (2,)):
-        return None
-    row = "".join(_layout(shape[1:] + (2,))).encode()
-    if skeleton != b"[" + b", ".join([row] * shape[0]) + b"]":
-        return None
-    # A bracket opens a pair when a number (or the comma) follows it and closes
-    # one when a number (or the space) precedes it: every pair's brackets do.
-    # As many as the shape has pairs means no stray number made another, and
-    # the pairs' lengths then account for every number character.
-    chars = np.frombuffer(text, dtype=np.uint8)
-    opens = np.flatnonzero((chars[:-1] == ord("[")) & (chars[1:] != ord("[")))
-    closes = np.flatnonzero((chars[1:] == ord("]")) & (chars[:-1] != ord("]"))) + 1
-    count = math.prod(shape)
-    if len(opens) != count or len(closes) != count:
-        return None
-    if (closes - opens - 3).sum() != len(text) - len(skeleton):
-        return None
-    # "[0.0, 0.0]", most pairs of a monomial unitary, is told by its length
-    # and its eight inner bytes read as one word, and set rather than parsed;
-    # json reads the other pairs' numbers as one flat list.
+    row = _zero_row(shape[1:] + (2,)).translate(None, _NUMBER_CHARS)  # a row's skeleton, ", "
+    per_row, done, pos = math.prod(shape[1:]), 0, start + 1
+    array = np.zeros((math.prod(shape), 2))
     words = np.ndarray(len(text) - 7, dtype="<u8", buffer=text, strides=(1,))
-    zero = closes - opens == len(_ZERO_PAIR) - 1
-    zero[zero] = words[opens[zero] + 1] == _ZERO_WORD
-    array = np.zeros((len(opens), 2))
-    pairs = np.flatnonzero(~zero)
-    for start in range(0, len(pairs), _BLOCK // 2):
-        chunk = pairs[start:start + _BLOCK // 2]
+    while pos < end - 1:  # a run of whole rows at a time, cut where a row ends
+        cut = text.find(b"]" * len(shape) + b", ", min(pos + 16 * _BLOCK, end - 1), end - 1)
+        cut = end - 1 if cut < 0 else cut + len(shape)
+        chunk = text[pos:cut]
+        skeleton = chunk.translate(None, _NUMBER_CHARS) + b", "
+        rows = len(skeleton) // len(row)
+        # A bracket opens a pair when a number (or the comma) follows it and closes
+        # one when a number (or the space) precedes it: every pair's brackets do.
+        # As many as the rows have pairs means no stray number made another, and
+        # the pairs' lengths then account for every number character.
+        chars = np.frombuffer(chunk, dtype=np.uint8)
+        opens = np.flatnonzero((chars[:-1] == ord("[")) & (chars[1:] != ord("[")))
+        closes = np.flatnonzero((chars[1:] == ord("]")) & (chars[:-1] != ord("]"))) + 1
+        if (skeleton != row * rows or not len(opens) == len(closes) == rows * per_row
+                or (closes - opens - 3).sum() != len(chunk) + 2 - len(skeleton)):
+            return None
+        # "[0.0, 0.0]", most pairs of a monomial unitary, is told by its length
+        # and its eight inner bytes read as one word, and set rather than parsed;
+        # json reads the other pairs' numbers as one flat list.
+        zero = closes - opens == len(_ZERO_PAIR) - 1
+        zero[zero] = words[pos + opens[zero] + 1] == _ZERO_WORD
+        pairs = np.flatnonzero(~zero)
         # one slice "re, im], [re, im, ..." per run of adjacent pairs, flat without brackets
-        first = np.flatnonzero(np.diff(chunk, prepend=-2) != 1)
-        last = np.append(first[1:], len(chunk)) - 1
-        bounds = zip(opens[chunk[first]].tolist(), closes[chunk[last]].tolist())
-        numbers = b", ".join([text[left + 1:right] for left, right in bounds])
+        first = np.flatnonzero(np.diff(pairs, prepend=-2) != 1)
+        last = np.append(first, len(pairs))[1:] - 1
+        bounds = zip(opens[pairs[first]].tolist(), closes[pairs[last]].tolist())
+        numbers = b", ".join([chunk[left + 1:right] for left, right in bounds])
         try:
             values = json.loads(b"[" + numbers.translate(None, b"[]") + b"]")
-            array[chunk] = np.array(values, dtype=float).reshape(-1, 2)
+            array[done * per_row + pairs] = np.array(values, dtype=float).reshape(-1, 2)
         except (ValueError, OverflowError):  # not JSON numbers, or an integer past float range
             return None
-    return array.view(complex).reshape(shape) if np.isfinite(array).all() else None
+        done, pos = done + rows, cut + 2
+    finite = done == shape[0] and np.isfinite(array).all()
+    return array.view(complex).reshape(shape) if finite else None
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +244,13 @@ def document_to_object(doc: DesignDocument):
     return make(doc.d, *(doc.payload[key] for key, _, _, _ in fields))
 
 
-def _encode_field(value, dtype, shape: tuple[int, ...], location: str) -> str:
-    """``value`` as JSON text, or the ``ParseError`` ``loads`` would raise on that text."""
+def _encode_field(value, dtype, shape: tuple[int, ...], location: str) -> list:
+    """``value`` as pieces of JSON text, or the ``ParseError`` ``loads`` would raise on it."""
     if dtype is str:
-        return json.dumps(_decode_field(value, dtype, shape, location))
+        return [json.dumps(_decode_field(value, dtype, shape, location)).encode()]
     if dtype is int:  # walked as loads walks it: a float or bool in the grid is refused, not cast
         grid = value.tolist() if isinstance(value, np.ndarray) else value
-        return json.dumps(_decode_field(grid, dtype, shape, location).tolist())
+        return [json.dumps(_decode_field(grid, dtype, shape, location).tolist()).encode()]
     try:
         array = np.asarray(value, dtype=complex)
     except (TypeError, ValueError, OverflowError):  # not numbers: the walk names the entry
@@ -247,28 +261,30 @@ def _encode_field(value, dtype, shape: tuple[int, ...], location: str) -> str:
     return _complex_text(array)
 
 
-def dumps(doc: DesignDocument) -> str:
-    """The document as JSON text ``loads`` reads back.
-
-    The text is ``json.dumps(..., sort_keys=True)`` of the document with each
-    complex array as its nested list of ``[re, im]`` pairs, written without
-    building that list.
-    """
+def _text(doc: DesignDocument) -> np.ndarray:
+    """The ASCII text of ``dumps(doc)`` in one uint8 buffer of its exact length."""
     _, _, fields = _check_header(doc.kind, doc.d, doc.meta, doc.payload)
-    payload = sorted(
-        (key, _encode_field(doc.payload[key], dtype, shape(doc.d), f"payload.{key}"))
-        for key, _, dtype, shape in fields
-    )
+    encoded = {key: _encode_field(doc.payload[key], dtype, shape(doc.d), f"payload.{key}")
+               for key, _, dtype, shape in fields}  # in decoding order, so loads' first defect
     header = json.dumps({"d": doc.d, "kind": doc.kind, "meta": doc.meta}, sort_keys=True)
-    body = ", ".join(f'"{key}": {text}' for key, text in payload)
-    return f'{header[:-1]}, "payload": {{{body}}}, "v": {SCHEMA_VERSION}}}'
+    pieces, glue = [], header[:-1] + ', "payload": {'
+    for key in sorted(encoded):
+        pieces += [f'{glue}"{key}": '.encode(), *encoded[key]]
+        glue = ", "
+    return _gather(pieces + [f'}}, "v": {SCHEMA_VERSION}}}'.encode()])
+
+
+def dumps(doc: DesignDocument) -> str:
+    """The document as JSON text ``loads`` reads back: ``json.dumps(..., sort_keys=True)`` of
+    it, each complex array as its nested list of ``[re, im]`` pairs, written without that list."""
+    return str(_text(doc), "ascii")
 
 
 def save(doc: DesignDocument, path) -> None:
-    text = dumps(doc)  # before the file is opened, so a failure leaves it as it was
-    with open(path, "w", encoding="utf-8") as handle:
+    text = _text(doc)  # in full before the file is opened, so a failure leaves it as it was
+    with open(path, "wb") as handle:
         handle.write(text)
-        handle.write("\n")
+        handle.write(b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +399,15 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name} is not allowed")
 
 
-_PAYLOAD_OPEN = ', "payload": {'
-_PAYLOAD_KEY = re.compile(r'"([a-z_]+)": ')
+_PAYLOAD_OPEN = b', "payload": {'
+_PAYLOAD_KEY = re.compile(rb'"([a-z_]+)": ')
+_PLAIN_STRING = re.compile(rb'"[^"\\]*"')  # no escape: json reads it as it stands
 _COMPLEX_KEYS = {
     key for _, _, fields in _TABLE.values() for key, _, dtype, _ in fields if dtype is complex
 }
 
 
-def _split_payload(text: str) -> tuple[str, dict] | None:
+def _split_payload(text: bytes) -> tuple[bytes, dict] | None:
     """``text`` with each complex payload array replaced by ``[]``, and where they were.
 
     None unless the payload's keys are sorted and distinct and each array
@@ -402,40 +419,38 @@ def _split_payload(text: str) -> tuple[str, dict] | None:
     if pos < 0:
         return None
     pos += len(_PAYLOAD_OPEN)
-    pieces, arrays, key, kept = [], {}, "", 0
+    pieces, arrays, key, kept = [], {}, b"", 0
     while True:
         match = _PAYLOAD_KEY.match(text, pos)
         if match is None or match[1] <= key:  # a repeated key would hide its first value
             return None
         key, pos = match[1], match.end()
-        if text.startswith('"', pos):  # the mode
-            try:
-                pos = scanstring(text, pos + 1)[1]
-            except ValueError:
-                return None
-        elif text.startswith("[", pos):
-            end = text.find("}", pos)
-            quote = text.find('"', pos, max(end, pos))
+        mode = _PLAIN_STRING.match(text, pos)
+        if mode:
+            pos = mode.end()
+        elif text.startswith(b"[", pos):
+            end = text.find(b"}", pos)
+            quote = text.find(b'"', pos, max(end, pos))
             end = quote - 2 if quote >= 0 else end
             if end <= pos:
                 return None
-            if key in _COMPLEX_KEYS:
-                pieces += [text[kept:pos], "[]"]
-                arrays[key] = (pos, end)
+            if key.decode() in _COMPLEX_KEYS:
+                pieces += [text[kept:pos], b"[]"]
+                arrays[key.decode()] = (pos, end)
                 kept = end
             pos = end
         else:
             return None
-        if text.startswith("}", pos):
+        if text.startswith(b"}", pos):
             break
-        if not text.startswith(", ", pos):
+        if not text.startswith(b", ", pos):
             return None
         pos += 2
     pieces.append(text[kept:])
-    return "".join(pieces), arrays
+    return b"".join(pieces), arrays
 
 
-def _loads_fast(text: str) -> DesignDocument | None:
+def _loads_fast(text: bytes) -> DesignDocument | None:
     """The document ``text`` holds if it is laid out as ``dumps`` writes it, else None.
 
     None also when any check fails: the walk then reports the defect it
@@ -446,7 +461,7 @@ def _loads_fast(text: str) -> DesignDocument | None:
         return None
     rest, arrays = split
     try:
-        data = json.loads(rest, parse_constant=_reject_constant)
+        data = json.loads(rest.decode(), parse_constant=_reject_constant)
         fields = _read_header(data)
         payload = {}
         for key, _, dtype, shape in fields:
@@ -464,10 +479,14 @@ def _loads_fast(text: str) -> DesignDocument | None:
     return DesignDocument(data["kind"], data["d"], payload, data["meta"])
 
 
-def _loads_walked(text: str) -> DesignDocument:
-    """``loads`` through ``json.loads`` and the per-entry walk."""
+def _loads_walked(text) -> DesignDocument:
+    """``loads`` through ``json.loads`` and the walk; bytes as ``open(..., "r")`` reads UTF-8."""
     try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode().replace("\r\n", "\n").replace("\r", "\n")
         data = json.loads(text, parse_constant=_reject_constant)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid JSON: not UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:  # the parser recurses once per nested array or object
@@ -481,16 +500,17 @@ def _loads_walked(text: str) -> DesignDocument:
     return DesignDocument(data["kind"], d, payload, data["meta"])
 
 
-def loads(text: str) -> DesignDocument:
-    """Parse and shape-check a document; any defect raises ``ParseError``.
+def loads(text: str | bytes) -> DesignDocument:
+    """Parse and shape-check a document, a str or UTF-8 bytes; any defect raises ``ParseError``.
 
     Text laid out as ``dumps`` writes it is read without nested lists; any
     other text is read by ``json.loads`` and the walk.
     """
-    doc = _loads_fast(text) if isinstance(text, str) else None
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    doc = _loads_fast(data) if isinstance(data, (bytes, bytearray)) else None
     return _loads_walked(text) if doc is None else doc
 
 
 def load(path) -> DesignDocument:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return loads(handle.read())

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import random_twist, random_unitary
 from test_serialize import deeply_nested_text
 from test_verify import INCOMPLETE
 import tightport as tp
+from tightport import cli
 from tightport.cli import main
 from tightport.serialize import load
 
@@ -155,6 +157,13 @@ class TestVerify:
 
     def test_missing_file(self, tmp_path):
         assert run("verify", tmp_path / "nope.json") == 2
+
+    def test_file_that_is_not_utf8_exits_2_naming_the_byte(self, tmp_path, weyl2_file, capsys):
+        bad = tmp_path / "latin-1.json"
+        bad.write_bytes(weyl2_file.read_bytes().replace(b'"meta": "', b'"meta": "\xe9'))
+        assert run("verify", bad) == 2
+        offset = weyl2_file.read_bytes().index(b'"meta": "') + len('"meta": "')
+        assert capsys.readouterr().err == f"error: invalid JSON: not UTF-8 at byte {offset}\n"
 
     @pytest.mark.parametrize("where", ["bare", "payload.grid"])
     def test_deep_nesting_exits_2(self, tmp_path, capsys, where):
@@ -565,6 +574,21 @@ def _draw_argv(data, root, files):
 def test_every_argv_exits_0_1_or_2(fuzz_files, data):
     argv = _draw_argv(data, *fuzz_files)
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("kind, arrays", [
+    ("unitary_basis", {"elements": "elements"}),
+    ("scheme", {"omega": "omega", "channel_unitaries": "channel_unitaries",
+                "effect_vectors": "effects.vectors"}),
+])
+def test_a_loaded_object_holds_the_documents_arrays(monkeypatch, weyl2_file, scheme_file, kind,
+                                                    arrays):
+    loaded = []
+    monkeypatch.setattr(cli, "load", lambda path: loaded.append(load(path)) or loaded[-1])
+    obj = cli._load_as(weyl2_file if kind == "unitary_basis" else scheme_file, kind)
+    for key, path in arrays.items():
+        held = attrgetter(path)(obj)
+        assert np.shares_memory(held, loaded[0].payload[key]) and not held.flags.writeable, key
 
 
 def test_periodic_hadamard_without_seed_is_the_fourier_matrix(tmp_path):

@@ -91,9 +91,10 @@ def test_a_latin_family_and_its_dense_equivalent_agree(d, damage):
 # W -> V2* W V2 for dense coding, so that each T'_x = U'_x R' phi'_x* is V1 T_x V1* in the
 # reading the image is made for.  Each check runs on that image.  The basis damages are made
 # to F's elements before its scheme is built; "channel" twists channel 0 by
-# diag(e^{1e-6 i}, 1, ...) and "resource" makes W = diag(e^{1e-6 i k}) / sqrt(d).
+# diag(e^{1e-6 i}, 1, ...), "inf in channel 5" sets the nonzero entry of that channel's row 0
+# to +inf, and "resource" makes W = diag(e^{1e-6 i k}) / sqrt(d).
 SCHEME_FAMILIES = {**FAMILIES, 24: lambda: tp.weyl_basis(24), 32: lambda: tp.weyl_basis(32)}
-SCHEME_DAMAGES = DAMAGES + ["channel", "resource"]
+SCHEME_DAMAGES = DAMAGES + ["channel", "inf in channel 5", "resource"]
 SCHEME_CASES = [(d, damage) for d in sorted(FAMILIES) for damage in SCHEME_DAMAGES]
 SCHEME_CASES += [(24, "intact"), (24, "channel"), (32, "intact")]  # d = 32 costs 1 s a case
 
@@ -105,6 +106,8 @@ def _scheme_parts(d, damage):
     w, channels = np.eye(d) / np.sqrt(d), basis.elements.copy()
     if damage == "channel":
         channels[0][:, 0] *= np.exp(1e-6j)
+    elif damage == "inf in channel 5":
+        channels[5][0, np.flatnonzero(channels[5][0])[0]] = np.inf
     elif damage == "resource":
         w = np.diag(np.exp(1e-6j * np.arange(d))) / np.sqrt(d)
     return w, channels, tp.basis_to_entangled(basis).vectors.reshape(-1, d, d)
@@ -159,3 +162,7 @@ def test_a_latin_scheme_and_its_dense_equivalent_agree(d, damage):
         assert latin[2][name].passed == intact, name
     for name in ("dense coding", "entangled basis"):
         _assert_close(latin[2][name].table, dense[2][name].table)
+    if damage == "inf in channel 5":  # a monomial reading that let the inf through names an outcome
+        for verdicts in (latin, dense):
+            for name in ("verify teleportation", "verify dense coding"):
+                assert verdicts[2][name].witness == "channel 5 is not unitary", name

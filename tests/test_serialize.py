@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unittest.mock import patch
+
 from conftest import random_unitary
 from tightport import (
     DesignDocument,
@@ -29,6 +31,7 @@ from tightport import (
     verify_entangled_basis,
     weyl_basis,
 )
+from tightport import serialize
 from tightport.schemes import TightScheme
 from tightport.serialize import _decode_nested, _loads_walked
 
@@ -132,6 +135,44 @@ def test_save_and_load(tmp_path):
     doc = load(path)
     assert doc.kind == "unitary_basis"
     assert doc.meta == "file"
+
+
+def non_utf8_files():
+    text = dumps(make_document(weyl_basis(2), meta="x"))
+    return [
+        ("latin-1 meta", text.replace('"x"', '"\xe9"').encode("latin-1"),
+         f"invalid JSON: not UTF-8 at byte {text.index('x')}"),
+        ("utf-16", text.encode("utf-16"), "invalid JSON: not UTF-8 at byte 0"),
+        ("utf-8 with a BOM", ("\ufeff" + text).encode(),
+         "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ]
+
+
+@pytest.mark.parametrize("case", non_utf8_files(), ids=lambda c: c[0])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, case):
+    _, data, message = case
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == message
+    assert parse_error(data) == message
+    assert parse_error(b"\xff") == "invalid JSON: not UTF-8 at byte 0"
+
+
+def test_utf8_bytes_and_text_read_alike(tmp_path):
+    # a lone surrogate is no UTF-8, but a str may hold one, as json reads it
+    text = dumps(make_document(weyl_basis(2), meta="x"))
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace('"x"', '"\u00e9"') + "\r\n", encoding="utf-8")
+    assert outcome(load, path) == outcome(loads, text.replace('"x"', '"\u00e9"'))
+    assert loads(text.replace('"x"', '"\ud800"')).meta == "\ud800"
+
+
+def test_document_to_object_copies_the_callers_arrays():
+    doc = make_document(weyl_basis(3))
+    basis = document_to_object(doc)
+    assert not np.shares_memory(basis.elements, doc.payload["elements"])
 
 
 def test_entangled_document_reloads_valid(tmp_path):
@@ -532,7 +573,8 @@ def test_zero_entry_reads_as_the_walk_reads_it(target, entry):
 # slots of a pair, where the bracket-and-comma skeleton alone does not see it
 STRAY_NUMBERS = [("after-open", "[[[", "[5[["), ("before-close", "]]]", "]]5]"),
                  ("after-comma", "], [", "],5 ["), ("before-open", "], [", "], 5["),
-                 ("between-rows", "]], [[", "]], 5[["), ("trailing", "]]]}", "]]]5}")]
+                 ("between-rows", "]], [[", "]], 5[["), ("trailing", "]]]}", "]]]5}"),
+                 ("for-the-last-bracket", "]]]}", "]]5}")]
 
 
 @pytest.mark.parametrize("case", STRAY_NUMBERS, ids=lambda c: c[0])
@@ -623,20 +665,22 @@ EDIT_TEXTS = list("0123456789.eE+-[], ") + ["0.0", "-0", "1e400", "true", "[0.0,
                                             "\t"]
 
 
-@pytest.mark.parametrize("layout", ["canonical", *LAYOUTS])
+# "in small blocks": dumps writes, and loads reads, an array a row or two at a time
+@pytest.mark.parametrize("layout", ["canonical", "canonical in small blocks", *LAYOUTS])
 @settings(max_examples=500, deadline=None)
 @given(kind=st.sampled_from(sorted(D2_DOCS)), edits=st.lists(
     st.tuples(st.floats(0, 1), st.sampled_from(["replace", "insert", "delete"]),
               st.sampled_from(EDIT_TEXTS)), min_size=1, max_size=3))
 def test_edited_text_reads_as_the_walk_reads_it(layout, kind, edits):
-    text = dumps(D2_DOCS[kind])
-    text = text if layout == "canonical" else relaid(text, layout)
-    start = text.index('"payload"') + len('"payload"')
-    for where, how, piece in edits:  # inside the payload, where the arrays are
-        at = start + int(where * (len(text) - start - 1))
-        edited = {"replace": piece, "insert": piece + text[at], "delete": ""}[how]
-        text = text[:at] + edited + text[at + 1:]
-    assert outcome(loads, text) == outcome(_loads_walked, text)
+    with patch.object(serialize, "_BLOCK", 4 if layout.endswith("blocks") else serialize._BLOCK):
+        text = dumps(D2_DOCS[kind])
+        text = text if layout.startswith("canonical") else relaid(text, layout)
+        start = text.index('"payload"') + len('"payload"')
+        for where, how, piece in edits:  # inside the payload, where the arrays are
+            at = start + int(where * (len(text) - start - 1))
+            edited = {"replace": piece, "insert": piece + text[at], "delete": ""}[how]
+            text = text[:at] + edited + text[at + 1:]
+        assert outcome(loads, text) == outcome(_loads_walked, text)
 
 
 def test_d16_basis_load_stays_under_16_mib():
@@ -659,11 +703,14 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_d16_weyl_loads_and_dumps_each_peak_under_8_mib():
-    doc = make_document(weyl_basis(16))
+# The text is 0.85 MiB at d = 16 and 4.15 MiB at d = 24; the elements 1 and 5.06 MiB.
+# loads holds the text's bytes and the array, dumps one buffer and the str it decodes.
+@pytest.mark.parametrize("d, loads_mib, dumps_mib", [(16, 3, 2.25), (24, 11.5, 9.5)])
+def test_weyl_loads_and_dumps_each_peak_near_their_text_and_array(d, loads_mib, dumps_mib):
+    doc = make_document(weyl_basis(d))
     text = dumps(doc)
-    assert traced_peak(lambda: loads(text)) < 8 * 2**20
-    assert traced_peak(lambda: dumps(doc)) < 8 * 2**20
+    assert traced_peak(lambda: loads(text)) < loads_mib * 2**20
+    assert traced_peak(lambda: dumps(doc)) < dumps_mib * 2**20
 
 
 def test_d16_dense_dumps_formats_one_block_at_a_time():
@@ -675,6 +722,15 @@ def test_d16_dense_dumps_formats_one_block_at_a_time():
     text = dumps(doc)
     assert traced_peak(lambda: dumps(doc)) < 19 * 2**20
     assert loads(text).payload["elements"].tobytes() == basis.elements.tobytes()
+
+
+def test_a_run_of_rows_of_zeros_reads_as_the_walk_reads_it():
+    elements = weyl_basis(16).elements.copy()
+    elements[:64] = 0  # more rows than loads reads at once: 1 << 17 bytes of text
+    text = dumps(make_document(UnitaryBasis(16, elements)))
+    assert text.index("1.0") > 1 << 17
+    assert serialize._loads_fast(text.encode()) is not None
+    assert outcome(loads, text) == outcome(_loads_walked, text)
 
 
 def test_small_text_claiming_a_large_d_builds_nothing_that_large():
@@ -717,8 +773,9 @@ FLOATS = (
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(sorted(FIELD_SHAPES)), d=st.integers(1, 3), meta=st.text(max_size=4),
-       mode=st.sampled_from(["teleportation", "dense_coding"]), data=st.data())
-def test_dumps_writes_what_json_dumps_writes(kind, d, meta, mode, data):
+       mode=st.sampled_from(["teleportation", "dense_coding"]), block=st.sampled_from([4, 1 << 13]),
+       data=st.data())
+def test_dumps_writes_what_json_dumps_writes(kind, d, meta, mode, block, data):
     payload, nested = {}, {}
     for key, shape in FIELD_SHAPES[kind].items():
         pairs = data.draw(arrays(np.float64, shape(d) + (2,), elements=FLOATS))
@@ -728,7 +785,9 @@ def test_dumps_writes_what_json_dumps_writes(kind, d, meta, mode, data):
         payload["mode"] = nested["mode"] = mode
     reference = {"v": 1, "kind": kind, "d": d, "meta": meta, "payload": nested}
     expected = json.dumps(reference, sort_keys=True, allow_nan=False)
-    assert dumps(DesignDocument(kind, d, payload, meta)) == expected
+    with patch.object(serialize, "_BLOCK", block):  # with 4, a row or two at a time
+        assert dumps(DesignDocument(kind, d, payload, meta)) == expected
+        assert outcome(loads, expected) == outcome(_loads_walked, expected)
 
 
 # ---------------------------------------------------------------------------
