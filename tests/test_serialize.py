@@ -3,14 +3,13 @@ import hashlib
 import json
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-
-from unittest.mock import patch
 
 from conftest import random_unitary
 from tightport import (
