@@ -155,13 +155,17 @@ def _complex_text(array: np.ndarray) -> list:
 def _gather(pieces: list) -> np.ndarray:
     """The text of ``pieces`` in one uint8 buffer of its exact length.  A piece is bytes, or
     ``(parts, src, size)``: the ``size[i]`` bytes at ``src[i]`` of ``b"".join(parts)``, in turn."""
-    pieces = [([p], [0], [len(p)]) if isinstance(p, bytes) else p for p in pieces]
-    out, end = np.empty(sum(int(np.sum(size)) for _, _, size in pieces), np.uint8), 0
-    for parts, src, size in pieces:
-        index = np.repeat(np.subtract(src, np.cumsum(size) - size), size)
-        index += np.arange(len(index))
-        end += len(index)
-        np.take(np.frombuffer(b"".join(parts), np.uint8), index, out=out[end - len(index):end])
+    lengths = [len(p) if isinstance(p, bytes) else int(np.sum(p[2])) for p in pieces]
+    out, end = np.empty(sum(lengths), np.uint8), 0
+    for piece, n in zip(pieces, lengths):
+        if isinstance(piece, bytes):
+            out[end:end + n] = np.frombuffer(piece, np.uint8)
+        else:
+            parts, src, size = piece
+            index = np.repeat(np.subtract(src, np.cumsum(size) - size), size)
+            index += np.arange(n)
+            np.take(np.frombuffer(b"".join(parts), np.uint8), index, out=out[end:end + n])
+        end += n
     return out
 
 
@@ -177,8 +181,7 @@ def _read_complex(text: bytes, start: int, end: int, shape: tuple[int, ...]):
     if end - start < _skeleton_length(shape + (2,)) or text[end - 1] != ord("]"):
         return None
     row = _zero_row(shape[1:] + (2,)).translate(None, _NUMBER_CHARS)  # a row's skeleton, ", "
-    per_row, done, pos = math.prod(shape[1:]), 0, start + 1
-    array = np.zeros((math.prod(shape), 2))
+    per_row, done, pos, array = math.prod(shape[1:]), 0, start + 1, np.zeros((math.prod(shape), 2))
     words = np.ndarray(len(text) - 7, dtype="<u8", buffer=text, strides=(1,))
     while pos < end - 1:  # a run of whole rows at a time, cut where a row ends
         cut = text.find(b"]" * len(shape) + b", ", min(pos + 16 * _BLOCK, end - 1), end - 1)
@@ -193,8 +196,8 @@ def _read_complex(text: bytes, start: int, end: int, shape: tuple[int, ...]):
         chars = np.frombuffer(chunk, dtype=np.uint8)
         opens = np.flatnonzero((chars[:-1] == ord("[")) & (chars[1:] != ord("[")))
         closes = np.flatnonzero((chars[1:] == ord("]")) & (chars[:-1] != ord("]"))) + 1
-        if (skeleton != row * rows or not len(opens) == len(closes) == rows * per_row
-                or (closes - opens - 3).sum() != len(chunk) + 2 - len(skeleton)):
+        if (done + rows > shape[0] or skeleton != row * rows or not len(opens) == len(closes)
+                == rows * per_row or (closes - opens - 3).sum() != len(chunk) + 2 - len(skeleton)):
             return None
         # "[0.0, 0.0]", most pairs of a monomial unitary, is told by its length
         # and its eight inner bytes read as one word, and set rather than parsed;
@@ -267,11 +270,10 @@ def _text(doc: DesignDocument) -> np.ndarray:
     encoded = {key: _encode_field(doc.payload[key], dtype, shape(doc.d), f"payload.{key}")
                for key, _, dtype, shape in fields}  # in decoding order, so loads' first defect
     header = json.dumps({"d": doc.d, "kind": doc.kind, "meta": doc.meta}, sort_keys=True)
-    pieces, glue = [], header[:-1] + ', "payload": {'
+    pieces = [header[:-1].encode() + b', "payload": {']
     for key in sorted(encoded):
-        pieces += [f'{glue}"{key}": '.encode(), *encoded[key]]
-        glue = ", "
-    return _gather(pieces + [f'}}, "v": {SCHEMA_VERSION}}}'.encode()])
+        pieces += [f'"{key}": '.encode(), *encoded[key], b", "]
+    return _gather(pieces[:-1] + [f'}}, "v": {SCHEMA_VERSION}}}'.encode()])
 
 
 def dumps(doc: DesignDocument) -> str:
@@ -283,8 +285,7 @@ def dumps(doc: DesignDocument) -> str:
 def save(doc: DesignDocument, path) -> None:
     text = _text(doc)  # in full before the file is opened, so a failure leaves it as it was
     with open(path, "wb") as handle:
-        handle.write(text)
-        handle.write(b"\n")
+        handle.writelines((text, b"\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +426,7 @@ def _split_payload(text: bytes) -> tuple[bytes, dict] | None:
         if match is None or match[1] <= key:  # a repeated key would hide its first value
             return None
         key, pos = match[1], match.end()
-        mode = _PLAIN_STRING.match(text, pos)
-        if mode:
+        if mode := _PLAIN_STRING.match(text, pos):
             pos = mode.end()
         elif text.startswith(b"[", pos):
             end = text.find(b"}", pos)

@@ -732,6 +732,19 @@ def test_a_run_of_rows_of_zeros_reads_as_the_walk_reads_it():
     assert outcome(loads, text) == outcome(_loads_walked, text)
 
 
+@pytest.mark.parametrize("obj, key, message", [
+    (fourier_hadamard(2), "matrix", "payload.matrix: expected a list of length 2"),
+    # 890 kB of text: the extra rows come after several runs of rows
+    (weyl_basis(16), "elements", "payload.elements: expected a list of length 256"),
+], ids=["hadamard-d2", "weyl-d16"])
+def test_an_array_with_rows_past_its_shape_reads_as_the_walk_reads_it(obj, key, message):
+    doc = json.loads(dumps(make_document(obj)))
+    doc["payload"][key] += doc["payload"][key][1:3]  # rows with nonzero pairs
+    text = json.dumps(doc, sort_keys=True)  # laid out as dumps writes it
+    assert parse_error(text) == message
+    assert outcome(loads, text) == outcome(_loads_walked, text)
+
+
 def test_small_text_claiming_a_large_d_builds_nothing_that_large():
     text = dumps(make_document(weyl_basis(1))).replace('"d": 1', '"d": 100000')
     assert len(text) < 200
