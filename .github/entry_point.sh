@@ -85,9 +85,11 @@ python -c "open('deep.json', 'w').write('[' * 100000 + ']' * 100000)"
 rc=0; tightport verify deep.json 2>err.txt || rc=$?; test "$rc" -eq 2; grep -q '^error: ' err.txt
 # a d = 24 child holds its document's arrays and text, not copies of them: the verify and
 # generate entangled-basis children must each peak at most 3 times the file's size (ru_maxrss,
-# in KiB on Linux) above a bare import. Last, so that every check above runs first: the
-# children read 3.1-3.3 and 2.9-3.2 times, verify's peak being the basis and the 576 x 576
-# Gram table its verdict carries, and 7.6 before the CLI held the loaded arrays themselves
+# in KiB on Linux) above a bare import. Last, so that every check above runs first. On a 2-core
+# x86-64 virtual machine verify read 2.60-2.66 times, the text and the basis (its verdict's
+# 576 x 576 Gram table is formed only when read, and the command does not read it), and
+# generate entangled-basis 2.84-2.88, the basis, its image and the buffer save writes; both
+# read 7.6 before the CLI held the loaded arrays themselves
 python -c "
 import os, subprocess, sys
 def peak(*argv):

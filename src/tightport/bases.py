@@ -12,9 +12,9 @@ identity over all matrix units is A* A = d I, and the weight recovered from
 the weighted Gram equations is the inverse of Tr_2 (A^T conj(A)) / d, in
 closed form.  A weighted Gram matrix tr(K_x* W K_y) is the plain one of the
 whitened L* K_x, for W = L L*.  Each Gram is O(d^6); on a Latin family, whose
-whitened elements keep its support for a diagonal W such as the recovered
-weight, each reads its gaps off the d Hadamard blocks, O(d^4), so on a passing
-family the witness names a rounding-level entry.
+whitened elements stay a permutation times phases for a diagonal W such as the
+recovered weight, each is grouped from that reading into the d Hadamard blocks
+(A's columns transposed), O(d^4), so the witness names a rounding-level entry.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -39,8 +39,8 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import (_adjoint, _block_grams, _gram, _gram_verdict, _identity_gap, _unitarity,
-                     max_abs)
+from .tensor import (_adjoint, _block_grams, _gram, _gram_verdict, _groups, _identity_gap,
+                     _monomial, _unitarity, max_abs)
 
 __all__ = [
     "UnitaryBasis",
@@ -137,8 +137,9 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     of the two; ``table`` is the Gram matrix.
     """
     # the elements' products first, so that the Gram matrix is not held beside them
-    elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format)
-    gram = _gram(_stacked(basis), tol, basis.d)
+    reading = _monomial(basis.elements)  # read once, for both parts
+    elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format, reading)
+    gram = _gram(_stacked(basis), tol, basis.d, reading=reading)
     return _worst_of([gram, elements])
 
 
@@ -150,8 +151,8 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     so the check is A* A = d I, read as the Gram matrix of A's columns; the
     witness is the matrix unit of its first NaN, else its first worst entry.
     """
-    d = basis.d
-    members, gram = _block_grams(_stacked(basis).T)
+    d, a = basis.d, _stacked(basis)
+    members, gram = _block_grams(a.T, _groups(a, transposed=True))
     return _gram_verdict(_identity_gap(gram, d), members, tol,
                          lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 

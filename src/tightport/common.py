@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import sys
 
 import numpy as np
 
@@ -17,23 +18,23 @@ __all__ = ["DEFAULT_TOL", "CheckResult"]
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     """Outcome of a numerical check: a verdict plus the margin behind it.
 
     ``deviation`` is the max-entry distance from the defining identity, so
     callers always see how close a failure was; ``witness`` names the entry
     at that distance.  ``table`` carries the matrix a check computed when
-    callers need more than its worst entry (a Gram matrix, an outcome table).
-    A check made of parts reports the first NaN among them, else the first
-    largest deviation, in the order its parts are listed, and the table of the
-    first part that has one.
+    callers need more than its worst entry (a Gram matrix, which a verdict on
+    blocks forms when it is first read, or an outcome table).  A check made of
+    parts reports the first NaN among them, else the first largest deviation,
+    in the order its parts are listed, and the table of the first part that has one.
     """
 
     passed: bool
     deviation: float
     witness: str | None = None
-    table: np.ndarray | None = field(default=None, compare=False)
+    table: np.ndarray | None = dataclasses.field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -52,14 +53,32 @@ class CheckResult:
         return cls(bool(deviation <= tol), deviation, name(*index), table)
 
 
+class _Table:
+    """``CheckResult.table``: an array, None, or a picklable callable that forms it when first
+    read; ``dataclasses.replace`` passes that on unformed."""
+
+    def __get__(self, obj, owner=None):
+        table = None if obj is None else vars(obj)["table"]
+        if callable(table) and sys._getframe(1).f_code not in _REPLACE:
+            table = vars(obj)["table"] = table()
+        return table
+
+    def __set__(self, obj, value):
+        vars(obj)["table"] = value
+
+
+_REPLACE = {f.__code__ for f in (dataclasses.replace, vars(dataclasses).get("_replace")) if f}
+CheckResult.table = _Table()  # the field keeps its default of None and compare=False
+
+
 def _worst_of(parts) -> CheckResult:
     """The first NaN among ``parts``, else the first largest deviation, and the first table."""
     worst = max(parts, key=lambda p: (p.deviation != p.deviation, p.deviation))
-    table = next((p.table for p in parts if p.table is not None), None)
+    table = next((vars(p)["table"] for p in parts if vars(p)["table"] is not None), None)
     return CheckResult(worst.passed, worst.deviation, worst.witness, table)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class _Built:
     """An array the library has just built, or one a value holds frozen: no caller holds it
     writable, so a value built from it takes it over with no copy."""

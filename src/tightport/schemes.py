@@ -157,14 +157,15 @@ def _resource_vector(scheme: TightScheme, tol: float) -> np.ndarray | CheckResul
 
 
 def _reference(omega, d: int, tol: float) -> np.ndarray:
-    """The reference vector, ``omega_vector(d)`` by default, checked."""
-    ref = omega_vector(d) if omega is None else np.asarray(omega, dtype=complex)
-    check = is_maximally_entangled(ref, d, tol)
+    """The reference vector: ``omega_vector(d)`` by default, else the caller's, checked."""
+    if omega is None:
+        return omega_vector(d)
+    check = is_maximally_entangled(omega, d, tol)
     if not check:
         raise NotMaximallyEntangled(
             f"reference vector deviates from maximal entanglement by {check.deviation:.3e}"
         )
-    return ref
+    return np.asarray(omega, dtype=complex)
 
 
 def basis_to_entangled(
@@ -174,7 +175,7 @@ def basis_to_entangled(
 
     With a unitary basis and a maximally entangled reference, the images are
     pairwise orthonormal and each is maximally entangled.  The reference
-    defaults to ``omega_vector(d)``.
+    defaults to ``omega_vector(d)``; only a caller's is checked against ``tol``.
     """
     d = basis.d
     ref = _reference(omega, d, tol)
@@ -193,8 +194,11 @@ def entangled_to_basis(
     is divided out.  A vector whose operator is not unitary (for example a
     product vector) raises ``NotUnitaryExtraction``.
     """
+    return _operators(entangled, _reference(omega, entangled.d, tol), tol)
+
+
+def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> UnitaryBasis:
     d = entangled.d
-    ref = _reference(omega, d, tol)
     ref_op = vector_to_operator(ref, d)
     ops = (entangled.vectors.reshape(-1, d) @ (np.sqrt(d) * ref_op.conj().T)).reshape(-1, d, d)
     check = _unitarity(ops, 1, tol, "vector {} yields an operator".format)
@@ -212,12 +216,11 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     basis's own read-only array.
     """
     d = basis.d
-    ref = omega_vector(d)
-    effects = basis_to_entangled(basis, ref)
-    return TightScheme(d, _Built(ref), _Built(basis.elements), effects, mode)
+    return TightScheme(d, _Built(omega_vector(d)), _Built(basis.elements),
+                       basis_to_entangled(basis), mode)
 
 
-def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False) -> CheckResult:
+def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False, phi=False):
     """Every T_x = U_x R phi_x* is c_x I, c_x = tr(T_x) / d, and sum_x |c_x|^2 = 1.
 
     R = W^T states teleportation; R = W states dense coding exactly given unitary channels,
@@ -227,11 +230,12 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False) -
     every T_x = c_x I, and then |c_x| = 1/d.  Its gap eps = max_x |1 - |a_x|^2| and the worst
     outcome gap delta obey delta^2 <= eps / d <= d^2 delta^2.  Channels or effects that are
     ``_monomial``, as a Latin family's, are read as gathers in O(d^2) per outcome; with R one
-    too, T_x is its d nonzeros, O(d) per outcome.  ``u`` is the channels' reading if made.
+    too, T_x is its d nonzeros, O(d) per outcome.  ``u`` and ``phi`` are their readings if made.
     """
     d = scheme.d
     effects = scheme.effects.vectors.reshape(-1, d, d)
-    u, phi = _monomial(scheme.channel_unitaries) if u is False else u, _monomial(effects)
+    u = _monomial(scheme.channel_unitaries) if u is False else u
+    phi = _monomial(effects) if phi is False else phi
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
     q = slice(None) if phi is None else (np.arange(len(effects))[:, None], np.argsort(phi[0], 1))
@@ -326,10 +330,11 @@ def verify_entangled_basis(
     is the vectors' Gram matrix.
     """
     d = entangled.d
+    reading = _monomial(entangled.vectors.reshape(d * d, d, d))  # read once, for both parts
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
     vectors = _unitarity(entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2), 1 / d, tol,
-                         "vector {} is not maximally entangled".format)
-    return _worst_of([_gram(entangled.vectors, tol), vectors])
+                         "vector {} is not maximally entangled".format, reading)
+    return _worst_of([_gram(entangled.vectors, tol, reading=reading), vectors])
 
 
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -354,13 +359,13 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    u = _monomial(obj.channel_unitaries)  # read once, for both of the channels' parts
+    u = _monomial(obj.channel_unitaries)  # each read once, for both of its parts
+    phi = _monomial(obj.effects.vectors.reshape(-1, obj.d, obj.d))
     channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format, u)
     w = psi.reshape(obj.d, -1)
-    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol, u)
-    del u  # not held beside the Gram matrix
+    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol, u, phi)
     effects = _gram(obj.effects.vectors, tol, name="effect vectors are not a complete "
-                    "measurement: Gram entry ({}, {})".format)
+                    "measurement: Gram entry ({}, {})".format, reading=phi)
     return _worst_of([channels, effects, identity])
 
 
@@ -417,16 +422,17 @@ def extract_basis_from_scheme(scheme: TightScheme, tol: float = DEFAULT_TOL) -> 
 
     The scheme must pass :func:`verify`, else ``SchemeInvalid`` is raised.  With its
     resource vector (the psi of a psi psi* matrix) as the reference,
-    :func:`entangled_to_basis` reads each element off its effect vector and checks
-    that it is unitary: the verdict bounds that gap only by a multiple of its
-    deviation that grows with d.  The family's Gram matrix is the effects', which
-    the verdict has checked.  Elements may differ from the generating ones by
-    global phases, which affect neither the channels nor the effects.
+    :func:`entangled_to_basis` reads each element off its effect vector, with no
+    second check of the resource, and checks that it is unitary: the verdict
+    bounds that gap only by a multiple of its deviation that grows with d.  The
+    family's Gram matrix is the effects', which the verdict has checked.
+    Elements may differ from the generating ones by global phases, which affect
+    neither the channels nor the effects.
     """
     verdict = verify(scheme, tol)
     if not verdict:
         raise SchemeInvalid(
             f"scheme fails by {verdict.deviation:.3e}: {verdict.witness}; cannot extract a basis"
         )
-    del verdict  # its Gram table is not held beside the extraction's products
-    return entangled_to_basis(scheme.effects, _resource_vector(scheme, tol), tol)
+    del verdict  # its Gram table or blocks are not held beside the extraction's products
+    return _operators(scheme.effects, _resource_vector(scheme, tol), tol)

@@ -16,18 +16,21 @@ turns statements about entangled vectors into statements about operators.
 Every orthonormality statement is a Gram identity conj(V) V^T = I on a d^2 x d^2 matrix, the
 cost of every verdict.  Below 100 rows it is one complex product; from 100 on, in real arithmetic
 at half the multiplications, with V = A + iB: R R^T for V's float64 view R gives A A^T + B B^T,
-and M - M^T for M = A B^T the imaginary part.  A Latin family (``shift_multiply_basis``,
-``weyl_basis``, ``tensor_bases`` of those, their entangled bases and schemes) is the paper's d
-Hadamard blocks up to order, so its Gram is d products of d x d blocks, O(d^4); any other family
-pays the full O(d^6) product.  Either table is exactly Hermitian and within about n eps
-max|row|^2 of the complex product, so on a passing family the witness names a rounding-level
-entry; its gaps are read off the blocks.  Each element, channel and entangled-basis matrix S
-of a Latin family is a permutation times phases, so from 100 on S* S is diag(|phase|^2): O(d^3)
-in all, not O(d^5) in products, and with a resource that is one too each T_x of a scheme's
-outcome identity is its d nonzeros, O(d^3) in all.
+and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangled-basis matrix S
+of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
+entangled bases and schemes) is a permutation times phases, read once per stack from 100 on: S* S
+is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of a scheme's outcome
+identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from it as the paper's d
+Hadamard blocks, d products of d x d blocks, O(d^4); any other family pays the O(d^6) product.
+Either table is exactly Hermitian and within about n eps max|row|^2 of the complex product, so on
+a passing family the witness names a rounding-level entry; its gaps are read off the blocks,
+scattered into the n x n table only when a caller reads it.
 """
 
 from __future__ import annotations
+
+import math
+from functools import partial
 
 import numpy as np
 
@@ -96,7 +99,7 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
     count, d = stack.shape[:2]
     if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
-    flat = np.flatnonzero((np.ascontiguousarray(stack).view(float) != 0).view(np.uint16) != 0)
+    flat = np.flatnonzero(stack.astype(bool))  # one byte an entry
     if len(flat) != count * d:  # d nonzeros a matrix, a NaN counted as one
         return None
     columns = (flat - d * np.arange(len(flat))).reshape(count, d)  # row i's, if it holds one
@@ -107,37 +110,38 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
     return None
 
 
-def _blocks(rows: np.ndarray):
-    """(members, blocks) when V is block diagonal up to row and column order, with k >= 2
-    groups of m rows on m columns each: group g is rows ``members[g]``, ``blocks[g]`` finite."""
-    x = rows.T if rows.flags.f_contiguous else rows  # read in C order
-    m = np.count_nonzero(x[0])
-    if not (0 < m <= len(x) / 2 and len(x) % m == 0):  # so a dense family reads one row
+def _groups(rows: np.ndarray, reading=False, transposed=False):
+    """(members, blocks) of V, or with ``transposed`` of V^T, when V's rows are vec(S_x) of the
+    paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``, read if not given:
+    sorted by the column in row 0, d groups of d S_x, each sharing one permutation, the d disjoint
+    in every row.  Group g is rows ``members[g]``, its block ``blocks[g]``, its phases."""
+    d = math.isqrt(rows.shape[1])
+    if reading is False:
+        reading = d * d == rows.shape[1] and _monomial(rows.reshape(len(rows), d, d))
+    if not reading or len(reading[0]) != d * d:  # d^2 matrices
         return None
-    nonzero = x.astype(bool, order="C")  # grouped by first nonzero column, m at a time
-    groups = np.argsort(nonzero.argmax(axis=1), kind="stable").reshape(-1, m)
-    support = np.packbits(nonzero, axis=1)[groups]
-    columns = np.unpackbits(support[:, 0], axis=1, count=x.shape[1])
-    if not ((support == support[:, :1]).all() and (columns.sum(axis=1) == m).all()
-            and (columns.sum(axis=0) == 1).all()):
+    columns, phases = reading
+    members = np.argsort(columns[:, 0], kind="stable").reshape(d, d)
+    shared = columns[members[:, 0]]  # group g's permutation
+    if not ((columns[members] == shared[:, None]).all()
+            and (np.sort(shared, axis=0) == np.arange(d)[:, None]).all()):
         return None
-    parts = np.nonzero(columns)[1].reshape(-1, m)
-    members, parts = (groups, parts) if x is rows else (parts, groups)  # x = V^T: swapped
-    blocks = rows[members[:, :, None], parts[:, None, :]]
-    # a NaN or an inf times a zero is NaN in the full product, and not in the blocks
-    return (members, blocks) if np.isfinite(blocks).all() else None
+    if not transposed:
+        return members, phases[members]
+    # V^T's group g is rows i d + shared[g, i], its block gathered in C order: (i, a) phase i of a
+    return shared + d * np.arange(d), np.take(phases, d * members[:, None] + np.arange(d)[:, None])
 
 
-def _block_grams(rows: np.ndarray):
+def _block_grams(rows: np.ndarray, groups=None):
     """(members, grams): conj(V) V^T for the rows of V, of any layout, as (None, table), or on
-    ``_blocks`` of V as the blocks' Grams, block g on rows and columns ``members[g]``.
+    ``groups``, V's ``_groups``, as the blocks' Grams, block g on rows and columns ``members[g]``.
 
     From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB, A A^T + B B^T is R R^T for V's float64
     view R (one dsyrk, exactly symmetric) and the imaginary part M - M^T for M = A B^T (one dgemm).
     """
     if len(rows) < _REAL_GRAM_ROWS:
         return None, rows.conj() @ rows.T
-    members, v = _blocks(rows) or (None, rows)
+    members, v = groups or (None, rows)
     k = v.shape[-2]
     # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
     # M's rows are padded where a 4 KiB-multiple stride would put a column in one cache set
@@ -163,17 +167,21 @@ def _gram_verdict(gaps, members, tol: float, name, table=None) -> CheckResult:
     return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), table)
 
 
-def _gram(rows: np.ndarray, tol: float, scale=1, name="Gram entry ({}, {})".format) -> CheckResult:
-    """The verdict on conj(V) V^T / scale = I for the rows of V, whitened for a weighted Gram;
-    ``table`` is that matrix, on blocks scattered into a zero n x n table."""
-    members, gram = _block_grams(rows)
+def _scatter(members: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """The n x n table with block g of ``grams`` on rows and columns ``members[g]``, else zero."""
+    table = np.zeros((members.size,) * 2, dtype=complex)
+    table[members[:, :, None], members[:, None, :]] = grams
+    return table
+
+
+def _gram(rows, tol: float, scale=1, name="Gram entry ({}, {})".format, reading=False):
+    """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V, with ``reading`` their
+    ``_monomial`` if made; ``table`` is that matrix, a block one formed when first read."""
+    members, gram = _block_grams(rows, _groups(rows, reading))
     if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
         gram.view(np.float64)[...] *= 1 / scale
-    gaps, table = _identity_gap(gram), gram
-    if members is not None:
-        table = np.zeros((members.size,) * 2, dtype=complex)
-        table[members[:, :, None], members[:, None, :]] = gram
-    return _gram_verdict(gaps, members, tol, name, table)
+    table = gram if members is None else partial(_scatter, members, gram)
+    return _gram_verdict(_identity_gap(gram), members, tol, name, table)
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:

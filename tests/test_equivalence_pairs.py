@@ -1,12 +1,12 @@
 """Every Gram verdict on a Latin family F and on F' = apply_equivalence(F, V1, V2).
 
-The equivalence preserves each identity of the theorem, but it fills in F's zeros.  So F takes the structured readings (``_blocks``,
-``_monomial``) and F' the dense products, and each verdict must give the same ``passed`` on
-both.  Where the table itself is invariant (the element Gram, the entangled vectors' Gram and
-the Gram weighted by I/d) the tables must also agree, to within ``ROUNDING`` max(1, |entry|),
-and so must the deviations of the two verdicts that are that table alone; the others add a
-per-element or per-unit gap whose largest entry V1 and V2 move.  The damages are made to F
-before it is mapped.
+The equivalence preserves each identity of the theorem, but it fills in F's zeros.  So F takes
+the structured reading (``_monomial``, grouped into blocks by ``_groups``) and F' the dense
+products, and each verdict must give the same ``passed`` on both.  Where the table itself is
+invariant (the element Gram, the entangled vectors' Gram and the Gram weighted by I/d) the
+tables must also agree, to within ``ROUNDING`` max(1, |entry|), and so must the deviations of
+the two verdicts that are that table alone; the others add a per-element or per-unit gap whose
+largest entry V1 and V2 move.  The damages are made to F before it is mapped.
 """
 
 import numpy as np

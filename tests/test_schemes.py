@@ -88,6 +88,17 @@ class TestBasisToEntangled:
         with pytest.raises(NotMaximallyEntangled):
             basis_to_entangled(weyl_basis(2), ref)
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_the_default_reference_is_not_checked_against_the_callers_tol(self, d):
+        # omega_vector(d)'s squared norm is 1 only to rounding at d = 2, 3, 5-9, 11 and 12;
+        # with no reference given there is nothing of the caller's to check, so tol = 0 passes
+        entangled = basis_to_entangled(weyl_basis(d), tol=0)
+        # the extracted operators are checked, and their own rounding fails tol = 0 at most d
+        try:
+            entangled_to_basis(entangled, tol=0)
+        except NotUnitaryExtraction as error:
+            assert d not in (1, 2, 4) and "away from unitarity" in str(error)
+
 
 class TestEntangledToBasis:
     def test_round_trip_weyl_d3(self):
@@ -552,10 +563,10 @@ PRODUCT_BUFFER_PEAKS = {
     # A's columns are a transposed view, which the full product copies to C order: 2.50
     "verify_depolarizer": (lambda b, s: verify_depolarizer(b), 2.55),
 }
-# On Weyl the Gram matrix is d blocks scattered into one zero table, and a verdict takes
-# the blocks' gaps: 1.23 matrices; the table's gap takes it to 1.51, the full product to
-# 2.0.  The depolarizer returns no table, so it holds the blocks alone, 0.27, where the
-# table's gap took 1.51.  Weyl's elements, channels and effects are each a permutation
+# On Weyl the Gram matrix is d blocks, and a verdict takes the blocks' gaps and scatters
+# them into a table only when it is read: 0.26 matrices for completeness and 0.39 for a
+# basis, with its reading; scattered at once they took 1.23, their gap 1.51, the full
+# product 2.0.  The depolarizer returns no table, so it holds the blocks alone, 0.27.  Weyl's elements, channels and effects are each a permutation
 # times phases, so unitarity forms no S* S product; with the canonical resource T_x is its
 # d nonzeros, 0.70 matrices in all, where a gather of R's rows took 1.81.  Extraction holds the operators it builds, 1.27, where a copy took 2.01.
 LATIN_BUFFER_PEAKS = {"check_projector_completeness": 1.3, "verify_depolarizer": 0.3,

@@ -1,3 +1,4 @@
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -33,6 +34,8 @@ from tightport import (
     tensor_bases,
     trace_inner,
     vector_to_operator,
+    verify,
+    verify_depolarizer,
     verify_orthonormal,
     weyl_basis,
 )
@@ -42,10 +45,13 @@ from tightport.schemes import TELEPORTATION, MaxEntangledBasis, TightScheme, _ou
 from tightport.tensor import (
     _REAL_GRAM_ROWS,
     _adjoint,
-    _blocks,
+    _block_grams,
     _gram,
+    _gram_verdict,
+    _groups,
     _identity_gap,
     _monomial,
+    _scatter,
     _unitarity,
 )
 
@@ -538,8 +544,9 @@ NEAR_MISSES = ["intact", "support entry moved", "group's support column moved",
                "duplicate in its group", "duplicate across groups", "group short of a row"] + [
     f"{value} at a {where} entry" for value in ("nan", "inf", "-inf", "1e200")
     for where in ("zero", "nonzero")]
-# the block path runs on these; the other near misses take the full product
-ON_BLOCK_PATH = {"intact", "duplicate in its group", "1e200 at a nonzero entry"}
+# the block path runs on these; the other near misses take the full product, 1e200 at a nonzero
+# entry too, since the monomial reading refuses a phase whose |phase|^2 overflows
+ON_BLOCK_PATH = {"intact", "duplicate in its group"}
 
 
 def _near_miss(rows, miss, rng):
@@ -564,16 +571,24 @@ def _near_miss(rows, miss, rng):
     return rows
 
 
-def _assert_verdict_of_the_product(rows, block):
-    """The Gram verdict and table on ``rows`` are the complex product's, and the block
+def _assert_verdict_of_the_product(rows, block, transposed=False):
+    """The Gram verdict and table on the rows of V, ``rows`` or with ``transposed`` their
+    transpose, as the depolarizer reads A's columns, are the complex product's, and the block
     path formed them exactly when ``block``."""
-    assert (len(rows) >= _REAL_GRAM_ROWS and _blocks(rows) is not None) == block
+    groups = len(rows) >= _REAL_GRAM_ROWS and _groups(rows, transposed=transposed)
+    assert bool(groups) == block
+    v = rows.T if transposed else rows
     with np.errstate(all="ignore"):
-        table = _gram(rows, TOL).table
-        result = _gram(rows, TOL)
-        product = rows.conj() @ rows.T
+        if transposed:
+            members, gram = _block_grams(v, groups or None)
+            table = gram if members is None else _scatter(members, gram)
+            result = _gram_verdict(_identity_gap(gram), members, TOL, "Gram entry ({}, {})".format)
+        else:
+            table = _gram(v, TOL).table
+            result = _gram(v, TOL)
+        product = v.conj() @ v.T
         gaps = _identity_gap(product)
-        bound = len(rows) * np.finfo(float).eps * (np.abs(rows) ** 2).sum(axis=1).max()
+        bound = len(v) * np.finfo(float).eps * (np.abs(v) ** 2).sum(axis=1).max()
     expected = CheckResult.worst(gaps, TOL, "Gram entry ({}, {})".format)
     assert result.passed == expected.passed
     if not result.passed:
@@ -588,7 +603,7 @@ def _assert_verdict_of_the_product(rows, block):
             assert result.witness == expected.witness
     if np.isfinite(product).all():
         assert np.abs(table - product).max() <= bound
-    if len(rows) >= _REAL_GRAM_ROWS:
+    if len(v) >= _REAL_GRAM_ROWS:
         assert np.array_equal(table, table.conj().T, equal_nan=True)
 
 
@@ -604,8 +619,8 @@ def test_latin_gram_blocks_agree_with_the_complex_product(d, product, miss, colu
     else:
         basis = _latin_family(rng, d)
     rows = _near_miss(basis.elements.reshape(d * d, -1), miss, rng)
-    # A's columns, as the depolarizer reads them, are a transposed view
-    _assert_verdict_of_the_product(rows.T if columns else rows, miss in ON_BLOCK_PATH)
+    # A's columns, as the depolarizer reads them, are a transposed view, grouped as A's rows
+    _assert_verdict_of_the_product(rows, miss in ON_BLOCK_PATH, transposed=columns)
 
 
 @pytest.mark.parametrize("duplicate", [False, True], ids=["intact", "element d is element 0"])
@@ -652,7 +667,8 @@ def test_block_gaps_are_the_full_tables_gaps(d, scale, damage):
     elif damage == "1e200 on two rows' support":  # M - M^T at (0, d) is inf - inf, NaN
         rows[0, k], rows[0, m], rows[d, k], rows[d, m] = 1e200, 1e200j, 1e200j, 1e200
     scale = d if scale == "d" else 1
-    assert _blocks(rows) is not None
+    # the reading refuses a phase whose |phase|^2 overflows: 1e200 takes the full product
+    assert (_groups(rows) is None) == damage.startswith("1e200")
     with np.errstate(all="ignore"):
         result = _gram(rows, TOL, scale)
         table = _gram(rows, TOL).table
@@ -665,6 +681,74 @@ def test_block_gaps_are_the_full_tables_gaps(d, scale, damage):
         assert np.isnan(result.table).any() and not np.isfinite(result.deviation)
     if damage == "1e200 on two rows' support":
         assert np.isnan(result.deviation) and result.witness == f"Gram entry (0, {d})"
+
+
+def _support_blocks(rows):
+    """(members, blocks) of a block-diagonal V read off its support alone: rows grouped by their
+    first nonzero column, each group's block on the columns its first row is nonzero on."""
+    support = rows != 0
+    members = np.argsort(support.argmax(axis=1), kind="stable").reshape(-1, np.count_nonzero(
+        support[0]))
+    parts = np.array([np.flatnonzero(support[group[0]]) for group in members])
+    return members, rows[members[:, :, None], parts[:, None, :]]
+
+
+@pytest.mark.parametrize("scale", [1, "d"])
+@pytest.mark.parametrize("d", [12, 16, 24])
+def test_a_table_read_from_a_verdict_is_the_blocks_scattered(d, scale):
+    rows = weyl_basis(d).elements.reshape(d * d, -1)
+    scale = d if scale == "d" else 1
+    members, gram = _block_grams(rows, _support_blocks(rows))
+    gram.view(np.float64)[...] *= 1 / scale
+    table = np.zeros((d * d,) * 2, dtype=complex)
+    table[members[:, :, None], members[:, None, :]] = gram
+    result = _gram(rows, TOL, scale)
+    assert callable(vars(result)["table"])  # deferred until read
+    assert result.table.tobytes() == table.tobytes()
+    assert vars(result)["table"] is result.table  # formed once
+
+
+def test_worst_of_replace_and_pickle_leave_a_table_unformed():
+    d = 12
+    rows = weyl_basis(d).elements.reshape(d * d, -1)
+    result = _gram(rows, TOL)
+    other = CheckResult(True, 1e-13, "other part", np.eye(2))
+    worst = _worst_of([CheckResult(True, 1e-12, "no table"), result, other])
+    renamed = replace(result, witness="renamed")
+    copied = pickle.loads(pickle.dumps(result))
+    for value in (result, worst, renamed, copied):
+        assert callable(vars(value)["table"])
+    assert (worst.witness, renamed.witness, copied) == (result.witness, "renamed", result)
+    table = result.table.tobytes()
+    for value in (worst, renamed, copied, pickle.loads(pickle.dumps(result))):
+        assert value.table.tobytes() == table
+    assert _worst_of([other, CheckResult(True, 0.0)]).table is other.table
+
+
+@pytest.mark.parametrize("d, mib", [(24, 1.5), (32, 4)])
+def test_verify_of_a_weyl_basis_holds_no_n_by_n_table(d, mib):
+    # the unread 576 x 576 table took the d = 24 peak to 5.62 MiB, 17.1 MiB at d = 32
+    basis = weyl_basis(d)
+    tracemalloc.start()
+    try:
+        assert verify(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
+
+
+@pytest.mark.parametrize("d, mib", [(24, 0.72), (32, 1.81)])
+def test_the_depolarizer_on_a_weyl_basis_peaks_at_its_blocks(d, mib):
+    # the column blocks are gathered in C order with the reading dropped before their Grams
+    basis = weyl_basis(d)
+    tracemalloc.start()
+    try:
+        assert verify_depolarizer(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 def _outcome_gaps_by_products(scheme, r):
