@@ -86,9 +86,9 @@ rc=0; tightport verify deep.json 2>err.txt || rc=$?; test "$rc" -eq 2; grep -q '
 # a d = 24 child holds its document's arrays and text, not copies of them: the verify and
 # generate entangled-basis children must each peak at most 3 times the file's size (ru_maxrss,
 # in KiB on Linux) above a bare import. Last, so that every check above runs first. On a 2-core
-# x86-64 virtual machine verify read 2.60-2.66 times, the text and the basis (its verdict's
+# x86-64 virtual machine verify read 2.53-2.66 times, the text and the basis (its verdict's
 # 576 x 576 Gram table is formed only when read, and the command does not read it), and
-# generate entangled-basis 2.84-2.88, the basis, its image and the buffer save writes; both
+# generate entangled-basis 2.76-2.88, the basis, its image and the buffer save writes; both
 # read 7.6 before the CLI held the loaded arrays themselves
 python -c "
 import os, subprocess, sys

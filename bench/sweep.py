@@ -42,6 +42,7 @@ import numpy as np  # noqa: E402
 import tightport as tp  # noqa: E402
 from documents import dense  # noqa: E402
 
+# each takes the basis, its teleportation and dense-coding schemes, and the state e_0 e_0*
 OPERATIONS = {
     "verify_orthonormal": lambda b, s, c, rho: tp.verify_orthonormal(b),
     "verify_depolarizer": lambda b, s, c, rho: tp.verify_depolarizer(b),

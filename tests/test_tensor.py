@@ -711,7 +711,7 @@ def test_a_table_read_from_a_verdict_is_the_blocks_scattered(d, scale):
 def test_worst_of_replace_and_pickle_leave_a_table_unformed():
     d = 12
     rows = weyl_basis(d).elements.reshape(d * d, -1)
-    result = _gram(rows, TOL)
+    result = _gram(rows, TOL)  # unscaled, A A* is d I: the worst part, and the first with a table
     other = CheckResult(True, 1e-13, "other part", np.eye(2))
     worst = _worst_of([CheckResult(True, 1e-12, "no table"), result, other])
     renamed = replace(result, witness="renamed")
