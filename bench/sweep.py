@@ -1,20 +1,21 @@
 """Every verdict and conversion over d, written to ``BENCH_<label>.json`` at the repository root.
 
-    python3 bench/sweep.py [--label sweep] [--dims 8,12,16,24,32] [--repeats N]
-                           [--timeout 60] [--out PATH]
+    python3 bench/sweep.py [--label sweep] [--dims 8,12,16,24,32] [--repeats N] [--out PATH]
 
-Run from anywhere; the package is imported from this checkout's ``src``.  Two
-families, as in ``bench/documents.py``: the Weyl basis, and "dense", the Weyl
-basis moved by two unitaries drawn from ``default_rng(8)`` through
-``apply_equivalence``, which takes the full products.  For each family and d it
+Run from anywhere; the package is imported from this checkout's ``src``.  Three
+families: the Weyl basis; "dense", as in ``bench/documents.py``, the Weyl basis
+moved by two unitaries drawn from ``default_rng(8)`` through
+``apply_equivalence``, which takes the full products; and at even d "weyl x
+dense", ``tensor_bases`` of the Weyl basis at d / 2 and the dense family at 2,
+whose elements are not a permutation times phases.  For each family and d it
 times the operations below in one process: one warm-up call, then the best of
 5 calls up to d = 16 and of 3 above (or of ``--repeats``), and one more call
 under ``tracemalloc`` for the peak, in units of d^4 complex entries (one
-d^2 x d^2 matrix).  An operation whose calls run past ``--timeout`` seconds is
+d^2 x d^2 matrix).  An operation whose calls run past ``TIMEOUT_S`` seconds is
 recorded with ``null`` figures; the alarm takes effect when the running numpy
 call returns.  It also records ratios that survive a host's drift: a scheme's
 ``tp.verify`` over ``verify_orthonormal``, extraction over that ``tp.verify``,
-and the dense family over Weyl for each operation.
+and each other family over Weyl for each operation.
 
 BLAS runs one thread, as in ``perfbench``, whose environment fields are
 recorded too.  ``loads`` and ``dumps`` are ``bench/documents.py``'s.  The
@@ -42,6 +43,13 @@ import numpy as np  # noqa: E402
 import tightport as tp  # noqa: E402
 from documents import dense  # noqa: E402
 
+TIMEOUT_S = 60.0  # per operation
+FAMILIES = {
+    "weyl": tp.weyl_basis,
+    "dense": lambda d: dense(tp.weyl_basis(d)),
+    "weyl x dense": lambda d: tp.tensor_bases(tp.weyl_basis(d // 2), dense(tp.weyl_basis(2))),
+}
+
 # each takes the basis, its teleportation and dense-coding schemes, and the state e_0 e_0*
 OPERATIONS = {
     "verify_orthonormal": lambda b, s, c, rho: tp.verify_orthonormal(b),
@@ -65,10 +73,10 @@ def _alarm(signum, frame):
     raise Timeout
 
 
-def measure(call, repeats: int, timeout: float):
-    """(best ms, traced peak in bytes, whether the result passed), or Nones past ``timeout``."""
+def measure(call, repeats: int):
+    """(best ms, traced peak in bytes, whether the result passed), or Nones past ``TIMEOUT_S``."""
     signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
         result = call()
         times = []
@@ -90,14 +98,14 @@ def measure(call, repeats: int, timeout: float):
     return min(times) * 1e3, peak, passed
 
 
-def family_rows(family: str, d: int, repeats: int, timeout: float) -> list[dict]:
-    basis = tp.weyl_basis(d) if family == "weyl" else dense(tp.weyl_basis(d))
+def family_rows(family: str, d: int, repeats: int) -> list[dict]:
+    basis = FAMILIES[family](d)
     schemes = [tp.build_scheme(basis, mode) for mode in tp.MODES]
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1
     rows = []
     for name, operation in OPERATIONS.items():
-        ms, peak, passed = measure(lambda: operation(basis, *schemes, rho), repeats, timeout)
+        ms, peak, passed = measure(lambda: operation(basis, *schemes, rho), repeats)
         rows.append({"family": family, "d": d, "op": name,
                      "ms": None if ms is None else round(ms, 4),
                      "peak_d4": None if peak is None else round(peak / (16 * d ** 4), 4),
@@ -121,8 +129,10 @@ def ratios(rows: list[dict]) -> list[dict]:
                     "value": ratio((family, d, "extract_basis_from_scheme"),
                                    (family, d, "verify (scheme, teleportation)"))})
     for _, d, op in sorted(key for key in ms if key[0] == "weyl"):
-        out.append({"family": "dense / weyl", "d": d, "ratio": op,
-                    "value": ratio(("dense", d, op), ("weyl", d, op))})
+        for family in ("dense", "weyl x dense"):
+            if (family, d, op) in ms:
+                out.append({"family": f"{family} / weyl", "d": d, "ratio": op,
+                            "value": ratio((family, d, op), ("weyl", d, op))})
     return out
 
 
@@ -132,18 +142,17 @@ def main() -> None:
     parser.add_argument("--dims", default="8,12,16,24,32")
     parser.add_argument("--repeats", type=int, default=None,
                         help="calls timed per operation; 5 up to d = 16 and 3 above if not given")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per operation")
     parser.add_argument("--out", default=None, help="default: BENCH_<label>.json at the root")
     args = parser.parse_args()
     dims = [int(d) for d in args.dims.split(",")]
     rows = []
     for d in dims:
         repeats = args.repeats or (5 if d <= 16 else 3)
-        for family in ("weyl", "dense"):
-            rows += family_rows(family, d, repeats, args.timeout)
+        for family in FAMILIES if d % 2 == 0 else ("weyl", "dense"):
+            rows += family_rows(family, d, repeats)
     env = {"python": platform.python_version(), "nproc": os.cpu_count(),
            "affinity": len(os.sched_getaffinity(0)), "git_sha": git_sha(), "label": args.label,
-           "dims": dims, "repeats": args.repeats, "timeout_s": args.timeout, **blas_info()}
+           "dims": dims, "repeats": args.repeats, "timeout_s": TIMEOUT_S, **blas_info()}
     out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as handle:
         json.dump({"env": env, "rows": rows, "ratios": ratios(rows)}, handle, indent=1)

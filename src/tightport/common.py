@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
-import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +17,7 @@ __all__ = ["DEFAULT_TOL", "CheckResult"]
 DEFAULT_TOL = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclass(frozen=True)
 class CheckResult:
     """Outcome of a numerical check: a verdict plus the margin behind it.
 
@@ -34,7 +33,7 @@ class CheckResult:
     passed: bool
     deviation: float
     witness: str | None = None
-    table: np.ndarray | None = dataclasses.field(default=None, compare=False)
+    table: np.ndarray | None = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -55,11 +54,11 @@ class CheckResult:
 
 class _Table:
     """``CheckResult.table``: an array, None, or a picklable callable that forms it when first
-    read; ``dataclasses.replace`` passes that on unformed."""
+    read; pickling and ``_worst_of`` pass that on unformed."""
 
     def __get__(self, obj, owner=None):
         table = None if obj is None else vars(obj)["table"]
-        if callable(table) and sys._getframe(1).f_code not in _REPLACE:
+        if callable(table):
             table = vars(obj)["table"] = table()
         return table
 
@@ -67,7 +66,6 @@ class _Table:
         vars(obj)["table"] = value
 
 
-_REPLACE = {f.__code__ for f in (dataclasses.replace, vars(dataclasses).get("_replace")) if f}
 CheckResult.table = _Table()  # the field keeps its default of None and compare=False
 
 
@@ -78,7 +76,7 @@ def _worst_of(parts) -> CheckResult:
     return CheckResult(worst.passed, worst.deviation, worst.witness, table)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class _Built:
     """An array the library has just built, or one a value holds frozen: no caller holds it
     writable, so a value built from it takes it over with no copy."""
