@@ -11,7 +11,9 @@ whose elements are not a permutation times phases.  For each family and d it
 times the operations below in one process: one warm-up call, then the best of
 5 calls up to d = 16 and of 3 above (or of ``--repeats``), and one more call
 under ``tracemalloc`` for the peak, in units of d^4 complex entries (one
-d^2 x d^2 matrix).  An operation whose calls run past ``TIMEOUT_S`` seconds is
+d^2 x d^2 matrix).  Every call takes fresh copies of its inputs, made outside
+the timer and rebuilt by their constructors, so that no call finds the
+permutation-and-phases reading an earlier call kept on a value.  An operation whose calls run past ``TIMEOUT_S`` seconds is
 recorded with ``null`` figures; the alarm takes effect when the running numpy
 call returns.  It also records ratios that survive a host's drift: a scheme's
 ``tp.verify`` over ``verify_orthonormal``, extraction over that ``tp.verify``,
@@ -25,6 +27,7 @@ script is not a test: ``testpaths`` is ``tests``.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import platform
@@ -50,18 +53,22 @@ FAMILIES = {
     "weyl x dense": lambda d: tp.tensor_bases(tp.weyl_basis(d // 2), dense(tp.weyl_basis(2))),
 }
 
-# each takes the basis, its teleportation and dense-coding schemes, and the state e_0 e_0*
+# each takes fresh copies of the inputs it names: the basis b, its teleportation and
+# dense-coding schemes s and c, their effects e, and the state rho = e_0 e_0*
 OPERATIONS = {
-    "verify_orthonormal": lambda b, s, c, rho: tp.verify_orthonormal(b),
-    "verify_depolarizer": lambda b, s, c, rho: tp.verify_depolarizer(b),
-    "verify_entangled_basis": lambda b, s, c, rho: tp.verify_entangled_basis(s.effects),
-    "verify_teleportation": lambda b, s, c, rho: tp.verify_teleportation(s),
-    "verify_dense_coding": lambda b, s, c, rho: tp.verify_dense_coding(c),
-    "verify (scheme, teleportation)": lambda b, s, c, rho: tp.verify(s),
-    "verify (scheme, dense coding)": lambda b, s, c, rho: tp.verify(c),
-    "teleport_state (one rho)": lambda b, s, c, rho: tp.teleport_state(s, rho),
-    "recover_weight_from_unitary_gram": lambda b, s, c, rho: tp.recover_weight_from_unitary_gram(b),
-    "extract_basis_from_scheme": lambda b, s, c, rho: tp.extract_basis_from_scheme(s),
+    "verify_orthonormal": ("b", tp.verify_orthonormal),
+    "verify_depolarizer": ("b", tp.verify_depolarizer),
+    "verify_entangled_basis": ("e", tp.verify_entangled_basis),
+    "verify_teleportation": ("s", tp.verify_teleportation),
+    "verify_dense_coding": ("c", tp.verify_dense_coding),
+    "verify (scheme, teleportation)": ("s", tp.verify),
+    "verify (scheme, dense coding)": ("c", tp.verify),
+    "teleport_state (one rho)": ("s rho", tp.teleport_state),
+    "recover_weight_from_unitary_gram": ("b", tp.recover_weight_from_unitary_gram),
+    "extract_basis_from_scheme": ("s", tp.extract_basis_from_scheme),
+    "basis_to_entangled": ("b", tp.basis_to_entangled),
+    "entangled_to_basis": ("e", tp.entangled_to_basis),
+    "build_scheme": ("b", tp.build_scheme),
 }
 
 
@@ -73,20 +80,23 @@ def _alarm(signum, frame):
     raise Timeout
 
 
-def measure(call, repeats: int):
-    """(best ms, traced peak in bytes, whether the result passed), or Nones past ``TIMEOUT_S``."""
+def measure(operation, fresh, repeats: int):
+    """(best ms, traced peak in bytes, whether the result passed) of ``operation`` on the inputs
+    ``fresh()`` makes anew for each call, outside the timer, or Nones past ``TIMEOUT_S``."""
     signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
-        result = call()
+        result = operation(*fresh())
         times = []
         for _ in range(repeats):
+            inputs = fresh()
             start = time.perf_counter()
-            call()
+            operation(*inputs)
             times.append(time.perf_counter() - start)
+        inputs = fresh()
         tracemalloc.start()
         try:
-            call()
+            operation(*inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -100,12 +110,15 @@ def measure(call, repeats: int):
 
 def family_rows(family: str, d: int, repeats: int) -> list[dict]:
     basis = FAMILIES[family](d)
-    schemes = [tp.build_scheme(basis, mode) for mode in tp.MODES]
+    s, c = (tp.build_scheme(basis, mode) for mode in tp.MODES)
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1
+    inputs = {"b": basis, "s": s, "c": c, "e": s.effects, "rho": rho}
     rows = []
-    for name, operation in OPERATIONS.items():
-        ms, peak, passed = measure(lambda: operation(basis, *schemes, rho), repeats)
+    for name, (names, operation) in OPERATIONS.items():
+        # a deep copy is rebuilt by the constructors, with no reading kept on it or its parts
+        fresh = lambda: [copy.deepcopy(inputs[key]) for key in names.split()]  # noqa: E731
+        ms, peak, passed = measure(operation, fresh, repeats)
         rows.append({"family": family, "d": d, "op": name,
                      "ms": None if ms is None else round(ms, 4),
                      "peak_d4": None if peak is None else round(peak / (16 * d ** 4), 4),

@@ -15,6 +15,7 @@ whitened L* K_x, for W = L L*.  Each Gram is O(d^6); on a Latin family, whose
 whitened elements stay a permutation times phases for a diagonal W such as the
 recovered weight, each is grouped from that reading into the d Hadamard blocks
 (A's columns transposed), O(d^4), so the witness names a rounding-level entry.
+A basis reads its elements once and keeps the reading for all of its verdicts.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (DEFAULT_TOL, CheckResult, _Built, _freeze, _worst_of, as_permutation,
-                     require_positive)
+from .common import (DEFAULT_TOL, CheckResult, _Built, _Value, _freeze, _worst_of,
+                     as_permutation, require_positive)
 from .designs import HadamardMatrix, LatinSquare, fourier_hadamard, latin_from_cyclic
 from .errors import (
     DesignInvalid,
@@ -40,7 +41,7 @@ from .errors import (
     WeightNotPositive,
 )
 from .tensor import (_adjoint, _block_grams, _gram, _gram_verdict, _groups, _identity_gap,
-                     _monomial, _unitarity, max_abs)
+                     _read, _unitarity, max_abs)
 
 __all__ = [
     "UnitaryBasis",
@@ -56,7 +57,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryBasis:
+class UnitaryBasis(_Value):
     """d^2 operators on a d-dimensional space, stacked as one (d^2, d, d) array.
 
     Construction checks shapes only; the defining unitarity and
@@ -137,9 +138,9 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     of the two; ``table`` is the Gram matrix.
     """
     # the elements' products first, so that the Gram matrix is not held beside them
-    reading = _monomial(basis.elements)  # read once, for both parts
-    elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format, reading)
-    gram = _gram(_stacked(basis), tol, basis.d, reading=reading)
+    elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format,
+                          _read(basis, "elements"))
+    gram = _gram(_stacked(basis), tol, basis.d, reading=_read(basis, "elements"))
     return _worst_of([gram, elements])
 
 
@@ -152,7 +153,7 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     witness is the matrix unit of its first NaN, else its first worst entry.
     """
     d, a = basis.d, _stacked(basis)
-    members, gram = _block_grams(a.T, _groups(a, transposed=True))
+    members, gram = _block_grams(a.T, _groups(a, _read(basis, "elements"), transposed=True))
     return _gram_verdict(_identity_gap(gram, d), members, tol,
                          lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 

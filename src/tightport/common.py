@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,10 +78,11 @@ def _worst_of(parts) -> CheckResult:
 
 @dataclass(frozen=True, eq=False)
 class _Built:
-    """An array the library has just built, or one a value holds frozen: no caller holds it
-    writable, so a value built from it takes it over with no copy."""
+    """An array the library has just built or a value holds frozen, writable to no caller: a
+    value built from it takes it over with no copy, and ``reading``, its ``_monomial``, if given."""
 
     array: np.ndarray
+    reading: object = False
 
 
 def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) -> None:
@@ -89,12 +90,28 @@ def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) 
     an array, so no caller can write to what it holds.  A caller's array is copied, a ``_Built``
     one taken over.  With ``shapes`` given, another shape raises ``DimensionMismatch``.
     """
+    _keep(obj, name, array.reading if isinstance(array, _Built) else False)
     array = (np.asarray(array.array, dtype, order="C") if isinstance(array, _Built)
              else np.array(array, dtype=dtype, order="C"))
     if shapes is not None and array.shape not in shapes:
         raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
+
+
+def _keep(obj, name: str, reading) -> None:
+    """Keep ``reading``, unless False, on ``obj`` as its stack ``name``'s, read-only; idempotent."""
+    if reading is not False:
+        for array in reading or ():
+            array.setflags(write=False)
+        object.__setattr__(obj, "_read_" + name, reading)
+
+
+class _Value:
+    """A frozen value, whose copy or unpickled twin its constructor builds, with no reading."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def require_positive(n: int, name: str = "dimension") -> None:

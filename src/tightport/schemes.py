@@ -21,6 +21,7 @@ reads either identity per outcome: every T_x = U_x R phi_x* is c_x I and sum_x |
 R = W^T for teleportation and R = W for dense coding.  For a Latin family's channels or effects,
 each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2) per outcome;
 with both and R one too, as for the canonical resource, T_x is its d nonzeros, O(d^3) in all.
+Each value keeps the reading of its stack; a conversion scatters its result from it, O(d^3).
 Outcome x acts on the input by K_x = W^T phi_x*, and the output is sum_x U_x K_x rho K_x* U_x*.
 All of them read the resource by one rule and fail any but a unit vector or psi psi* for one.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import DEFAULT_TOL, CheckResult, _Built, _freeze, _worst_of, require_positive
+from .common import DEFAULT_TOL, CheckResult, _Built, _Value, _freeze, _worst_of, require_positive
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -49,6 +50,8 @@ from .tensor import (
     _gram,
     _identity_gap,
     _monomial,
+    _read,
+    _times,
     _unitarity,
     is_maximally_entangled,
     max_abs,
@@ -80,7 +83,7 @@ MODES = (TELEPORTATION, DENSE_CODING)
 
 
 @dataclass(frozen=True, eq=False)
-class MaxEntangledBasis:
+class MaxEntangledBasis(_Value):
     """d^2 vectors on the d x d space, stacked as a (d^2, d^2) array.
 
     Constructors guarantee pairwise orthonormality and maximal entanglement
@@ -99,7 +102,7 @@ class MaxEntangledBasis:
 
 
 @dataclass(frozen=True, eq=False)
-class TightScheme:
+class TightScheme(_Value):
     """Shared components of a teleportation or dense-coding scheme.
 
     A tight scheme has a unit resource vector, d^2 unitary channels and d^2
@@ -175,12 +178,14 @@ def basis_to_entangled(
 
     With a unitary basis and a maximally entangled reference, the images are
     pairwise orthonormal and each is maximally entangled.  The reference
-    defaults to ``omega_vector(d)``; only a caller's is checked against ``tol``.
+    defaults to ``omega_vector(d)``; only a caller's is checked against ``tol``.  From 100
+    elements on, a Latin family's images under a permutation times real phases, as the default
+    is, are scattered from its reading, bit for bit the product, and keep their own reading.
     """
     d = basis.d
-    ref = _reference(omega, d, tol)
-    vecs = (basis.elements @ ref.reshape(d, d)).reshape(d * d, -1)
-    return MaxEntangledBasis(d, _Built(vecs))
+    ref = _reference(omega, d, tol).reshape(d, d)
+    vecs, reading = _times(_read(basis, "elements"), ref) or (basis.elements @ ref, False)
+    return MaxEntangledBasis(d, _Built(vecs.reshape(d * d, -1), reading))
 
 
 def entangled_to_basis(
@@ -199,12 +204,13 @@ def entangled_to_basis(
 
 def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> UnitaryBasis:
     d = entangled.d
-    ref_op = vector_to_operator(ref, d)
-    ops = (entangled.vectors.reshape(-1, d) @ (np.sqrt(d) * ref_op.conj().T)).reshape(-1, d, d)
-    check = _unitarity(ops, 1, tol, "vector {} yields an operator".format)
+    ref_op = np.sqrt(d) * vector_to_operator(ref, d).conj().T
+    ops, reading = _times(_read(entangled, "vectors"), ref_op) or (
+        (entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d), False)
+    check = _unitarity(ops, 1, tol, "vector {} yields an operator".format, reading)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
-    return UnitaryBasis(d, _Built(ops))
+    return UnitaryBasis(d, _Built(ops, reading))
 
 
 def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
@@ -216,11 +222,11 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     basis's own read-only array.
     """
     d = basis.d
-    return TightScheme(d, _Built(omega_vector(d)), _Built(basis.elements),
+    return TightScheme(d, _Built(omega_vector(d)), _Built(basis.elements, _read(basis, "elements")),
                        basis_to_entangled(basis), mode)
 
 
-def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False, phi=False):
+def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
     """Every T_x = U_x R phi_x* is c_x I, c_x = tr(T_x) / d, and sum_x |c_x|^2 = 1.
 
     R = W^T states teleportation; R = W states dense coding exactly given unitary channels,
@@ -230,12 +236,11 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False, p
     every T_x = c_x I, and then |c_x| = 1/d.  Its gap eps = max_x |1 - |a_x|^2| and the worst
     outcome gap delta obey delta^2 <= eps / d <= d^2 delta^2.  Channels or effects that are
     ``_monomial``, as a Latin family's, are read as gathers in O(d^2) per outcome; with R one
-    too, T_x is its d nonzeros, O(d) per outcome.  ``u`` and ``phi`` are their readings if made.
+    too, T_x is its d nonzeros, O(d) per outcome.
     """
     d = scheme.d
     effects = scheme.effects.vectors.reshape(-1, d, d)
-    u = _monomial(scheme.channel_unitaries) if u is False else u
-    phi = _monomial(effects) if phi is False else phi
+    u, phi = _read(scheme, "channel_unitaries"), _read(scheme.effects, "vectors")
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
     q = slice(None) if phi is None else (np.arange(len(effects))[:, None], np.argsort(phi[0], 1))
@@ -258,7 +263,6 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, u=False, p
             t = np.conjugate(t, out=t) @ np.swapaxes(effects, 1, 2)
         else:  # T_x in that order is (U_x R)[q] times conj(p[q]) on the columns
             t *= phi[1][q].conj()[:, None, :]
-        del u, phi  # not held beside the gaps
         c = np.trace(t, axis1=1, axis2=2) / d
         gaps = _identity_gap(t, c[:, None]).max(axis=(1, 2))
     outcomes = CheckResult.worst(gaps, tol, "outcome {}: T_x is not a multiple of I".format)
@@ -330,11 +334,10 @@ def verify_entangled_basis(
     is the vectors' Gram matrix.
     """
     d = entangled.d
-    reading = _monomial(entangled.vectors.reshape(d * d, d, d))  # read once, for both parts
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
     vectors = _unitarity(entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2), 1 / d, tol,
-                         "vector {} is not maximally entangled".format, reading)
-    return _worst_of([_gram(entangled.vectors, tol, reading=reading), vectors])
+                         "vector {} is not maximally entangled".format, _read(entangled, "vectors"))
+    return _worst_of([_gram(entangled.vectors, tol, reading=_read(entangled, "vectors")), vectors])
 
 
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -359,13 +362,12 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    u = _monomial(obj.channel_unitaries)  # each read once, for both of its parts
-    phi = _monomial(obj.effects.vectors.reshape(-1, obj.d, obj.d))
-    channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format, u)
+    channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format,
+                          _read(obj, "channel_unitaries"))
     w = psi.reshape(obj.d, -1)
-    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol, u, phi)
-    effects = _gram(obj.effects.vectors, tol, name="effect vectors are not a complete "
-                    "measurement: Gram entry ({}, {})".format, reading=phi)
+    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
+    effects = _gram(obj.effects.vectors, tol, reading=_read(obj.effects, "vectors"), name="effect "
+                    "vectors are not a complete measurement: Gram entry ({}, {})".format)
     return _worst_of([channels, effects, identity])
 
 
@@ -377,8 +379,9 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
     ``omega_vector(d)``; for another maximally entangled resource one direction
     can pass and the other fail.  Both schemes hold the same read-only arrays.
     """
-    return TightScheme(scheme.d, _Built(scheme.omega), _Built(scheme.channel_unitaries),
-                       scheme.effects, MODES[1 - MODES.index(scheme.mode)])
+    channels = _Built(scheme.channel_unitaries, _read(scheme, "channel_unitaries"))
+    return TightScheme(scheme.d, _Built(scheme.omega), channels, scheme.effects,
+                       MODES[1 - MODES.index(scheme.mode)])
 
 
 def _check_density(rho: np.ndarray, d: int, tol: float) -> None:

@@ -18,13 +18,13 @@ cost of every verdict.  Below 100 rows it is one complex product; from 100 on, i
 at half the multiplications, with V = A + iB: R R^T for V's float64 view R gives A A^T + B B^T,
 and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangled-basis matrix S
 of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
-entangled bases and schemes) is a permutation times phases, read once per stack from 100 on: S* S
-is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of a scheme's outcome
-identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from it as the paper's d
-Hadamard blocks, d products of d x d blocks, O(d^4); any other family pays the O(d^6) product.
-Either table is exactly Hermitian and within about n eps max|row|^2 of the complex product, so on
-a passing family the witness names a rounding-level entry; its gaps are read off the blocks,
-scattered into the n x n table only when a caller reads it.
+entangled bases and schemes) is a permutation times phases.  From 100 on a value reads its stack
+so once, keeps the reading, and passes it to what is converted from it, scattered with no product.
+S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
+identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
+d Hadamard blocks, O(d^4); any other family pays the O(d^6) product.  Either table is exactly
+Hermitian and within about n eps max|row|^2 of the complex product, so on a passing family the
+witness names a rounding-level entry, read off the blocks, which form the table when it is read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, require_positive
+from .common import DEFAULT_TOL, CheckResult, _keep, require_positive
 from .errors import CountMismatch, DimensionMismatch, NotNormalized
 
 __all__ = [
@@ -108,6 +108,28 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
     if (np.sort(columns, axis=1) == np.arange(d)).all() and np.isfinite(np.vdot(phases, phases)):
         return columns, phases
     return None
+
+
+def _read(value, name: str):
+    """``_monomial`` of the stack ``value.name``, made once and kept on ``value``; else None."""
+    reading = vars(value).get("_read_" + name, False)
+    if reading is False and value.d ** 2 >= _REAL_GRAM_ROWS:
+        reading = _monomial(getattr(value, name).reshape(-1, value.d, value.d))
+        _keep(value, name, reading)
+    return reading or None
+
+
+def _times(reading, b: np.ndarray):
+    """(S_x B for the S_x read as ``reading``, and its reading) if B is a permutation times real
+    phases: the phases' products scattered, the product's bytes (BLAS may fuse a complex phase's).
+    The reading is None on a 0 or an overflowing square, as ``_monomial`` of the result is."""
+    rb = reading and _monomial(b[None], 1)
+    if rb and not rb[1].imag.any():
+        columns, phases = rb[0][0][reading[0]], reading[1] * rb[1][0][reading[0]]
+        out = np.zeros(columns.shape + (len(b),), dtype=complex)
+        np.put(out, np.arange(0, out.size, len(b)).reshape(columns.shape) + columns, phases)
+        kept = phases.all() and np.isfinite(np.vdot(phases, phases))
+        return out, (columns, phases) if kept else None
 
 
 def _groups(rows: np.ndarray, reading=False, transposed=False):

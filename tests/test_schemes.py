@@ -1,14 +1,17 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from conftest import PAULIS, random_complex, random_density, random_twist, random_unitary
 from oracles import matrix_units, resource_density, teleportation, teleportation_outcomes
 from test_oracles import SCHEME_CASES, make_scheme
 from test_verify import twisted_channel
 from tightport import (
+    UnitaryBasis,
     DENSE_CODING,
     DimensionMismatch,
     TELEPORTATION,
@@ -25,8 +28,10 @@ from tightport import (
     entangled_to_basis,
     extract_basis_from_scheme,
     hadamard_d4_family,
+    latin_equivalence_apply,
     latin_from_cyclic,
     omega_vector,
+    periodic_phase_hadamard,
     shift_multiply_basis,
     swap_roles,
     tensor_bases,
@@ -38,6 +43,7 @@ from tightport import (
     verify_entangled_basis,
     verify_orthonormal,
     verify_teleportation,
+    vector_to_operator,
     weyl_basis,
 )
 from tightport import schemes, tensor
@@ -617,21 +623,165 @@ def test_values_built_from_one_another_share_their_arrays():
             array[0] = 0
 
 
-@pytest.mark.parametrize("mode", [TELEPORTATION, DENSE_CODING])
-def test_verify_reads_the_channels_once(mode, monkeypatch):
-    # unitarity and the outcome identity share one reading of the channels
-    scheme = build_scheme(weyl_basis(10), mode)
+@pytest.mark.parametrize("copier", [lambda value: pickle.loads(pickle.dumps(value)),
+                                    copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_a_copied_value_holds_read_only_arrays_of_its_own_and_no_reading(copier):
+    basis = weyl_basis(10)
+    scheme = build_scheme(basis)
+    assert verify(scheme) and verify_orthonormal(basis)  # readings made, where a value keeps them
+    for value, names in ((basis, ["elements"]), (scheme.effects, ["vectors"]),
+                         (scheme, ["omega", "channel_unitaries"])):
+        copied = copier(value)
+        assert type(copied) is type(value) and copied.d == value.d
+        assert vars(copied).keys() == {f.name for f in fields(copied)}
+        for name in names:
+            array, source = getattr(copied, name), getattr(value, name)
+            assert np.array_equal(array, source) and not np.shares_memory(array, source)
+            assert array.flags.c_contiguous and not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+    assert copier(scheme).mode == scheme.mode and verify(copier(scheme))
+
+
+def test_the_batterys_sequence_reads_the_basis_once_and_a_replaced_stack_again(monkeypatch):
+    # each value keeps the reading of its stack, and the conversions carry the reading they were
+    # built from, so along the whole sequence one stack is read: the basis's elements.  Single
+    # d x d matrices (the reference, the resource) are not stacks, and are not counted
+    basis = weyl_basis(10)
     reads = []
 
     def counting(stack, *args):
-        reads.append(np.shares_memory(stack, scheme.channel_unitaries))
+        if len(stack) > 1:
+            reads.append(stack)
         return monomial(stack, *args)
 
     monomial = tensor._monomial
     monkeypatch.setattr(tensor, "_monomial", counting)
     monkeypatch.setattr(schemes, "_monomial", counting)
-    assert verify(scheme)
-    assert reads.count(True) == 1
+    assert verify_orthonormal(basis)
+    entangled = basis_to_entangled(basis)
+    assert verify_entangled_basis(entangled)
+    assert np.allclose(entangled_to_basis(entangled).elements, basis.elements)
+    scheme = build_scheme(basis)
+    assert verify_teleportation(scheme)
+    for value in (scheme, swap_roles(scheme)):
+        assert verify(value)
+    assert verify_depolarizer(extract_basis_from_scheme(scheme))
+    assert len(reads) == 1 and np.shares_memory(reads[0], basis.elements)
+
+    channels = scheme.channel_unitaries.copy()
+    channels[5, 0] *= 1 + 1e-6
+    twisted = replace(scheme, channel_unitaries=channels)
+    verdicts = [verify(twisted), verify(swap_roles(twisted))]
+    assert len(reads) == 2 and np.shares_memory(reads[1], twisted.channel_unitaries)
+    for verdict in verdicts:
+        assert not verdict and verdict.witness == "channel 5 is not unitary"
+
+
+def _latin_families(d):
+    """Weyl, shift-and-multiply with periodic-phase Hadamards and Weyl x Weyl, at d."""
+    yield "weyl", weyl_basis(d)
+    p = next((p for p in range(2, d) if d % p == 0), None)
+    if p is not None:
+        rng = np.random.default_rng(d)
+        grids = [rng.permutation(d) for _ in range(3)]
+        cells = [np.exp(2j * np.pi * rng.random((p, d // p))) for _ in range(2)]
+        hadamards = [periodic_phase_hadamard(p, d // p, np.tile(cells[j % 2], (d // p, p)))
+                     for j in range(d)]
+        square = latin_equivalence_apply(latin_from_cyclic(d), *grids)
+        yield "periodic phases", shift_multiply_basis(square, hadamards)
+        yield "weyl x weyl", tensor_bases(weyl_basis(p), weyl_basis(d // p))
+
+
+def _references(d):
+    """The canonical reference (None), a signed and a phased permutation, and a dense one."""
+    rng = np.random.default_rng(d)
+    perm = rng.permutation(d)
+    for phases in (rng.choice([-1.0, 1.0], d), np.exp(2j * np.pi * rng.random(d))):
+        r = np.zeros((d, d), dtype=complex)
+        r[np.arange(d), perm] = phases / np.sqrt(d)
+        yield r.reshape(-1)
+    yield (random_unitary(rng, d) / np.sqrt(d)).reshape(-1)
+
+
+def assert_the_kept_reading_is_the_arrays(value, name):
+    """A reading a value keeps is read-only and bit for bit ``_monomial`` of its stack."""
+    kept = vars(value).get("_read_" + name, False)
+    if kept is not False:
+        fresh = tensor._monomial(getattr(value, name).reshape(-1, value.d, value.d))
+        assert (kept is None) == (fresh is None)
+        for held, read in zip(kept or (), fresh or ()):
+            assert held.dtype == read.dtype and held.tobytes() == read.tobytes()
+            assert not held.flags.writeable
+    return kept
+
+
+def _products(basis, ref):
+    """The (d^3 x d) @ (d x d) products the conversions form without a scatter."""
+    d = basis.d
+    r = (omega_vector(d) if ref is None else ref).reshape(d, d)
+    vectors = (basis.elements @ r).reshape(d * d, -1)
+    operator = np.sqrt(d) * vector_to_operator(r.reshape(-1), d).conj().T
+    return vectors, (vectors.reshape(-1, d) @ operator).reshape(-1, d, d)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 8, 9, *range(10, 33)])
+def test_the_scatters_are_the_products(d):
+    # from 100 matrices on, a Latin family and a reference that is a permutation times real phases
+    # scatter; the rest take the product, whose bytes below 100 rows are the ones checked here
+    for family, basis in _latin_families(d):
+        assert verify_orthonormal(basis), family
+        for ref in [None, *_references(d)]:
+            vectors, operators = _products(basis, ref)
+            scattered = d >= 10 and (ref is None or not ref.imag.any())
+            entangled = basis_to_entangled(basis, ref)
+            for convert, name, product in ((lambda: entangled, "vectors", vectors),
+                                           (lambda: entangled_to_basis(entangled, ref), "elements",
+                                            operators)):
+                value = convert()  # each checked before anything reads it
+                held = getattr(value, name)
+                assert np.array_equal(held, product), (family, name)
+                if d < 10:
+                    assert held.tobytes() == product.tobytes()
+                assert bool(assert_the_kept_reading_is_the_arrays(value, name)) == scattered
+        scheme = build_scheme(basis)
+        for value, name in ((scheme, "channel_unitaries"), (swap_roles(scheme), "channel_unitaries"),
+                            (scheme.effects, "vectors"), (basis, "elements")):
+            assert bool(assert_the_kept_reading_is_the_arrays(value, name)) == (d >= 10)
+        extracted = extract_basis_from_scheme(scheme)
+        assert np.array_equal(scheme.effects.vectors, _products(basis, None)[0])
+        assert np.array_equal(extracted.elements, _products(basis, None)[1])
+        assert bool(assert_the_kept_reading_is_the_arrays(extracted, "elements")) == (d >= 10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow on 1e200
+@pytest.mark.parametrize("d", [10, 16])
+@pytest.mark.parametrize("phase, kept", [(1e-320, True), (5e-324, False), (1e150, True),
+                                         (1e200, False), (np.nan, False)])
+def test_a_near_miss_keeps_no_reading_and_the_products_verdict(d, phase, kept):
+    # 1e-320 and 1e150 are read, and their scaled phases stay nonzero with a finite square;
+    # 5e-324 / sqrt(d) underflows to 0, and the square of 1e200 and NaN are not finite, so the
+    # basis (1e200, NaN) or its image (5e-324) holds no reading, and every verdict is the product's
+    elements = weyl_basis(d).elements.copy()
+    elements[5, 0, np.flatnonzero(elements[5, 0])[0]] = phase
+    basis = UnitaryBasis(d, elements)
+    entangled = basis_to_entangled(basis)
+    vectors, _ = _products(basis, None)
+    assert np.array_equal(entangled.vectors, vectors, equal_nan=True)
+    assert bool(assert_the_kept_reading_is_the_arrays(entangled, "vectors")) == kept
+    product = MaxEntangledBasis(d, vectors)  # built from a caller's array: read when verified
+    scheme, by_product = build_scheme(basis), replace(build_scheme(basis), effects=product)
+    for check in (verify_entangled_basis, check_projector_completeness):
+        ours, theirs = (check(e if check is verify_entangled_basis else e.vectors)
+                        for e in (entangled, product))
+        assert (ours.passed, repr(ours.deviation), ours.witness) == (
+            theirs.passed, repr(theirs.deviation), theirs.witness)
+    for mode_scheme, theirs_scheme in ((scheme, by_product),
+                                       (swap_roles(scheme), swap_roles(by_product))):
+        ours, theirs = verify(mode_scheme), verify(replace(theirs_scheme))
+        assert not ours.passed
+        assert (ours.passed, repr(ours.deviation), ours.witness) == (
+            theirs.passed, repr(theirs.deviation), theirs.witness)
 
 
 class TestNonFiniteResource:

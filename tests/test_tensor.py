@@ -741,8 +741,11 @@ def test_verify_of_a_weyl_basis_holds_no_n_by_n_table(d, mib):
 
 @pytest.mark.parametrize("d, mib", [(24, 0.72), (32, 1.81)])
 def test_the_depolarizer_on_a_weyl_basis_peaks_at_its_blocks(d, mib):
-    # the column blocks are gathered in C order with the reading dropped before their Grams
+    # the column blocks are gathered in C order.  The reading they are grouped from is the
+    # basis's own, kept on it (24 d^3 bytes), so it is made before the trace, as in the battery,
+    # where verify_orthonormal makes it; the depolarizer peaked as low with the reading dropped
     basis = weyl_basis(d)
+    assert verify_orthonormal(basis)
     tracemalloc.start()
     try:
         assert verify_depolarizer(basis)
