@@ -11,9 +11,9 @@ whose elements are not a permutation times phases.  For each family and d it
 times the operations below in one process: one warm-up call, then the best of
 5 calls up to d = 16 and of 3 above (or of ``--repeats``), and one more call
 under ``tracemalloc`` for the peak, in units of d^4 complex entries (one
-d^2 x d^2 matrix).  Every call takes fresh copies of its inputs, made outside
-the timer and rebuilt by their constructors, so that no call finds the
-permutation-and-phases reading an earlier call kept on a value.  An operation whose calls run past ``TIMEOUT_S`` seconds is
+d^2 x d^2 matrix).  Every call takes its inputs anew, built outside the timer
+by their constructors from the arrays of the first ones, so that no call finds
+the permutation-and-phases reading an earlier call kept on a value.  An operation whose calls run past ``TIMEOUT_S`` seconds is
 recorded with ``null`` figures; the alarm takes effect when the running numpy
 call returns.  It also records ratios that survive a host's drift: a scheme's
 ``tp.verify`` over ``verify_orthonormal``, extraction over that ``tp.verify``,
@@ -27,7 +27,7 @@ script is not a test: ``testpaths`` is ``tests``.
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import json
 import os
 import platform
@@ -53,8 +53,8 @@ FAMILIES = {
     "weyl x dense": lambda d: tp.tensor_bases(tp.weyl_basis(d // 2), dense(tp.weyl_basis(2))),
 }
 
-# each takes fresh copies of the inputs it names: the basis b, its teleportation and
-# dense-coding schemes s and c, their effects e, and the state rho = e_0 e_0*
+# each takes the inputs it names, anew: the basis b, its teleportation and dense-coding
+# schemes s and c, their effects e, and the state rho = e_0 e_0*
 OPERATIONS = {
     "verify_orthonormal": ("b", tp.verify_orthonormal),
     "verify_depolarizer": ("b", tp.verify_depolarizer),
@@ -78,6 +78,15 @@ class Timeout(Exception):
 
 def _alarm(signum, frame):
     raise Timeout
+
+
+def rebuilt(value):
+    """``value`` anew from its constructor, which copies its arrays and keeps no reading.  Unlike
+    a deep copy, it does the same work on every version of the package, so that a timed call
+    finds the same memory on each."""
+    if not dataclasses.is_dataclass(value):
+        return value
+    return type(value)(*(rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)))
 
 
 def measure(operation, fresh, repeats: int):
@@ -116,8 +125,7 @@ def family_rows(family: str, d: int, repeats: int) -> list[dict]:
     inputs = {"b": basis, "s": s, "c": c, "e": s.effects, "rho": rho}
     rows = []
     for name, (names, operation) in OPERATIONS.items():
-        # a deep copy is rebuilt by the constructors, with no reading kept on it or its parts
-        fresh = lambda: [copy.deepcopy(inputs[key]) for key in names.split()]  # noqa: E731
+        fresh = lambda: [rebuilt(inputs[key]) for key in names.split()]  # noqa: E731
         ms, peak, passed = measure(operation, fresh, repeats)
         rows.append({"family": family, "d": d, "op": name,
                      "ms": None if ms is None else round(ms, 4),
