@@ -13,9 +13,10 @@ times the operations below in one process: one warm-up call, then the best of
 under ``tracemalloc`` for the peak, in units of d^4 complex entries (one
 d^2 x d^2 matrix).  Every call takes its inputs anew, built outside the timer
 by their constructors from the arrays of the first ones, so that no call finds
-the permutation-and-phases reading an earlier call kept on a value.  An operation whose calls run past ``TIMEOUT_S`` seconds is
-recorded with ``null`` figures; the alarm takes effect when the running numpy
-call returns.  It also records ratios that survive a host's drift: a scheme's
+the permutation-and-phases reading an earlier call kept on a value.  An
+operation whose calls run past ``TIMEOUT_S`` seconds is recorded with ``null``
+figures; the alarm takes effect when the running numpy call returns.  It also
+records ratios that survive a host's drift: a scheme's
 ``tp.verify`` over ``verify_orthonormal``, extraction over that ``tp.verify``,
 and each other family over Weyl for each operation.
 

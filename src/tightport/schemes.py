@@ -219,7 +219,7 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     The resource is the canonical maximally entangled vector, the channels
     conjugate by the basis elements, and the effects project onto the
     entangled basis obtained from the same elements.  The channels are the
-    basis's own read-only array.
+    basis's own read-only array, with its reading.
     """
     d = basis.d
     return TightScheme(d, _Built(omega_vector(d)), _Built(basis.elements, _read(basis, "elements")),
@@ -377,7 +377,7 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
     The component triple is untouched; only R in U_x R phi_x* = c_x I changes,
     from W^T to W or back.  So both readings agree when W^T = +-W, as for
     ``omega_vector(d)``; for another maximally entangled resource one direction
-    can pass and the other fail.  Both schemes hold the same read-only arrays.
+    can pass and the other fail.  Both schemes hold the same read-only arrays and reading.
     """
     channels = _Built(scheme.channel_unitaries, _read(scheme, "channel_unitaries"))
     return TightScheme(scheme.d, _Built(scheme.omega), channels, scheme.effects,

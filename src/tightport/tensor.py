@@ -111,7 +111,7 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
 
 
 def _read(value, name: str):
-    """``_monomial`` of the stack ``value.name``, made once and kept on ``value``; else None."""
+    """``_monomial`` of the stack ``value.name``, made once and kept on ``value``, or None."""
     reading = vars(value).get("_read_" + name, False)
     if reading is False and value.d ** 2 >= _REAL_GRAM_ROWS:
         reading = _monomial(getattr(value, name).reshape(-1, value.d, value.d))
