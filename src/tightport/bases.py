@@ -15,7 +15,8 @@ whitened L* K_x, for W = L L*.  Each Gram is O(d^6); on a Latin family, whose
 whitened elements stay a permutation times phases for a diagonal W such as the
 recovered weight, each is grouped from that reading into the d Hadamard blocks
 (A's columns transposed), O(d^4), so the witness names a rounding-level entry.
-A basis reads its elements once and keeps the reading for all of its verdicts.
+A basis reads its elements once and keeps the reading for its verdicts; the depolarizer takes a
+kept one but keeps none it makes, so that a fresh call peaks at its blocks.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -153,7 +154,8 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     witness is the matrix unit of its first NaN, else its first worst entry.
     """
     d, a = basis.d, _stacked(basis)
-    members, gram = _block_grams(a.T, _groups(a, _read(basis, "elements"), transposed=True))
+    members, gram = _block_grams(a.T, _groups(a, _read(basis, "elements", keep=False),
+                                              transposed=True))  # read, if not kept, and dropped
     return _gram_verdict(_identity_gap(gram, d), members, tol,
                          lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 

@@ -78,8 +78,8 @@ def _worst_of(parts) -> CheckResult:
 
 @dataclass(frozen=True, eq=False)
 class _Built:
-    """An array the library has just built or a value holds frozen, writable to no caller: a
-    value built from it takes it over with no copy, and ``reading``, its ``_monomial``, if given."""
+    """An array the library has just built or a value holds frozen, writable to no caller, and
+    ``reading``, its read-only ``_monomial`` if given: a value built from them takes both over."""
 
     array: np.ndarray
     reading: object = False
@@ -90,21 +90,14 @@ def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) 
     an array, so no caller can write to what it holds.  A caller's array is copied, a ``_Built``
     one taken over.  With ``shapes`` given, another shape raises ``DimensionMismatch``.
     """
-    _keep(obj, name, array.reading if isinstance(array, _Built) else False)
+    if isinstance(array, _Built) and array.reading is not False:
+        object.__setattr__(obj, "_read_" + name, array.reading)
     array = (np.asarray(array.array, dtype, order="C") if isinstance(array, _Built)
              else np.array(array, dtype=dtype, order="C"))
     if shapes is not None and array.shape not in shapes:
         raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
-
-
-def _keep(obj, name: str, reading) -> None:
-    """Keep ``reading``, unless False, on ``obj`` as its stack ``name``'s, read-only; idempotent."""
-    if reading is not False:
-        for array in reading or ():
-            array.setflags(write=False)
-        object.__setattr__(obj, "_read_" + name, reading)
 
 
 class _Value:

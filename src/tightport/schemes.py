@@ -179,8 +179,8 @@ def basis_to_entangled(
     With a unitary basis and a maximally entangled reference, the images are
     pairwise orthonormal and each is maximally entangled.  The reference
     defaults to ``omega_vector(d)``; only a caller's is checked against ``tol``.  From 100
-    elements on, a Latin family's images under a permutation times real phases, as the default
-    is, are scattered from its reading, bit for bit the product, and keep their own reading.
+    elements on, a Latin family's images under a real-phased permutation, as the default is, are
+    scattered from its reading: nonzeros bit for bit the product's, a zero maybe not its sign.
     """
     d = basis.d
     ref = _reference(omega, d, tol).reshape(d, d)

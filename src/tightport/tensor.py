@@ -19,7 +19,7 @@ at half the multiplications, with V = A + iB: R R^T for V's float64 view R gives
 and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangled-basis matrix S
 of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
 entangled bases and schemes) is a permutation times phases.  From 100 on a value reads its stack
-so once, keeps the reading, and passes it to what is converted from it, scattered with no product.
+once and keeps the reading, and a conversion scatters its result from it, with no product.
 S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
 identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
 d Hadamard blocks, O(d^4); any other family pays the O(d^6) product.  Either table is exactly
@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, _keep, require_positive
+from .common import DEFAULT_TOL, CheckResult, require_positive
 from .errors import CountMismatch, DimensionMismatch, NotNormalized
 
 __all__ = [
@@ -77,9 +77,7 @@ def _unitarity(stack: np.ndarray, scale: float, tol: float, name, reading=False)
     """The verdict on S* S = scale I for every matrix S of a stack; ``name(x)`` names S_x.
     For S or S^T ``_monomial`` (S's phases either way) S* S is diag(|phase|^2), O(d^3) in all;
     ``reading`` is the stack's ``_monomial`` when the caller has read it."""
-    if reading is False:
-        base = stack.swapaxes(1, 2)  # a transposed view is read through its base, with no copy
-        reading = _monomial(base if base.flags.c_contiguous else stack)
+    reading = _monomial(stack) if reading is False else reading
     phases = (reading or (None, None))[1]
     gaps = (_identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)) if phases is None
             else np.abs(phases.real ** 2 + phases.imag ** 2 - scale).max(axis=1))
@@ -110,25 +108,31 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
     return None
 
 
-def _read(value, name: str):
-    """``_monomial`` of the stack ``value.name``, made once and kept on ``value``, or None."""
+def _read(value, name: str, keep=True):
+    """``_monomial`` of the stack ``value.name``, or None: the one ``value`` keeps, else made and,
+    with ``keep``, kept on it read-only; writing it again writes equal arrays."""
     reading = vars(value).get("_read_" + name, False)
     if reading is False and value.d ** 2 >= _REAL_GRAM_ROWS:
         reading = _monomial(getattr(value, name).reshape(-1, value.d, value.d))
-        _keep(value, name, reading)
+        if keep:
+            for array in reading or ():
+                array.setflags(write=False)
+            object.__setattr__(value, "_read_" + name, reading)
     return reading or None
 
 
 def _times(reading, b: np.ndarray):
     """(S_x B for the S_x read as ``reading``, and its reading) if B is a permutation times real
-    phases: the phases' products scattered, the product's bytes (BLAS may fuse a complex phase's).
-    The reading is None on a 0 or an overflowing square, as ``_monomial`` of the result is."""
+    phases (BLAS may fuse a complex one's): the phases' products scattered, the product's nonzeros
+    bit for bit.  The reading is None on a 0 or an overflowing square, as ``_monomial``'s is."""
     rb = reading and _monomial(b[None], 1)
     if rb and not rb[1].imag.any():
         columns, phases = rb[0][0][reading[0]], reading[1] * rb[1][0][reading[0]]
         out = np.zeros(columns.shape + (len(b),), dtype=complex)
         np.put(out, np.arange(0, out.size, len(b)).reshape(columns.shape) + columns, phases)
         kept = phases.all() and np.isfinite(np.vdot(phases, phases))
+        for array in columns, phases:
+            array.setflags(write=False)
         return out, (columns, phases) if kept else None
 
 

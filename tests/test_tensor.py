@@ -31,6 +31,7 @@ from tightport import (
     omega_vector,
     periodic_phase_hadamard,
     shift_multiply_basis,
+    tensor,
     tensor_bases,
     trace_inner,
     vector_to_operator,
@@ -741,11 +742,8 @@ def test_verify_of_a_weyl_basis_holds_no_n_by_n_table(d, mib):
 
 @pytest.mark.parametrize("d, mib", [(24, 0.72), (32, 1.81)])
 def test_the_depolarizer_on_a_weyl_basis_peaks_at_its_blocks(d, mib):
-    # the column blocks are gathered in C order.  The reading they are grouped from is the
-    # basis's own, kept on it (24 d^3 bytes), so it is made before the trace, as in the battery,
-    # where verify_orthonormal makes it; the depolarizer peaked as low with the reading dropped
+    # the column blocks are gathered in C order with the reading dropped before their Grams
     basis = weyl_basis(d)
-    assert verify_orthonormal(basis)
     tracemalloc.start()
     try:
         assert verify_depolarizer(basis)
@@ -753,6 +751,27 @@ def test_the_depolarizer_on_a_weyl_basis_peaks_at_its_blocks(d, mib):
     finally:
         tracemalloc.stop()
     assert peak <= mib * 2**20
+
+
+@pytest.mark.parametrize("d, mib", [(24, 0.72), (32, 1.81)])
+def test_the_depolarizer_takes_a_kept_reading_and_keeps_none_it_makes(d, mib, monkeypatch):
+    # a reading kept on the basis (24 d^3 bytes) would stay through the Grams, above the bound of
+    # a fresh call; one that verify_orthonormal kept, as in the battery, is taken with no read
+    fresh, kept = weyl_basis(d), weyl_basis(d)
+    assert verify_orthonormal(kept)
+    reads = []
+    monomial = tensor._monomial
+    monkeypatch.setattr(tensor, "_monomial",
+                        lambda stack, *args: reads.append(len(stack)) or monomial(stack, *args))
+    assert verify_depolarizer(fresh) and reads == [d * d]
+    assert "_read_elements" not in vars(fresh)
+    tracemalloc.start()
+    try:
+        assert verify_depolarizer(kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reads == [d * d] and peak <= mib * 2**20
 
 
 def _outcome_gaps_by_products(scheme, r):
@@ -989,18 +1008,6 @@ def test_a_dense_resource_takes_the_gather(d, resource):
     assert (result.passed, repr(result.deviation), result.witness) == (
         expected.passed, repr(expected.deviation), expected.witness)
     assert (peak >= scheme.channel_unitaries.nbytes) == (resource == "random")
-
-
-def test_unitarity_reads_a_transposed_view_without_a_copy():
-    d = 12
-    vectors = basis_to_entangled(weyl_basis(d)).vectors.reshape(d * d, d, d)
-    tracemalloc.start()
-    try:
-        assert _unitarity(vectors.swapaxes(1, 2), 1 / d, TOL, "vector {}".format)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * vectors.nbytes  # the reading's masks and indices, and no copy
 
 
 LATIN_BELOW_THE_READING = {
