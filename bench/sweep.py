@@ -13,9 +13,14 @@ times the operations below in one process: one warm-up call, then the best of
 under ``tracemalloc`` for the peak, in units of d^4 complex entries (one
 d^2 x d^2 matrix).  Every call takes its inputs anew, built outside the timer
 by their constructors from the arrays of the first ones, so that no call finds
-the permutation-and-phases reading an earlier call kept on a value.  An
-operation whose calls run past ``TIMEOUT_S`` seconds is recorded with ``null``
-figures; the alarm takes effect when the running numpy call returns.  It also
+the permutation-and-phases reading an earlier call kept on a value.  On the
+Weyl family it also times ``weyl_basis``, at even d ``tensor_bases`` of Weyl
+at d / 2 and 2, and the value sequence ``weyl_basis`` -> ``verify_orthonormal``
+-> ``basis_to_entangled`` -> ``verify_entangled_basis`` -> ``entangled_to_basis``
+-> ``build_scheme`` -> ``tp.verify`` in both modes -> extraction, which starts
+from d and so runs on values held as their reading.  An operation whose
+calls run past ``TIMEOUT_S`` seconds is recorded with ``null`` figures; the
+alarm takes effect when the running numpy call returns.  It also
 records ratios that survive a host's drift: a scheme's
 ``tp.verify`` over ``verify_orthonormal``, extraction over that ``tp.verify``,
 and each other family over Weyl for each operation.
@@ -73,6 +78,30 @@ OPERATIONS = {
 }
 
 
+
+def value_sequence(d: int) -> bool:
+    """A Weyl value built, verified and converted in turn, as the baseline's sequence: whether
+    both modes' schemes pass ``tp.verify``."""
+    basis = tp.weyl_basis(d)
+    tp.verify_orthonormal(basis)
+    entangled = tp.basis_to_entangled(basis)
+    tp.verify_entangled_basis(entangled)
+    tp.entangled_to_basis(entangled)
+    scheme = tp.build_scheme(basis)
+    passed = bool(tp.verify(scheme)) and bool(tp.verify(tp.swap_roles(scheme)))
+    tp.extract_basis_from_scheme(scheme)
+    return passed
+
+
+# on the Weyl family only, each from d, or from its fresh factors h = weyl_basis(d / 2) and
+# t = weyl_basis(2) at even d
+BUILDS = {
+    "weyl_basis": ("d", tp.weyl_basis),
+    "tensor_bases (weyl d/2 x weyl 2)": ("h t", tp.tensor_bases),
+    "value sequence": ("d", value_sequence),
+}
+
+
 class Timeout(Exception):
     pass
 
@@ -114,7 +143,7 @@ def measure(operation, fresh, repeats: int):
         return None, None, None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-    passed = bool(result) if isinstance(result, tp.CheckResult) else True
+    passed = bool(result) if isinstance(result, (tp.CheckResult, bool)) else True
     return min(times) * 1e3, peak, passed
 
 
@@ -123,9 +152,15 @@ def family_rows(family: str, d: int, repeats: int) -> list[dict]:
     s, c = (tp.build_scheme(basis, mode) for mode in tp.MODES)
     rho = np.zeros((d, d), dtype=complex)
     rho[0, 0] = 1
-    inputs = {"b": basis, "s": s, "c": c, "e": s.effects, "rho": rho}
+    inputs = {"b": basis, "s": s, "c": c, "e": s.effects, "rho": rho, "d": d}
+    operations = dict(OPERATIONS)
+    if family == "weyl":
+        operations.update(BUILDS)
+        inputs.update(h=tp.weyl_basis(d // 2), t=tp.weyl_basis(2))
+        if d % 2:
+            del operations["tensor_bases (weyl d/2 x weyl 2)"]
     rows = []
-    for name, (names, operation) in OPERATIONS.items():
+    for name, (names, operation) in operations.items():
         fresh = lambda: [rebuilt(inputs[key]) for key in names.split()]  # noqa: E731
         ms, peak, passed = measure(operation, fresh, repeats)
         rows.append({"family": family, "d": d, "op": name,

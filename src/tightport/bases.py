@@ -15,8 +15,9 @@ whitened L* K_x, for W = L L*.  Each Gram is O(d^6); on a Latin family, whose
 whitened elements stay a permutation times phases for a diagonal W such as the
 recovered weight, each is grouped from that reading into the d Hadamard blocks
 (A's columns transposed), O(d^4), so the witness names a rounding-level entry.
-A basis reads its elements once and keeps the reading for its verdicts; the depolarizer takes a
-kept one but keeps none it makes, so that a fresh call peaks at its blocks.
+From 100 elements on, shift-and-multiply and products of such bases are held as that reading,
+their elements formed when first read; another basis keeps the reading it makes, which the
+depolarizer takes but does not make and keep, so that a fresh call peaks at its blocks.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (DEFAULT_TOL, CheckResult, _Built, _Value, _freeze, _worst_of,
+from .common import (DEFAULT_TOL, CheckResult, _Stack, _Value, _freeze, _worst_of,
                      as_permutation, require_positive)
 from .designs import HadamardMatrix, LatinSquare, fourier_hadamard, latin_from_cyclic
 from .errors import (
@@ -41,8 +42,8 @@ from .errors import (
     NotUnitary,
     WeightNotPositive,
 )
-from .tensor import (_adjoint, _block_grams, _gram, _gram_verdict, _groups, _identity_gap,
-                     _read, _unitarity, max_abs)
+from .tensor import (_REAL_GRAM_ROWS, _adjoint, _block_grams, _gram, _gram_verdict, _groups,
+                     _identity_gap, _monomial, _read, _read_as, _scattered, _unitarity, max_abs)
 
 __all__ = [
     "UnitaryBasis",
@@ -77,17 +78,7 @@ class UnitaryBasis(_Value):
                 f"expected {d ** 2} matrices of shape ({d}, {d})", complex)
 
 
-def _raw_shift_multiply(grid: np.ndarray, phase_mats: list[np.ndarray]) -> np.ndarray:
-    """Assemble the operator family without validating the designs.
-
-    Exists so tests can show the converse: a non-Latin grid or a
-    non-Hadamard phase matrix yields a family that fails orthonormality.
-    """
-    d = grid.shape[0]
-    elems = np.zeros((d * d, d, d), dtype=complex)
-    i, j, k = np.indices((d, d, d))
-    elems[i * d + j, grid[j, k], k] = np.asarray(phase_mats)[j, i, k]
-    return elems
+UnitaryBasis.elements = _Stack(name="elements")
 
 
 def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
@@ -112,7 +103,11 @@ def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
         if m.shape != (d, d):
             raise DesignInvalid(f"Hadamard {j} has shape {m.shape}, expected ({d}, {d})")
         mats.append(m)
-    return UnitaryBasis(d, _Built(_raw_shift_multiply(grid, mats)))
+    # row r = grid[j, k] of element x = i d + j holds H_j[i, k] at column k = inverse[j, r]
+    inverse, r = np.argsort(grid, axis=1), np.arange(d)
+    columns = np.concatenate([inverse] * d)
+    phases = np.array(mats)[r[None, :, None], r[:, None, None], inverse].reshape(-1, d)
+    return UnitaryBasis(d, _read_as(columns, phases, lambda: _scattered(columns, phases)))
 
 
 def weyl_basis(d: int) -> UnitaryBasis:
@@ -139,9 +134,9 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     of the two; ``table`` is the Gram matrix.
     """
     # the elements' products first, so that the Gram matrix is not held beside them
-    elements = _unitarity(basis.elements, 1, tol, "element {} is not unitary".format,
-                          _read(basis, "elements"))
-    gram = _gram(_stacked(basis), tol, basis.d, reading=_read(basis, "elements"))
+    reading = _read(basis, "elements")
+    elements = _unitarity(reading or basis.elements, 1, tol, "element {} is not unitary".format)
+    gram = _gram(lambda: _stacked(basis), tol, basis.d, reading=reading)
     return _worst_of([gram, elements])
 
 
@@ -153,9 +148,9 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     so the check is A* A = d I, read as the Gram matrix of A's columns; the
     witness is the matrix unit of its first NaN, else its first worst entry.
     """
-    d, a = basis.d, _stacked(basis)
-    members, gram = _block_grams(a.T, _groups(a, _read(basis, "elements", keep=False),
-                                              transposed=True))  # read, if not kept, and dropped
+    d = basis.d
+    members, gram = _block_grams(lambda: _stacked(basis).T, _groups(
+        None, _read(basis, "elements", keep=False), transposed=True))  # made ones dropped
     return _gram_verdict(_identity_gap(gram, d), members, tol,
                          lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 
@@ -229,8 +224,16 @@ def tensor_bases(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     """Elementwise Kronecker products, a basis on the product space."""
     d = b1.d * b2.d
     # product[x, y, a, b, i, j] = U_x[a, i] V_y[b, j]
-    product = b1.elements[:, None, :, None, :, None] * b2.elements[None, :, None, :, None, :]
-    return UnitaryBasis(d, _Built(product.reshape(d * d, d, d)))
+    product = lambda: (b1.elements[:, None, :, None, :, None]  # noqa: E731
+                       * b2.elements[None, :, None, :, None, :]).reshape(d * d, d, d)
+    if d * d >= _REAL_GRAM_ROWS:  # read as its factors' readings, and formed as their product
+        r1, r2 = (_read(b, "elements") if b.d ** 2 >= _REAL_GRAM_ROWS else _monomial(b.elements, 1)
+                  for b in (b1, b2))
+        if r1 and r2:  # row a d2 + b of element x n2 + y: U_x's row a times V_y's row b
+            columns = (r1[0][:, None, :, None] * b2.d + r2[0][None, :, None, :]).reshape(d * d, d)
+            phases = (r1[1][:, None, :, None] * r2[1][None, :, None, :]).reshape(d * d, d)
+            return UnitaryBasis(d, _read_as(columns, phases, product))
+    return UnitaryBasis(d, _Stack(product()))
 
 
 def apply_equivalence(
@@ -250,4 +253,4 @@ def apply_equivalence(
     if not unitary:
         raise NotUnitary(f"{unitary.witness} deviates from unitarity by {unitary.deviation:.3e}")
     order = np.arange(d * d) if relabel is None else as_permutation(relabel, d * d)
-    return UnitaryBasis(d, _Built(v1 @ basis.elements[order] @ v2))
+    return UnitaryBasis(d, _Stack(v1 @ basis.elements[order] @ v2))

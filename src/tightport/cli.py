@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .bases import shift_multiply_basis, weyl_basis
-from .common import DEFAULT_TOL, CheckResult, _Built, require_positive
+from .common import DEFAULT_TOL, CheckResult, _Stack, require_positive
 from .designs import (
     count_normalized_latin,
     fourier_hadamard,
@@ -58,7 +58,7 @@ def _take_over(doc: DesignDocument):
     """The object of a document just loaded and then dropped, holding the document's arrays
     rather than copies; a design's constructor validates and copies what it is given."""
     if doc.kind not in ("latin", "hadamard"):
-        payload = {key: _Built(value) if isinstance(value, np.ndarray) else value
+        payload = {key: _Stack(value) if isinstance(value, np.ndarray) else value
                    for key, value in doc.payload.items()}
         doc = DesignDocument(doc.kind, doc.d, payload, doc.meta)
     return document_to_object(doc)

@@ -76,24 +76,52 @@ def _worst_of(parts) -> CheckResult:
     return CheckResult(worst.passed, worst.deviation, worst.witness, table)
 
 
-@dataclass(frozen=True, eq=False)
-class _Built:
-    """An array the library has just built or a value holds frozen, writable to no caller, and
-    ``reading``, its read-only ``_monomial`` if given: a value built from them takes both over."""
+class _Stack:
+    """A value's stack of matrices: ``array``, read-only to every caller, and from 100 matrices on
+    ``reading``, its ``_monomial`` (columns, phases), read-only, None if none, False if not made.
 
-    array: np.ndarray
-    reading: object = False
+    Handed to a constructor, it gives the value the library's array with no copy, or the reading
+    alone, ``form()`` forming the array.  The value keeps it at ``vars(value)["_stack"]``; on its
+    class ``_Stack(name=field)`` is a non-data descriptor that forms the array in the instance dict
+    when first read, once for the values sharing the stack, the same read-only array on every
+    thread.  So a plain attribute read finds it; copies and ``replace`` read it and build anew."""
+
+    def __init__(self, array=None, reading=False, form=None, *, name=None):
+        self.array, self.reading, self.form, self.name = array, reading, form, name
+        for part in reading or ():
+            part.setflags(write=False)
+
+    def __get__(self, value, owner=None):
+        if value is None:
+            return self
+        stack = vars(value)["_stack"]
+        if stack.array is None:
+            array = stack.form()
+            array.setflags(write=False)
+            stack.array = array
+        return vars(value).setdefault(self.name, stack.array)
+
+
+def _held(value, name: str) -> _Stack:
+    """The stack ``value.name`` to hand on: the one ``value`` keeps, else its array."""
+    return vars(value).get("_stack") or _Stack(vars(value)[name])
 
 
 def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) -> None:
     """Store ``array`` read-only and C-ordered as ``obj.name``: the one way a frozen value takes
-    an array, so no caller can write to what it holds.  A caller's array is copied, a ``_Built``
-    one taken over.  With ``shapes`` given, another shape raises ``DimensionMismatch``.
+    an array, so no caller can write to what it holds.  A caller's array is copied, a ``_Stack``'s
+    taken over, with its reading if made; one with no array is formed when first read.  With
+    ``shapes`` given, another shape raises ``DimensionMismatch``.
     """
-    if isinstance(array, _Built) and array.reading is not False:
-        object.__setattr__(obj, "_read_" + name, array.reading)
-    array = (np.asarray(array.array, dtype, order="C") if isinstance(array, _Built)
-             else np.array(array, dtype=dtype, order="C"))
+    if isinstance(array, _Stack):
+        if array.reading is not False:
+            vars(obj)["_stack"] = array
+        if array.array is None:
+            del vars(obj)[name]  # the field's descriptor forms it
+            return
+        array = np.asarray(array.array, dtype, order="C")
+    else:
+        array = np.array(array, dtype=dtype, order="C")
     if shapes is not None and array.shape not in shapes:
         raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
     array.setflags(write=False)

@@ -16,7 +16,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, _freeze, _integral, as_permutation, require_positive
+from .common import (DEFAULT_TOL, CheckResult, _freeze, _integral, _Value, as_permutation,
+                     require_positive)
 from .errors import (
     DesignInvalid,
     DimensionTooLarge,
@@ -69,7 +70,7 @@ def _as_phase_matrix(h) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LatinSquare:
+class LatinSquare(_Value):
     """A d x d grid over symbols 0..d-1, each exactly once per row and column.
 
     Construction validates the grid and rejects anything else, so holding a
@@ -91,7 +92,7 @@ class LatinSquare:
 
 
 @dataclass(frozen=True, eq=False)
-class HadamardMatrix:
+class HadamardMatrix(_Value):
     """A square matrix of unit-modulus entries with H H* = d I.
 
     Construction validates both conditions at the package default tolerance.

@@ -21,7 +21,8 @@ reads either identity per outcome: every T_x = U_x R phi_x* is c_x I and sum_x |
 R = W^T for teleportation and R = W for dense coding.  For a Latin family's channels or effects,
 each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2) per outcome;
 with both and R one too, as for the canonical resource, T_x is its d nonzeros, O(d^3) in all.
-Each value keeps the reading of its stack; a conversion scatters its result from it, O(d^3).
+Each value holds the reading of its stack and a conversion builds its result as one, O(d^3), the
+dense stack formed only when read; the dense-coding table is then d block products.
 Outcome x acts on the input by K_x = W^T phi_x*, and the output is sum_x U_x K_x rho K_x* U_x*.
 All of them read the resource by one rule and fail any but a unit vector or psi psi* for one.
 
@@ -37,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import DEFAULT_TOL, CheckResult, _Built, _Value, _freeze, _worst_of, require_positive
+from .common import (DEFAULT_TOL, CheckResult, _held, _Stack, _Value, _freeze, _worst_of,
+                     require_positive)
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -46,8 +48,10 @@ from .errors import (
     SchemeInvalid,
 )
 from .tensor import (
+    _REAL_GRAM_ROWS,
     _adjoint,
     _gram,
+    _groups,
     _identity_gap,
     _monomial,
     _read,
@@ -139,6 +143,10 @@ class TightScheme(_Value):
             )
 
 
+MaxEntangledBasis.vectors = _Stack(name="vectors")
+TightScheme.channel_unitaries = _Stack(name="channel_unitaries")
+
+
 def _resource_vector(scheme: TightScheme, tol: float) -> np.ndarray | CheckResult:
     """The resource vector psi, or the failing verdict on the resource.
 
@@ -184,8 +192,8 @@ def basis_to_entangled(
     """
     d = basis.d
     ref = _reference(omega, d, tol).reshape(d, d)
-    vecs, reading = _times(_read(basis, "elements"), ref) or (basis.elements @ ref, False)
-    return MaxEntangledBasis(d, _Built(vecs.reshape(d * d, -1), reading))
+    vectors = d * d >= _REAL_GRAM_ROWS and _times(_read(basis, "elements"), ref, (d * d, -1))
+    return MaxEntangledBasis(d, vectors or _Stack((basis.elements @ ref).reshape(d * d, -1)))
 
 
 def entangled_to_basis(
@@ -205,12 +213,14 @@ def entangled_to_basis(
 def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> UnitaryBasis:
     d = entangled.d
     ref_op = np.sqrt(d) * vector_to_operator(ref, d).conj().T
-    ops, reading = _times(_read(entangled, "vectors"), ref_op) or (
-        (entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d), False)
-    check = _unitarity(ops, 1, tol, "vector {} yields an operator".format, reading)
+    ops = d * d >= _REAL_GRAM_ROWS and _times(_read(entangled, "vectors"), ref_op, (-1, d, d))
+    if not ops:
+        ops = _Stack((entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d))
+    check = _unitarity(ops.reading or _monomial(ops.array) or ops.array, 1, tol,
+                       "vector {} yields an operator".format)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
-    return UnitaryBasis(d, _Built(ops, reading))
+    return UnitaryBasis(d, ops)
 
 
 def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
@@ -219,11 +229,11 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     The resource is the canonical maximally entangled vector, the channels
     conjugate by the basis elements, and the effects project onto the
     entangled basis obtained from the same elements.  The channels are the
-    basis's own read-only array, with its reading.
+    basis's own stack: its read-only array, its reading, or both.
     """
     d = basis.d
-    return TightScheme(d, _Built(omega_vector(d)), _Built(basis.elements, _read(basis, "elements")),
-                       basis_to_entangled(basis), mode)
+    effects = basis_to_entangled(basis)  # first, so that the basis's reading is made and shared
+    return TightScheme(d, _Stack(omega_vector(d)), _held(basis, "elements"), effects, mode)
 
 
 def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
@@ -239,11 +249,10 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
     too, T_x is its d nonzeros, O(d) per outcome.
     """
     d = scheme.d
-    effects = scheme.effects.vectors.reshape(-1, d, d)
     u, phi = _read(scheme, "channel_unitaries"), _read(scheme.effects, "vectors")
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
-    q = slice(None) if phi is None else (np.arange(len(effects))[:, None], np.argsort(phi[0], 1))
+    q = slice(None) if phi is None else (np.arange(d * d)[:, None], np.argsort(phi[0], 1))
     rr = u and phi and _monomial(r[None], 1)  # one matrix: read only past the stacks' gate
     if rr:  # row k of T_x in that order: R's entry in row a_k, times u's phase and conj(p)'s
         columns, t = (x[0][u[0][q]] for x in rr)
@@ -260,6 +269,7 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
             t = r[u[0][q]]
             t *= u[1][q][..., None]
         if phi is None:
+            effects = scheme.effects.vectors.reshape(-1, d, d)
             t = np.conjugate(t, out=t) @ np.swapaxes(effects, 1, 2)
         else:  # T_x in that order is (U_x R)[q] times conj(p[q]) on the columns
             t *= phi[1][q].conj()[:, None, :]
@@ -301,7 +311,8 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     the sender conjugates the resource's left half by channel x, and the
     receiver projects onto effect y.  Validity means the matrix, the result's
     ``table``, is exactly I.  Its entries are probabilities, so its gap is
-    quadratic in the damage by definition.
+    quadratic in the damage by definition.  When the rows vec(U_x W) and the
+    effects are read as the same d groups, the table is d block products.
 
     The resource's form (a unit vector, or a matrix that is psi psi*; one
     that fails has no table) and the identity are checked, and nothing else:
@@ -313,13 +324,19 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     if isinstance(psi, CheckResult):
         return psi
     d = scheme.d
-    n = d * d
-    # |<phi_y | vec(U_x W)>| as |conj(vec(U_x W)) . phi_y|, so the effects are not copied
-    table = np.abs(
-        np.conj(scheme.channel_unitaries @ psi.reshape(d, d)).reshape(n, n)
-        @ scheme.effects.vectors.T
-    )
-    table **= 2
+    n, w = d * d, psi.reshape(d, d)
+    u, phi = _read(scheme, "channel_unitaries"), _read(scheme.effects, "vectors")
+    rows = u and phi and getattr(_times(u, w, (n, n)), "reading", None)  # vec(U_x W), read
+    both = rows and [_groups(None, reading) for reading in (rows, phi)]  # (members, blocks)
+    if both and all(both) and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
+        # group g of the rows and of the effects share one permutation, disjoint from the others'
+        (mx, bx), (my, by) = both
+        table = np.zeros((n, n))
+        table[mx[:, :, None], my[:, None, :]] = np.abs(np.conj(bx) @ by.swapaxes(1, 2)) ** 2
+    else:  # |<phi_y | vec(U_x W)>| as |conj(vec(U_x W)) . phi_y|, so the effects are not copied
+        table = np.abs(np.conj(scheme.channel_unitaries @ w).reshape(n, n)
+                       @ scheme.effects.vectors.T)
+        table **= 2
     return CheckResult.worst(_identity_gap(table), tol, "encoded {}, decoded {}".format, table)
 
 
@@ -333,11 +350,11 @@ def verify_entangled_basis(
     reduced operator I/d.  Reports the worse of the two deviations; ``table``
     is the vectors' Gram matrix.
     """
-    d = entangled.d
+    d, reading = entangled.d, _read(entangled, "vectors")
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
-    vectors = _unitarity(entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2), 1 / d, tol,
-                         "vector {} is not maximally entangled".format, _read(entangled, "vectors"))
-    return _worst_of([_gram(entangled.vectors, tol, reading=_read(entangled, "vectors")), vectors])
+    vectors = _unitarity(reading or entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2), 1 / d,
+                         tol, "vector {} is not maximally entangled".format)
+    return _worst_of([_gram(lambda: entangled.vectors, tol, reading=reading), vectors])
 
 
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -362,12 +379,12 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    channels = _unitarity(obj.channel_unitaries, 1, tol, "channel {} is not unitary".format,
-                          _read(obj, "channel_unitaries"))
+    channels = _unitarity(_read(obj, "channel_unitaries") or obj.channel_unitaries, 1, tol,
+                          "channel {} is not unitary".format)
     w = psi.reshape(obj.d, -1)
     identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
-    effects = _gram(obj.effects.vectors, tol, reading=_read(obj.effects, "vectors"), name="effect "
-                    "vectors are not a complete measurement: Gram entry ({}, {})".format)
+    effects = _gram(lambda: obj.effects.vectors, tol, reading=_read(obj.effects, "vectors"), name=(
+        "effect vectors are not a complete measurement: Gram entry ({}, {})".format))
     return _worst_of([channels, effects, identity])
 
 
@@ -377,11 +394,10 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
     The component triple is untouched; only R in U_x R phi_x* = c_x I changes,
     from W^T to W or back.  So both readings agree when W^T = +-W, as for
     ``omega_vector(d)``; for another maximally entangled resource one direction
-    can pass and the other fail.  Both schemes hold the same read-only arrays and reading.
+    can pass and the other fail.  Both schemes hold the same read-only arrays and stack.
     """
-    channels = _Built(scheme.channel_unitaries, _read(scheme, "channel_unitaries"))
-    return TightScheme(scheme.d, _Built(scheme.omega), channels, scheme.effects,
-                       MODES[1 - MODES.index(scheme.mode)])
+    return TightScheme(scheme.d, _Stack(scheme.omega), _held(scheme, "channel_unitaries"),
+                       scheme.effects, MODES[1 - MODES.index(scheme.mode)])
 
 
 def _check_density(rho: np.ndarray, d: int, tol: float) -> None:
@@ -412,8 +428,13 @@ def teleport_state(
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         raise SchemeInvalid(f"scheme fails by {psi.deviation:.3e}: {psi.witness}; cannot teleport")
-    kraus = psi.reshape(d, d).T @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))  # K_x
+    wt, phi = psi.reshape(d, d).T, _read(scheme.effects, "vectors")
+    if phi and not wt.imag.any():  # column j of K_x: W^T's column b_j times conj(p_j), as summed
+        kraus = wt[:, phi[0]].transpose(1, 0, 2) * phi[1].conj()[:, None, :]
+    else:
+        kraus = wt @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))  # K_x
     conditionals = kraus @ rho @ _adjoint(kraus)
+    del kraus  # not held beside the channels, which a scheme held as its reading forms now
     probabilities = np.trace(conditionals, axis1=1, axis2=2).real
     u = scheme.channel_unitaries
     output = (u @ conditionals @ _adjoint(u)).sum(axis=0)

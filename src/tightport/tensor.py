@@ -18,8 +18,8 @@ cost of every verdict.  Below 100 rows it is one complex product; from 100 on, i
 at half the multiplications, with V = A + iB: R R^T for V's float64 view R gives A A^T + B B^T,
 and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangled-basis matrix S
 of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
-entangled bases and schemes) is a permutation times phases.  From 100 on a value reads its stack
-once and keeps the reading, and a conversion scatters its result from it, with no product.
+entangled bases and schemes) is a permutation times phases.  From 100 on such a value is held as
+that reading, its dense stack formed only when a caller reads it, or keeps the one it makes.
 S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
 identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
 d Hadamard blocks, O(d^4); any other family pays the O(d^6) product.  Either table is exactly
@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, require_positive
+from .common import DEFAULT_TOL, CheckResult, _Stack, require_positive
 from .errors import CountMismatch, DimensionMismatch, NotNormalized
 
 __all__ = [
@@ -73,14 +73,12 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
     return gap
 
 
-def _unitarity(stack: np.ndarray, scale: float, tol: float, name, reading=False) -> CheckResult:
-    """The verdict on S* S = scale I for every matrix S of a stack; ``name(x)`` names S_x.
-    For S or S^T ``_monomial`` (S's phases either way) S* S is diag(|phase|^2), O(d^3) in all;
-    ``reading`` is the stack's ``_monomial`` when the caller has read it."""
-    reading = _monomial(stack) if reading is False else reading
-    phases = (reading or (None, None))[1]
-    gaps = (_identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)) if phases is None
-            else np.abs(phases.real ** 2 + phases.imag ** 2 - scale).max(axis=1))
+def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
+    """The verdict on S* S = scale I for every matrix S of ``stack``, or of the stack read as
+    ``stack``, a ``_monomial`` of S or S^T (S's phases either way): diag(|phase|^2), O(d^3) in all;
+    ``name(x)`` names S_x."""
+    gaps = (np.abs(stack[1].real ** 2 + stack[1].imag ** 2 - scale).max(axis=1) if isinstance(
+        stack, tuple) else _identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)))
     return CheckResult.worst(gaps, tol, name)
 
 
@@ -109,44 +107,57 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
 
 
 def _read(value, name: str, keep=True):
-    """``_monomial`` of the stack ``value.name``, or None: the one ``value`` keeps, else made and,
-    with ``keep``, kept on it read-only; writing it again writes equal arrays."""
-    reading = vars(value).get("_read_" + name, False)
-    if reading is False and value.d ** 2 >= _REAL_GRAM_ROWS:
-        reading = _monomial(getattr(value, name).reshape(-1, value.d, value.d))
+    """``_monomial`` of the stack ``value.name``, or None: the one its ``_Stack`` keeps, else from
+    100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays."""
+    stack = vars(value).get("_stack")
+    if stack is None and value.d ** 2 >= _REAL_GRAM_ROWS:
+        array = getattr(value, name)
+        stack = _Stack(array, _monomial(array.reshape(-1, value.d, value.d)))
         if keep:
-            for array in reading or ():
-                array.setflags(write=False)
-            object.__setattr__(value, "_read_" + name, reading)
-    return reading or None
+            stack = vars(value).setdefault("_stack", stack)
+    return stack and stack.reading
 
 
-def _times(reading, b: np.ndarray):
-    """(S_x B for the S_x read as ``reading``, and its reading) if B is a permutation times real
-    phases (BLAS may fuse a complex one's): the phases' products scattered, the product's nonzeros
-    bit for bit.  The reading is None on a 0 or an overflowing square, as ``_monomial``'s is."""
+def _read_as(columns: np.ndarray, phases: np.ndarray, form) -> _Stack:
+    """The stack read as (columns, phases), formed by ``form()`` when first read; formed now, with
+    no reading, below 100 matrices or on a 0 or an overflowing square, as ``_monomial``'s is."""
+    if len(columns) < _REAL_GRAM_ROWS:
+        return _Stack(form())
+    if phases.all() and np.isfinite(np.vdot(phases, phases)):
+        return _Stack(reading=(columns, phases), form=form)
+    return _Stack(form(), None)
+
+
+def _scattered(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The (count, d, d) stack read as (columns, phases): row i of matrix x phases[x, i] at column
+    columns[x, i], put into zeros."""
+    out = np.zeros(columns.shape + (columns.shape[-1],), dtype=complex)
+    np.put(out, np.arange(0, out.size, columns.shape[-1]).reshape(columns.shape) + columns, phases)
+    return out
+
+
+def _times(reading, b: np.ndarray, shape: tuple):
+    """The stack of S_x B, shaped ``shape``, for the S_x read as ``reading``, as its reading, if B
+    is a permutation times real phases (BLAS may fuse a complex one's): the phases' products,
+    scattered when first read, the product's nonzeros bit for bit."""
     rb = reading and _monomial(b[None], 1)
     if rb and not rb[1].imag.any():
         columns, phases = rb[0][0][reading[0]], reading[1] * rb[1][0][reading[0]]
-        out = np.zeros(columns.shape + (len(b),), dtype=complex)
-        np.put(out, np.arange(0, out.size, len(b)).reshape(columns.shape) + columns, phases)
-        kept = phases.all() and np.isfinite(np.vdot(phases, phases))
-        for array in columns, phases:
-            array.setflags(write=False)
-        return out, (columns, phases) if kept else None
+        return _read_as(columns, phases, lambda: _scattered(columns, phases).reshape(shape))
 
 
-def _groups(rows: np.ndarray, reading=False, transposed=False):
+def _groups(rows, reading=False, transposed=False):
     """(members, blocks) of V, or with ``transposed`` of V^T, when V's rows are vec(S_x) of the
-    paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``, read if not given:
-    sorted by the column in row 0, d groups of d S_x, each sharing one permutation, the d disjoint
-    in every row.  Group g is rows ``members[g]``, its block ``blocks[g]``, its phases."""
-    d = math.isqrt(rows.shape[1])
+    paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``, read off ``rows``
+    if not given: sorted by the column in row 0, d groups of d S_x, each sharing one permutation,
+    the d disjoint in every row.  Group g is rows ``members[g]``, its block ``blocks[g]``."""
     if reading is False:
+        d = math.isqrt(rows.shape[1])
         reading = d * d == rows.shape[1] and _monomial(rows.reshape(len(rows), d, d))
-    if not reading or len(reading[0]) != d * d:  # d^2 matrices
+    if not reading or len(reading[0]) != reading[0].shape[1] ** 2:  # d^2 matrices
         return None
     columns, phases = reading
+    d = columns.shape[1]
     members = np.argsort(columns[:, 0], kind="stable").reshape(d, d)
     shared = columns[members[:, 0]]  # group g's permutation
     if not ((columns[members] == shared[:, None]).all()
@@ -158,15 +169,18 @@ def _groups(rows: np.ndarray, reading=False, transposed=False):
     return shared + d * np.arange(d), np.take(phases, d * members[:, None] + np.arange(d)[:, None])
 
 
-def _block_grams(rows: np.ndarray, groups=None):
-    """(members, grams): conj(V) V^T for the rows of V, of any layout, as (None, table), or on
-    ``groups``, V's ``_groups``, as the blocks' Grams, block g on rows and columns ``members[g]``.
+def _block_grams(rows, groups=None):
+    """(members, grams): conj(V) V^T for the rows of V, of any layout or formed by a callable,
+    as (None, table), or on ``groups``, V's ``_groups``, as the blocks' Grams, block g on
+    rows and columns ``members[g]``.
 
     From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB, A A^T + B B^T is R R^T for V's float64
     view R (one dsyrk, exactly symmetric) and the imaginary part M - M^T for M = A B^T (one dgemm).
     """
-    if len(rows) < _REAL_GRAM_ROWS:
-        return None, rows.conj() @ rows.T
+    if groups is None:
+        rows = rows() if callable(rows) else rows
+        if len(rows) < _REAL_GRAM_ROWS:
+            return None, rows.conj() @ rows.T
     members, v = groups or (None, rows)
     k = v.shape[-2]
     # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
@@ -201,8 +215,9 @@ def _scatter(members: np.ndarray, grams: np.ndarray) -> np.ndarray:
 
 
 def _gram(rows, tol: float, scale=1, name="Gram entry ({}, {})".format, reading=False):
-    """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V, with ``reading`` their
-    ``_monomial`` if made; ``table`` is that matrix, a block one formed when first read."""
+    """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V: ``rows``, or with
+    ``reading``, their ``_monomial``, a callable forming them, called only if it does not group
+    them; ``table`` is that matrix, a block one formed when first read."""
     members, gram = _block_grams(rows, _groups(rows, reading))
     if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
         gram.view(np.float64)[...] *= 1 / scale

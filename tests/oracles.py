@@ -10,6 +10,9 @@ witness names an entry at the maximum gap.  The two tensor helpers they
 need, ``matrix_units`` and ``partial_trace``, are defined here as well, and
 so are two references for the Latin-square code: the row and column loop
 ``validate_latin`` once was, and a count by filtering every tuple of rows.
+The two dense constructions the bases were once built by, the shift-and-multiply
+assembly and the broadcast Kronecker product, are kept as the references for the
+values now built as their permutation-and-phases reading.
 """
 
 from __future__ import annotations
@@ -20,6 +23,22 @@ import numpy as np
 
 from tightport.errors import DimensionMismatch, NoSolution
 from tightport.tensor import max_abs
+
+
+def raw_shift_multiply(grid: np.ndarray, phase_mats) -> np.ndarray:
+    """Element (i, j) sends e_k to H_j[i, k] e_grid[j, k], with no check of the designs, so that
+    a non-Latin grid or a non-Hadamard phase matrix yields a family that fails orthonormality."""
+    d = grid.shape[0]
+    elems = np.zeros((d * d, d, d), dtype=complex)
+    i, j, k = np.indices((d, d, d))
+    elems[i * d + j, grid[j, k], k] = np.asarray(phase_mats)[j, i, k]
+    return elems
+
+
+def kron_stack(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Elementwise Kronecker products of two stacks: [x, y, a, b, i, j] is U_x[a, i] V_y[b, j]."""
+    d = e1.shape[1] * e2.shape[1]
+    return (e1[:, None, :, None, :, None] * e2[None, :, None, :, None, :]).reshape(d * d, d, d)
 
 
 def matrix_units(d: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import PAULIS, SIGMA_X, random_complex, random_unitary
@@ -16,19 +19,28 @@ from tightport import (
     UnitaryBasis,
     WeightNotPositive,
     apply_equivalence,
+    basis_to_entangled,
+    build_scheme,
+    dumps,
+    entangled_to_basis,
+    extract_basis_from_scheme,
     fourier_hadamard,
     hadamard_d4_family,
+    latin_equivalence_apply,
     latin_from_cyclic,
+    make_document,
+    periodic_phase_hadamard,
     recover_weight_from_unitary_gram,
     shift_multiply_basis,
+    swap_roles,
     tensor_bases,
     trace_inner,
+    verify,
     verify_depolarizer,
     verify_orthonormal,
     weighted_gram,
     weyl_basis,
 )
-from tightport.bases import _raw_shift_multiply
 from tightport.tensor import _identity_gap
 
 
@@ -126,14 +138,14 @@ class TestShiftMultiply:
         # Bypassing validation shows the conditions are necessary, not just
         # sufficient: a repeated column symbol collapses the Gram matrix.
         grid = np.array([[0, 1], [0, 1]])
-        elems = _raw_shift_multiply(grid, [fourier_hadamard(2).matrix] * 2)
+        elems = oracles.raw_shift_multiply(grid, [fourier_hadamard(2).matrix] * 2)
         report = verify_orthonormal(UnitaryBasis(2, elems))
         assert not report.passed
         assert report.deviation > 1e-3
 
     def test_converse_non_hadamard_breaks_orthonormality(self):
         grid = latin_from_cyclic(2).grid
-        elems = _raw_shift_multiply(grid, [np.ones((2, 2), dtype=complex)] * 2)
+        elems = oracles.raw_shift_multiply(grid, [np.ones((2, 2), dtype=complex)] * 2)
         report = verify_orthonormal(UnitaryBasis(2, elems))
         assert not report.passed
         assert report.deviation > 1e-3
@@ -463,3 +475,59 @@ def test_depolarizer_takes_the_gram_of_the_columns(d, damage, family):
     if damage is not None:  # on a basis the witness names the largest rounding error
         assert result.witness == expected.witness
     assert result.deviation == pytest.approx(expected.deviation, rel=0, abs=1e-12, nan_ok=True)
+
+
+def _designs(rng, d):
+    """A seeded random Latin square of order d and d Hadamards with periodic phases, two cells
+    taking turns over the column shifts."""
+    p = int(rng.choice([p for p in range(1, d + 1) if d % p == 0]))
+    square = latin_equivalence_apply(latin_from_cyclic(d), *(rng.permutation(d) for _ in range(3)))
+    cells = [np.exp(2j * np.pi * rng.random((p, d // p))) for _ in range(2)]
+    return square, [periodic_phase_hadamard(p, d // p, np.tile(cells[j % 2], (d // p, p)))
+                    for j in range(d)]
+
+
+def _held_and_eager(rng, d, family):
+    """The basis its constructor builds, and its elements as the dense constructions build them."""
+    if family == "weyl":
+        return weyl_basis(d), oracles.raw_shift_multiply(
+            latin_from_cyclic(d).grid, [fourier_hadamard(d).matrix] * d)
+    if family == "shift-multiply":
+        square, hadamards = _designs(rng, d)
+        return shift_multiply_basis(square, hadamards), oracles.raw_shift_multiply(
+            square.grid, [h.matrix for h in hadamards])
+    d1 = int(rng.choice([f for f in range(2, d) if d % f == 0]))
+    (b1, e1), (b2, e2) = (_held_and_eager(rng, f, rng.choice(["weyl", "shift-multiply"]))
+                          for f in (d1, d // d1))
+    return tensor_bases(b1, b2), oracles.kron_stack(e1, e2)
+
+
+def _conversions(basis):
+    """Every value the conversions build from ``basis``, before any of their arrays is read."""
+    entangled = basis_to_entangled(basis)
+    scheme = build_scheme(basis)
+    return [basis, entangled, entangled_to_basis(entangled), scheme, swap_roles(scheme),
+            extract_basis_from_scheme(scheme)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(10, 32), family=st.sampled_from(["weyl", "shift-multiply", "product"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_basis_held_as_its_reading_reads_as_the_eager_build(d, family, seed):
+    # from 100 elements on a Latin family is built as its reading alone, and so is every value
+    # converted from it; each array read from them is the eager build's byte for byte, and so
+    # is each document's text
+    assume(family != "product" or any(d % f == 0 for f in range(2, d)))
+    held, eager = _held_and_eager(np.random.default_rng(seed), d, family)
+    assert "elements" not in vars(held) and vars(held)["_stack"].reading
+    held_values, eager_values = _conversions(held), _conversions(UnitaryBasis(d, eager))
+    for held_value, eager_value in zip(held_values, eager_values):
+        for field in fields(held_value):
+            got, expected = getattr(held_value, field.name), getattr(eager_value, field.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes() and not got.flags.writeable
+        assert verify(held_value) == verify(eager_value)
+    assert held.elements.tobytes() == eager.tobytes()
+    for i in 0, 1, 3:  # the basis, its entangled basis and its scheme
+        assert dumps(make_document(held_values[i])) == dumps(make_document(eager_values[i]))

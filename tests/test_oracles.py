@@ -39,7 +39,6 @@ from tightport import (
     weighted_gram,
     weyl_basis,
 )
-from tightport.bases import _raw_shift_multiply
 
 TOL = 1e-10
 AGREE = 1e-12
@@ -66,13 +65,13 @@ def _nan_entry(d, rng):
 def _non_latin(d, rng):
     grid = latin_from_cyclic(d).grid.copy()
     grid[1] = grid[0]
-    return _raw_shift_multiply(grid, [fourier_hadamard(d).matrix] * d)
+    return oracles.raw_shift_multiply(grid, [fourier_hadamard(d).matrix] * d)
 
 
 def _non_hadamard(d, rng):
     phases = [fourier_hadamard(d).matrix] * d
     phases[1] = np.exp(1j * rng.uniform(0, 2 * np.pi, (d, d)))
-    return _raw_shift_multiply(latin_from_cyclic(d).grid, phases)
+    return oracles.raw_shift_multiply(latin_from_cyclic(d).grid, phases)
 
 
 def _random_unitaries(d, rng):

@@ -27,6 +27,7 @@ from tightport import (
     check_projector_completeness,
     entangled_to_basis,
     extract_basis_from_scheme,
+    fourier_hadamard,
     hadamard_d4_family,
     latin_equivalence_apply,
     latin_from_cyclic,
@@ -626,11 +627,13 @@ def test_values_built_from_one_another_share_their_arrays():
 @pytest.mark.parametrize("copier", [lambda value: pickle.loads(pickle.dumps(value)),
                                     copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"])
 def test_a_copied_value_holds_read_only_arrays_of_its_own_and_no_reading(copier):
+    # designs too: a copy is rebuilt, and validated, by its constructor
     basis = weyl_basis(10)
     scheme = build_scheme(basis)
     assert verify(scheme) and verify_orthonormal(basis)  # readings made, where a value keeps them
     for value, names in ((basis, ["elements"]), (scheme.effects, ["vectors"]),
-                         (scheme, ["omega", "channel_unitaries"])):
+                         (scheme, ["omega", "channel_unitaries"]),
+                         (fourier_hadamard(4), ["matrix"]), (latin_from_cyclic(4), ["grid"])):
         copied = copier(value)
         assert type(copied) is type(value) and copied.d == value.d
         assert vars(copied).keys() == {f.name for f in fields(copied)}
@@ -643,11 +646,13 @@ def test_a_copied_value_holds_read_only_arrays_of_its_own_and_no_reading(copier)
     assert copier(scheme).mode == scheme.mode and verify(copier(scheme))
 
 
-def test_the_batterys_sequence_reads_the_basis_once_and_a_replaced_stack_again(monkeypatch):
+@pytest.mark.parametrize("held", [True, False], ids=["held as its reading", "built from an array"])
+def test_the_batterys_sequence_reads_the_basis_once_and_a_replaced_stack_again(monkeypatch, held):
     # each value keeps the reading of its stack, and the conversions carry the reading they were
-    # built from, so along the whole sequence one stack is read: the basis's elements.  Single
-    # d x d matrices (the reference, the resource) are not stacks, and are not counted
-    basis = weyl_basis(10)
+    # built from, so along the whole sequence one stack is read: the basis's elements, and none
+    # when the basis is built as its reading.  Single d x d matrices (the reference, the
+    # resource) are not stacks, and are not counted
+    basis = weyl_basis(10) if held else UnitaryBasis(10, weyl_basis(10).elements)
     reads = []
 
     def counting(stack, *args):
@@ -667,15 +672,33 @@ def test_the_batterys_sequence_reads_the_basis_once_and_a_replaced_stack_again(m
     for value in (scheme, swap_roles(scheme)):
         assert verify(value)
     assert verify_depolarizer(extract_basis_from_scheme(scheme))
-    assert len(reads) == 1 and np.shares_memory(reads[0], basis.elements)
+    assert len(reads) == 1 - held and all(np.shares_memory(r, basis.elements) for r in reads)
 
     channels = scheme.channel_unitaries.copy()
     channels[5, 0] *= 1 + 1e-6
     twisted = replace(scheme, channel_unitaries=channels)
     verdicts = [verify(twisted), verify(swap_roles(twisted))]
-    assert len(reads) == 2 and np.shares_memory(reads[1], twisted.channel_unitaries)
+    assert len(reads) == 2 - held and np.shares_memory(reads[-1], twisted.channel_unitaries)
     for verdict in verdicts:
         assert not verdict and verdict.witness == "channel 5 is not unitary"
+
+
+@pytest.mark.parametrize("d", [10, 16])
+def test_no_verdict_forms_the_stack_of_a_value_held_as_its_reading(d):
+    # each verdict and conversion takes the reading; only a caller's read forms a dense stack
+    basis = weyl_basis(d)
+    scheme = build_scheme(basis)
+    swapped, entangled = swap_roles(scheme), basis_to_entangled(basis)
+    for verdict in (verify_orthonormal(basis), verify_depolarizer(basis), verify(entangled),
+                    verify_teleportation(scheme), verify_dense_coding(swapped), verify(scheme),
+                    verify(swapped)):
+        assert verdict
+    extracted = [extract_basis_from_scheme(scheme), entangled_to_basis(entangled)]
+    for value, name in ((basis, "elements"), (scheme, "channel_unitaries"),
+                        (scheme.effects, "vectors"), (entangled, "vectors"),
+                        *((b, "elements") for b in extracted)):
+        assert name not in vars(value) and vars(value)["_stack"].reading
+    assert np.shares_memory(scheme.channel_unitaries, basis.elements)  # formed once for both
 
 
 def _latin_families(d):
@@ -706,7 +729,7 @@ def _references(d):
 
 def assert_the_kept_reading_is_the_arrays(value, name):
     """A reading a value keeps is read-only and bit for bit ``_monomial`` of its stack."""
-    kept = vars(value).get("_read_" + name, False)
+    kept = vars(value)["_stack"].reading if "_stack" in vars(value) else False
     if kept is not False:
         fresh = tensor._monomial(getattr(value, name).reshape(-1, value.d, value.d))
         assert (kept is None) == (fresh is None)
@@ -732,7 +755,7 @@ def test_the_scatters_are_the_products(d):
     for family, basis in _latin_families(d):
         assert verify_orthonormal(basis), family
         if d < 10:  # below the reading's gate nothing is read, so nothing is kept
-            assert not any(key.startswith("_read_") for key in vars(basis))
+            assert "_stack" not in vars(basis)
         for ref in [None, *_references(d)]:
             vectors, operators = _products(basis, ref)
             scattered = d >= 10 and (ref is None or not ref.imag.any())

@@ -756,15 +756,16 @@ def test_the_depolarizer_on_a_weyl_basis_peaks_at_its_blocks(d, mib):
 @pytest.mark.parametrize("d, mib", [(24, 0.72), (32, 1.81)])
 def test_the_depolarizer_takes_a_kept_reading_and_keeps_none_it_makes(d, mib, monkeypatch):
     # a reading kept on the basis (24 d^3 bytes) would stay through the Grams, above the bound of
-    # a fresh call; one that verify_orthonormal kept, as in the battery, is taken with no read
-    fresh, kept = weyl_basis(d), weyl_basis(d)
+    # a fresh call; one that verify_orthonormal kept, as in the battery, is taken with no read.
+    # The fresh basis is built from an array: weyl_basis holds its reading from construction
+    fresh, kept = UnitaryBasis(d, weyl_basis(d).elements), UnitaryBasis(d, weyl_basis(d).elements)
     assert verify_orthonormal(kept)
     reads = []
     monomial = tensor._monomial
     monkeypatch.setattr(tensor, "_monomial",
                         lambda stack, *args: reads.append(len(stack)) or monomial(stack, *args))
     assert verify_depolarizer(fresh) and reads == [d * d]
-    assert "_read_elements" not in vars(fresh)
+    assert "_stack" not in vars(fresh)
     tracemalloc.start()
     try:
         assert verify_depolarizer(kept)
