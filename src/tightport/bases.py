@@ -16,8 +16,8 @@ whitened elements stay a permutation times phases for a diagonal W such as the
 recovered weight, each is grouped from that reading into the d Hadamard blocks
 (A's columns transposed), O(d^4), so the witness names a rounding-level entry.
 From 100 elements on, shift-and-multiply and products of such bases are held as that reading,
-their elements formed when first read; another basis keeps the reading it makes, which the
-depolarizer takes but does not make and keep, so that a fresh call peaks at its blocks.
+their elements formed when first read; another basis keeps the reading its first verdict makes,
+and the depolarizer takes a kept one but keeps none it makes, so a fresh call peaks at its blocks.
 
 The workhorse construction is shift-and-multiply: element (i, j) sends
 basis vector k to row ``grid[j, k]`` with phase ``H_j[i, k]``, where the
