@@ -131,8 +131,9 @@ def _read_as(columns: np.ndarray, phases: np.ndarray, form) -> _Stack:
 def _scattered(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """The (count, d, d) stack read as (columns, phases): row i of matrix x phases[x, i] at column
     columns[x, i], put into zeros."""
-    out = np.zeros(columns.shape + (columns.shape[-1],), dtype=complex)
-    np.put(out, np.arange(0, out.size, columns.shape[-1]).reshape(columns.shape) + columns, phases)
+    d = columns.shape[-1]
+    out = np.zeros(columns.shape + (d,), dtype=complex)
+    out.reshape(-1)[np.arange(0, out.size, d).reshape(columns.shape) + columns] = phases
     return out
 
 
