@@ -104,7 +104,8 @@ def shift_multiply_basis(square, hadamards) -> UnitaryBasis:
             raise DesignInvalid(f"Hadamard {j} has shape {m.shape}, expected ({d}, {d})")
         mats.append(m)
     # row r = grid[j, k] of element x = i d + j holds H_j[i, k] at column k = inverse[j, r]
-    inverse, r = np.argsort(grid, axis=1), np.arange(d)
+    r, inverse = np.arange(d), np.empty((d, d), dtype=np.intp)
+    inverse[r[:, None], grid] = r
     columns = np.concatenate([inverse] * d)
     phases = np.array(mats)[r[None, :, None], r[:, None, None], inverse].reshape(-1, d)
     return UnitaryBasis(d, _read_as(columns, phases, lambda: _scattered(columns, phases)))
