@@ -55,6 +55,7 @@ from .tensor import (
     _identity_gap,
     _monomial,
     _read,
+    _scattered,
     _times,
     _unitarity,
     is_maximally_entangled,
@@ -216,7 +217,7 @@ def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> Uni
     ops = d * d >= _REAL_GRAM_ROWS and _times(_read(entangled, "vectors"), ref_op, (-1, d, d))
     if not ops:
         ops = _Stack((entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d))
-    check = _unitarity(ops.reading or _monomial(ops.array) or ops.array, 1, tol,
+    check = _unitarity(ops.reading or ops.array, 1, tol,
                        "vector {} yields an operator".format)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
@@ -249,7 +250,8 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
     too, T_x is its d nonzeros, O(d) per outcome.
     """
     d = scheme.d
-    u, phi = _read(scheme, "channel_unitaries"), _read(scheme.effects, "vectors")
+    parts = (scheme, "channel_unitaries"), (scheme.effects, "vectors")
+    u, phi = (_read(value, name, odd=True) for value, name in parts)
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
     q = slice(None) if phi is None else (np.arange(d * d)[:, None], np.argsort(phi[0], 1))
@@ -275,6 +277,14 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
             t *= phi[1][q].conj()[:, None, :]
         c = np.trace(t, axis1=1, axis2=2) / d
         gaps = _identity_gap(t, c[:, None]).max(axis=(1, 2))
+    odd = [x[2] for x in (u, phi) if x and len(x) > 2]
+    if odd:  # conj(T_x) = conj(U_x R) phi_x^T of the odd outcomes, a held reading scattered
+        odd = np.union1d(odd[0], odd[-1])
+        v, p = (_scattered(x[0][odd], x[1][odd]) if x and len(x) == 2
+                else getattr(*part).reshape(-1, d, d)[odd] for x, part in zip((u, phi), parts))
+        t = np.conj(v @ r) @ np.swapaxes(p, 1, 2)
+        c[odd] = np.trace(t, axis1=1, axis2=2) / d
+        gaps[odd] = _identity_gap(t, c[odd][:, None]).max(axis=(1, 2))
     outcomes = CheckResult.worst(gaps, tol, "outcome {}: T_x is not a multiple of I".format)
     weight = float(np.vdot(c, c).real)
     gap = abs(weight - 1)
@@ -330,7 +340,7 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     both = rows and [_groups(None, reading) for reading in (rows, phi)]  # (members, blocks)
     if both and all(both) and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
         # group g of the rows and of the effects share one permutation, disjoint from the others'
-        (mx, bx), (my, by) = both
+        (mx, bx, _), (my, by, _) = both
         table = np.zeros((n, n))
         table[mx[:, :, None], my[:, None, :]] = np.abs(np.conj(bx) @ by.swapaxes(1, 2)) ** 2
     else:  # |<phi_y | vec(U_x W)>| as |conj(vec(U_x W)) . phi_y|, so the effects are not copied

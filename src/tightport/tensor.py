@@ -75,10 +75,16 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
 
 def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
     """The verdict on S* S = scale I for every matrix S of ``stack``, or of the stack read as
-    ``stack``, a ``_monomial`` of S or S^T (S's phases either way): diag(|phase|^2), O(d^3) in all;
+    ``stack``, a ``_monomial`` of S or S^T (S's phases either way): diag(|phase|^2), O(d^3) in all.
+    An array is read so from 100 matrices on, its odd S_x (see ``_monomial``) by their products.
     ``name(x)`` names S_x."""
-    gaps = (np.abs(stack[1].real ** 2 + stack[1].imag ** 2 - scale).max(axis=1) if isinstance(
-        stack, tuple) else _identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)))
+    reading = stack if isinstance(stack, tuple) else _monomial(stack, _REAL_GRAM_ROWS, True)
+    if not reading:
+        return CheckResult.worst(_identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)),
+                                 tol, name)
+    gaps = np.abs(reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
+    for odd in reading[2:]:
+        gaps[odd] = _identity_gap(_adjoint(stack[odd]) @ stack[odd], scale).max(axis=(1, 2))
     return CheckResult.worst(gaps, tol, name)
 
 
@@ -89,32 +95,49 @@ def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
 _REAL_GRAM_ROWS = 100
 
 
-def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
+def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS, odd: bool = False):
     """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a
-    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite."""
+    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite.  Else,
+    with ``odd``, (columns, phases, odd) when S_0 is one and 1 to d others, the odd S_x, are not,
+    each read as zero phases at columns 0..d-1."""
     count, d = stack.shape[:2]
     if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
     flat = np.flatnonzero(stack.astype(bool))  # one byte an entry
-    if len(flat) != count * d:  # d nonzeros a matrix, a NaN counted as one
-        return None
-    columns = (flat - d * np.arange(len(flat))).reshape(count, d)  # row i's, if it holds one
-    phases = stack.reshape(-1)[flat].reshape(count, d)
-    # sorted to 0..d-1 only if one in a row, a permutation; finite |phase|^2 make 0 * phase 0
-    if (np.sort(columns, axis=1) == np.arange(d)).all() and np.isfinite(np.vdot(phases, phases)):
-        return columns, phases
+    if len(flat) == count * d:  # d nonzeros a matrix, a NaN counted as one
+        columns = (flat - d * np.arange(len(flat))).reshape(count, d)  # row i's, if it holds one
+        phases = stack.reshape(-1)[flat].reshape(count, d)
+        # sorted to 0..d-1 only if one in a row, a permutation; finite |phase|^2 make 0 * phase 0
+        if (np.sort(columns, axis=1) == np.arange(d)).all() and np.isfinite(
+                np.vdot(phases, phases)):
+            return columns, phases
+    if odd:  # each S_x of d nonzeros read so, if it passes the test above; the rest are odd
+        sizes = np.bincount(flat // (d * d), minlength=count)
+        flat = flat[np.repeat(sizes == d, sizes)].reshape(-1, d)
+        x = flat[:, 0] // (d * d)
+        columns, phases = flat - d * (d * x[:, None] + np.arange(d)), stack.reshape(-1)[flat]
+        ok = (np.sort(columns, axis=1) == np.arange(d)).all(1) & np.isfinite(
+            (phases.real ** 2 + phases.imag ** 2).sum(1))
+        odd = np.flatnonzero(np.bincount(x[ok], minlength=count) == 0)
+        if 0 < len(odd) <= d and odd[0]:
+            reading = np.tile(np.arange(d), (count, 1)), np.zeros((count, d), complex)
+            reading[0][x[ok]], reading[1][x[ok]] = columns[ok], phases[ok]
+            return (*reading, odd)
     return None
 
 
-def _read(value, name: str, keep=True):
+def _read(value, name: str, keep=True, odd=False):
     """``_monomial`` of the stack ``value.name``, or None: the one its ``_Stack`` keeps, else from
-    100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays."""
+    100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays.  With
+    ``odd``, where that is None, the reading with odd S_x if any, made anew."""
     stack = vars(value).get("_stack")
     if stack is None and value.d ** 2 >= _REAL_GRAM_ROWS:
         array = getattr(value, name)
         stack = _Stack(array, _monomial(array.reshape(-1, value.d, value.d)))
         if keep:
             stack = vars(value).setdefault("_stack", stack)
+    if odd and stack and stack.reading is None:
+        return _monomial(stack.array.reshape(-1, value.d, value.d), _REAL_GRAM_ROWS, True)
     return stack and stack.reading
 
 
@@ -148,26 +171,47 @@ def _times(reading, b: np.ndarray, shape: tuple):
 
 
 def _groups(rows, reading=False, transposed=False):
-    """(members, blocks) of V, or with ``transposed`` of V^T, when V's rows are vec(S_x) of the
-    paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``, read off ``rows``
-    if not given: sorted by the column in row 0, d groups of d S_x, each sharing one permutation,
-    the d disjoint in every row.  Group g is rows ``members[g]``, its block ``blocks[g]``."""
-    if reading is False:
+    """(members, blocks, odd) of V, or with ``transposed`` of V^T, when V's rows are vec(S_x) of
+    the paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``, read off
+    ``rows``, an array or a callable forming it, if not given: sorted by the column in row 0, d
+    groups of d S_x, each sharing one permutation, the d disjoint in every row.  Group g is rows
+    ``members[g]``, its block ``blocks[g]``.  Given ``rows`` and a ``reading`` not False, the odd
+    S_x and those past their group's first d, at most d in all, are ``odd``, sorted, each one a
+    placeholder in a short group's free slot; else ``odd`` is empty."""
+    lenient = rows is not None and reading is not False
+    if not reading and rows is not None:
+        rows = rows() if callable(rows) else rows
         d = math.isqrt(rows.shape[1])
-        reading = d * d == rows.shape[1] and _monomial(rows.reshape(len(rows), d, d))
+        reading = d * d == rows.shape[1] and _monomial(rows.reshape(-1, d, d), _REAL_GRAM_ROWS,
+                                                      lenient)
     if not reading or len(reading[0]) != reading[0].shape[1] ** 2:  # d^2 matrices
         return None
-    columns, phases = reading
+    columns, phases, odd = (*reading, ())[:3]
     d = columns.shape[1]
-    members = np.argsort(columns[:, 0], kind="stable").reshape(d, d)
-    shared = columns[members[:, 0]]  # group g's permutation
+    members = np.argsort(columns[:, 0], kind="stable")
+    first = members[::d]
+    if len(odd) or np.bincount(columns[:, 0], minlength=d).max() > d:
+        key = columns[:, 0].copy()
+        key[odd] = d  # the odd S_x last; then in each group, the members past its first d
+        members, counts = np.argsort(key, kind="stable"), np.bincount(key, minlength=d + 1)
+        starts = np.cumsum(counts) - counts
+        odd = np.sort(members[(np.arange(d * d) - np.repeat(starts, counts) >= d)
+                              | (key[members] == d)])
+        if len(odd) > d * lenient or not counts[:d].all():
+            return None
+        first, columns = members[starts[:d]], columns.copy()
+        key[odd] = np.repeat(np.arange(d), d - np.minimum(counts[:d], d))  # the free slots
+        columns[odd] = columns[first[key[odd]]]  # with their group's permutation
+        members = np.argsort(key, kind="stable")
+    members, shared = members.reshape(d, d), columns[first]  # group g's permutation
     if not ((columns[members] == shared[:, None]).all()
             and (np.sort(shared, axis=0) == np.arange(d)[:, None]).all()):
         return None
     if not transposed:
-        return members, phases[members]
+        return members, phases[members], odd
     # V^T's group g is rows i d + shared[g, i], its block gathered in C order: (i, a) phase i of a
-    return shared + d * np.arange(d), np.take(phases, d * members[:, None] + np.arange(d)[:, None])
+    return (shared + d * np.arange(d),
+            np.take(phases, d * members[:, None] + np.arange(d)[:, None]), odd)
 
 
 def _block_grams(rows, groups=None):
@@ -182,7 +226,7 @@ def _block_grams(rows, groups=None):
         rows = rows() if callable(rows) else rows
         if len(rows) < _REAL_GRAM_ROWS:
             return None, rows.conj() @ rows.T
-    members, v = groups or (None, rows)
+    members, v = groups[:2] if groups else (None, rows)
     k = v.shape[-2]
     # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
     # M's rows are padded where a 4 KiB-multiple stride would put a column in one cache set
@@ -196,34 +240,61 @@ def _block_grams(rows, groups=None):
     return members, gram
 
 
-def _gram_verdict(gaps, members, tol: float, name, table=None) -> CheckResult:
+def _gram_verdict(gaps, members, tol: float, name, table=None, border=None) -> CheckResult:
     """The verdict on the gaps of ``_block_grams``: the full table's, or on the blocks of
     ``members`` the table's first NaN, else its first worst entry, in row-major order as argmax
-    takes it; every entry off the blocks is an exact zero and every diagonal entry is in one."""
+    takes it; every entry off the blocks is an exact zero and every diagonal entry is in one,
+    but with ``border``, (odd, the table's columns odd), in place of those rows and columns."""
     if members is None:
         return CheckResult.worst(gaps, tol, name, table)
-    worst, n = float(gaps.max()), members.size
-    flat = int((members[:, :, None] * n + members[:, None, :])[
-        gaps != gaps if worst != worst else gaps == worst].min())
+    n = members.size
+    flat = members[:, :, None] * n + members[:, None, :]
+    if border:
+        odd, border = border
+        at, lines = np.isin(members, odd), np.abs(border)
+        gaps[at] = gaps.swapaxes(1, 2)[at] = lines[odd] = -1
+        lines[odd] = _identity_gap(border[odd])
+        at = (np.arange(n)[:, None] * n + odd).ravel()
+        flat = np.concatenate([flat.ravel(), at, at % n * n + at // n])
+        gaps = np.concatenate([gaps.ravel(), lines.ravel(), lines.ravel()])
+    worst = float(gaps.max())
+    flat = int(flat[gaps != gaps if worst != worst else gaps == worst].min())
     return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), table)
 
 
-def _scatter(members: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """The n x n table with block g of ``grams`` on rows and columns ``members[g]``, else zero."""
+def _scatter(members: np.ndarray, grams: np.ndarray, odd=(), border=None) -> np.ndarray:
+    """The n x n table with block g of ``grams`` on rows and columns ``members[g]``, else zero,
+    and with ``border`` as its columns ``odd`` and their adjoint as its rows ``odd``."""
     table = np.zeros((members.size,) * 2, dtype=complex)
     table[members[:, :, None], members[:, None, :]] = grams
+    if border is not None:
+        table[:, odd], table[odd] = border, border.conj().T
     return table
 
 
 def _gram(rows, tol: float, scale=1, name="Gram entry ({}, {})".format, reading=False):
     """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V: ``rows``, or with
     ``reading``, their ``_monomial``, a callable forming them, called only if it does not group
-    them; ``table`` is that matrix, a block one formed when first read."""
-    members, gram = _block_grams(rows, _groups(rows, reading))
-    if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
-        gram.view(np.float64)[...] *= 1 / scale
-    table = gram if members is None else partial(_scatter, members, gram)
-    return _gram_verdict(_identity_gap(gram), members, tol, name, table)
+    them; ``table`` is that matrix, a block one formed when first read.  With ``reading`` not
+    False, the k odd rows of ``_groups`` take their columns, one product, O(k d^4)."""
+    groups = _groups(rows, reading)
+    (members, gram), odd, border = _block_grams(rows, groups), groups[2] if groups else (), None
+    del groups  # the blocks, not held beside their Grams
+    if len(odd):  # in real arithmetic, as the blocks: for V = A + iB, conj(v_y) v_x has real part
+        # (A, B)_y . (A, B)_x and imaginary part (A, B)_y . (B, -A)_x, each product row complex
+        r = np.ascontiguousarray(rows() if callable(rows) else rows).view(np.float64)
+        x = r[odd].reshape(len(odd), -1, 2)
+        border = r @ np.stack([x, x[..., ::-1] * [1, -1]], 1).reshape(2 * len(odd), -1).T
+        border = border.view(complex)
+        corner = border[odd] + border[odd].conj().T  # made exactly Hermitian, as the blocks are
+        corner.view(np.float64)[...] *= 0.5
+        border[odd] = corner
+    for part in (gram,) if border is None else (gram, border):
+        if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
+            part.view(np.float64)[...] *= 1 / scale
+    table = gram if members is None else partial(_scatter, members, gram, odd, border)
+    return _gram_verdict(_identity_gap(gram), members, tol, name, table,
+                         border is not None and (odd, border))
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -303,4 +374,4 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     count, dim = vs.shape
     if count != dim:
         raise CountMismatch(f"got {count} vectors in dimension {dim}")
-    return _gram(vs, tol)
+    return _gram(vs, tol, reading=None)
