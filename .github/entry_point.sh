@@ -48,6 +48,13 @@ rc=0; tightport verify phased12.json >out.txt || rc=$?; test "$rc" -eq 1; grep -
 python -c "import numpy as np, tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[5, 0, np.flatnonzero(e[5, 0] == 0)[0]] = np.nan; assert not tp.verify(tp.UnitaryBasis(12, e))"
 python -c "import numpy as np, tightport as tp; e = tp.weyl_basis(12).elements.copy(); e[5, 0, np.flatnonzero(e[5, 0] == 0)[0]] = 1e200; tp.save(tp.make_document(tp.UnitaryBasis(12, e)), 'huge12.json')"
 rc=0; tightport verify huge12.json || rc=$?; test "$rc" -eq 1
+# at d = 16 a copy of an element of another group, or an element moved by 1e-3, leaves a Latin
+# basis its blocks plus that element's row, and each verdict names the entry the product names
+python -c "import tightport as tp; e = tp.weyl_basis(16).elements.copy(); e[1] = e[0]; tp.save(tp.make_document(tp.UnitaryBasis(16, e)), 'dup16.json'); e = tp.weyl_basis(16).elements.copy(); e[40] += 1e-3; tp.save(tp.make_document(tp.UnitaryBasis(16, e)), 'moved16.json')"
+rc=0; tightport verify dup16.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'Gram entry (0, 1)' out.txt
+rc=0; tightport verify moved16.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'element 40 is not unitary' out.txt
+tightport generate scheme --from-basis moved16.json -o moved16-scheme.json
+rc=0; tightport verify moved16-scheme.json >out.txt || rc=$?; test "$rc" -eq 1; grep -q 'channel 40' out.txt
 # the same basis re-laid out with one-space indents verifies and writes the canonical text back
 python -m json.tool --indent 1 basis24.json basis24-indented.json
 tightport verify basis24-indented.json

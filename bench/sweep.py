@@ -2,18 +2,23 @@
 
     python3 bench/sweep.py [--label sweep] [--dims 8,12,16,24,32] [--repeats N] [--out PATH]
 
-Run from anywhere; the package is imported from this checkout's ``src``.  Three
-families: the Weyl basis; "dense", as in ``bench/documents.py``, the Weyl basis
-moved by two unitaries drawn from ``default_rng(8)`` through
-``apply_equivalence``, which takes the full products; and at even d "weyl x
-dense", ``tensor_bases`` of the Weyl basis at d / 2 and the dense family at 2,
-whose elements are not a permutation times phases.  For each family and d it
+Run from anywhere; the package is imported from this checkout's ``src``.  Four
+families: the Weyl basis; "weyl, one perturbed", the Weyl basis with element 5
+moved by 1e-3 in a direction drawn from ``default_rng(5)``, whose verdicts take
+the blocks plus that element's products and fail; "dense", as in
+``bench/documents.py``, the Weyl basis moved by two unitaries drawn from
+``default_rng(8)`` through ``apply_equivalence``, which takes the full products;
+and at even d "weyl x dense", ``tensor_bases`` of the Weyl basis at d / 2 and
+the dense family at 2, whose elements are not a permutation times phases.  For each family and d it
 times the operations below in one process: one warm-up call, then the best of
 5 calls up to d = 16 and of 3 above (or of ``--repeats``), and one more call
 under ``tracemalloc`` for the peak, in units of d^4 complex entries (one
 d^2 x d^2 matrix).  Every call takes its inputs anew, built outside the timer
 by their constructors from the arrays of the first ones, so that no call finds
-the permutation-and-phases reading an earlier call kept on a value.  On the
+the permutation-and-phases reading an earlier call kept on a value.  An operation
+that raises ``TightportError`` (extraction, ``entangled_to_basis`` and weight
+recovery on the perturbed family) is a detected failure: timed to its raise,
+with ``passed`` false.  On the
 Weyl family it also times ``weyl_basis``, at even d ``tensor_bases`` of Weyl
 at d / 2 and 2, and the value sequence ``weyl_basis`` -> ``verify_orthonormal``
 -> ``basis_to_entangled`` -> ``verify_entangled_basis`` -> ``entangled_to_basis``
@@ -53,8 +58,19 @@ import tightport as tp  # noqa: E402
 from documents import dense  # noqa: E402
 
 TIMEOUT_S = 60.0  # per operation
+
+
+def perturbed(basis):
+    """``basis`` with element 5 moved by 1e-3 in a unit direction drawn from ``default_rng(5)``."""
+    elements, rng = basis.elements.copy(), np.random.default_rng(5)
+    direction = rng.standard_normal((basis.d,) * 2) + 1j * rng.standard_normal((basis.d,) * 2)
+    elements[5 % len(elements)] += 1e-3 * direction / np.linalg.norm(direction)
+    return tp.UnitaryBasis(basis.d, elements)
+
+
 FAMILIES = {
     "weyl": tp.weyl_basis,
+    "weyl, one perturbed": lambda d: perturbed(tp.weyl_basis(d)),
     "dense": lambda d: dense(tp.weyl_basis(d)),
     "weyl x dense": lambda d: tp.tensor_bases(tp.weyl_basis(d // 2), dense(tp.weyl_basis(2))),
 }
@@ -119,23 +135,31 @@ def rebuilt(value):
     return type(value)(*(rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)))
 
 
+def detected(operation, inputs):
+    """``operation(*inputs)``, or False if it raises ``TightportError``, a detected failure."""
+    try:
+        return operation(*inputs)
+    except tp.TightportError:
+        return False
+
+
 def measure(operation, fresh, repeats: int):
     """(best ms, traced peak in bytes, whether the result passed) of ``operation`` on the inputs
     ``fresh()`` makes anew for each call, outside the timer, or Nones past ``TIMEOUT_S``."""
     signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
-        result = operation(*fresh())
+        result = detected(operation, fresh())
         times = []
         for _ in range(repeats):
             inputs = fresh()
             start = time.perf_counter()
-            operation(*inputs)
+            detected(operation, inputs)
             times.append(time.perf_counter() - start)
         inputs = fresh()
         tracemalloc.start()
         try:
-            operation(*inputs)
+            detected(operation, inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -186,7 +210,7 @@ def ratios(rows: list[dict]) -> list[dict]:
                     "value": ratio((family, d, "extract_basis_from_scheme"),
                                    (family, d, "verify (scheme, teleportation)"))})
     for _, d, op in sorted(key for key in ms if key[0] == "weyl"):
-        for family in ("dense", "weyl x dense"):
+        for family in ("weyl, one perturbed", "dense", "weyl x dense"):
             if (family, d, op) in ms:
                 out.append({"family": f"{family} / weyl", "d": d, "ratio": op,
                             "value": ratio((family, d, op), ("weyl", d, op))})
@@ -205,7 +229,7 @@ def main() -> None:
     rows = []
     for d in dims:
         repeats = args.repeats or (5 if d <= 16 else 3)
-        for family in FAMILIES if d % 2 == 0 else ("weyl", "dense"):
+        for family in FAMILIES if d % 2 == 0 else ("weyl", "weyl, one perturbed", "dense"):
             rows += family_rows(family, d, repeats)
     env = {"python": platform.python_version(), "nproc": os.cpu_count(),
            "affinity": len(os.sched_getaffinity(0)), "git_sha": git_sha(), "label": args.label,

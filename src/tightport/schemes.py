@@ -279,7 +279,7 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
         gaps = _identity_gap(t, c[:, None]).max(axis=(1, 2))
     odd = [x[2] for x in (u, phi) if x and len(x) > 2]
     if odd:  # conj(T_x) = conj(U_x R) phi_x^T of the odd outcomes, a held reading scattered
-        odd = np.union1d(odd[0], odd[-1])
+        odd = np.flatnonzero(np.bincount(np.concatenate(odd), minlength=d * d))
         v, p = (_scattered(x[0][odd], x[1][odd]) if x and len(x) == 2
                 else getattr(*part).reshape(-1, d, d)[odd] for x, part in zip((u, phi), parts))
         t = np.conj(v @ r) @ np.swapaxes(p, 1, 2)

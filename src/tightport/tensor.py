@@ -22,7 +22,10 @@ entangled bases and schemes) is a permutation times phases.  From 100 on such a 
 that reading, its dense stack formed only when a caller reads it, or keeps the one it makes.
 S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
 identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
-d Hadamard blocks, O(d^4); any other family pays the O(d^6) product.  Either table is exactly
+d Hadamard blocks, O(d^4).  With k <= d odd matrices, not a permutation times finite phases or
+past their group's d, and matrix 0 not odd, these verdicts pay the blocks plus k rows, O(k d^4),
+and the k odd matrices' products; the depolarizer, dense coding, ``teleport_state`` and weight
+recovery pay the product for any odd one, as does any other family.  Either table is exactly
 Hermitian and within about n eps max|row|^2 of the complex product, so on a passing family the
 witness names a rounding-level entry, read off the blocks, which form the table when it is read.
 """
@@ -79,11 +82,9 @@ def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
     An array is read so from 100 matrices on, its odd S_x (see ``_monomial``) by their products.
     ``name(x)`` names S_x."""
     reading = stack if isinstance(stack, tuple) else _monomial(stack, _REAL_GRAM_ROWS, True)
-    if not reading:
-        return CheckResult.worst(_identity_gap(_adjoint(stack) @ stack, scale).max(axis=(1, 2)),
-                                 tol, name)
-    gaps = np.abs(reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
-    for odd in reading[2:]:
+    gaps = np.empty(len(stack)) if not reading else np.abs(
+        reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
+    for odd in reading[2:] if reading else [slice(None)]:  # all S_x, or the odd ones
         gaps[odd] = _identity_gap(_adjoint(stack[odd]) @ stack[odd], scale).max(axis=(1, 2))
     return CheckResult.worst(gaps, tol, name)
 
@@ -252,7 +253,7 @@ def _gram_verdict(gaps, members, tol: float, name, table=None, border=None) -> C
     if border:
         odd, border = border
         at, lines = np.isin(members, odd), np.abs(border)
-        gaps[at] = gaps.swapaxes(1, 2)[at] = lines[odd] = -1
+        gaps[at] = gaps.swapaxes(1, 2)[at] = -1
         lines[odd] = _identity_gap(border[odd])
         at = (np.arange(n)[:, None] * n + odd).ravel()
         flat = np.concatenate([flat.ravel(), at, at % n * n + at // n])
@@ -284,14 +285,13 @@ def _gram(rows, tol: float, scale=1, name="Gram entry ({}, {})".format, reading=
         # (A, B)_y . (A, B)_x and imaginary part (A, B)_y . (B, -A)_x, each product row complex
         r = np.ascontiguousarray(rows() if callable(rows) else rows).view(np.float64)
         x = r[odd].reshape(len(odd), -1, 2)
-        border = r @ np.stack([x, x[..., ::-1] * [1, -1]], 1).reshape(2 * len(odd), -1).T
-        border = border.view(complex)
+        border = (r @ np.stack([x, x[..., ::-1] * [1, -1]], 1).reshape(2 * len(odd), -1).T
+                  ).view(complex)
         corner = border[odd] + border[odd].conj().T  # made exactly Hermitian, as the blocks are
-        corner.view(np.float64)[...] *= 0.5
-        border[odd] = corner
-    for part in (gram,) if border is None else (gram, border):
-        if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
-            part.view(np.float64)[...] *= 1 / scale
+        border[odd] = (corner.view(np.float64) * 0.5).view(complex)
+        border.view(np.float64)[...] *= 1 / scale  # as the blocks' below
+    if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
+        gram.view(np.float64)[...] *= 1 / scale
     table = gram if members is None else partial(_scatter, members, gram, odd, border)
     return _gram_verdict(_identity_gap(gram), members, tol, name, table,
                          border is not None and (odd, border))

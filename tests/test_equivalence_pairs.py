@@ -25,13 +25,21 @@ FAMILIES = {
 
 
 def _damaged(elements, damage):
-    """``elements`` with one damage: element 0 at a nonzero or a zero entry, or element 1."""
+    """``elements`` with one damage: element 0 at a nonzero or a zero entry, or element 1; or
+    element 0 copied onto the last element of another group (the column in row 0), or elements 1
+    and n - 1 each moved by 1e-6 in a seeded dense direction, which leaves element 0 intact."""
     out = elements.copy()
     nonzero, zero = np.argwhere(out[0] != 0)[1], np.argwhere(out[0] == 0)[0]
     if damage == "perturbed":
         out[0][tuple(nonzero)] += 1e-6
     elif damage == "duplicated":
         out[1] = out[0]
+    elif damage == "duplicated across groups":
+        first = (out[:, 0] != 0).argmax(axis=1)
+        out[np.flatnonzero(first != first[0])[-1]] = out[0]
+    elif damage == "two elements perturbed":
+        for x in (1, len(out) - 1):
+            out[x] += 1e-6 * np.random.default_rng(x).standard_normal(out[x].shape)
     elif damage == "phase":
         out[1][tuple(np.argwhere(out[1] != 0)[0])] *= 1 + 1e-6
     elif damage != "intact":
@@ -40,7 +48,8 @@ def _damaged(elements, damage):
     return out
 
 
-DAMAGES = ["intact", "perturbed", "duplicated", "phase"] + [
+DAMAGES = ["intact", "perturbed", "duplicated", "phase", "duplicated across groups",
+           "two elements perturbed"] + [
     f"{value} at {where}" for value in ("nan", "inf", "-inf") for where in ("zero", "nonzero")
 ]
 
