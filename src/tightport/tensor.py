@@ -78,9 +78,8 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
 
 def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
     """The verdict on S* S = scale I for every matrix S of ``stack``, or of the stack read as
-    ``stack``, a ``_monomial`` of S or S^T (S's phases either way): diag(|phase|^2), O(d^3) in all.
-    An array is read so from 100 matrices on, its odd S_x (see ``_monomial``) by their products.
-    ``name(x)`` names S_x."""
+    ``stack``, a ``_monomial`` of S or S^T (S's phases either way): diag(|phase|^2), O(d^3) in all,
+    as an array is read from 100 matrices on, odd S_x by products; ``name(x)`` names S_x."""
     reading = stack if isinstance(stack, tuple) else _monomial(stack, _REAL_GRAM_ROWS, True)
     gaps = np.empty(len(stack)) if not reading else np.abs(
         reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
@@ -98,9 +97,9 @@ _REAL_GRAM_ROWS = 100
 
 def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS, odd: bool = False):
     """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a
-    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite.  Else,
-    with ``odd``, (columns, phases, odd) when S_0 is one and 1 to d others, the odd S_x, are not,
-    each read as zero phases at columns 0..d-1."""
+    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite; else,
+    with ``odd``, (columns, phases, odd) if S_0 is one and 1 to d others, ``odd``, read as zeros,
+    are not."""
     count, d = stack.shape[:2]
     if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
@@ -130,7 +129,7 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS, odd: bool = False
 def _read(value, name: str, keep=True, odd=False):
     """``_monomial`` of the stack ``value.name``, or None: the one its ``_Stack`` keeps, else from
     100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays.  With
-    ``odd``, where that is None, the reading with odd S_x if any, made anew."""
+    ``odd``, for a None kept, one with odd S_x is made anew."""
     stack = vars(value).get("_stack")
     if stack is None and value.d ** 2 >= _REAL_GRAM_ROWS:
         array = getattr(value, name)
@@ -172,13 +171,12 @@ def _times(reading, b: np.ndarray, shape: tuple):
 
 
 def _groups(rows, reading=False, transposed=False):
-    """(members, blocks, odd) of V, or with ``transposed`` of V^T, when V's rows are vec(S_x) of
-    the paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``, read off
-    ``rows``, an array or a callable forming it, if not given: sorted by the column in row 0, d
-    groups of d S_x, each sharing one permutation, the d disjoint in every row.  Group g is rows
-    ``members[g]``, its block ``blocks[g]``.  Given ``rows`` and a ``reading`` not False, the odd
-    S_x and those past their group's first d, at most d in all, are ``odd``, sorted, each one a
-    placeholder in a short group's free slot; else ``odd`` is empty."""
+    """(members, blocks, odd) of V, or with ``transposed`` (members, blocks) of V^T, when V's rows
+    are vec(S_x) of the paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``,
+    read off ``rows`` (or its callable) if not given: sorted by the column in row 0, d groups of d
+    S_x, each sharing one permutation, the d disjoint in every row.  Group g is rows ``members[g]``,
+    its block ``blocks[g]``.  Given ``rows`` and a ``reading`` not False, the sorted ``odd`` S_x
+    and those past their group's d, at most d, are placeholders in short groups' free slots."""
     lenient = rows is not None and reading is not False
     if not reading and rows is not None:
         rows = rows() if callable(rows) else rows
@@ -187,7 +185,7 @@ def _groups(rows, reading=False, transposed=False):
                                                       lenient)
     if not reading or len(reading[0]) != reading[0].shape[1] ** 2:  # d^2 matrices
         return None
-    columns, phases, odd = (*reading, ())[:3]
+    columns, phases, odd = (*reading, [])[:3]
     d = columns.shape[1]
     members = np.argsort(columns[:, 0], kind="stable")
     first = members[::d]
@@ -211,8 +209,7 @@ def _groups(rows, reading=False, transposed=False):
     if not transposed:
         return members, phases[members], odd
     # V^T's group g is rows i d + shared[g, i], its block gathered in C order: (i, a) phase i of a
-    return (shared + d * np.arange(d),
-            np.take(phases, d * members[:, None] + np.arange(d)[:, None]), odd)
+    return shared + d * np.arange(d), np.take(phases, d * members[:, None] + np.arange(d)[:, None])
 
 
 def _block_grams(rows, groups=None):
@@ -265,7 +262,7 @@ def _gram_verdict(gaps, members, tol: float, name, table=None, border=None) -> C
 
 def _scatter(members: np.ndarray, grams: np.ndarray, odd=(), border=None) -> np.ndarray:
     """The n x n table with block g of ``grams`` on rows and columns ``members[g]``, else zero,
-    and with ``border`` as its columns ``odd`` and their adjoint as its rows ``odd``."""
+    but ``border`` as its columns ``odd`` and their adjoint as its rows."""
     table = np.zeros((members.size,) * 2, dtype=complex)
     table[members[:, :, None], members[:, None, :]] = grams
     if border is not None:

@@ -8,7 +8,8 @@ products, and the outcome identity the odd outcomes' T_x.  Every verdict must ag
 product path: with the same family moved by ``apply_equivalence``, which fills in its zeros (as
 ``tests/test_equivalence_pairs.py`` compares them), and with the oracles at d <= 12.  Past d odd
 matrices, and below 100 matrices, every verdict must be the product path's bit for bit, the
-product path taken by reading each stack with ``_monomial``'s strict form alone.
+product path taken by reading each stack with ``_monomial``'s strict form alone and taking no
+group past its d members.
 """
 
 import numpy as np
@@ -24,8 +25,8 @@ from test_equivalence_pairs import ROUNDING, _assert_close, _scheme
 from tightport import schemes, tensor
 
 KINDS = ["perturbed", "duplicated across groups", "twisted channel"] + [
-    f"{value} at {where}" for value in ("nan", "inf", "-inf", "1e200") for where in ("zero", "nonzero")
-]
+    f"{value} at {where}" for value in ("nan", "inf", "-inf", "1e200")
+    for where in ("zero", "nonzero")]
 
 
 def _family(rng, d, name):
@@ -42,10 +43,10 @@ def _parts(rng, basis, kind, count, size):
     ``count`` elements other than element 0 damaged by ``kind`` (the channels alone for a twist)."""
     d, elements = basis.d, basis.elements.copy()
     odd = rng.choice(np.arange(1, d * d), count, replace=False)
-    if kind == "duplicated across groups":  # each a copy of an element of another group
-        first = (elements[:, 0] != 0).argmax(axis=1)  # the group: the column in row 0
-        for x in odd:
-            elements[x] = elements[rng.choice(np.flatnonzero(first != first[x]))]
+    if kind == "duplicated across groups":  # copies of element 0 outside its group, its column
+        first = (elements[:, 0] != 0).argmax(axis=1)  # in row 0: as many past its group's d
+        odd = rng.choice(np.flatnonzero(first != first[0]), count, replace=False)
+        elements[odd] = elements[0]
     elif kind == "perturbed":
         for x in odd:
             direction = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -79,7 +80,8 @@ def _verdicts(elements, parts, v1=None, v2=None):
     for name, convert in (("entangled_to_basis", tp.entangled_to_basis),
                           ("extraction", tp.extract_basis_from_scheme)):
         try:
-            conversions[name] = convert(entangled if name == "entangled_to_basis" else teleportation)
+            conversions[name] = convert(
+                entangled if name == "entangled_to_basis" else teleportation)
         except tp.TightportError as error:
             conversions[name] = error
     return conversions, {
@@ -101,7 +103,8 @@ def _entry(witness):
 @given(d=st.integers(10, 16), family=st.sampled_from(["weyl", "shift-multiply", "product"]),
        kind=st.sampled_from(KINDS), count=st.sampled_from(["1", "2", "d"]),
        exponent=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
-def test_a_damaged_latin_family_agrees_with_the_product_path(d, family, kind, count, exponent, seed):
+def test_a_damaged_latin_family_agrees_with_the_product_path(d, family, kind, count, exponent,
+                                                             seed):
     rng = np.random.default_rng(seed)
     if family == "product" and all(d % f for f in range(2, d)):
         family = "weyl"  # d = 11 and 13 have no factors
@@ -163,10 +166,13 @@ def test_past_d_odd_matrices_and_below_100_each_verdict_is_the_products(monkeypa
     rng = np.random.default_rng(d)
     elements, parts = _parts(rng, tp.weyl_basis(d), kind, d + 1 if d * d >= 100 else 2, 1e-6)
     got = _verdicts(elements, parts)
-    strict = tensor._monomial
+    strict, groups = tensor._monomial, tensor._groups
     for module in (tensor, schemes):
-        monkeypatch.setattr(module, "_monomial",
-                            lambda stack, least=tensor._REAL_GRAM_ROWS, odd=False: strict(stack, least))
+        monkeypatch.setattr(module, "_monomial", lambda stack, least=tensor._REAL_GRAM_ROWS,
+                            odd=False: strict(stack, least))
+    monkeypatch.setattr(tensor, "_groups", lambda *args, **kwargs: (  # no group past its d
+        lambda found: found if not found or len(found) < 3 or not len(found[2]) else None)(
+            groups(*args, **kwargs)))
     expected = _verdicts(elements, parts)
     for name in got[0]:
         assert _same_bits(got[0][name], expected[0][name]), name
