@@ -610,9 +610,9 @@ def test_identity_gap_reads_the_product_buffer(name, family):
 
 # A Latin family with one odd element keeps its blocks: on Weyl with element 5 perturbed by 1e-3
 # in a seeded direction, each Gram verdict takes the d blocks and the odd element's row, where the
-# product took 1.70 matrices for completeness and 2.00 for the others.  Measured on the change:
-# 0.44 for completeness and a basis, 1.18 for an entangled basis, whose unitarity reads the
-# vectors' transposed view through one copy, and 0.70 for a scheme's verify.
+# full product takes 1.70 matrices for completeness and 2.00 for the others.  Measured with the
+# blocks: 0.44 for completeness and a basis, 1.18 for an entangled basis, whose unitarity reads
+# the vectors' transposed view through one copy, and 0.70 for a scheme's verify.
 ODD_ELEMENT_PEAKS = {"check_projector_completeness": 0.5, "verify_orthonormal": 0.5,
                      "verify_entangled_basis": 1.25, "verify of a teleportation scheme": 0.75,
                      "verify of a dense_coding scheme": 0.75}
