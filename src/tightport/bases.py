@@ -136,8 +136,9 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     """
     # the elements' products first, so that the Gram matrix is not held beside them
     reading = _read(basis, "elements")
-    elements = _unitarity(reading or basis.elements, 1, tol, "element {} is not unitary".format)
-    gram = _gram(lambda: _stacked(basis), tol, basis.d, reading=reading)
+    elements = _unitarity(reading, lambda: basis.elements, 1, tol,
+                          "element {} is not unitary".format)
+    gram = _gram(lambda: _stacked(basis), reading, tol, basis.d)
     return _worst_of([gram, elements])
 
 
@@ -151,7 +152,7 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     """
     d = basis.d
     members, gram = _block_grams(lambda: _stacked(basis).T, _groups(
-        None, _read(basis, "elements", keep=False), transposed=True))  # made ones dropped
+        _read(basis, "elements", keep=False), transposed=True))  # made ones dropped
     return _gram_verdict(_identity_gap(gram, d), members, tol,
                          lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 
@@ -183,7 +184,8 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckR
         root = _adjoint(np.linalg.cholesky(w))
     except np.linalg.LinAlgError:
         raise WeightNotPositive("weight is too ill-conditioned for a Cholesky factor") from None
-    return _gram((root @ ops).reshape(n, -1), tol)
+    whitened = root @ ops
+    return _gram(whitened.reshape(n, -1), _monomial(whitened), tol)
 
 
 def recover_weight_from_unitary_gram(
@@ -210,7 +212,8 @@ def recover_weight_from_unitary_gram(
     except np.linalg.LinAlgError:
         raise NoSolution("the family's partial Gram trace is singular") from None
     rho = _block_grams(c.T)[1]
-    residual = _gram((c @ elems).reshape(d * d, -1), tol)
+    whitened = c @ elems
+    residual = _gram(whitened.reshape(d * d, -1), _monomial(whitened), tol)
     if not residual:
         raise NoSolution(f"weighted Gram residual {residual.deviation:.3e} exceeds {tol}; "
                          f"the family is not an orthonormal basis")
@@ -230,7 +233,7 @@ def tensor_bases(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     if d * d >= _REAL_GRAM_ROWS:  # read as its factors' readings, and formed as their product
         r1, r2 = (_read(b, "elements") if b.d ** 2 >= _REAL_GRAM_ROWS else _monomial(b.elements, 1)
                   for b in (b1, b2))
-        if r1 and r2:  # row a d2 + b of element x n2 + y: U_x's row a times V_y's row b
+        if r1 and r2 and len(r1) == len(r2) == 2:  # row a d2 + b of x n2 + y: U_x's a, V_y's b
             columns = (r1[0][:, None, :, None] * b2.d + r2[0][None, :, None, :]).reshape(d * d, d)
             phases = (r1[1][:, None, :, None] * r2[1][None, :, None, :]).reshape(d * d, d)
             return UnitaryBasis(d, _read_as(columns, phases, product))
@@ -250,7 +253,7 @@ def apply_equivalence(
     for name, v in (("V1", v1), ("V2", v2)):
         if v.shape != (d, d):
             raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({d}, {d})")
-    unitary = _unitarity(np.stack([v1, v2]), 1, DEFAULT_TOL, lambda x: f"V{x + 1}")
+    unitary = _unitarity(None, np.stack([v1, v2]), 1, DEFAULT_TOL, lambda x: f"V{x + 1}")
     if not unitary:
         raise NotUnitary(f"{unitary.witness} deviates from unitarity by {unitary.deviation:.3e}")
     order = np.arange(d * d) if relabel is None else as_permutation(relabel, d * d)

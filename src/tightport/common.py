@@ -78,7 +78,7 @@ def _worst_of(parts) -> CheckResult:
 
 class _Stack:
     """A value's stack of matrices: ``array``, read-only to every caller, and from 100 matrices on
-    ``reading``, its ``_monomial`` (columns, phases), read-only, None if none, False if not made.
+    ``reading``, its one ``_monomial``, odd indices too, read-only, None if none, False if not made.
 
     Handed to a constructor, it gives the value the library's array with no copy, or the reading
     alone, ``form()`` forming the array.  The value keeps it at ``vars(value)["_stack"]``; on its

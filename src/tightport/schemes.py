@@ -217,7 +217,7 @@ def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> Uni
     ops = d * d >= _REAL_GRAM_ROWS and _times(_read(entangled, "vectors"), ref_op, (-1, d, d))
     if not ops:
         ops = _Stack((entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d))
-    check = _unitarity(ops.reading or ops.array, 1, tol,
+    check = _unitarity(ops.reading or _monomial(ops.array), ops.array, 1, tol,
                        "vector {} yields an operator".format)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
@@ -251,7 +251,7 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
     """
     d = scheme.d
     parts = (scheme, "channel_unitaries"), (scheme.effects, "vectors")
-    u, phi = (_read(value, name, odd=True) for value, name in parts)
+    u, phi = (_read(value, name) for value, name in parts)
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
     q = slice(None) if phi is None else (np.arange(d * d)[:, None], np.argsort(phi[0], 1))
@@ -337,8 +337,8 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
     n, w = d * d, psi.reshape(d, d)
     u, phi = _read(scheme, "channel_unitaries"), _read(scheme.effects, "vectors")
     rows = u and phi and getattr(_times(u, w, (n, n)), "reading", None)  # vec(U_x W), read
-    both = rows and [_groups(None, reading) for reading in (rows, phi)]  # (members, blocks)
-    if both and all(both) and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
+    both = rows and [g for g in map(_groups, (rows, phi)) if g and not len(g[2])]  # no odd S_x
+    if len(both or ()) == 2 and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
         # group g of the rows and of the effects share one permutation, disjoint from the others'
         (mx, bx, _), (my, by, _) = both
         table = np.zeros((n, n))
@@ -362,9 +362,9 @@ def verify_entangled_basis(
     """
     d, reading = entangled.d, _read(entangled, "vectors")
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
-    vectors = _unitarity(reading or entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2), 1 / d,
-                         tol, "vector {} is not maximally entangled".format)
-    return _worst_of([_gram(lambda: entangled.vectors, tol, reading=reading), vectors])
+    vectors = _unitarity(reading, lambda: entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2),
+                         1 / d, tol, "vector {} is not maximally entangled".format)
+    return _worst_of([_gram(lambda: entangled.vectors, reading, tol), vectors])
 
 
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -389,11 +389,11 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    channels = _unitarity(_read(obj, "channel_unitaries") or obj.channel_unitaries, 1, tol,
+    channels = _unitarity(_read(obj, "channel_unitaries"), lambda: obj.channel_unitaries, 1, tol,
                           "channel {} is not unitary".format)
     w = psi.reshape(obj.d, -1)
     identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
-    effects = _gram(lambda: obj.effects.vectors, tol, reading=_read(obj.effects, "vectors"), name=(
+    effects = _gram(lambda: obj.effects.vectors, _read(obj.effects, "vectors"), tol, name=(
         "effect vectors are not a complete measurement: Gram entry ({}, {})".format))
     return _worst_of([channels, effects, identity])
 
@@ -439,7 +439,7 @@ def teleport_state(
     if isinstance(psi, CheckResult):
         raise SchemeInvalid(f"scheme fails by {psi.deviation:.3e}: {psi.witness}; cannot teleport")
     wt, phi = psi.reshape(d, d).T, _read(scheme.effects, "vectors")
-    if phi and not wt.imag.any():  # column j of K_x: W^T's column b_j times conj(p_j), as summed
+    if phi and len(phi) == 2 and not wt.imag.any():  # K_x[:, j] = W^T[:, b_j] conj(p_j), as summed
         kraus = wt[:, phi[0]].transpose(1, 0, 2) * phi[1].conj()[:, None, :]
     else:
         kraus = wt @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))  # K_x

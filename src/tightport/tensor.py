@@ -19,15 +19,17 @@ at half the multiplications, with V = A + iB: R R^T for V's float64 view R gives
 and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangled-basis matrix S
 of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
 entangled bases and schemes) is a permutation times phases.  From 100 on such a value is held as
-that reading, its dense stack formed only when a caller reads it, or keeps the one it makes.
+that reading, its dense stack formed only when a caller reads it, or keeps the one reading its
+first use makes, and every verdict takes it; a bare array is read once, on entry.
 S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
 identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
 d Hadamard blocks, O(d^4).  With k <= d odd matrices, not a permutation times finite phases or
 past their group's d, and matrix 0 not odd, these verdicts pay the blocks plus k rows, O(k d^4),
-and the k odd matrices' products; the depolarizer, dense coding, ``teleport_state`` and weight
-recovery pay the product for any odd one, as does any other family.  Either table is exactly
-Hermitian and within about n eps max|row|^2 of the complex product, so on a passing family the
-witness names a rounding-level entry, read off the blocks, which form the table when it is read.
+and the k odd matrices' products; the depolarizer, dense coding, ``teleport_state``, the
+conversions and ``tensor_bases`` take a reading with odd matrices as none and pay the product, as
+does any other family.  Either table is exactly Hermitian and within about n eps max|row|^2 of
+the complex product, so on a passing family the witness names a rounding-level entry, read off
+the blocks, which form the table when it is read.
 """
 
 from __future__ import annotations
@@ -76,11 +78,12 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
     return gap
 
 
-def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
-    """The verdict on S* S = scale I for every matrix S of ``stack``, or of the stack read as
-    ``stack``, a ``_monomial`` of S or S^T (S's phases either way): diag(|phase|^2), O(d^3) in all,
-    as an array is read from 100 matrices on, odd S_x by products; ``name(x)`` names S_x."""
-    reading = stack if isinstance(stack, tuple) else _monomial(stack, _REAL_GRAM_ROWS, True)
+def _unitarity(reading, stack, scale: float, tol: float, name) -> CheckResult:
+    """The verdict on S* S = scale I for every S_x of ``stack``, or of a callable forming it, read
+    as ``reading``, a ``_monomial`` of S or S^T (S's phases either way), or None: diag(|phase|^2),
+    O(d^3) in all, and the odd S_x, or with None all, by products; ``name(x)`` names S_x."""
+    if callable(stack) and (not reading or reading[2:]):
+        stack = stack()
     gaps = np.empty(len(stack)) if not reading else np.abs(
         reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
     for odd in reading[2:] if reading else [slice(None)]:  # all S_x, or the odd ones
@@ -95,11 +98,11 @@ def _unitarity(stack, scale: float, tol: float, name) -> CheckResult:
 _REAL_GRAM_ROWS = 100
 
 
-def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS, odd: bool = False):
+def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
     """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a
-    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite; else,
-    with ``odd``, (columns, phases, odd) if S_0 is one and 1 to d others, ``odd``, read as zeros,
-    are not."""
+    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite; else
+    (columns, phases, odd) if S_0 is one and 1 to d others, ``odd``, read as zeros, are not; else
+    None.  A single matrix is read strictly: its one odd matrix would be S_0."""
     count, d = stack.shape[:2]
     if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
@@ -111,44 +114,40 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS, odd: bool = False
         if (np.sort(columns, axis=1) == np.arange(d)).all() and np.isfinite(
                 np.vdot(phases, phases)):
             return columns, phases
-    if odd:  # each S_x of d nonzeros read so, if it passes the test above; the rest are odd
-        sizes = np.bincount(flat // (d * d), minlength=count)
-        flat = flat[np.repeat(sizes == d, sizes)].reshape(-1, d)
-        x = flat[:, 0] // (d * d)
-        columns, phases = flat - d * (d * x[:, None] + np.arange(d)), stack.reshape(-1)[flat]
+    # each S_x of d nonzeros read so, if it passes the test above; the rest are odd
+    sizes = np.bincount(flat // (d * d), minlength=count)
+    flat = flat[np.repeat(sizes == d, sizes)].reshape(-1, d)
+    x = flat[:, 0] // (d * d)
+    columns, phases = flat - d * (d * x[:, None] + np.arange(d)), stack.reshape(-1)[flat]
+    with np.errstate(over="ignore"):  # an overflowing square makes its matrix odd
         ok = (np.sort(columns, axis=1) == np.arange(d)).all(1) & np.isfinite(
             (phases.real ** 2 + phases.imag ** 2).sum(1))
-        odd = np.flatnonzero(np.bincount(x[ok], minlength=count) == 0)
-        if 0 < len(odd) <= d and odd[0]:
-            reading = np.tile(np.arange(d), (count, 1)), np.zeros((count, d), complex)
-            reading[0][x[ok]], reading[1][x[ok]] = columns[ok], phases[ok]
-            return (*reading, odd)
+    odd = np.flatnonzero(np.bincount(x[ok], minlength=count) == 0)
+    if 0 < len(odd) <= d and odd[0]:
+        reading = np.tile(np.arange(d), (count, 1)), np.zeros((count, d), complex)
+        reading[0][x[ok]], reading[1][x[ok]] = columns[ok], phases[ok]
+        return (*reading, odd)
     return None
 
 
-def _read(value, name: str, keep=True, odd=False):
+def _read(value, name: str, keep=True):
     """``_monomial`` of the stack ``value.name``, or None: the one its ``_Stack`` keeps, else from
-    100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays.  With
-    ``odd``, for a None kept, one with odd S_x is made anew."""
+    100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays."""
     stack = vars(value).get("_stack")
     if stack is None and value.d ** 2 >= _REAL_GRAM_ROWS:
         array = getattr(value, name)
         stack = _Stack(array, _monomial(array.reshape(-1, value.d, value.d)))
         if keep:
             stack = vars(value).setdefault("_stack", stack)
-    if odd and stack and stack.reading is None:
-        return _monomial(stack.array.reshape(-1, value.d, value.d), _REAL_GRAM_ROWS, True)
     return stack and stack.reading
 
 
 def _read_as(columns: np.ndarray, phases: np.ndarray, form) -> _Stack:
-    """The stack read as (columns, phases), formed by ``form()`` when first read; formed now, with
-    no reading, below 100 matrices or on a 0 or an overflowing square, as ``_monomial``'s is."""
-    if len(columns) < _REAL_GRAM_ROWS:
-        return _Stack(form())
-    if phases.all() and np.isfinite(np.vdot(phases, phases)):
+    """The stack read as (columns, phases), formed by ``form()`` when first read; formed now, and
+    read by ``_read`` when first used, below 100 matrices or on a 0 or an overflowing square."""
+    if len(columns) >= _REAL_GRAM_ROWS and phases.all() and np.isfinite(np.vdot(phases, phases)):
         return _Stack(reading=(columns, phases), form=form)
-    return _Stack(form(), None)
+    return _Stack(form())
 
 
 def _scattered(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -161,28 +160,22 @@ def _scattered(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 
 def _times(reading, b: np.ndarray, shape: tuple):
-    """The stack of S_x B, shaped ``shape``, for the S_x read as ``reading``, as its reading, if B
-    is a permutation times real phases (BLAS may fuse a complex one's): the phases' products,
-    scattered when first read, the product's nonzeros bit for bit."""
-    rb = reading and _monomial(b[None], 1)
+    """The stack of S_x B, shaped ``shape``, for the S_x read as ``reading`` with no odd one, as its
+    reading, if B is a permutation times real phases (BLAS may fuse a complex one's): the phases'
+    products, scattered when first read, the product's nonzeros bit for bit."""
+    rb = reading and len(reading) == 2 and _monomial(b[None], 1)
     if rb and not rb[1].imag.any():
         columns, phases = rb[0][0][reading[0]], reading[1] * rb[1][0][reading[0]]
         return _read_as(columns, phases, lambda: _scattered(columns, phases).reshape(shape))
 
 
-def _groups(rows, reading=False, transposed=False):
+def _groups(reading, transposed=False):
     """(members, blocks, odd) of V, or with ``transposed`` (members, blocks) of V^T, when V's rows
-    are vec(S_x) of the paper's d Hadamard blocks up to order, with ``reading`` their ``_monomial``,
-    read off ``rows`` (or its callable) if not given: sorted by the column in row 0, d groups of d
-    S_x, each sharing one permutation, the d disjoint in every row.  Group g is rows ``members[g]``,
-    its block ``blocks[g]``.  Given ``rows`` and a ``reading`` not False, the sorted ``odd`` S_x
-    and those past their group's d, at most d, are placeholders in short groups' free slots."""
-    lenient = rows is not None and reading is not False
-    if not reading and rows is not None:
-        rows = rows() if callable(rows) else rows
-        d = math.isqrt(rows.shape[1])
-        reading = d * d == rows.shape[1] and _monomial(rows.reshape(-1, d, d), _REAL_GRAM_ROWS,
-                                                      lenient)
+    vec(S_x), read as ``reading``, their ``_monomial`` or None, are the paper's d Hadamard blocks up
+    to order: sorted by the column in row 0, d groups of d S_x, each sharing one permutation, the d
+    disjoint in every row.  Group g is rows ``members[g]``, its block ``blocks[g]``.  The sorted
+    ``odd`` S_x, the reading's and those past their group's d, at most d, are placeholders in short
+    groups' free slots; V^T, whose columns take no border, is read with none."""
     if not reading or len(reading[0]) != reading[0].shape[1] ** 2:  # d^2 matrices
         return None
     columns, phases, odd = (*reading, [])[:3]
@@ -196,7 +189,7 @@ def _groups(rows, reading=False, transposed=False):
         starts = np.cumsum(counts) - counts
         odd = np.sort(members[(np.arange(d * d) - np.repeat(starts, counts) >= d)
                               | (key[members] == d)])
-        if len(odd) > d * lenient or not counts[:d].all():
+        if len(odd) > d * (not transposed) or not counts[:d].all():
             return None
         first, columns = members[starts[:d]], columns.copy()
         key[odd] = np.repeat(np.arange(d), d - np.minimum(counts[:d], d))  # the free slots
@@ -270,12 +263,13 @@ def _scatter(members: np.ndarray, grams: np.ndarray, odd=(), border=None) -> np.
     return table
 
 
-def _gram(rows, tol: float, scale=1, name="Gram entry ({}, {})".format, reading=False):
-    """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V: ``rows``, or with
-    ``reading``, their ``_monomial``, a callable forming them, called only if it does not group
-    them; ``table`` is that matrix, a block one formed when first read.  With ``reading`` not
-    False, the k odd rows of ``_groups`` take their columns, one product, O(k d^4)."""
-    groups = _groups(rows, reading)
+def _gram(rows, reading, tol: float, scale=1, name="Gram entry ({}, {})".format):
+    """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V: ``rows``, or a callable
+    forming them, called only if ``reading``, their ``_monomial`` or None, does not group them or
+    has odd ones; ``table`` is that matrix, a block one formed when first read.  The k odd rows of
+    ``_groups`` take their columns, one product, O(k d^4)."""
+    groups = _groups(reading)
+    del reading  # a bare array's, handed over inline, not held beside the Grams from Python 3.11
     (members, gram), odd, border = _block_grams(rows, groups), groups[2] if groups else (), None
     del groups  # the blocks, not held beside their Grams
     if len(odd):  # in real arithmetic, as the blocks: for V = A + iB, conj(v_y) v_x has real part
@@ -348,7 +342,7 @@ def is_maximally_entangled(psi, d: int, tol: float = DEFAULT_TOL) -> CheckResult
     if abs(norm_sq - 1.0) > tol:  # a NaN norm is failed below, by its deviation
         raise NotNormalized(f"squared norm {norm_sq} deviates from 1 beyond {tol}")
     # W W* = I/d read through S = W^T as S* S = conj(W W*), whose gaps have the same moduli
-    return _unitarity(v.reshape(1, d, d).swapaxes(1, 2), 1 / d, tol,
+    return _unitarity(None, v.reshape(1, d, d).swapaxes(1, 2), 1 / d, tol,
                       lambda _: "reduced operator deviates from I/d")
 
 
@@ -371,4 +365,5 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     count, dim = vs.shape
     if count != dim:
         raise CountMismatch(f"got {count} vectors in dimension {dim}")
-    return _gram(vs, tol, reading=None)
+    d = math.isqrt(count)
+    return _gram(vs, _monomial(vs.reshape(-1, d, d)) if d * d == count else None, tol)

@@ -111,7 +111,7 @@ def test_a_damaged_latin_family_agrees_with_the_product_path(d, family, kind, co
     basis = _family(rng, d, family)
     elements, parts = _parts(rng, basis, kind, d if count == "d" else int(count), 10.0 ** -exponent)
     if kind not in ("twisted channel", "duplicated across groups"):  # the reading is taken
-        assert len(tensor._monomial(elements, tensor._REAL_GRAM_ROWS, True)) == 3
+        assert len(tensor._monomial(elements)) == 3
     v1, v2 = random_unitary(rng, d), random_unitary(rng, d)
     latin, dense = _verdicts(elements, parts), _verdicts(elements, parts, v1, v2)
     for name in latin[0]:
@@ -166,10 +166,10 @@ def test_past_d_odd_matrices_and_below_100_each_verdict_is_the_products(monkeypa
     rng = np.random.default_rng(d)
     elements, parts = _parts(rng, tp.weyl_basis(d), kind, d + 1 if d * d >= 100 else 2, 1e-6)
     got = _verdicts(elements, parts)
-    strict, groups = tensor._monomial, tensor._groups
-    for module in (tensor, schemes):
-        monkeypatch.setattr(module, "_monomial", lambda stack, least=tensor._REAL_GRAM_ROWS,
-                            odd=False: strict(stack, least))
+    monomial, groups = tensor._monomial, tensor._groups
+    for module in (tensor, schemes):  # a reading with odd matrices taken as none
+        monkeypatch.setattr(module, "_monomial", lambda stack, least=tensor._REAL_GRAM_ROWS: (
+            lambda found: found if not found or len(found) == 2 else None)(monomial(stack, least)))
     monkeypatch.setattr(tensor, "_groups", lambda *args, **kwargs: (  # no group past its d
         lambda found: found if not found or len(found) < 3 or not len(found[2]) else None)(
             groups(*args, **kwargs)))

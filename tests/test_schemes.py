@@ -611,10 +611,12 @@ def test_identity_gap_reads_the_product_buffer(name, family):
 # A Latin family with one odd element keeps its blocks: on Weyl with element 5 perturbed by 1e-3
 # in a seeded direction, each Gram verdict takes the d blocks and the odd element's row, where the
 # full product takes 1.70 matrices for completeness and 2.00 for the others.  Measured with the
-# blocks: 0.44 for completeness and a basis, 1.18 for an entangled basis, whose unitarity reads
-# the vectors' transposed view through one copy, and 0.70 for a scheme's verify.
+# blocks: 0.44 for completeness and an entangled basis, whose unitarity takes the reading of the
+# vectors in C order and so copies only the odd matrix of their transposed view (a reading of the
+# whole view took 1.18), 0.28 for a basis and 0.57 for a scheme's verify, which find the basis's
+# reading made and kept by build_scheme (0.44 and 0.70 with it made inside the verdict).
 ODD_ELEMENT_PEAKS = {"check_projector_completeness": 0.5, "verify_orthonormal": 0.5,
-                     "verify_entangled_basis": 1.25, "verify of a teleportation scheme": 0.75,
+                     "verify_entangled_basis": 0.5, "verify of a teleportation scheme": 0.75,
                      "verify of a dense_coding scheme": 0.75}
 
 
@@ -659,8 +661,20 @@ def test_a_copied_value_holds_read_only_arrays_of_its_own_and_no_reading(copier)
     basis = weyl_basis(10)
     scheme = build_scheme(basis)
     assert verify(scheme) and verify_orthonormal(basis)  # readings made, where a value keeps them
+    # and readings with odd matrices: element 5 moved by 1e-3, read-only, odd indices included
+    elements = basis.elements.copy()
+    elements[5] += 1e-3
+    damaged = UnitaryBasis(10, elements)
+    broken = build_scheme(damaged)
+    assert not verify(broken) and not verify_orthonormal(damaged)
+    for value in (damaged, broken, broken.effects):
+        reading = vars(value)["_stack"].reading
+        assert len(reading) == 3 and not any(part.flags.writeable for part in reading)
+        assert "_stack" not in vars(replace(value))
     for value, names in ((basis, ["elements"]), (scheme.effects, ["vectors"]),
                          (scheme, ["omega", "channel_unitaries"]),
+                         (damaged, ["elements"]), (broken.effects, ["vectors"]),
+                         (broken, ["omega", "channel_unitaries"]),
                          (fourier_hadamard(4), ["matrix"]), (latin_from_cyclic(4), ["grid"])):
         copied = copier(value)
         assert type(copied) is type(value) and copied.d == value.d

@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_unitary
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_density, random_unitary
 from oracles import matrix_units, partial_trace
 from tightport import (
     MODES,
@@ -20,9 +21,11 @@ from tightport import (
     TightportError,
     UnitaryBasis,
     apply_equivalence,
+    bases,
     basis_to_entangled,
     build_scheme,
     check_projector_completeness,
+    entangled_to_basis,
     fourier_hadamard,
     hadamard_d4_family,
     is_maximally_entangled,
@@ -30,13 +33,17 @@ from tightport import (
     latin_from_cyclic,
     omega_vector,
     periodic_phase_hadamard,
+    schemes,
     shift_multiply_basis,
+    teleport_state,
     tensor,
     tensor_bases,
     trace_inner,
     vector_to_operator,
     verify,
+    verify_dense_coding,
     verify_depolarizer,
+    verify_entangled_basis,
     verify_orthonormal,
     weyl_basis,
 )
@@ -57,6 +64,19 @@ from tightport.tensor import (
 )
 
 TOL = 1e-12
+
+
+def _reading(rows):
+    """``_monomial`` of the rows vec(S_x) of V read as d x d matrices, as an entry point reads a
+    bare array."""
+    d = math.isqrt(rows.shape[1])
+    return _monomial(rows.reshape(-1, d, d))
+
+
+def _strict(stack, least=_REAL_GRAM_ROWS):
+    """``_monomial`` of ``stack`` if it reads every matrix, else None."""
+    reading = _monomial(stack, least)
+    return reading if reading is None or len(reading) == 2 else None
 
 
 def kron_oracle(a, b):
@@ -486,7 +506,7 @@ GRAM_ROWS = [64, 81, 100, 121, 144, 256]
 @pytest.mark.parametrize("n", GRAM_ROWS)
 def test_hermitian_gram_agrees_with_the_complex_product(n):
     rows = random_complex(np.random.default_rng(n), n, n)
-    gram = _gram(rows, TOL).table
+    gram = _gram(rows, None, TOL).table
     product = rows.conj() @ rows.T
     bound = n * np.finfo(float).eps * (np.abs(rows) ** 2).sum(axis=1).max()
     assert np.abs(gram - product).max() <= bound
@@ -504,7 +524,7 @@ def test_hermitian_gram_names_the_first_nan_as_the_complex_product_does(n, row):
     rows = random_unitary(np.random.default_rng(n), n)
     k = {"first": 0, "middle": n // 2, "last": n - 1}[row]
     rows[k] = np.nan
-    result = _gram(rows, TOL)
+    result = _gram(rows, None, TOL)
     expected = CheckResult.worst(_identity_gap(rows.conj() @ rows.T), TOL,
                                  "Gram entry ({}, {})".format)
     assert not result.passed and np.isnan(result.deviation)
@@ -515,10 +535,10 @@ def test_hermitian_gram_names_the_first_nan_as_the_complex_product_does(n, row):
 @pytest.mark.parametrize("n", GRAM_ROWS)
 def test_hermitian_gram_fails_closed_on_huge_entries(n, value):
     rows = random_unitary(np.random.default_rng(n), n)
-    assert _gram(rows, TOL).passed
+    assert _gram(rows, None, TOL).passed
     rows[n // 3, 5] = value
     with np.errstate(all="ignore"):
-        result = _gram(rows, TOL)
+        result = _gram(rows, None, TOL)
     assert not result.passed and not np.isfinite(result.deviation)
 
 
@@ -574,10 +594,11 @@ def _near_miss(rows, miss, rng):
 
 def _assert_verdict_of_the_product(rows, block, transposed=False):
     """The Gram verdict and table on the rows of V, ``rows`` or with ``transposed`` their
-    transpose, as the depolarizer reads A's columns, are the complex product's, and the block
-    path formed them exactly when ``block``."""
-    groups = len(rows) >= _REAL_GRAM_ROWS and _groups(rows, transposed=transposed)
-    assert bool(groups) == block
+    transpose, as the depolarizer reads A's columns, are the complex product's, and the blocks
+    alone, with no odd row, formed them exactly when ``block``."""
+    reading = _reading(rows)
+    groups = len(rows) >= _REAL_GRAM_ROWS and _groups(reading, transposed=transposed)
+    assert bool(groups and (transposed or not len(groups[2]))) == block
     v = rows.T if transposed else rows
     with np.errstate(all="ignore"):
         if transposed:
@@ -585,8 +606,8 @@ def _assert_verdict_of_the_product(rows, block, transposed=False):
             table = gram if members is None else _scatter(members, gram)
             result = _gram_verdict(_identity_gap(gram), members, TOL, "Gram entry ({}, {})".format)
         else:
-            table = _gram(v, TOL).table
-            result = _gram(v, TOL)
+            table = _gram(v, reading, TOL).table
+            result = _gram(v, reading, TOL)
         product = v.conj() @ v.T
         gaps = _identity_gap(product)
         bound = len(v) * np.finfo(float).eps * (np.abs(v) ** 2).sum(axis=1).max()
@@ -632,7 +653,7 @@ def test_weyl_gram_blocks_agree_with_the_complex_product(d, duplicate):
         rows[d] = rows[0]
     _assert_verdict_of_the_product(rows, True)
     if duplicate:
-        assert _gram(rows, TOL).witness == f"Gram entry (0, {d})"
+        assert _gram(rows, _reading(rows), TOL).witness == f"Gram entry (0, {d})"
 
 
 @pytest.mark.parametrize("family", ["Weyl", "dense"])
@@ -643,11 +664,14 @@ def test_gram_scale_is_complex_division_by_the_scale(d, family):
         rng = np.random.default_rng(d)
         basis = apply_equivalence(basis, random_unitary(rng, d), random_unitary(rng, d))
     rows = _stacked(basis).copy()
-    assert _gram(rows, TOL, d).table.tobytes() == (_gram(rows, TOL).table / d).tobytes()
+    reading = _reading(rows)
+    assert _gram(rows, reading, TOL, d).table.tobytes() == (
+        _gram(rows, reading, TOL).table / d).tobytes()
     # an overflowing entry stays inf where complex division would make NaN of inf * 0
     rows[d, 3] = 1e200
+    reading = _reading(rows)
     with np.errstate(all="ignore"):
-        unscaled, result = _gram(rows, TOL).table, _gram(rows, TOL, d)
+        unscaled, result = _gram(rows, reading, TOL).table, _gram(rows, reading, TOL, d)
     assert np.isinf(unscaled).any() and not result.passed and not np.isfinite(result.deviation)
     assert np.array_equal(np.isnan(result.table), np.isnan(unscaled))
 
@@ -668,11 +692,14 @@ def test_block_gaps_are_the_full_tables_gaps(d, scale, damage):
     elif damage == "1e200 on two rows' support":  # M - M^T at (0, d) is inf - inf, NaN
         rows[0, k], rows[0, m], rows[d, k], rows[d, m] = 1e200, 1e200j, 1e200j, 1e200
     scale = d if scale == "d" else 1
-    # the reading refuses a phase whose |phase|^2 overflows: 1e200 takes the full product
-    assert (_groups(rows) is None) == damage.startswith("1e200")
+    # the reading takes a matrix with a phase whose |phase|^2 overflows as odd: 1e200 takes the
+    # full product, or the blocks with that row as their border
+    reading = _reading(rows)
+    groups = _groups(reading)
+    assert (not groups or len(groups[2]) > 0) == damage.startswith("1e200")
     with np.errstate(all="ignore"):
-        result = _gram(rows, TOL, scale)
-        table = _gram(rows, TOL).table
+        result = _gram(rows, reading, TOL, scale)
+        table = _gram(rows, reading, TOL).table
         table.view(np.float64)[...] *= 1 / scale
         expected = CheckResult.worst(_identity_gap(table), TOL, "Gram entry ({}, {})".format)
     assert (result.passed, repr(result.deviation), result.witness) == (
@@ -703,7 +730,7 @@ def test_a_table_read_from_a_verdict_is_the_blocks_scattered(d, scale):
     gram.view(np.float64)[...] *= 1 / scale
     table = np.zeros((d * d,) * 2, dtype=complex)
     table[members[:, :, None], members[:, None, :]] = gram
-    result = _gram(rows, TOL, scale)
+    result = _gram(rows, _reading(rows), TOL, scale)
     assert callable(vars(result)["table"])  # deferred until read
     assert result.table.tobytes() == table.tobytes()
     assert vars(result)["table"] is result.table  # formed once
@@ -712,7 +739,7 @@ def test_a_table_read_from_a_verdict_is_the_blocks_scattered(d, scale):
 def test_worst_of_and_pickle_leave_a_table_unformed():
     d = 12
     rows = weyl_basis(d).elements.reshape(d * d, -1)
-    result = _gram(rows, TOL)  # unscaled, A A* is d I: the worst part, and the first with a table
+    result = _gram(rows, _reading(rows), TOL)  # unscaled, A A* is d I: the worst part, and the first with a table
     other = CheckResult(True, 1e-13, "other part", np.eye(2))
     worst = _worst_of([CheckResult(True, 1e-12, "no table"), result, other])
     copied = pickle.loads(pickle.dumps(result))
@@ -773,6 +800,105 @@ def test_the_depolarizer_takes_a_kept_reading_and_keeps_none_it_makes(d, mib, mo
     finally:
         tracemalloc.stop()
     assert reads == [d * d] and peak <= mib * 2**20
+
+
+DAMAGED_WEYL = ["element 5 moved by 1e-3", "element 0 copied across groups"]
+
+
+def _damaged_weyl(d, damage):
+    """Weyl's elements at d, with element 5 moved by 1e-3 in every entry, or element 0 copied
+    onto element 1, which is in another group."""
+    elements = weyl_basis(d).elements.copy()
+    if damage == "element 5 moved by 1e-3":
+        elements[5] += 1e-3
+    else:
+        elements[1] = elements[0]
+    return elements
+
+
+@pytest.mark.parametrize("damage", DAMAGED_WEYL)
+@pytest.mark.parametrize("d", [12, 16])
+def test_a_damaged_value_reads_each_stack_once_along_the_sequence(d, damage, monkeypatch):
+    # each value keeps one reading of its stack, strict or with its odd matrices, and every
+    # verdict and conversion takes it, so along the sequence, run twice, no stack of d^2 matrices
+    # is read twice.  A single matrix (the reference, the resource) is not a stack, and not counted
+    basis = UnitaryBasis(d, _damaged_weyl(d, damage))
+    reads, values = [], []
+    monomial = tensor._monomial
+
+    def counting(stack, *args):
+        if len(stack) == d * d:
+            reads.append(stack)
+        return monomial(stack, *args)
+
+    for module in (tensor, bases, schemes):
+        monkeypatch.setattr(module, "_monomial", counting)
+    for _ in range(2):
+        assert not verify_orthonormal(basis)
+        entangled = basis_to_entangled(basis)
+        assert not verify_entangled_basis(entangled)
+        scheme = build_scheme(basis)
+        assert not verify(scheme)
+        values += [entangled, scheme]  # alive, so that no two values' stacks share memory
+    for i, read in enumerate(reads):
+        assert not any(np.may_share_memory(read, other) for other in reads[:i]), i
+
+
+def _same_bits(a, b):
+    """Equal errors, arrays by their bytes, verdicts by their parts' bytes, tuples part by part."""
+    if isinstance(a, TightportError):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
+    if isinstance(a, CheckResult):
+        return (a.passed, a.witness, np.float64(a.deviation).tobytes()) == (
+            b.passed, b.witness, np.float64(b.deviation).tobytes()) and _same_bits(
+            np.asarray(a.table), np.asarray(b.table))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+STRICT_CONSUMERS = {
+    "tensor_bases": lambda b, e, s, rho: tensor_bases(b, weyl_basis(2)).elements,
+    "basis_to_entangled": lambda b, e, s, rho: basis_to_entangled(b).vectors,
+    "entangled_to_basis": lambda b, e, s, rho: entangled_to_basis(e).elements,
+    "verify_depolarizer": lambda b, e, s, rho: verify_depolarizer(b),
+    "verify_dense_coding": lambda b, e, s, rho: verify_dense_coding(s),
+    "teleport_state": lambda b, e, s, rho: teleport_state(s, rho),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_CONSUMERS))
+@pytest.mark.parametrize("damage", DAMAGED_WEYL)
+@pytest.mark.parametrize("d", [12, 16])
+def test_a_kept_reading_leaves_each_strict_consumer_as_on_a_fresh_value(d, damage, name,
+                                                                          monkeypatch):
+    # the consumers that take no odd matrix give, on values whose readings with odd matrices the
+    # verdicts kept, the bytes, verdicts and witnesses they give on values fresh from the arrays
+    # read with no odd matrix, as a strict reading takes them
+    elements = _damaged_weyl(d, damage)
+    vectors = (elements @ omega_vector(d).reshape(d, d)).reshape(d * d, -1)
+
+    def values():
+        return (UnitaryBasis(d, elements), MaxEntangledBasis(d, vectors),
+                TightScheme(d, omega_vector(d), elements, MaxEntangledBasis(d, vectors),
+                            TELEPORTATION))
+
+    kept, fresh = values(), values()
+    assert not verify_orthonormal(kept[0]) and not verify(kept[1]) and not verify(kept[2])
+    for value in (kept[0], kept[1], kept[2], kept[2].effects):
+        assert len(vars(value)["_stack"].reading) == (3 if damage.startswith("element 5") else 2)
+
+    def call(value):
+        try:
+            return STRICT_CONSUMERS[name](*value, random_density(np.random.default_rng(d), d))
+        except TightportError as error:
+            return error
+
+    with np.errstate(all="ignore"):
+        got = call(kept)
+        for module in (tensor, bases, schemes):
+            monkeypatch.setattr(module, "_monomial", _strict)
+        assert _same_bits(got, call(fresh))
 
 
 def _outcome_gaps_by_products(scheme, r):
@@ -876,9 +1002,9 @@ def test_monomial_reading_agrees_with_the_products(d, product, miss, transposed,
     # unitarity of the elements, or of the vectors' transposed view, as verify_entangled_basis
     # reads them
     stack, scale = (vectors.swapaxes(1, 2), 1 / d) if transposed else (elements, 1)
-    assert (_monomial(elements) is not None) == fast
+    assert (_strict(elements) is not None) == fast
     with np.errstate(all="ignore"):
-        result = _unitarity(stack, scale, TOL, "matrix {}".format)
+        result = _unitarity(_monomial(stack), stack, scale, TOL, "matrix {}".format)
         gaps = _unitarity_gaps_by_products(stack, scale)
     _assert_verdict_within_rounding(result, gaps, None, 16 * np.finfo(float).eps,
                                     "matrix {}".format)
@@ -893,9 +1019,9 @@ def test_monomial_reading_agrees_with_the_products(d, product, miss, transposed,
         channels, effects = basis.elements @ np.linalg.inv(r) / np.sqrt(d), vectors
     effects = MaxEntangledBasis(d, effects.reshape(d * d, -1))
     scheme = TightScheme(d, w.reshape(-1), channels, effects, mode)
-    assert (_monomial(scheme.channel_unitaries) is not None) == (
+    assert (_strict(scheme.channel_unitaries) is not None) == (
         fast if side == "channels" else canonical)
-    assert (_monomial(scheme.effects.vectors.reshape(-1, d, d)) is not None) == (
+    assert (_strict(scheme.effects.vectors.reshape(-1, d, d)) is not None) == (
         fast if side == "effects" else canonical)
     with np.errstate(all="ignore"):
         result = _outcome_identity(scheme, r, TOL)
@@ -918,8 +1044,8 @@ def test_non_finite_channels_beside_monomial_effects_read_as_the_products(resour
     channels = basis.elements @ np.linalg.inv(w.T) / np.sqrt(d)
     channels[5, 2, 3] = value
     scheme = TightScheme(d, w.reshape(-1), channels, basis_to_entangled(basis), TELEPORTATION)
-    assert _monomial(scheme.channel_unitaries) is None
-    assert _monomial(scheme.effects.vectors.reshape(-1, d, d)) is not None
+    assert _strict(scheme.channel_unitaries) is None
+    assert _strict(scheme.effects.vectors.reshape(-1, d, d)) is not None
     with np.errstate(all="ignore"):
         result = _outcome_identity(scheme, w.T, TOL)
         gaps, weight = _outcome_gaps_by_products(scheme, w.T)
@@ -1033,7 +1159,7 @@ def test_fewer_matrices_than_the_reading_take_the_products_bit_for_bit(family, d
     assert len(elements) < _REAL_GRAM_ROWS and _monomial(elements) is None
     for stack, scale in ((elements, 1), (elements.swapaxes(1, 2) / np.sqrt(d), 1 / d)):
         with np.errstate(all="ignore"):
-            result = _unitarity(stack, scale, TOL, "matrix {}".format)
+            result = _unitarity(_monomial(stack), stack, scale, TOL, "matrix {}".format)
             expected = CheckResult.worst(_unitarity_gaps_by_products(stack, scale), TOL,
                                          "matrix {}".format)
         assert (result.passed, result.witness) == (expected.passed, expected.witness)
