@@ -43,7 +43,8 @@ from .errors import (
     WeightNotPositive,
 )
 from .tensor import (_REAL_GRAM_ROWS, _adjoint, _block_grams, _gram, _gram_verdict, _groups,
-                     _identity_gap, _monomial, _read, _read_as, _scattered, _unitarity, max_abs)
+                     _identity_gap, _monomial, _read, _read_as, _scattered, _strict, _unitarity,
+                     max_abs)
 
 __all__ = [
     "UnitaryBasis",
@@ -136,10 +137,9 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     """
     # the elements' products first, so that the Gram matrix is not held beside them
     reading = _read(basis, "elements")
-    elements = _unitarity(reading, lambda: basis.elements, 1, tol,
-                          "element {} is not unitary".format)
+    units = _unitarity(reading, lambda: basis.elements, 1, tol, "element {} is not unitary".format)
     gram = _gram(lambda: _stacked(basis), reading, tol, basis.d)
-    return _worst_of([gram, elements])
+    return _worst_of([gram, units])
 
 
 def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -151,8 +151,8 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     witness is the matrix unit of its first NaN, else its first worst entry.
     """
     d = basis.d
-    members, gram = _block_grams(lambda: _stacked(basis).T, _groups(
-        _read(basis, "elements", keep=False), transposed=True))  # made ones dropped
+    members, gram = _block_grams(lambda: _stacked(basis).T, _strict(_groups(
+        _read(basis, "elements", keep=False), transposed=True)))  # made ones dropped
     return _gram_verdict(_identity_gap(gram, d), members, tol,
                          lambda i, j: f"matrix unit E[{i // d},{j // d}]")
 
@@ -184,8 +184,8 @@ def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckR
         root = _adjoint(np.linalg.cholesky(w))
     except np.linalg.LinAlgError:
         raise WeightNotPositive("weight is too ill-conditioned for a Cholesky factor") from None
-    whitened = root @ ops
-    return _gram(whitened.reshape(n, -1), _monomial(whitened), tol)
+    whitened = root @ ops  # grouped with no odd row, so that any odd one takes the product
+    return _gram(whitened.reshape(n, -1), lambda: _strict(_groups(_monomial(whitened))), tol)
 
 
 def recover_weight_from_unitary_gram(
@@ -212,8 +212,8 @@ def recover_weight_from_unitary_gram(
     except np.linalg.LinAlgError:
         raise NoSolution("the family's partial Gram trace is singular") from None
     rho = _block_grams(c.T)[1]
-    whitened = c @ elems
-    residual = _gram(whitened.reshape(d * d, -1), _monomial(whitened), tol)
+    cu = c @ elems  # the c U_x, grouped as weighted_gram's
+    residual = _gram(cu.reshape(d * d, -1), lambda: _strict(_groups(_monomial(cu))), tol)
     if not residual:
         raise NoSolution(f"weighted Gram residual {residual.deviation:.3e} exceeds {tol}; "
                          f"the family is not an orthonormal basis")
@@ -231,9 +231,9 @@ def tensor_bases(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     product = lambda: (b1.elements[:, None, :, None, :, None]  # noqa: E731
                        * b2.elements[None, :, None, :, None, :]).reshape(d * d, d, d)
     if d * d >= _REAL_GRAM_ROWS:  # read as its factors' readings, and formed as their product
-        r1, r2 = (_read(b, "elements") if b.d ** 2 >= _REAL_GRAM_ROWS else _monomial(b.elements, 1)
-                  for b in (b1, b2))
-        if r1 and r2 and len(r1) == len(r2) == 2:  # row a d2 + b of x n2 + y: U_x's a, V_y's b
+        r1, r2 = (_strict(_read(b, "elements") if b.d ** 2 >= _REAL_GRAM_ROWS
+                          else _monomial(b.elements, 1)) for b in (b1, b2))
+        if r1 and r2:  # row a d2 + b of element x n2 + y: U_x's row a times V_y's row b
             columns = (r1[0][:, None, :, None] * b2.d + r2[0][None, :, None, :]).reshape(d * d, d)
             phases = (r1[1][:, None, :, None] * r2[1][None, :, None, :]).reshape(d * d, d)
             return UnitaryBasis(d, _read_as(columns, phases, product))

@@ -48,7 +48,6 @@ from .errors import (
     SchemeInvalid,
 )
 from .tensor import (
-    _REAL_GRAM_ROWS,
     _adjoint,
     _gram,
     _groups,
@@ -56,6 +55,7 @@ from .tensor import (
     _monomial,
     _read,
     _scattered,
+    _strict,
     _times,
     _unitarity,
     is_maximally_entangled,
@@ -193,7 +193,7 @@ def basis_to_entangled(
     """
     d = basis.d
     ref = _reference(omega, d, tol).reshape(d, d)
-    vectors = d * d >= _REAL_GRAM_ROWS and _times(_read(basis, "elements"), ref, (d * d, -1))
+    vectors = _times(_read(basis, "elements"), ref, (d * d, -1))  # None below 100 matrices
     return MaxEntangledBasis(d, vectors or _Stack((basis.elements @ ref).reshape(d * d, -1)))
 
 
@@ -214,14 +214,13 @@ def entangled_to_basis(
 def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> UnitaryBasis:
     d = entangled.d
     ref_op = np.sqrt(d) * vector_to_operator(ref, d).conj().T
-    ops = d * d >= _REAL_GRAM_ROWS and _times(_read(entangled, "vectors"), ref_op, (-1, d, d))
-    if not ops:
-        ops = _Stack((entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d))
-    check = _unitarity(ops.reading or _monomial(ops.array), ops.array, 1, tol,
+    basis = UnitaryBasis(d, _times(_read(entangled, "vectors"), ref_op, (-1, d, d)) or _Stack(
+        (entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d)))  # the check reads it
+    check = _unitarity(_read(basis, "elements"), lambda: basis.elements, 1, tol,
                        "vector {} yields an operator".format)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
-    return UnitaryBasis(d, ops)
+    return basis
 
 
 def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
@@ -335,10 +334,10 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
         return psi
     d = scheme.d
     n, w = d * d, psi.reshape(d, d)
-    u, phi = _read(scheme, "channel_unitaries"), _read(scheme.effects, "vectors")
+    u, phi = _read(scheme, "channel_unitaries"), _strict(_read(scheme.effects, "vectors"))
     rows = u and phi and getattr(_times(u, w, (n, n)), "reading", None)  # vec(U_x W), read
-    both = rows and [g for g in map(_groups, (rows, phi)) if g and not len(g[2])]  # no odd S_x
-    if len(both or ()) == 2 and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
+    both = rows and [_strict(_groups(reading)) for reading in (rows, phi)]  # (members, blocks)
+    if both and all(both) and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
         # group g of the rows and of the effects share one permutation, disjoint from the others'
         (mx, bx, _), (my, by, _) = both
         table = np.zeros((n, n))
@@ -438,8 +437,8 @@ def teleport_state(
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         raise SchemeInvalid(f"scheme fails by {psi.deviation:.3e}: {psi.witness}; cannot teleport")
-    wt, phi = psi.reshape(d, d).T, _read(scheme.effects, "vectors")
-    if phi and len(phi) == 2 and not wt.imag.any():  # K_x[:, j] = W^T[:, b_j] conj(p_j), as summed
+    wt, phi = psi.reshape(d, d).T, _strict(_read(scheme.effects, "vectors"))
+    if phi and not wt.imag.any():  # column j of K_x: W^T's column b_j times conj(p_j), as summed
         kraus = wt[:, phi[0]].transpose(1, 0, 2) * phi[1].conj()[:, None, :]
     else:
         kraus = wt @ _adjoint(scheme.effects.vectors.reshape(d * d, d, d))  # K_x

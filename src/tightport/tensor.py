@@ -20,16 +20,16 @@ and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangl
 of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
 entangled bases and schemes) is a permutation times phases.  From 100 on such a value is held as
 that reading, its dense stack formed only when a caller reads it, or keeps the one reading its
-first use makes, and every verdict takes it; a bare array is read once, on entry.
+first use makes, and every verdict takes it; a bare array is read once, by its Gram verdict.
 S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
 identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
 d Hadamard blocks, O(d^4).  With k <= d odd matrices, not a permutation times finite phases or
 past their group's d, and matrix 0 not odd, these verdicts pay the blocks plus k rows, O(k d^4),
 and the k odd matrices' products; the depolarizer, dense coding, ``teleport_state``, the
-conversions and ``tensor_bases`` take a reading with odd matrices as none and pay the product, as
-does any other family.  Either table is exactly Hermitian and within about n eps max|row|^2 of
-the complex product, so on a passing family the witness names a rounding-level entry, read off
-the blocks, which form the table when it is read.
+conversions, ``tensor_bases`` and the weighted Grams take any odd matrix as no reading
+(``_strict``) and pay the product, as does any other family.  Either table is exactly Hermitian
+and within about n eps max|row|^2 of the complex product, so on a passing family the witness
+names a rounding-level entry, read off the blocks, which form the table when it is read.
 """
 
 from __future__ import annotations
@@ -99,10 +99,9 @@ _REAL_GRAM_ROWS = 100
 
 
 def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
-    """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a
-    permutation times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite; else
-    (columns, phases, odd) if S_0 is one and 1 to d others, ``odd``, read as zeros, are not; else
-    None.  A single matrix is read strictly: its one odd matrix would be S_0."""
+    """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a permutation
+    times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite; else (columns,
+    phases, odd) if S_0 is one and 1 to d others, ``odd``, read as zeros, are not; else None."""
     count, d = stack.shape[:2]
     if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
@@ -159,23 +158,28 @@ def _scattered(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return out
 
 
+def _strict(part):
+    """``part``, a ``_monomial`` reading or a ``_groups`` grouping, or None if it has odd S_x."""
+    return part if part and not len((*part, ())[2]) else None
+
+
 def _times(reading, b: np.ndarray, shape: tuple):
-    """The stack of S_x B, shaped ``shape``, for the S_x read as ``reading`` with no odd one, as its
-    reading, if B is a permutation times real phases (BLAS may fuse a complex one's): the phases'
-    products, scattered when first read, the product's nonzeros bit for bit."""
-    rb = reading and len(reading) == 2 and _monomial(b[None], 1)
+    """The stack of S_x B, shaped ``shape``, for the S_x read as ``reading``, as its reading, if no
+    S_x is odd and B is a permutation times real phases (BLAS may fuse a complex one's): the
+    phases' products, scattered when first read, the product's nonzeros bit for bit."""
+    rb = _strict(reading) and _monomial(b[None], 1)
     if rb and not rb[1].imag.any():
         columns, phases = rb[0][0][reading[0]], reading[1] * rb[1][0][reading[0]]
         return _read_as(columns, phases, lambda: _scattered(columns, phases).reshape(shape))
 
 
 def _groups(reading, transposed=False):
-    """(members, blocks, odd) of V, or with ``transposed`` (members, blocks) of V^T, when V's rows
-    vec(S_x), read as ``reading``, their ``_monomial`` or None, are the paper's d Hadamard blocks up
-    to order: sorted by the column in row 0, d groups of d S_x, each sharing one permutation, the d
-    disjoint in every row.  Group g is rows ``members[g]``, its block ``blocks[g]``.  The sorted
-    ``odd`` S_x, the reading's and those past their group's d, at most d, are placeholders in short
-    groups' free slots; V^T, whose columns take no border, is read with none."""
+    """(members, blocks, odd) of V, or with ``transposed`` of V^T, when V's rows vec(S_x), read as
+    ``reading``, their ``_monomial`` or None, are the paper's d Hadamard blocks up to order: sorted
+    by the column in row 0, d groups of d S_x, each sharing one permutation, the d disjoint in every
+    row.  Group g is rows ``members[g]``, its block ``blocks[g]``.  The sorted ``odd`` S_x, the
+    reading's and those past their group's d, at most d, are placeholders in short groups' free
+    slots; V^T's columns take no border, so its caller takes them ``_strict``."""
     if not reading or len(reading[0]) != reading[0].shape[1] ** 2:  # d^2 matrices
         return None
     columns, phases, odd = (*reading, [])[:3]
@@ -189,7 +193,7 @@ def _groups(reading, transposed=False):
         starts = np.cumsum(counts) - counts
         odd = np.sort(members[(np.arange(d * d) - np.repeat(starts, counts) >= d)
                               | (key[members] == d)])
-        if len(odd) > d * (not transposed) or not counts[:d].all():
+        if len(odd) > d or not counts[:d].all():
             return None
         first, columns = members[starts[:d]], columns.copy()
         key[odd] = np.repeat(np.arange(d), d - np.minimum(counts[:d], d))  # the free slots
@@ -199,10 +203,9 @@ def _groups(reading, transposed=False):
     if not ((columns[members] == shared[:, None]).all()
             and (np.sort(shared, axis=0) == np.arange(d)[:, None]).all()):
         return None
-    if not transposed:
-        return members, phases[members], odd
-    # V^T's group g is rows i d + shared[g, i], its block gathered in C order: (i, a) phase i of a
-    return shared + d * np.arange(d), np.take(phases, d * members[:, None] + np.arange(d)[:, None])
+    if transposed:  # V^T's group g is rows i d + shared[g, i], its block's (i, a) phase i of a
+        return shared + d * np.arange(d), phases.T[np.arange(d)[:, None], members[:, None]], odd
+    return members, phases[members], odd
 
 
 def _block_grams(rows, groups=None):
@@ -265,11 +268,10 @@ def _scatter(members: np.ndarray, grams: np.ndarray, odd=(), border=None) -> np.
 
 def _gram(rows, reading, tol: float, scale=1, name="Gram entry ({}, {})".format):
     """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V: ``rows``, or a callable
-    forming them, called only if ``reading``, their ``_monomial`` or None, does not group them or
-    has odd ones; ``table`` is that matrix, a block one formed when first read.  The k odd rows of
-    ``_groups`` take their columns, one product, O(k d^4)."""
-    groups = _groups(reading)
-    del reading  # a bare array's, handed over inline, not held beside the Grams from Python 3.11
+    forming them, called only if ``reading``, their ``_monomial`` or None, or a callable giving
+    their ``_groups`` (so no caller holds them), does not group them or has odd ones; ``table`` is
+    that matrix, a block one formed when first read.  k odd rows take their columns, O(k d^4)."""
+    groups = reading() if callable(reading) else _groups(reading)
     (members, gram), odd, border = _block_grams(rows, groups), groups[2] if groups else (), None
     del groups  # the blocks, not held beside their Grams
     if len(odd):  # in real arithmetic, as the blocks: for V = A + iB, conj(v_y) v_x has real part
@@ -366,4 +368,4 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     if count != dim:
         raise CountMismatch(f"got {count} vectors in dimension {dim}")
     d = math.isqrt(count)
-    return _gram(vs, _monomial(vs.reshape(-1, d, d)) if d * d == count else None, tol)
+    return _gram(vs, lambda: _groups(d * d == count and _monomial(vs.reshape(-1, d, d))), tol)

@@ -19,6 +19,7 @@ from tightport import (
     UnitaryBasis,
     WeightNotPositive,
     apply_equivalence,
+    bases,
     basis_to_entangled,
     build_scheme,
     dumps,
@@ -33,6 +34,7 @@ from tightport import (
     recover_weight_from_unitary_gram,
     shift_multiply_basis,
     swap_roles,
+    tensor,
     tensor_bases,
     trace_inner,
     verify,
@@ -301,6 +303,37 @@ class TestWeightedGram:
         weight = np.array([[0.5, np.nan], [np.nan, 0.5]])
         with pytest.raises(WeightNotPositive):
             weighted_gram(weyl_basis(2).elements, weight)
+
+    @pytest.mark.parametrize("damage", ["element 5 moved", "element 0 copied across groups"])
+    @pytest.mark.parametrize("d", [12, 16])
+    def test_a_damaged_latin_family_takes_the_product(self, d, damage, monkeypatch):
+        # the weighted Gram and weight recovery's residual group their whitened elements with no
+        # odd row: on a Latin family with an odd element, or a copy past its group's d, each is
+        # the product's verdict on the same rows bit for bit, within rounding of tr(K_x* W K_y)
+        elements = weyl_basis(d).elements.copy()
+        if damage == "element 5 moved":
+            elements[5] += 1e-3
+        else:
+            elements[1] = elements[0]  # in another group than element 0
+        calls, gram = [], bases._gram
+
+        def recording(rows, *args, **kwargs):
+            calls.append((rows, gram(rows, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bases, "_gram", recording)
+        for w in (np.eye(d) / d, np.diag(np.linspace(1.0, 2.0, d))):
+            result, expected = weighted_gram(elements, w), oracles.weighted_gram(elements, w)
+            bound = d * d * np.finfo(float).eps * np.abs(expected.diagonal()).max()
+            assert not result.passed and np.abs(result.table - expected).max() <= bound
+        with pytest.raises(NoSolution, match="residual"):
+            recover_weight_from_unitary_gram(UnitaryBasis(d, elements))
+        assert len(calls) == 3
+        for rows, result in calls:
+            product = tensor._gram(rows, None, 1e-12)
+            assert (result.passed, result.witness) == (product.passed, product.witness)
+            assert np.float64(result.deviation).tobytes() == np.float64(product.deviation).tobytes()
+            assert result.table.tobytes() == product.table.tobytes()
 
 
 class TestRecoverWeight:

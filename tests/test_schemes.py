@@ -793,7 +793,8 @@ def _products(basis, ref):
 @pytest.mark.parametrize("d", [3, 4, 6, 8, 9, *range(10, 33)])
 def test_the_scatters_are_the_products(d):
     # from 100 matrices on, a Latin family and a reference that is a permutation times real phases
-    # scatter; the rest take the product, whose bytes below 100 rows are the ones checked here
+    # scatter; the rest take the product, whose bytes below 100 rows are the ones checked here.
+    # An extracted basis keeps the reading its unitarity check made of a product, if it has one
     for family, basis in _latin_families(d):
         assert verify_orthonormal(basis), family
         if d < 10:  # below the reading's gate nothing is read, so nothing is kept
@@ -801,16 +802,17 @@ def test_the_scatters_are_the_products(d):
         for ref in [None, *_references(d)]:
             vectors, operators = _products(basis, ref)
             scattered = d >= 10 and (ref is None or not ref.imag.any())
+            monomial = d >= 10 and (ref is None or np.count_nonzero(ref) == d)
             entangled = basis_to_entangled(basis, ref)
-            for convert, name, product in ((lambda: entangled, "vectors", vectors),
-                                           (lambda: entangled_to_basis(entangled, ref), "elements",
-                                            operators)):
+            for convert, name, product, kept in (
+                    (lambda: entangled, "vectors", vectors, scattered),
+                    (lambda: entangled_to_basis(entangled, ref), "elements", operators, monomial)):
                 value = convert()  # each checked before anything reads it
                 held = getattr(value, name)
                 assert np.array_equal(held, product), (family, name)
                 if d < 10:
                     assert held.tobytes() == product.tobytes()
-                assert bool(assert_the_kept_reading_is_the_arrays(value, name)) == scattered
+                assert bool(assert_the_kept_reading_is_the_arrays(value, name)) == kept
         scheme = build_scheme(basis)
         for value, name in ((scheme, "channel_unitaries"), (swap_roles(scheme), "channel_unitaries"),
                             (scheme.effects, "vectors"), (basis, "elements")):

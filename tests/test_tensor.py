@@ -74,9 +74,9 @@ def _reading(rows):
 
 
 def _strict(stack, least=_REAL_GRAM_ROWS):
-    """``_monomial`` of ``stack`` if it reads every matrix, else None."""
-    reading = _monomial(stack, least)
-    return reading if reading is None or len(reading) == 2 else None
+    """``_monomial`` of ``stack`` if it reads every matrix, else None, as ``tensor._strict``
+    takes it."""
+    return tensor._strict(_monomial(stack, least))
 
 
 def kron_oracle(a, b):
@@ -598,6 +598,8 @@ def _assert_verdict_of_the_product(rows, block, transposed=False):
     alone, with no odd row, formed them exactly when ``block``."""
     reading = _reading(rows)
     groups = len(rows) >= _REAL_GRAM_ROWS and _groups(reading, transposed=transposed)
+    if transposed:  # as the depolarizer takes them, with no odd row
+        groups = tensor._strict(groups)
     assert bool(groups and (transposed or not len(groups[2]))) == block
     v = rows.T if transposed else rows
     with np.errstate(all="ignore"):
