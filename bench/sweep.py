@@ -18,7 +18,11 @@ by their constructors from the arrays of the first ones, so that no call finds
 the permutation-and-phases reading an earlier call kept on a value.  An operation
 that raises ``TightportError`` (extraction, ``entangled_to_basis`` and weight
 recovery on the perturbed family) is a detected failure: timed to its raise,
-with ``passed`` false.  On the
+with ``passed`` false.  On Weyl and dense, "battery order" rows time two
+verdicts in turn on one value, as ``perfbench``'s battery calls them:
+``verify_teleportation`` then extraction on one scheme, and
+``verify_entangled_basis`` then ``check_projector_completeness`` of its
+``vectors`` on one entangled basis.  On the
 Weyl family it also times ``weyl_basis``, at even d ``tensor_bases`` of Weyl
 at d / 2 and 2, and the value sequence ``weyl_basis`` -> ``verify_orthonormal``
 -> ``basis_to_entangled`` -> ``verify_entangled_basis`` -> ``entangled_to_basis``
@@ -109,6 +113,24 @@ def value_sequence(d: int) -> bool:
     return passed
 
 
+def teleportation_then_extraction(scheme):
+    """``verify_teleportation`` and then extraction on the same scheme: the extracted basis."""
+    tp.verify_teleportation(scheme)
+    return tp.extract_basis_from_scheme(scheme)
+
+
+def entangled_then_completeness(entangled):
+    """``verify_entangled_basis`` and then completeness of the same value's ``vectors``."""
+    tp.verify_entangled_basis(entangled)
+    return tp.check_projector_completeness(entangled.vectors)
+
+
+# on Weyl and dense, each pair on one value built anew
+BATTERY_ORDER = {
+    "battery order: verify_teleportation, extraction": ("s", teleportation_then_extraction),
+    "battery order: verify_entangled_basis, completeness": ("e", entangled_then_completeness),
+}
+
 # on the Weyl family only, each from d, or from its fresh factors h = weyl_basis(d / 2) and
 # t = weyl_basis(2) at even d
 BUILDS = {
@@ -178,6 +200,8 @@ def family_rows(family: str, d: int, repeats: int) -> list[dict]:
     rho[0, 0] = 1
     inputs = {"b": basis, "s": s, "c": c, "e": s.effects, "rho": rho, "d": d}
     operations = dict(OPERATIONS)
+    if family in ("weyl", "dense"):
+        operations.update(BATTERY_ORDER)
     if family == "weyl":
         operations.update(BUILDS)
         inputs.update(h=tp.weyl_basis(d // 2), t=tp.weyl_basis(2))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (DEFAULT_TOL, CheckResult, _Stack, _Value, _freeze, _worst_of,
+from .common import (DEFAULT_TOL, CheckResult, _decided, _Stack, _Value, _freeze, _worst_of,
                      as_permutation, require_positive)
 from .designs import HadamardMatrix, LatinSquare, fourier_hadamard, latin_from_cyclic
 from .errors import (
@@ -137,8 +137,9 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     """
     # the elements' products first, so that the Gram matrix is not held beside them
     reading = _read(basis, "elements")
-    units = _unitarity(reading, lambda: basis.elements, 1, tol, "element {} is not unitary".format)
-    gram = _gram(lambda: _stacked(basis), reading, tol, basis.d)
+    units = _unitarity(reading, lambda: basis.elements, 1, tol, "element {} is not unitary".format,
+                       basis)
+    gram = _gram(lambda: _stacked(basis), reading, tol, basis.d, value=basis)
     return _worst_of([gram, units])
 
 
@@ -151,10 +152,14 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     witness is the matrix unit of its first NaN, else its first worst entry.
     """
     d = basis.d
-    members, gram = _block_grams(lambda: _stacked(basis).T, _strict(_groups(
-        _read(basis, "elements", keep=False), transposed=True)))  # made ones dropped
-    return _gram_verdict(_identity_gap(gram, d), members, tol,
-                         lambda i, j: f"matrix unit E[{i // d},{j // d}]")
+
+    def decide():
+        groups = _strict(_groups(_read(basis, "elements", keep=False), transposed=True))
+        members, gram = groups and groups[0], _block_grams(lambda: _stacked(basis).T, groups)
+        del groups  # the blocks, not held beside their Grams
+        return _gram_verdict(_identity_gap(gram, d), members)
+    return _decided(basis, "depolarizer", tol, lambda i, j: f"matrix unit E[{i // d},{j // d}]",
+                    decide)
 
 
 def weighted_gram(operators, weight_inverse, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -211,7 +216,7 @@ def recover_weight_from_unitary_gram(
         c = np.linalg.inv(np.linalg.cholesky(s @ s.conj().T / d))
     except np.linalg.LinAlgError:
         raise NoSolution("the family's partial Gram trace is singular") from None
-    rho = _block_grams(c.T)[1]
+    rho = _block_grams(c.T)
     cu = c @ elems  # the c U_x, grouped as weighted_gram's
     residual = _gram(cu.reshape(d * d, -1), lambda: _strict(_groups(_monomial(cu))), tol)
     if not residual:

@@ -1,7 +1,12 @@
-"""Shared defaults and the result container used by every checker."""
+"""Shared defaults and the result container used by every checker.
+
+A frozen value decides each part of a verdict once (``_decided``) and keeps its scalars and block
+tables, never a dense table, and a weak link to its entangled basis; copies carry none of it.
+"""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,11 +50,14 @@ class CheckResult:
         ``np.argmax`` takes the first NaN, else the first largest gap, so a NaN
         anywhere fails the check; ``name(*index)`` names the entry at ``index``.
         """
-        gaps = np.asarray(gaps, dtype=float)
-        flat = int(gaps.argmax())
-        deviation = gaps.item(flat)
-        index = (flat,) if gaps.ndim == 1 else map(int, np.unravel_index(flat, gaps.shape))
-        return cls(bool(deviation <= tol), deviation, name(*index), table)
+        return _decided(None, None, tol, name, lambda: _worst(gaps, table))
+
+
+def _worst(gaps, table=None) -> tuple:  # CheckResult.worst's facts, see _decided
+    gaps = np.asarray(gaps, dtype=float)
+    flat = int(gaps.argmax())
+    index = (flat,) if gaps.ndim == 1 else tuple(map(int, np.unravel_index(flat, gaps.shape)))
+    return gaps.item(flat), index, table
 
 
 class _Table:
@@ -59,7 +67,8 @@ class _Table:
     def __get__(self, obj, owner=None):
         table = None if obj is None else vars(obj)["table"]
         if callable(table):
-            table = vars(obj)["table"] = table()
+            with np.errstate(all="ignore"):  # the verdict has met any overflow in it
+                table = vars(obj)["table"] = table()
         return table
 
     def __set__(self, obj, value):
@@ -74,6 +83,39 @@ def _worst_of(parts) -> CheckResult:
     worst = max(parts, key=lambda p: (p.deviation != p.deviation, p.deviation))
     table = next((vars(p)["table"] for p in parts if vars(p)["table"] is not None), None)
     return CheckResult(worst.passed, worst.deviation, worst.witness, table)
+
+
+class _Value:
+    """A frozen value, whose copy or unpickled twin its constructor builds, with no reading."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _kept(value, key, make):
+    """``make()``, made once per value and kept in a tuple of (key, fact) replaced whole, or anew
+    for None; a value made is kept as a weak link, made anew once it has died.  Threads that make
+    a fact at once make equal ones, and either is kept."""
+    if value is None:
+        return make()
+    fact = dict(vars(value).get("_facts", ())).get(key)
+    fact = fact() if isinstance(fact, weakref.ref) else fact
+    if fact is None:
+        fact = make()
+        kept = weakref.ref(fact) if isinstance(fact, _Value) else fact
+        vars(value)["_facts"] = (*{**dict(vars(value).get("_facts", ())), key: kept}.items(),)
+    return fact
+
+
+def _decided(value, part, tol: float, name, decide) -> CheckResult:
+    """The verdict at ``tol`` on ``part`` of ``value`` from ``_kept`` facts (deviation, index,
+    table) that ``decide()`` gives: NaN fails, and ``name(*index)`` is the caller's witness."""
+    deviation, index, table = _kept(value, part, decide)
+    return CheckResult(bool(deviation <= tol), deviation, name(*index), table)
+
+
+# id of an array a value holds -> that value, its facts for a bare array, checked with ``is``
+_owners = weakref.WeakValueDictionary()
 
 
 class _Stack:
@@ -99,6 +141,7 @@ class _Stack:
             array = stack.form()
             array.setflags(write=False)
             stack.array = array
+        _owners[id(stack.array)] = value
         return vars(value).setdefault(self.name, stack.array)
 
 
@@ -126,13 +169,7 @@ def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) 
         raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
     array.setflags(write=False)
     object.__setattr__(obj, name, array)
-
-
-class _Value:
-    """A frozen value, whose copy or unpickled twin its constructor builds, with no reading."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    _owners[id(array)] = obj
 
 
 def require_positive(n: int, name: str = "dimension") -> None:

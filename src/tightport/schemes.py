@@ -22,7 +22,9 @@ R = W^T for teleportation and R = W for dense coding.  For a Latin family's chan
 each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2) per outcome;
 with both and R one too, as for the canonical resource, T_x is its d nonzeros, O(d^3) in all.
 Each value holds the reading of its stack and a conversion builds its result as one, O(d^3), the
-dense stack formed only when read; the dense-coding table is then d block products.
+dense stack formed only when read; the dense-coding table is then d block products.  A scheme
+keeps its outcome identity per R, never a dense table, and its effects are the entangled basis a
+basis keeps a weak link to (see ``common``); copies carry neither.
 Outcome x acts on the input by K_x = W^T phi_x*, and the output is sum_x U_x K_x rho K_x* U_x*.
 All of them read the resource by one rule and fail any but a unit vector or psi psi* for one.
 
@@ -38,8 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import (DEFAULT_TOL, CheckResult, _held, _Stack, _Value, _freeze, _worst_of,
-                     require_positive)
+from .common import (DEFAULT_TOL, CheckResult, _decided, _held, _kept, _Stack, _Value, _freeze,
+                     _worst, _worst_of, require_positive)
 from .errors import (
     DimensionMismatch,
     NotDensityOperator,
@@ -190,11 +192,15 @@ def basis_to_entangled(
     defaults to ``omega_vector(d)``; only a caller's is checked against ``tol``.  From 100
     elements on, a Latin family's images under a real-phased permutation, as the default is, are
     scattered from its reading: nonzeros bit for bit the product's, a zero maybe not its sign.
+    The default's image is one value per basis: while it lives, the call returns it.
     """
     d = basis.d
     ref = _reference(omega, d, tol).reshape(d, d)
-    vectors = _times(_read(basis, "elements"), ref, (d * d, -1))  # None below 100 matrices
-    return MaxEntangledBasis(d, vectors or _Stack((basis.elements @ ref).reshape(d * d, -1)))
+
+    def image():
+        vectors = _times(_read(basis, "elements"), ref, (d * d, -1))  # None below 100 matrices
+        return MaxEntangledBasis(d, vectors or _Stack((basis.elements @ ref).reshape(d * d, -1)))
+    return _kept(basis if omega is None else None, "entangled", image)
 
 
 def entangled_to_basis(
@@ -217,7 +223,7 @@ def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> Uni
     basis = UnitaryBasis(d, _times(_read(entangled, "vectors"), ref_op, (-1, d, d)) or _Stack(
         (entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d)))  # the check reads it
     check = _unitarity(_read(basis, "elements"), lambda: basis.elements, 1, tol,
-                       "vector {} yields an operator".format)
+                       "vector {} yields an operator".format, basis)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
     return basis
@@ -228,15 +234,22 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
 
     The resource is the canonical maximally entangled vector, the channels
     conjugate by the basis elements, and the effects project onto the
-    entangled basis obtained from the same elements.  The channels are the
-    basis's own stack: its read-only array, its reading, or both.
+    entangled basis obtained from the same elements, the value ``basis_to_entangled(basis)``
+    returns.  The channels are the basis's own stack: its read-only array, its reading, or both.
     """
     d = basis.d
     effects = basis_to_entangled(basis)  # first, so that the basis's reading is made and shared
     return TightScheme(d, _Stack(omega_vector(d)), _held(basis, "elements"), effects, mode)
 
 
-def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
+def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, mode=None) -> CheckResult:
+    """``_identity``'s verdict, kept on ``scheme`` for the R of ``mode`` (W^T, or W), if given."""
+    return _decided(mode and scheme, mode, tol, lambda x, w: (
+        f"outcome {x}: T_x is not a multiple of I" if w is None else f"outcome weights sum to {w}"),
+        lambda: _identity(scheme, r))
+
+
+def _identity(scheme: TightScheme, r: np.ndarray) -> tuple:
     """Every T_x = U_x R phi_x* is c_x I, c_x = tr(T_x) / d, and sum_x |c_x|^2 = 1.
 
     R = W^T states teleportation; R = W states dense coding exactly given unitary channels,
@@ -284,11 +297,9 @@ def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float):
         t = np.conj(v @ r) @ np.swapaxes(p, 1, 2)
         c[odd] = np.trace(t, axis1=1, axis2=2) / d
         gaps[odd] = _identity_gap(t, c[odd][:, None]).max(axis=(1, 2))
-    outcomes = CheckResult.worst(gaps, tol, "outcome {}: T_x is not a multiple of I".format)
-    weight = float(np.vdot(c, c).real)
-    gap = abs(weight - 1)
-    weights = CheckResult(bool(gap <= tol), gap, f"outcome weights sum to {weight}")
-    return _worst_of([outcomes, weights])
+    weight, (gap, (x,), _) = float(np.vdot(c, c).real), _worst(gaps)
+    deviation, (part,), _ = _worst([gap, abs(weight - 1)])  # a NaN first, then the outcomes
+    return deviation, (x, None) if part == 0 else (None, weight), None
 
 
 def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -310,7 +321,7 @@ def verify_teleportation(scheme: TightScheme, tol: float = DEFAULT_TOL) -> Check
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         return psi
-    return _outcome_identity(scheme, psi.reshape(scheme.d, -1).T, tol)
+    return _outcome_identity(scheme, psi.reshape(scheme.d, -1).T, tol, TELEPORTATION)
 
 
 def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -362,8 +373,8 @@ def verify_entangled_basis(
     d, reading = entangled.d, _read(entangled, "vectors")
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
     vectors = _unitarity(reading, lambda: entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2),
-                         1 / d, tol, "vector {} is not maximally entangled".format)
-    return _worst_of([_gram(lambda: entangled.vectors, reading, tol), vectors])
+                         1 / d, tol, "vector {} is not maximally entangled".format, entangled)
+    return _worst_of([_gram(lambda: entangled.vectors, reading, tol, value=entangled), vectors])
 
 
 def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
@@ -389,11 +400,12 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
     channels = _unitarity(_read(obj, "channel_unitaries"), lambda: obj.channel_unitaries, 1, tol,
-                          "channel {} is not unitary".format)
+                          "channel {} is not unitary".format, obj)
     w = psi.reshape(obj.d, -1)
-    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol)
+    identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol, obj.mode)
     effects = _gram(lambda: obj.effects.vectors, _read(obj.effects, "vectors"), tol, name=(
-        "effect vectors are not a complete measurement: Gram entry ({}, {})".format))
+        "effect vectors are not a complete measurement: Gram entry ({}, {})".format),
+        value=obj.effects)
     return _worst_of([channels, effects, identity])
 
 

@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .common import DEFAULT_TOL, CheckResult, _Stack, require_positive
+from .common import DEFAULT_TOL, CheckResult, _decided, _owners, _Stack, _worst, require_positive
 from .errors import CountMismatch, DimensionMismatch, NotNormalized
 
 __all__ = [
@@ -78,17 +78,20 @@ def _identity_gap(product: np.ndarray, scale: float | np.ndarray = 1.0) -> np.nd
     return gap
 
 
-def _unitarity(reading, stack, scale: float, tol: float, name) -> CheckResult:
+def _unitarity(reading, stack, scale: float, tol: float, name, value=None) -> CheckResult:
     """The verdict on S* S = scale I for every S_x of ``stack``, or of a callable forming it, read
     as ``reading``, a ``_monomial`` of S or S^T (S's phases either way), or None: diag(|phase|^2),
-    O(d^3) in all, and the odd S_x, or with None all, by products; ``name(x)`` names S_x."""
-    if callable(stack) and (not reading or reading[2:]):
-        stack = stack()
-    gaps = np.empty(len(stack)) if not reading else np.abs(
-        reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
-    for odd in reading[2:] if reading else [slice(None)]:  # all S_x, or the odd ones
-        gaps[odd] = _identity_gap(_adjoint(stack[odd]) @ stack[odd], scale).max(axis=(1, 2))
-    return CheckResult.worst(gaps, tol, name)
+    O(d^3) in all, and the odd S_x, or with None all, by products; ``name(x)`` names S_x.  Kept
+    as ``value``'s unitarity part, if given (see ``common._decided``)."""
+    def decide(stack=stack):
+        if callable(stack) and (not reading or reading[2:]):
+            stack = stack()
+        gaps = np.empty(len(stack)) if not reading else np.abs(
+            reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
+        for odd in reading[2:] if reading else [slice(None)]:  # all S_x, or the odd ones
+            gaps[odd] = _identity_gap(_adjoint(stack[odd]) @ stack[odd], scale).max(axis=(1, 2))
+        return _worst(gaps)
+    return _decided(value, "unitarity", tol, name, decide)
 
 
 # From this many rows on, the Hermitian Gram is formed in real arithmetic.  Seeded
@@ -208,39 +211,37 @@ def _groups(reading, transposed=False):
     return members, phases[members], odd
 
 
-def _block_grams(rows, groups=None):
-    """(members, grams): conj(V) V^T for the rows of V, of any layout or formed by a callable,
-    as (None, table), or on ``groups``, V's ``_groups``, as the blocks' Grams, block g on
-    rows and columns ``members[g]``.
+def _block_grams(rows, groups=None, scale=1):
+    """conj(V) V^T / ``scale`` for the rows of V, of any layout or formed by a callable, or on
+    ``groups``, V's ``_groups``, the blocks' Grams, block g on rows and columns ``members[g]``.
 
     From ``_REAL_GRAM_ROWS`` rows on, with V = A + iB, A A^T + B B^T is R R^T for V's float64
     view R (one dsyrk, exactly symmetric) and the imaginary part M - M^T for M = A B^T (one dgemm).
     """
-    if groups is None:
-        rows = rows() if callable(rows) else rows
-        if len(rows) < _REAL_GRAM_ROWS:
-            return None, rows.conj() @ rows.T
-    members, v = groups[:2] if groups else (None, rows)
-    k = v.shape[-2]
-    # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
-    # M's rows are padded where a 4 KiB-multiple stride would put a column in one cache set
-    cross = np.matmul(v.real.copy(order="K"), v.imag.copy(order="K").swapaxes(-1, -2),
-                      out=np.empty(v.shape[:-1] + (k + 8 * (k % 512 == 0),))[..., :k])
-    gram = np.empty(cross.shape, dtype=complex)
-    np.subtract(cross, cross.swapaxes(-1, -2), out=gram.imag)
-    del cross
-    r = np.ascontiguousarray(v, dtype=complex).view(np.float64)  # a copy unless C-ordered
-    gram.real = r @ r.swapaxes(-1, -2)
-    return members, gram
+    v = groups[1] if groups else rows() if callable(rows) else rows
+    if groups is None and len(v) < _REAL_GRAM_ROWS:
+        gram = v.conj() @ v.T
+    else:  # BLAS takes unit-stride operands only; copies in the input's order, so none transposes.
+        k = v.shape[-2]  # M's rows padded where a 4 KiB-multiple stride puts a column in one set
+        cross = np.matmul(v.real.copy(order="K"), v.imag.copy(order="K").swapaxes(-1, -2),
+                          out=np.empty(v.shape[:-1] + (k + 8 * (k % 512 == 0),))[..., :k])
+        gram = np.empty(cross.shape, dtype=complex)
+        np.subtract(cross, cross.swapaxes(-1, -2), out=gram.imag)
+        del cross
+        r = np.ascontiguousarray(v, dtype=complex).view(np.float64)  # a copy unless C-ordered
+        gram.real = r @ r.swapaxes(-1, -2)
+    if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
+        gram.view(np.float64)[...] *= 1 / scale
+    return gram
 
 
-def _gram_verdict(gaps, members, tol: float, name, table=None, border=None) -> CheckResult:
-    """The verdict on the gaps of ``_block_grams``: the full table's, or on the blocks of
-    ``members`` the table's first NaN, else its first worst entry, in row-major order as argmax
-    takes it; every entry off the blocks is an exact zero and every diagonal entry is in one,
-    but with ``border``, (odd, the table's columns odd), in place of those rows and columns."""
+def _gram_verdict(gaps, members, table=None, border=None) -> tuple:
+    """The facts (``_decided``'s) of the gaps of ``_block_grams``: the full table's, or on the
+    blocks of ``members`` the table's first NaN, else its first worst entry, in row-major order as
+    argmax takes it; every entry off the blocks is an exact zero and every diagonal entry is in
+    one, but with ``border``, (odd, the table's columns odd), in place of those rows and columns."""
     if members is None:
-        return CheckResult.worst(gaps, tol, name, table)
+        return _worst(gaps, table)
     n = members.size
     flat = members[:, :, None] * n + members[:, None, :]
     if border:
@@ -253,7 +254,7 @@ def _gram_verdict(gaps, members, tol: float, name, table=None, border=None) -> C
         gaps = np.concatenate([gaps.ravel(), lines.ravel(), lines.ravel()])
     worst = float(gaps.max())
     flat = int(flat[gaps != gaps if worst != worst else gaps == worst].min())
-    return CheckResult(bool(worst <= tol), worst, name(*divmod(flat, n)), table)
+    return worst, divmod(flat, n), table
 
 
 def _scatter(members: np.ndarray, grams: np.ndarray, odd=(), border=None) -> np.ndarray:
@@ -266,28 +267,33 @@ def _scatter(members: np.ndarray, grams: np.ndarray, odd=(), border=None) -> np.
     return table
 
 
-def _gram(rows, reading, tol: float, scale=1, name="Gram entry ({}, {})".format):
+def _gram(rows, reading, tol: float, scale=1, name="Gram entry ({}, {})".format, value=None):
     """The verdict on conj(V) V^T / scale = I for the rows vec(S_x) of V: ``rows``, or a callable
     forming them, called only if ``reading``, their ``_monomial`` or None, or a callable giving
     their ``_groups`` (so no caller holds them), does not group them or has odd ones; ``table`` is
-    that matrix, a block one formed when first read.  k odd rows take their columns, O(k d^4)."""
+    that matrix, formed when first read.  k odd rows take their columns, O(k d^4).  Kept as
+    ``value``'s Gram part, if given: the blocks, or the rows' array to form a full table again."""
+    return _decided(value, "gram", tol, name, partial(_gram_facts, rows, reading, scale))
+
+
+def _gram_facts(rows, reading, scale) -> tuple:
     groups = reading() if callable(reading) else _groups(reading)
-    (members, gram), odd, border = _block_grams(rows, groups), groups[2] if groups else (), None
+    members, odd, border = groups and groups[0], groups[2] if groups else (), None
+    rows = rows() if callable(rows) and (groups is None or len(odd)) else rows  # kept: no value
+    gram = _block_grams(rows, groups, scale)
     del groups  # the blocks, not held beside their Grams
     if len(odd):  # in real arithmetic, as the blocks: for V = A + iB, conj(v_y) v_x has real part
         # (A, B)_y . (A, B)_x and imaginary part (A, B)_y . (B, -A)_x, each product row complex
-        r = np.ascontiguousarray(rows() if callable(rows) else rows).view(np.float64)
+        r = np.ascontiguousarray(rows).view(np.float64)
         x = r[odd].reshape(len(odd), -1, 2)
         border = (r @ np.stack([x, x[..., ::-1] * [1, -1]], 1).reshape(2 * len(odd), -1).T
                   ).view(complex)
         corner = border[odd] + border[odd].conj().T  # made exactly Hermitian, as the blocks are
         border[odd] = (corner.view(np.float64) * 0.5).view(complex)
-        border.view(np.float64)[...] *= 1 / scale  # as the blocks' below
-    if scale != 1:  # complex division's values per component, but -0.0 kept and no NaN of inf
-        gram.view(np.float64)[...] *= 1 / scale
-    table = gram if members is None else partial(_scatter, members, gram, odd, border)
-    return _gram_verdict(_identity_gap(gram), members, tol, name, table,
-                         border is not None and (odd, border))
+        border.view(np.float64)[...] *= 1 / scale  # as the blocks'
+    table = (partial(_block_grams, rows, None, scale) if members is None
+             else partial(_scatter, members, gram, odd, border))
+    return _gram_verdict(_identity_gap(gram), members, table, border is not None and (odd, border))
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -357,9 +363,13 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     V^T conj(V) - I share their singular values, so one side settles both,
     and the other side's largest entry is at most D times this one's.  Only
     the Gram side is formed, and its gap is read from the product buffer.
-    ``table`` is the Gram matrix.
+    ``table`` is the Gram matrix.  An entangled basis's own array takes its kept facts; a copy
+    is read anew, to the same verdict.
     """
     vs = np.asarray(vectors, dtype=complex)
+    owner = _owners.get(id(vs))
+    if getattr(owner, "vectors", None) is vs:
+        return _gram(vs, lambda: _groups(_read(owner, "vectors")), tol, value=owner)
     if vs.ndim != 2 or not vs.size:
         raise DimensionMismatch(
             f"vectors must stack to a non-empty (count, dimension) array, got shape {vs.shape}"

@@ -48,7 +48,7 @@ from tightport import (
     weyl_basis,
 )
 from tightport.bases import _stacked
-from tightport.common import _worst_of
+from tightport.common import _decided, _worst_of
 from tightport.schemes import TELEPORTATION, MaxEntangledBasis, TightScheme, _outcome_identity
 from tightport.tensor import (
     _REAL_GRAM_ROWS,
@@ -604,9 +604,10 @@ def _assert_verdict_of_the_product(rows, block, transposed=False):
     v = rows.T if transposed else rows
     with np.errstate(all="ignore"):
         if transposed:
-            members, gram = _block_grams(v, groups or None)
+            members, gram = groups[0] if groups else None, _block_grams(v, groups or None)
             table = gram if members is None else _scatter(members, gram)
-            result = _gram_verdict(_identity_gap(gram), members, TOL, "Gram entry ({}, {})".format)
+            result = _decided(None, None, TOL, "Gram entry ({}, {})".format,
+                              lambda: _gram_verdict(_identity_gap(gram), members))
         else:
             table = _gram(v, reading, TOL).table
             result = _gram(v, reading, TOL)
@@ -728,7 +729,8 @@ def _support_blocks(rows):
 def test_a_table_read_from_a_verdict_is_the_blocks_scattered(d, scale):
     rows = weyl_basis(d).elements.reshape(d * d, -1)
     scale = d if scale == "d" else 1
-    members, gram = _block_grams(rows, _support_blocks(rows))
+    members, blocks = _support_blocks(rows)
+    gram = _block_grams(rows, (members, blocks))
     gram.view(np.float64)[...] *= 1 / scale
     table = np.zeros((d * d,) * 2, dtype=complex)
     table[members[:, :, None], members[:, None, :]] = gram

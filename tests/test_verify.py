@@ -1,5 +1,9 @@
 """The one verdict type and the one dispatcher, ``tp.verify``."""
 
+import copy
+import gc
+import pickle
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -493,3 +497,153 @@ def test_shared_objects_give_the_serial_results_from_four_threads():
         futures = [(name, pool.submit(call)) for _ in range(4) for name, call in calls.items()]
         for name, future in futures:
             _assert_same(future.result(), serial[name])
+
+
+# A value decides each part of a verdict once and keeps the facts; a later verdict on it, at any
+# tol and under any caller's witness text, is the verdict a fresh value gives.
+def _kept_family(family, d):
+    basis = tp.weyl_basis(d)
+    if family == "dense":
+        rng = np.random.default_rng(d)
+        basis = tp.apply_equivalence(basis, random_unitary(rng, d), random_unitary(rng, d))
+    elif family == "damaged Latin":  # element 5 moved by 1e-3: an odd matrix beside the blocks
+        elements = basis.elements.copy()
+        elements[5] += 1e-3 * np.eye(d)
+        basis = tp.UnitaryBasis(d, elements)
+    return basis
+
+
+def _kept_values(family, d):
+    """A basis, its entangled basis and its teleportation scheme, whose effects are that basis."""
+    basis = _kept_family(family, d)
+    entangled = tp.basis_to_entangled(basis)
+    scheme = tp.build_scheme(basis)
+    assert scheme.effects is entangled
+    return basis, entangled, scheme
+
+
+KEPT_VERDICTS = {
+    "verify_orthonormal": lambda b, e, s, tol: tp.verify_orthonormal(b, tol),
+    "verify_depolarizer": lambda b, e, s, tol: tp.verify_depolarizer(b, tol),
+    "verify_entangled_basis": lambda b, e, s, tol: tp.verify_entangled_basis(e, tol),
+    "check_projector_completeness": lambda b, e, s, tol: tp.check_projector_completeness(
+        e.vectors, tol),
+    "verify_teleportation": lambda b, e, s, tol: tp.verify_teleportation(s, tol),
+    "verify (teleportation)": lambda b, e, s, tol: tp.verify(s, tol),
+    "verify (dense coding)": lambda b, e, s, tol: tp.verify(replace(s, mode=tp.DENSE_CODING), tol),
+    "verify of the effects": lambda b, e, s, tol: tp.verify(s.effects, tol),
+}
+
+
+def _assert_bit_for_bit(got, expected):
+    assert (got.passed, got.witness) == (expected.passed, expected.witness)
+    assert np.float64(got.deviation).tobytes() == np.float64(expected.deviation).tobytes()
+    assert (got.table is None) == (expected.table is None)
+    if expected.table is not None:
+        assert got.table.tobytes() == expected.table.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 8, 12, 16])
+@pytest.mark.parametrize("family", ["weyl", "dense", "damaged Latin"])
+def test_a_second_verdict_on_a_value_is_a_fresh_values(family, d):
+    values = _kept_values(family, d)
+    for verdict in KEPT_VERDICTS.values():  # each part decided once, in the battery's order
+        verdict(*values, tp.DEFAULT_TOL)
+    for name, verdict in KEPT_VERDICTS.items():
+        deviation = verdict(*_kept_values(family, d), tp.DEFAULT_TOL).deviation
+        for tol in (max(deviation, tp.DEFAULT_TOL), np.nextafter(deviation, -1)):  # passed flips
+            expected = verdict(*_kept_values(family, d), tol)
+            assert expected.passed == (tol >= deviation), name
+            _assert_bit_for_bit(verdict(*values, tol), expected)
+
+
+def test_kept_facts_keep_each_callers_witness_text():
+    elements = tp.weyl_basis(12).elements.copy()
+    elements[1] = elements[0]  # the Gram matrix fails at (0, 1); every vector stays entangled
+    basis = tp.UnitaryBasis(12, elements)
+    entangled = tp.basis_to_entangled(basis)
+    own = tp.verify_entangled_basis(entangled)
+    scheme = tp.build_scheme(basis)
+    texts = {tp.verify(scheme).witness, tp.check_projector_completeness(entangled.vectors).witness,
+             own.witness}
+    assert texts == {"effect vectors are not a complete measurement: Gram entry (0, 1)",
+                     "Gram entry (0, 1)"}
+    assert own.witness == "Gram entry (0, 1)" and not own.passed
+
+
+def test_kept_facts_are_decided_once_across_threads():
+    # four threads on one fresh value at once: each verdict is the serial one on a fresh value
+    fresh = {name: verdict(*_kept_values("damaged Latin", 12), 1e-12)
+             for name, verdict in KEPT_VERDICTS.items()}
+    values = _kept_values("damaged Latin", 12)
+    with ThreadPoolExecutor(4) as pool:
+        futures = [(name, pool.submit(verdict, *values, 1e-12))
+                   for _ in range(4) for name, verdict in KEPT_VERDICTS.items()]
+        for name, future in futures:
+            _assert_bit_for_bit(future.result(), fresh[name])
+
+
+@pytest.mark.parametrize("d", [3, 12])
+@pytest.mark.parametrize("family", ["weyl", "dense", "damaged Latin"])
+def test_completeness_on_a_values_array_is_completeness_on_a_copy(family, d):
+    entangled = tp.basis_to_entangled(_kept_family(family, d))
+    for _ in range(2):  # deciding, then from the kept facts
+        _assert_bit_for_bit(tp.check_projector_completeness(entangled.vectors, 1e-12),
+                            tp.check_projector_completeness(entangled.vectors.copy(), 1e-12))
+
+
+def test_verified_values_are_freed_with_no_collector():
+    gc.disable()
+    try:
+        for family in ("weyl", "dense", "damaged Latin"):
+            values = _kept_values(family, 12)
+            for verdict in KEPT_VERDICTS.values():
+                verdict(*values, tp.DEFAULT_TOL)
+            tp.verify(tp.swap_roles(values[2]))
+            refs = [weakref.ref(value) for value in values]
+            del values
+            assert [ref() for ref in refs] == [None] * 3, family
+    finally:
+        gc.enable()
+
+
+def test_a_basis_gives_one_entangled_basis_while_it_lives():
+    basis = tp.weyl_basis(12)
+    entangled = tp.basis_to_entangled(basis)
+    assert tp.basis_to_entangled(basis) is entangled and tp.build_scheme(basis).effects is entangled
+    ref = tp.omega_vector(12)  # a caller's reference, even the default one, makes a new value
+    assert tp.basis_to_entangled(basis, ref) is not entangled
+    dead = weakref.ref(entangled)
+    del entangled
+    assert dead() is None  # the basis does not keep it alive
+    again = tp.basis_to_entangled(basis)
+    assert np.array_equal(again.vectors, tp.basis_to_entangled(tp.weyl_basis(12)).vectors)
+    assert tp.basis_to_entangled(basis) is again
+
+
+def test_the_outcome_identity_is_kept_for_each_r():
+    # with a resource W that is not W^T, teleportation's identity (R = W^T) and a dense-coding
+    # scheme's (R = W) differ; deciding one first leaves the other the fresh value's
+    def scheme():
+        w = random_unitary(np.random.default_rng(3), 12) / np.sqrt(12)
+        basis = tp.weyl_basis(12)
+        effects = tp.basis_to_entangled(basis, w.T.ravel())
+        return tp.TightScheme(12, w.ravel(), basis.elements, effects, tp.DENSE_CODING)
+
+    kept = scheme()
+    pairs = (tp.verify_teleportation, tp.verify), (tp.verify, tp.verify_teleportation)
+    for first, second in pairs:
+        assert first(kept).deviation != second(scheme()).deviation
+        _assert_bit_for_bit(second(kept, 1e-12), second(scheme(), 1e-12))
+
+
+@pytest.mark.parametrize("copier", [lambda value: pickle.loads(pickle.dumps(value)),
+                                    copy.deepcopy, copy.copy, replace],
+                         ids=["pickle", "deepcopy", "copy", "replace"])
+def test_a_copy_holds_no_facts(copier):
+    values = _kept_values("damaged Latin", 12)
+    for verdict in KEPT_VERDICTS.values():
+        verdict(*values, tp.DEFAULT_TOL)
+    assert all("_facts" in vars(value) for value in values)
+    for value in values:
+        assert "_facts" not in vars(copier(value))
