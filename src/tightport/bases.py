@@ -136,7 +136,7 @@ def verify_orthonormal(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     of the two; ``table`` is the Gram matrix.
     """
     # the elements' products first, so that the Gram matrix is not held beside them
-    reading = _read(basis, "elements")
+    reading = _read(basis)
     units = _unitarity(reading, lambda: basis.elements, 1, tol, "element {} is not unitary".format,
                        basis)
     gram = _gram(lambda: _stacked(basis), reading, tol, basis.d, value=basis)
@@ -154,7 +154,7 @@ def verify_depolarizer(basis: UnitaryBasis, tol: float = DEFAULT_TOL) -> CheckRe
     d = basis.d
 
     def decide():
-        groups = _strict(_groups(_read(basis, "elements", keep=False), transposed=True))
+        groups = _strict(_groups(_read(basis, keep=False), transposed=True))
         members, gram = groups and groups[0], _block_grams(lambda: _stacked(basis).T, groups)
         del groups  # the blocks, not held beside their Grams
         return _gram_verdict(_identity_gap(gram, d), members)
@@ -236,7 +236,7 @@ def tensor_bases(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     product = lambda: (b1.elements[:, None, :, None, :, None]  # noqa: E731
                        * b2.elements[None, :, None, :, None, :]).reshape(d * d, d, d)
     if d * d >= _REAL_GRAM_ROWS:  # read as its factors' readings, and formed as their product
-        r1, r2 = (_strict(_read(b, "elements") if b.d ** 2 >= _REAL_GRAM_ROWS
+        r1, r2 = (_strict(_read(b) if b.d ** 2 >= _REAL_GRAM_ROWS
                           else _monomial(b.elements, 1)) for b in (b1, b2))
         if r1 and r2:  # row a d2 + b of element x n2 + y: U_x's row a times V_y's row b
             columns = (r1[0][:, None, :, None] * b2.d + r2[0][None, :, None, :]).reshape(d * d, d)

@@ -1,7 +1,8 @@
 """Shared defaults and the result container used by every checker.
 
-A frozen value decides each part of a verdict once (``_decided``) and keeps its scalars and block
-tables, never a dense table, and a weak link to its entangled basis; copies carry none of it.
+A value's ``_Stack`` is its one record: the array, its reading and the facts of each verdict part
+decided once (``_decided``), scalars and block tables, never a dense table, and a weak link to the
+entangled basis.  Values built on one stack share all of it; copies build a stack of their own.
 """
 
 from __future__ import annotations
@@ -93,17 +94,15 @@ class _Value:
 
 
 def _kept(value, key, make):
-    """``make()``, made once per value and kept in a tuple of (key, fact) replaced whole, or anew
-    for None; a value made is kept as a weak link, made anew once it has died.  Threads that make
-    a fact at once make equal ones, and either is kept."""
-    if value is None:
-        return make()
-    fact = dict(vars(value).get("_facts", ())).get(key)
+    """``make()``, made once per stack and kept in the facts of ``value``'s ``_Stack``, or anew
+    for None; a value made is kept as a weak link, made anew once it has died, and no fact refers
+    to a value.  Threads that make a fact at once make equal ones, and either is kept."""
+    facts = {} if value is None else vars(value)["_stack"].facts
+    fact = facts.get(key)
     fact = fact() if isinstance(fact, weakref.ref) else fact
     if fact is None:
         fact = make()
-        kept = weakref.ref(fact) if isinstance(fact, _Value) else fact
-        vars(value)["_facts"] = (*{**dict(vars(value).get("_facts", ())), key: kept}.items(),)
+        facts[key] = weakref.ref(fact) if isinstance(fact, _Value) else fact
     return fact
 
 
@@ -114,22 +113,24 @@ def _decided(value, part, tol: float, name, decide) -> CheckResult:
     return CheckResult(bool(deviation <= tol), deviation, name(*index), table)
 
 
-# id of an array a value holds -> that value, its facts for a bare array, checked with ``is``
+# id of a stack's array -> a value holding it, its facts for a bare array, checked with ``is``
 _owners = weakref.WeakValueDictionary()
 
 
 class _Stack:
-    """A value's stack of matrices: ``array``, read-only to every caller, and from 100 matrices on
-    ``reading``, its one ``_monomial``, odd indices too, read-only, None if none, False if not made.
+    """A value's stack of matrices: ``array``, read-only to every caller; from 100 matrices on
+    ``reading``, its one ``_monomial``, odd indices too, read-only, None if none, False if not made;
+    and ``facts``, the verdict parts decided on it (``_kept``).  Values built on it share all three.
 
     Handed to a constructor, it gives the value the library's array with no copy, or the reading
     alone, ``form()`` forming the array.  The value keeps it at ``vars(value)["_stack"]``; on its
-    class ``_Stack(name=field)`` is a non-data descriptor that forms the array in the instance dict
-    when first read, once for the values sharing the stack, the same read-only array on every
+    class ``_Stack(name=field)`` is a non-data descriptor that puts the array in the instance dict
+    when first read, formed once for the values sharing the stack, the same read-only array on every
     thread.  So a plain attribute read finds it; copies and ``replace`` read it and build anew."""
 
     def __init__(self, array=None, reading=False, form=None, *, name=None):
         self.array, self.reading, self.form, self.name = array, reading, form, name
+        self.facts = {}
         for part in reading or ():
             part.setflags(write=False)
 
@@ -145,31 +146,23 @@ class _Stack:
         return vars(value).setdefault(self.name, stack.array)
 
 
-def _held(value, name: str) -> _Stack:
-    """The stack ``value.name`` to hand on: the one ``value`` keeps, else its array."""
-    return vars(value).get("_stack") or _Stack(vars(value)[name])
-
-
 def _freeze(obj, name: str, array, shapes=None, expected: str = "", dtype=None) -> None:
     """Store ``array`` read-only and C-ordered as ``obj.name``: the one way a frozen value takes
     an array, so no caller can write to what it holds.  A caller's array is copied, a ``_Stack``'s
-    taken over, with its reading if made; one with no array is formed when first read.  With
-    ``shapes`` given, another shape raises ``DimensionMismatch``.
+    taken over; a stack field (a ``_Stack`` on the class) keeps that ``_Stack``, or one of the copy,
+    and reads its array from it.  With ``shapes`` given, another shape raises ``DimensionMismatch``.
     """
-    if isinstance(array, _Stack):
-        if array.reading is not False:
-            vars(obj)["_stack"] = array
-        if array.array is None:
-            del vars(obj)[name]  # the field's descriptor forms it
-            return
-        array = np.asarray(array.array, dtype, order="C")
+    stack = array if isinstance(array, _Stack) else _Stack(np.array(array, dtype=dtype, order="C"))
+    if stack.array is not None:  # else formed when first read
+        array = stack.array = np.asarray(stack.array, dtype, order="C")
+        if shapes is not None and array.shape not in shapes:
+            raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
+        array.setflags(write=False)
+    if isinstance(vars(type(obj)).get(name), _Stack):
+        vars(obj)["_stack"] = stack
+        del vars(obj)[name]  # the field's descriptor reads it
     else:
-        array = np.array(array, dtype=dtype, order="C")
-    if shapes is not None and array.shape not in shapes:
-        raise DimensionMismatch(f"{expected}, got array of shape {array.shape}")
-    array.setflags(write=False)
-    object.__setattr__(obj, name, array)
-    _owners[id(array)] = obj
+        object.__setattr__(obj, name, array)
 
 
 def require_positive(n: int, name: str = "dimension") -> None:

@@ -45,6 +45,7 @@ __all__ = [
 # Exhaustive Latin-square counting is capped here; the search space beyond
 # d=5 explodes far past desk scale.
 MAX_ENUMERATION_D = 5
+_LATIN_ROWS = {}  # d -> count_normalized_latin's row bitmasks, grouped by first symbol
 
 
 def _as_grid(square) -> np.ndarray:
@@ -164,10 +165,13 @@ def count_normalized_latin(d: int) -> int:
             f"counts grow astronomically beyond that"
         )
     require_positive(d)
-    bits = [[1 << (k * d + s) for s in range(d)] for k in range(d)]
-    rows = [[] for _ in range(d)]
-    for p in permutations(range(d)):
-        rows[p[0]].append(sum(map(list.__getitem__, bits, p)))
+    rows = _LATIN_ROWS.get(d)
+    if rows is None:
+        bits = [[1 << (k * d + s) for s in range(d)] for k in range(d)]
+        rows = [[] for _ in range(d)]
+        for p in permutations(range(d)):
+            rows[p[0]].append(sum(map(list.__getitem__, bits, p)))
+        _LATIN_ROWS[d] = rows
 
     def count(r: int, used: int) -> int:
         if r == d:

@@ -23,8 +23,8 @@ each a permutation times phases, T_x is a gather of R's rows with scaling, O(d^2
 with both and R one too, as for the canonical resource, T_x is its d nonzeros, O(d^3) in all.
 Each value holds the reading of its stack and a conversion builds its result as one, O(d^3), the
 dense stack formed only when read; the dense-coding table is then d block products.  A scheme
-keeps its outcome identity per R, never a dense table, and its effects are the entangled basis a
-basis keeps a weak link to (see ``common``); copies carry neither.
+keeps its outcome identity per R, never a dense table, on its channels' stack, which its basis and
+``swap_roles`` twin share with every fact on it and the weak link to the effects (``common``).
 Outcome x acts on the input by K_x = W^T phi_x*, and the output is sum_x U_x K_x rho K_x* U_x*.
 All of them read the resource by one rule and fail any but a unit vector or psi psi* for one.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import UnitaryBasis, verify_orthonormal
-from .common import (DEFAULT_TOL, CheckResult, _decided, _held, _kept, _Stack, _Value, _freeze,
+from .common import (DEFAULT_TOL, CheckResult, _decided, _kept, _Stack, _Value, _freeze,
                      _worst, _worst_of, require_positive)
 from .errors import (
     DimensionMismatch,
@@ -198,7 +198,7 @@ def basis_to_entangled(
     ref = _reference(omega, d, tol).reshape(d, d)
 
     def image():
-        vectors = _times(_read(basis, "elements"), ref, (d * d, -1))  # None below 100 matrices
+        vectors = _times(_read(basis), ref, (d * d, -1))  # None below 100 matrices
         return MaxEntangledBasis(d, vectors or _Stack((basis.elements @ ref).reshape(d * d, -1)))
     return _kept(basis if omega is None else None, "entangled", image)
 
@@ -220,9 +220,9 @@ def entangled_to_basis(
 def _operators(entangled: MaxEntangledBasis, ref: np.ndarray, tol: float) -> UnitaryBasis:
     d = entangled.d
     ref_op = np.sqrt(d) * vector_to_operator(ref, d).conj().T
-    basis = UnitaryBasis(d, _times(_read(entangled, "vectors"), ref_op, (-1, d, d)) or _Stack(
+    basis = UnitaryBasis(d, _times(_read(entangled), ref_op, (-1, d, d)) or _Stack(
         (entangled.vectors.reshape(-1, d) @ ref_op).reshape(-1, d, d)))  # the check reads it
-    check = _unitarity(_read(basis, "elements"), lambda: basis.elements, 1, tol,
+    check = _unitarity(_read(basis), lambda: basis.elements, 1, tol,
                        "vector {} yields an operator".format, basis)
     if not check:
         raise NotUnitaryExtraction(f"{check.witness} {check.deviation:.3e} away from unitarity")
@@ -235,15 +235,17 @@ def build_scheme(basis: UnitaryBasis, mode: str = TELEPORTATION) -> TightScheme:
     The resource is the canonical maximally entangled vector, the channels
     conjugate by the basis elements, and the effects project onto the
     entangled basis obtained from the same elements, the value ``basis_to_entangled(basis)``
-    returns.  The channels are the basis's own stack: its read-only array, its reading, or both.
+    returns.  The channels are the basis's own stack, with its array, reading and verdict facts.
     """
     d = basis.d
-    effects = basis_to_entangled(basis)  # first, so that the basis's reading is made and shared
-    return TightScheme(d, _Stack(omega_vector(d)), _held(basis, "elements"), effects, mode)
+    effects = basis_to_entangled(basis)
+    return TightScheme(d, _Stack(omega_vector(d)), vars(basis)["_stack"], effects, mode)
 
 
 def _outcome_identity(scheme: TightScheme, r: np.ndarray, tol: float, mode=None) -> CheckResult:
-    """``_identity``'s verdict, kept on ``scheme`` for the R of ``mode`` (W^T, or W), if given."""
+    """``_identity``'s verdict, kept for the R of ``mode`` (W^T, or W), if given, on the channels'
+    stack: only ``build_scheme`` and ``swap_roles`` share one, and they hand on the resource's bits
+    and equal effects, on which it depends too; every other scheme copies its channels."""
     return _decided(mode and scheme, mode, tol, lambda x, w: (
         f"outcome {x}: T_x is not a multiple of I" if w is None else f"outcome weights sum to {w}"),
         lambda: _identity(scheme, r))
@@ -263,7 +265,7 @@ def _identity(scheme: TightScheme, r: np.ndarray) -> tuple:
     """
     d = scheme.d
     parts = (scheme, "channel_unitaries"), (scheme.effects, "vectors")
-    u, phi = (_read(value, name) for value, name in parts)
+    u, phi = (_read(value) for value, _ in parts)
     # T_x, and conj(T_x) = conj(U_x R) phi_x^T with no adjoint copied, keep their gaps with rows
     # and columns in one order q; for row j of phi_x p_j at column b_j, q = b^-1 keeps the diagonal
     q = slice(None) if phi is None else (np.arange(d * d)[:, None], np.argsort(phi[0], 1))
@@ -345,7 +347,7 @@ def verify_dense_coding(scheme: TightScheme, tol: float = DEFAULT_TOL) -> CheckR
         return psi
     d = scheme.d
     n, w = d * d, psi.reshape(d, d)
-    u, phi = _read(scheme, "channel_unitaries"), _strict(_read(scheme.effects, "vectors"))
+    u, phi = _read(scheme), _strict(_read(scheme.effects))
     rows = u and phi and getattr(_times(u, w, (n, n)), "reading", None)  # vec(U_x W), read
     both = rows and [_strict(_groups(reading)) for reading in (rows, phi)]  # (members, blocks)
     if both and all(both) and (rows[0][both[0][0][:, 0]] == phi[0][both[1][0][:, 0]]).all():
@@ -370,7 +372,7 @@ def verify_entangled_basis(
     reduced operator I/d.  Reports the worse of the two deviations; ``table``
     is the vectors' Gram matrix.
     """
-    d, reading = entangled.d, _read(entangled, "vectors")
+    d, reading = entangled.d, _read(entangled)
     # phi phi* = I/d read as its conjugate (see is_maximally_entangled), before the Gram matrix
     vectors = _unitarity(reading, lambda: entangled.vectors.reshape(d * d, d, d).swapaxes(1, 2),
                          1 / d, tol, "vector {} is not maximally entangled".format, entangled)
@@ -399,11 +401,11 @@ def verify(obj, tol: float = DEFAULT_TOL) -> CheckResult:
     entangled = is_maximally_entangled(psi, obj.d, tol)
     if not entangled:
         return replace(entangled, witness="resource is not maximally entangled")
-    channels = _unitarity(_read(obj, "channel_unitaries"), lambda: obj.channel_unitaries, 1, tol,
+    channels = _unitarity(_read(obj), lambda: obj.channel_unitaries, 1, tol,
                           "channel {} is not unitary".format, obj)
     w = psi.reshape(obj.d, -1)
     identity = _outcome_identity(obj, w.T if obj.mode == TELEPORTATION else w, tol, obj.mode)
-    effects = _gram(lambda: obj.effects.vectors, _read(obj.effects, "vectors"), tol, name=(
+    effects = _gram(lambda: obj.effects.vectors, _read(obj.effects), tol, name=(
         "effect vectors are not a complete measurement: Gram entry ({}, {})".format),
         value=obj.effects)
     return _worst_of([channels, effects, identity])
@@ -417,8 +419,8 @@ def swap_roles(scheme: TightScheme) -> TightScheme:
     ``omega_vector(d)``; for another maximally entangled resource one direction
     can pass and the other fail.  Both schemes hold the same read-only arrays and stack.
     """
-    return TightScheme(scheme.d, _Stack(scheme.omega), _held(scheme, "channel_unitaries"),
-                       scheme.effects, MODES[1 - MODES.index(scheme.mode)])
+    return TightScheme(scheme.d, _Stack(scheme.omega), vars(scheme)["_stack"], scheme.effects,
+                       MODES[1 - MODES.index(scheme.mode)])
 
 
 def _check_density(rho: np.ndarray, d: int, tol: float) -> None:
@@ -449,7 +451,7 @@ def teleport_state(
     psi = _resource_vector(scheme, tol)
     if isinstance(psi, CheckResult):
         raise SchemeInvalid(f"scheme fails by {psi.deviation:.3e}: {psi.witness}; cannot teleport")
-    wt, phi = psi.reshape(d, d).T, _strict(_read(scheme.effects, "vectors"))
+    wt, phi = psi.reshape(d, d).T, _strict(_read(scheme.effects))
     if phi and not wt.imag.any():  # column j of K_x: W^T's column b_j times conj(p_j), as summed
         kraus = wt[:, phi[0]].transpose(1, 0, 2) * phi[1].conj()[:, None, :]
     else:

@@ -132,16 +132,16 @@ def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
     return None
 
 
-def _read(value, name: str, keep=True):
-    """``_monomial`` of the stack ``value.name``, or None: the one its ``_Stack`` keeps, else from
-    100 matrices on made and, with ``keep``, kept read-only; made again, it is equal arrays."""
-    stack = vars(value).get("_stack")
-    if stack is None and value.d ** 2 >= _REAL_GRAM_ROWS:
-        array = getattr(value, name)
-        stack = _Stack(array, _monomial(array.reshape(-1, value.d, value.d)))
-        if keep:
-            stack = vars(value).setdefault("_stack", stack)
-    return stack and stack.reading
+def _read(value, keep=True):
+    """``_monomial`` of ``value``'s stack, or None: the one its ``_Stack`` keeps, else from 100
+    matrices on made read-only and, with ``keep``, kept; made again, it is equal arrays."""
+    stack = vars(value)["_stack"]
+    if stack.reading is False and value.d ** 2 >= _REAL_GRAM_ROWS:
+        reading = _Stack(reading=_monomial(stack.array.reshape(-1, value.d, value.d))).reading
+        if not keep:
+            return reading
+        stack.reading = reading
+    return stack.reading or None
 
 
 def _read_as(columns: np.ndarray, phases: np.ndarray, form) -> _Stack:
@@ -369,7 +369,7 @@ def check_projector_completeness(vectors, tol: float = DEFAULT_TOL) -> CheckResu
     vs = np.asarray(vectors, dtype=complex)
     owner = _owners.get(id(vs))
     if getattr(owner, "vectors", None) is vs:
-        return _gram(vs, lambda: _groups(_read(owner, "vectors")), tol, value=owner)
+        return _gram(vs, lambda: _groups(_read(owner)), tol, value=owner)
     if vs.ndim != 2 or not vs.size:
         raise DimensionMismatch(
             f"vectors must stack to a non-empty (count, dimension) array, got shape {vs.shape}"

@@ -670,7 +670,7 @@ def test_a_copied_value_holds_read_only_arrays_of_its_own_and_no_reading(copier)
     for value in (damaged, broken, broken.effects):
         reading = vars(value)["_stack"].reading
         assert len(reading) == 3 and not any(part.flags.writeable for part in reading)
-        assert "_stack" not in vars(replace(value))
+        assert vars(replace(value))["_stack"].reading is False
     for value, names in ((basis, ["elements"]), (scheme.effects, ["vectors"]),
                          (scheme, ["omega", "channel_unitaries"]),
                          (damaged, ["elements"]), (broken.effects, ["vectors"]),
@@ -678,7 +678,8 @@ def test_a_copied_value_holds_read_only_arrays_of_its_own_and_no_reading(copier)
                          (fourier_hadamard(4), ["matrix"]), (latin_from_cyclic(4), ["grid"])):
         copied = copier(value)
         assert type(copied) is type(value) and copied.d == value.d
-        assert vars(copied).keys() == {f.name for f in fields(copied)}
+        assert vars(copied).keys() - {"_stack"} <= {f.name for f in fields(copied)}
+        assert getattr(vars(copied).get("_stack"), "reading", False) is False
         for name in names:
             array, source = getattr(copied, name), getattr(value, name)
             assert np.array_equal(array, source) and not np.shares_memory(array, source)
@@ -771,7 +772,7 @@ def _references(d):
 
 def assert_the_kept_reading_is_the_arrays(value, name):
     """A reading a value keeps is read-only and bit for bit ``_monomial`` of its stack."""
-    kept = vars(value)["_stack"].reading if "_stack" in vars(value) else False
+    kept = vars(value)["_stack"].reading
     if kept is not False:
         fresh = tensor._monomial(getattr(value, name).reshape(-1, value.d, value.d))
         assert (kept is None) == (fresh is None)
@@ -798,7 +799,7 @@ def test_the_scatters_are_the_products(d):
     for family, basis in _latin_families(d):
         assert verify_orthonormal(basis), family
         if d < 10:  # below the reading's gate nothing is read, so nothing is kept
-            assert "_stack" not in vars(basis)
+            assert vars(basis)["_stack"].reading is False
         for ref in [None, *_references(d)]:
             vectors, operators = _products(basis, ref)
             scattered = d >= 10 and (ref is None or not ref.imag.any())

@@ -796,7 +796,7 @@ def test_the_depolarizer_takes_a_kept_reading_and_keeps_none_it_makes(d, mib, mo
     monkeypatch.setattr(tensor, "_monomial",
                         lambda stack, *args: reads.append(len(stack)) or monomial(stack, *args))
     assert verify_depolarizer(fresh) and reads == [d * d]
-    assert "_stack" not in vars(fresh)
+    assert vars(fresh)["_stack"].reading is False
     tracemalloc.start()
     try:
         assert verify_depolarizer(kept)

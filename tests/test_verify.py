@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_twist, random_unitary
 from oracles import matrix_units
 import tightport as tp
+from tightport import schemes, tensor
 from tightport.common import _worst_of
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0)]
@@ -621,7 +622,50 @@ def test_a_basis_gives_one_entangled_basis_while_it_lives():
     assert tp.basis_to_entangled(basis) is again
 
 
-def test_the_outcome_identity_is_kept_for_each_r():
+def _counting_identities(monkeypatch):
+    """The list that every decision of ``schemes._identity`` appends to."""
+    decided, identity = [], schemes._identity
+    monkeypatch.setattr(schemes, "_identity", lambda *args: decided.append(1) or identity(*args))
+    return decided
+
+
+@pytest.mark.parametrize("family, d", [("dense", 3), ("dense", 12), ("damaged Latin", 12)])
+def test_a_basis_and_its_schemes_decide_their_shared_stack_once(family, d, monkeypatch):
+    # a basis, its build_scheme scheme and that scheme's swap_roles twin hold one stack of
+    # matrices, so its unitarity is decided once, by the first verdict, and a scheme and its twin
+    # decide the teleportation identity once; every verdict is a fresh value's, bit for bit
+    def fresh():
+        scheme = tp.build_scheme(_kept_family(family, d))
+        return scheme, tp.swap_roles(scheme)
+
+    expected = [tp.verify_orthonormal(_kept_family(family, d), 1e-12),
+                *(tp.verify(value, 1e-12) for value in fresh())]
+    expected_teleportation = tp.verify_teleportation(fresh()[1], 1e-12)
+    basis = _kept_family(family, d)
+    matrices = {m.tobytes() for m in basis.elements}
+    products, adjoint = [], tensor._adjoint
+
+    def counting(stack):  # a unitarity product of the stack's matrices, all of them or the odd
+        if all(m.tobytes() in matrices for m in stack):
+            products.append(len(stack))
+        return adjoint(stack)
+
+    monkeypatch.setattr(tensor, "_adjoint", counting)
+    _assert_bit_for_bit(tp.verify_orthonormal(basis, 1e-12), expected[0])
+    assert products == [d * d if family == "dense" else 1]
+    scheme = tp.build_scheme(basis)
+    _assert_bit_for_bit(tp.verify(scheme, 1e-12), expected[1])
+    _assert_bit_for_bit(tp.verify(tp.swap_roles(scheme), 1e-12), expected[2])
+    assert products == [d * d if family == "dense" else 1]
+
+    decided = _counting_identities(monkeypatch)
+    scheme, twin = fresh()
+    assert tp.verify_teleportation(scheme).deviation == expected_teleportation.deviation
+    _assert_bit_for_bit(tp.verify_teleportation(twin, 1e-12), expected_teleportation)
+    assert len(decided) == 1
+
+
+def test_the_outcome_identity_is_kept_for_each_r(monkeypatch):
     # with a resource W that is not W^T, teleportation's identity (R = W^T) and a dense-coding
     # scheme's (R = W) differ; deciding one first leaves the other the fresh value's
     def scheme():
@@ -636,6 +680,34 @@ def test_the_outcome_identity_is_kept_for_each_r():
         assert first(kept).deviation != second(scheme()).deviation
         _assert_bit_for_bit(second(kept, 1e-12), second(scheme(), 1e-12))
 
+    # kept on the channels' stack, which only build_scheme and swap_roles share, and they hand on
+    # the resource and the effects: a scheme built from the basis's array with another resource
+    # or other effects, or a replaced one, holds a stack of its own and decides afresh
+    decided = _counting_identities(monkeypatch)
+    basis = tp.weyl_basis(12)
+    built = tp.build_scheme(basis)
+    assert tp.verify_teleportation(built) and tp.verify(built) and len(decided) == 1
+    w = random_unitary(np.random.default_rng(3), 12).ravel() / np.sqrt(12)
+    for other in (tp.TightScheme(12, w, basis.elements, built.effects, tp.TELEPORTATION),
+                  tp.TightScheme(12, built.omega, basis.elements, tp.basis_to_entangled(basis, w),
+                                 tp.TELEPORTATION),
+                  replace(built, omega=w)):
+        decided.clear()
+        verdict = tp.verify_teleportation(other, 1e-12)
+        assert not verdict and len(decided) == 1
+        _assert_bit_for_bit(verdict, tp.verify_teleportation(copy.copy(other), 1e-12))
+    # build_scheme(basis) and build_scheme(basis, DENSE_CODING) share each R's identity
+    dense = tp.build_scheme(basis, tp.DENSE_CODING)
+    decided.clear()
+    verdicts = [tp.verify_teleportation(dense, 1e-12), tp.verify(dense, 1e-12),
+                tp.verify(tp.swap_roles(built), 1e-12)]
+    assert len(decided) == 1
+    again = tp.build_scheme(tp.weyl_basis(12), tp.DENSE_CODING)
+    expected = [tp.verify_teleportation(again, 1e-12), tp.verify(again, 1e-12),
+                tp.verify(tp.swap_roles(tp.build_scheme(tp.weyl_basis(12))), 1e-12)]
+    for got, want in zip(verdicts, expected):
+        _assert_bit_for_bit(got, want)
+
 
 @pytest.mark.parametrize("copier", [lambda value: pickle.loads(pickle.dumps(value)),
                                     copy.deepcopy, copy.copy, replace],
@@ -644,6 +716,6 @@ def test_a_copy_holds_no_facts(copier):
     values = _kept_values("damaged Latin", 12)
     for verdict in KEPT_VERDICTS.values():
         verdict(*values, tp.DEFAULT_TOL)
-    assert all("_facts" in vars(value) for value in values)
+    assert all(vars(value)["_stack"].facts for value in values)
     for value in values:
-        assert "_facts" not in vars(copier(value))
+        assert not vars(copier(value))["_stack"].facts
