@@ -46,6 +46,7 @@ __all__ = [
 # d=5 explodes far past desk scale.
 MAX_ENUMERATION_D = 5
 _LATIN_ROWS = {}  # d -> count_normalized_latin's row bitmasks, grouped by first symbol
+# kept: count_normalized_latin(5) takes 222-241 us, against 324-367 us building them each call
 
 
 def _as_grid(square) -> np.ndarray:

@@ -18,18 +18,18 @@ cost of every verdict.  Below 100 rows it is one complex product; from 100 on, i
 at half the multiplications, with V = A + iB: R R^T for V's float64 view R gives A A^T + B B^T,
 and M - M^T for M = A B^T the imaginary part.  Each element, channel and entangled-basis matrix S
 of a Latin family (``shift_multiply_basis``, ``weyl_basis``, ``tensor_bases`` of those, their
-entangled bases and schemes) is a permutation times phases.  From 100 on such a value is held as
-that reading, its dense stack formed only when a caller reads it, or keeps the one reading its
-first use makes, and every verdict takes it; a bare array is read once, by its Gram verdict.
-S* S is diag(|phase|^2), O(d^3) in all, with a resource that is one too each T_x of an outcome
-identity is its d nonzeros, O(d^3), and the Gram matrix is grouped from the reading as the paper's
-d Hadamard blocks, O(d^4).  With k <= d odd matrices, not a permutation times finite phases or
-past their group's d, and matrix 0 not odd, these verdicts pay the blocks plus k rows, O(k d^4),
-and the k odd matrices' products; the depolarizer, dense coding, ``teleport_state``, the
-conversions, ``tensor_bases`` and the weighted Grams take any odd matrix as no reading
-(``_strict``) and pay the product, as does any other family.  Either table is exactly Hermitian
-and within about n eps max|row|^2 of the complex product, so on a passing family the witness
-names a rounding-level entry, read off the blocks, which form the table when it is read.
+entangled bases and schemes) is a permutation times phases, which ``_monomial`` reads as one
+record (columns, phases, odd), ``odd`` the S_x that are not, empty when none is.  From 100 on a
+Latin value is held as that reading, its dense stack formed only when a caller reads it, or keeps
+the one its first use makes; every verdict takes it, and a bare array is read once, by its Gram
+verdict.  S* S is diag(|phase|^2), O(d^3) in all; with a resource that is one too each T_x of an
+outcome identity is its d nonzeros, O(d^3); the Gram matrix is grouped as the paper's d Hadamard
+blocks, O(d^4).  With k <= d odd matrices (or past their group's d) and matrix 0 not odd, these
+verdicts pay the blocks plus k rows, O(k d^4), and the k odd products; the depolarizer, dense
+coding, ``teleport_state``, the conversions, ``tensor_bases`` and the weighted Grams take any odd
+matrix as no reading (``_strict``) and pay the product, as does any other family.  Either table
+is exactly Hermitian and within about n eps max|row|^2 of the complex product, so on a passing
+family the witness names a rounding-level entry, read off the blocks, which form it when read.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ def _unitarity(reading, stack, scale: float, tol: float, name, value=None) -> Ch
     O(d^3) in all, and the odd S_x, or with None all, by products; ``name(x)`` names S_x.  Kept
     as ``value``'s unitarity part, if given (see ``common._decided``)."""
     def decide(stack=stack):
-        if callable(stack) and (not reading or reading[2:]):
-            stack = stack()
+        odd = reading[2] if reading else slice(None)  # the odd S_x, or all, by their products
+        stack = stack() if callable(stack) and (not reading or len(odd)) else stack
         gaps = np.empty(len(stack)) if not reading else np.abs(
             reading[1].real ** 2 + reading[1].imag ** 2 - scale).max(axis=1)
-        for odd in reading[2:] if reading else [slice(None)]:  # all S_x, or the odd ones
+        if not callable(stack):  # formed or handed in; a strict reading forms none
             gaps[odd] = _identity_gap(_adjoint(stack[odd]) @ stack[odd], scale).max(axis=(1, 2))
         return _worst(gaps)
     return _decided(value, "unitarity", tol, name, decide)
@@ -102,42 +102,34 @@ _REAL_GRAM_ROWS = 100
 
 
 def _monomial(stack: np.ndarray, least: int = _REAL_GRAM_ROWS):
-    """(columns, phases) when each S_x of at least ``least`` complex d x d matrices is a permutation
-    times phases, row i phases[x, i] at column columns[x, i], |phase|^2 finite; else (columns,
-    phases, odd) if S_0 is one and 1 to d others, ``odd``, read as zeros, are not; else None."""
+    """(columns, phases, odd), read-only, of at least ``least`` complex d x d matrices S_x: row i
+    of S_x is phases[x, i] at column columns[x, i] if S_x is a permutation times phases, |phase|^2
+    finite; ``odd``, the rest, sorted and read as zeros, empty if none.  None past d odd, or S_0."""
     count, d = stack.shape[:2]
     if count < least or np.count_nonzero(stack[0]) != d:  # a dense family reads one matrix
         return None
-    flat = np.flatnonzero(stack.astype(bool))  # one byte an entry
-    if len(flat) == count * d:  # d nonzeros a matrix, a NaN counted as one
-        columns = (flat - d * np.arange(len(flat))).reshape(count, d)  # row i's, if it holds one
-        phases = stack.reshape(-1)[flat].reshape(count, d)
-        # sorted to 0..d-1 only if one in a row, a permutation; finite |phase|^2 make 0 * phase 0
-        if (np.sort(columns, axis=1) == np.arange(d)).all() and np.isfinite(
-                np.vdot(phases, phases)):
-            return columns, phases
-    # each S_x of d nonzeros read so, if it passes the test above; the rest are odd
-    sizes = np.bincount(flat // (d * d), minlength=count)
-    flat = flat[np.repeat(sizes == d, sizes)].reshape(-1, d)
-    x = flat[:, 0] // (d * d)
-    columns, phases = flat - d * (d * x[:, None] + np.arange(d)), stack.reshape(-1)[flat]
-    with np.errstate(over="ignore"):  # an overflowing square makes its matrix odd
-        ok = (np.sort(columns, axis=1) == np.arange(d)).all(1) & np.isfinite(
+    flat = np.flatnonzero(stack.astype(bool))  # one byte an entry, a NaN counted as nonzero
+    row = flat // d  # its row among all count * d rows
+    columns, phases = np.zeros((count, d), np.intp), np.zeros((count, d), stack.dtype)
+    columns.reshape(-1)[row], phases.reshape(-1)[row] = flat - d * row, stack.reshape(-1)[flat]
+    with np.errstate(over="ignore"):  # one nonzero a row, a permutation, finite |phase|^2
+        ok = (np.bincount(row, minlength=count * d).reshape(count, d) == 1).all(1) & (
+            np.sort(columns, axis=1) == np.arange(d)).all(1) & np.isfinite(
             (phases.real ** 2 + phases.imag ** 2).sum(1))
-    odd = np.flatnonzero(np.bincount(x[ok], minlength=count) == 0)
-    if 0 < len(odd) <= d and odd[0]:
-        reading = np.tile(np.arange(d), (count, 1)), np.zeros((count, d), complex)
-        reading[0][x[ok]], reading[1][x[ok]] = columns[ok], phases[ok]
-        return (*reading, odd)
-    return None
+    odd = np.flatnonzero(~ok)
+    if len(odd) > d or not ok[0]:
+        return None
+    columns[odd], phases[odd] = np.arange(d), 0
+    columns.flags.writeable = phases.flags.writeable = odd.flags.writeable = False
+    return columns, phases, odd
 
 
 def _read(value, keep=True):
     """``_monomial`` of ``value``'s stack, or None: the one its ``_Stack`` keeps, else from 100
-    matrices on made read-only and, with ``keep``, kept; made again, it is equal arrays."""
+    matrices on made and, with ``keep``, kept; made again, it is equal arrays."""
     stack = vars(value)["_stack"]
     if stack.reading is False and value.d ** 2 >= _REAL_GRAM_ROWS:
-        reading = _Stack(reading=_monomial(stack.array.reshape(-1, value.d, value.d))).reading
+        reading = _monomial(stack.array.reshape(-1, value.d, value.d))
         if not keep:
             return reading
         stack.reading = reading
@@ -145,10 +137,10 @@ def _read(value, keep=True):
 
 
 def _read_as(columns: np.ndarray, phases: np.ndarray, form) -> _Stack:
-    """The stack read as (columns, phases), formed by ``form()`` when first read; formed now, and
-    read by ``_read`` when first used, below 100 matrices or on a 0 or an overflowing square."""
+    """The stack read as (columns, phases) with no odd matrix, formed by ``form()`` when first read;
+    formed now, and read by ``_read`` when first used, below 100 rows, on a 0 or on an overflow."""
     if len(columns) >= _REAL_GRAM_ROWS and phases.all() and np.isfinite(np.vdot(phases, phases)):
-        return _Stack(reading=(columns, phases), form=form)
+        return _Stack(reading=(columns, phases, np.empty(0, np.intp)), form=form)
     return _Stack(form())
 
 
@@ -163,7 +155,7 @@ def _scattered(columns: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def _strict(part):
     """``part``, a ``_monomial`` reading or a ``_groups`` grouping, or None if it has odd S_x."""
-    return part if part and not len((*part, ())[2]) else None
+    return part if part and not len(part[2]) else None
 
 
 def _times(reading, b: np.ndarray, shape: tuple):
@@ -185,7 +177,7 @@ def _groups(reading, transposed=False):
     slots; V^T's columns take no border, so its caller takes them ``_strict``."""
     if not reading or len(reading[0]) != reading[0].shape[1] ** 2:  # d^2 matrices
         return None
-    columns, phases, odd = (*reading, [])[:3]
+    columns, phases, odd = reading
     d = columns.shape[1]
     members = np.argsort(columns[:, 0], kind="stable")
     first = members[::d]

@@ -12,7 +12,8 @@ so are two references for the Latin-square code: the row and column loop
 ``validate_latin`` once was, and a count by filtering every tuple of rows.
 The two dense constructions the bases were once built by, the shift-and-multiply
 assembly and the broadcast Kronecker product, are kept as the references for the
-values now built as their permutation-and-phases reading.
+values now built as their permutation-and-phases reading, and ``monomial`` reads
+that reading off a stack matrix by matrix.
 """
 
 from __future__ import annotations
@@ -58,6 +59,31 @@ def partial_trace(m, shape: tuple[int, int], factor: str = "second") -> np.ndarr
     if factor == "first":
         return np.einsum("ikil->kl", four)
     raise ValueError(f"factor must be 'first' or 'second', got {factor!r}")
+
+
+def monomial(stack: np.ndarray):
+    """The permutation-and-phases reading of a stack of d x d matrices, one matrix and one row at
+    a time: (columns, phases, odd).  A matrix whose every row holds one nonzero, at d distinct
+    columns, with a finite sum of squared moduli, reads as those columns and entries; the rest are
+    ``odd`` and read as I's columns with zero phases.  None below 100 matrices, when matrix 0 is
+    odd, or when more than d are."""
+    count, d = stack.shape[:2]
+    if count < 100:
+        return None
+    columns, phases, odd = np.tile(np.arange(d), (count, 1)), np.zeros((count, d), complex), []
+    for x, matrix in enumerate(stack):
+        found = [np.flatnonzero(row) for row in matrix]  # a NaN is nonzero
+        cols = [int(f[0]) for f in found if len(f) == 1]
+        if sorted(cols) == list(range(d)):  # one nonzero in each row, no two in one column
+            entries = matrix[np.arange(d), cols]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if np.isfinite((entries.real ** 2 + entries.imag ** 2).sum()):
+                    columns[x], phases[x] = cols, entries
+                    continue
+        odd.append(x)
+    if odd[:1] == [0] or len(odd) > d:
+        return None
+    return columns, phases, np.array(odd, dtype=np.intp)
 
 
 def orthonormal(elems: np.ndarray) -> tuple[float, float]:

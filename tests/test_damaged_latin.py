@@ -38,11 +38,14 @@ def _family(rng, d, name):
     return tp.tensor_bases(tp.weyl_basis(f), _family(rng, d // f, "shift-multiply"))
 
 
-def _parts(rng, basis, kind, count, size):
+def _parts(rng, basis, kind, count, size, element_0=False):
     """The elements, and the resource matrix W, channels and effect matrices of their scheme, with
-    ``count`` elements other than element 0 damaged by ``kind`` (the channels alone for a twist)."""
+    ``count`` elements damaged by ``kind`` (the channels alone for a twist), element 0 among them
+    if ``element_0``, except where they are copies of element 0."""
     d, elements = basis.d, basis.elements.copy()
     odd = rng.choice(np.arange(1, d * d), count, replace=False)
+    if element_0:
+        odd[0] = 0
     if kind == "duplicated across groups":  # copies of element 0 outside its group, its column
         first = (elements[:, 0] != 0).argmax(axis=1)  # in row 0: as many past its group's d
         odd = rng.choice(np.flatnonzero(first != first[0]), count, replace=False)
@@ -99,19 +102,25 @@ def _entry(witness):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(d=st.integers(10, 16), family=st.sampled_from(["weyl", "shift-multiply", "product"]),
-       kind=st.sampled_from(KINDS), count=st.sampled_from(["1", "2", "d"]),
+       kind=st.sampled_from(KINDS), count=st.sampled_from(["1", "2", "d", "d + 1", "0 and 1"]),
        exponent=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
 def test_a_damaged_latin_family_agrees_with_the_product_path(d, family, kind, count, exponent,
                                                              seed):
+    # d + 1 odd elements, or element 0 odd, leave the elements with no reading: the products
     rng = np.random.default_rng(seed)
     if family == "product" and all(d % f for f in range(2, d)):
         family = "weyl"  # d = 11 and 13 have no factors
     basis = _family(rng, d, family)
-    elements, parts = _parts(rng, basis, kind, d if count == "d" else int(count), 10.0 ** -exponent)
+    n = {"d": d, "d + 1": d + 1, "0 and 1": 2}.get(count) or int(count)
+    elements, parts = _parts(rng, basis, kind, n, 10.0 ** -exponent, element_0=count == "0 and 1")
+    reading, expected = tensor._monomial(elements), oracles.monomial(elements)
+    assert reading is expected is None or all(  # bit for bit the reading row by row
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(reading, expected))
     if kind not in ("twisted channel", "duplicated across groups"):  # the reading is taken
-        assert len(tensor._monomial(elements)) == 3
+        assert (reading and len(reading[2])) == (n if count in ("1", "2", "d") else None)
     v1, v2 = random_unitary(rng, d), random_unitary(rng, d)
     latin, dense = _verdicts(elements, parts), _verdicts(elements, parts, v1, v2)
     for name in latin[0]:
@@ -169,7 +178,7 @@ def test_past_d_odd_matrices_and_below_100_each_verdict_is_the_products(monkeypa
     monomial, groups = tensor._monomial, tensor._groups
     for module in (tensor, schemes):  # a reading with odd matrices taken as none
         monkeypatch.setattr(module, "_monomial", lambda stack, least=tensor._REAL_GRAM_ROWS: (
-            lambda found: found if not found or len(found) == 2 else None)(monomial(stack, least)))
+            lambda found: None if found and len(found[2]) else found)(monomial(stack, least)))
     monkeypatch.setattr(tensor, "_groups", lambda *args, **kwargs: (  # no group past its d
         lambda found: found if not found or len(found) < 3 or not len(found[2]) else None)(
             groups(*args, **kwargs)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex, random_density, random_unitary
-from oracles import matrix_units, partial_trace
+from oracles import matrix_units, monomial, partial_trace
 from tightport import (
     MODES,
     CheckResult,
@@ -890,7 +890,7 @@ def test_a_kept_reading_leaves_each_strict_consumer_as_on_a_fresh_value(d, damag
     kept, fresh = values(), values()
     assert not verify_orthonormal(kept[0]) and not verify(kept[1]) and not verify(kept[2])
     for value in (kept[0], kept[1], kept[2], kept[2].effects):
-        assert len(vars(value)["_stack"].reading) == (3 if damage.startswith("element 5") else 2)
+        assert len(vars(value)["_stack"].reading[2]) == (1 if damage.startswith("element 5") else 0)
 
     def call(value):
         try:
@@ -954,17 +954,32 @@ def _assert_verdict_within_rounding(result, gaps, weight, bound, name=OUTCOME):
     assert witness in tied
 
 
-# Damage to one matrix of a monomial stack; ``_monomial`` reads the stack on ON_MONOMIAL_PATH.
+# Damage to one matrix of a monomial stack, or to the matrices named after " in ";
+# ``_monomial`` reads the stack on ON_MONOMIAL_PATH, and reads none where matrix 0 or more than
+# d matrices are odd.
 MONOMIAL_MISSES = ["intact", "phase scaled by 1 + 1e-9", "1e200 phase", "support entry moved",
                    "1e-300 off the support", "two columns share a row", "zero column"] + [
     f"{value} at a {where} entry"
-    for value in ("nan", "inf", "-inf") for where in ("zero", "nonzero")]
+    for value in ("nan", "inf", "-inf") for where in ("zero", "nonzero")] + [
+    "support entry moved in matrix 0", "1e-300 off the support in d + 1 matrices"]
 ON_MONOMIAL_PATH = {"intact", "phase scaled by 1 + 1e-9"}
 
 
 def _monomial_miss(stack, miss, rng):
     stack = stack.copy()
-    s = stack[rng.integers(len(stack))]
+    miss, _, where = miss.partition(" in ")
+    if where == "matrix 0":
+        damaged = [0]
+    elif where == "d + 1 matrices":
+        damaged = rng.choice(len(stack), stack.shape[1] + 1, replace=False)
+    else:
+        damaged = [rng.integers(len(stack))]
+    for x in damaged:
+        _matrix_miss(stack[x], miss, rng)
+    return stack
+
+
+def _matrix_miss(s, miss, rng):
     k = int(rng.integers(len(s)))  # a column, with its nonzero in row i
     i, other = int(np.flatnonzero(s[:, k])[0]), int(rng.choice(np.delete(np.arange(len(s)), k)))
     if miss == "phase scaled by 1 + 1e-9":
@@ -983,7 +998,6 @@ def _monomial_miss(stack, miss, rng):
     elif miss != "intact":
         value, where = miss.split(" at a ")
         s[(i, k) if where == "nonzero entry" else (i, other)] = float(value)
-    return stack
 
 
 @settings(max_examples=150, deadline=None)
@@ -1007,6 +1021,11 @@ def test_monomial_reading_agrees_with_the_products(d, product, miss, transposed,
     # reads them
     stack, scale = (vectors.swapaxes(1, 2), 1 / d) if transposed else (elements, 1)
     assert (_strict(elements) is not None) == fast
+    for damaged in (elements, stack):  # bit for bit the reading row by row
+        reading, expected = _monomial(damaged), monomial(damaged)
+        assert reading is expected is None or _same_bits(reading, expected)
+    if "d + 1" in miss or "matrix 0" in miss:
+        assert _monomial(elements) is None
     with np.errstate(all="ignore"):
         result = _unitarity(_monomial(stack), stack, scale, TOL, "matrix {}".format)
         gaps = _unitarity_gaps_by_products(stack, scale)
